@@ -22,7 +22,6 @@ from memflow import (
     synthesize_observation,
     zigzag_mask,
 )
-from memflow.inverse_control import observation_operator
 
 M = parse_kernel("exp(-1*t)")
 basis = interval_basis(12, 64)
@@ -48,8 +47,7 @@ print(f"  observation map rank {diag['rank']}, smallest singular value "
 
 noisy = synthesize_observation(setup, truth, noise=0.01,
                                rng=np.random.default_rng(7))
-_, sq = observation_operator(setup)
-noise_norm = float(np.linalg.norm(((noisy - data) * sq).ravel()))
+noise_norm = setup.l2_norm(noisy - data)
 lam = discrepancy_lambda(setup, noisy, noise_norm)
 rec2, diag2 = reconstruct_y0(ReconstructionProblem(setup, noisy, lam=lam,
                                                    noise_level=0.01))

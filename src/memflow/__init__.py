@@ -74,6 +74,7 @@ from .kernels import (
     parse_kernel,
 )
 from .observability import (
+    ObsInvariantError,
     ObsReport,
     ObsSetup,
     alpha_probe,

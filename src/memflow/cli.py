@@ -34,7 +34,6 @@ from .inverse_control import (
     discrepancy_lambda,
     duality_range_test,
     min_norm_control,
-    observation_operator,
     reconstruct_y0,
     synthesize_observation,
 )
@@ -244,8 +243,8 @@ def _fmt(v):
         return "1" if v else "0"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
-    if isinstance(v, float):
-        return repr(v)
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
     return str(v)
 
 
@@ -516,8 +515,7 @@ def cmd_reconstruct(cfg, sink, rng, tol_scale, threads=1):
     clean = synthesize_observation(setup, truth)
     data = synthesize_observation(setup, truth, noise=noise, rng=rng) if noise else clean
     if noise:
-        _, sq = observation_operator(setup)
-        noise_norm = float(np.linalg.norm(((data - clean) * sq).ravel()))
+        noise_norm = setup.l2_norm(data - clean)
         lam = rc.get("lambda") or discrepancy_lambda(setup, data, noise_norm)
     else:
         lam = rc.get("lambda", 0.0)
@@ -639,10 +637,12 @@ def main(argv=None):
                         help="multiply every pass/fail tolerance")
     args = parser.parse_args(argv)
 
-    if args.threads is None:
-        args.threads = int(os.environ.get("MEMFLOW_THREADS", "1"))
-
     try:
+        if args.threads is None:
+            try:
+                args.threads = int(os.environ.get("MEMFLOW_THREADS", "1"))
+            except ValueError:
+                raise ConfigError("MEMFLOW_THREADS must be an integer") from None
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg["seed"] = args.seed

@@ -110,7 +110,6 @@ def volterra_modes(M, etas, T, n_steps, y0=None, forcing=None):
 
     a_diag = 1.0 + 0.5 * dt * etas + 0.25 * dt * dt * Mv[0]
     decay = 1.0 - 0.5 * dt * etas
-    prev_sigma = np.zeros(J)  # sigma_0 with the empty-history convention
     prev_Q = np.zeros(J)      # Q_0 = 0
     for i in range(1, n_steps + 1):
         hist = Mv[i - 1:0:-1] @ y[1:i] if i >= 2 else 0.0
@@ -118,7 +117,6 @@ def volterra_modes(M, etas, T, n_steps, y0=None, forcing=None):
         rhs = decay * y[i - 1] - 0.5 * dt * (prev_Q + sigma) \
             + 0.5 * dt * (f[i - 1] + f[i])
         y[i] = rhs / a_diag
-        prev_sigma = sigma
         prev_Q = sigma + 0.5 * dt * Mv[0] * y[i]
     return y
 
@@ -279,7 +277,11 @@ def remainder_RN_mode(M, eta, t, N, J_max=DEFAULT_KM_TRUNCATION, tol=1e-8):
 def remainder_bound(M, N, t):
     """A priori bound  e^t {exp[N (1+t) sum_{k<=N} sup|M^(k)|] - 1}  on |R_N(t, .)|."""
     cn = kernel_c_norm(M, N, t)
-    return math.exp(t) * (math.exp(N * (1.0 + t) * cn) - 1.0)
+    try:
+        growth = math.exp(N * (1.0 + t) * cn)
+    except OverflowError:
+        return math.inf  # past the float range: valid, but vacuous
+    return math.exp(t) * (growth - 1.0)
 
 
 @dataclass(frozen=True)

@@ -77,17 +77,17 @@ class ReconstructionProblem:
 
 
 def observation_operator(setup):
-    """Rows O[(i,k), j] of the weighted masked observation map.
+    """Rows O[(i,k), j] of the weighted masked observation map, materialized.
 
     The row weights make ||O a - d_w||_2 the L2(time x space) distance, with
     the same trapezoid-in-time and masked spatial quadrature the seminorm
-    uses (no t^alpha weight: reconstruction fits plain squared misfit).
+    uses (no t^alpha weight: reconstruction fits plain squared misfit).  Only
+    tests form O: it is the dense reference for the methods of ObsSetup.
     """
-    E = setup.basis.funcs
+    J = setup.basis.J
     sq = np.sqrt(setup.quad_weights)[:, None] * np.sqrt(setup.masked_weights)
     # O[i, k, j] = sqrt(wt_i w_k chi) phi_j(t_i) e_j(x_k)
-    O = sq[:, :, None] * (setup.phi_win.T[:, None, :] * E.T[None, :, :])
-    return O.reshape(-1, setup.basis.J), sq
+    return (setup.fields(np.eye(J)) * sq).reshape(J, -1).T, sq
 
 
 def synthesize_observation(setup, y0, noise=0.0, rng=None):
@@ -97,11 +97,10 @@ def synthesize_observation(setup, y0, noise=0.0, rng=None):
     in-mask samples.
     """
     a = y0.coeffs if isinstance(y0, SpectralVec) else np.asarray(y0, dtype=float)
-    fields = (a[None, :] * setup.phi_win.T) @ setup.basis.funcs
-    data = np.where(setup.masked_weights > 0, fields, 0.0)
+    live = setup.masked_weights > 0
+    data = np.where(live, setup.fields(a), 0.0)
     if noise > 0.0:
         rng = np.random.default_rng(0) if rng is None else rng
-        live = setup.masked_weights > 0
         scale = noise * math.sqrt(float(np.mean(data[live] ** 2)))
         data = data + np.where(live, rng.standard_normal(data.shape) * scale, 0.0)
     return data
@@ -117,10 +116,8 @@ def reconstruct_y0(problem):
     Returns (SpectralVec, diagnostics dict).
     """
     setup = problem.setup
-    O, sq = observation_operator(setup)
-    d = (problem.data * sq).ravel()
-    A = O.T @ O
-    rhs = O.T @ d
+    A = setup.gram(setup.quad_weights)            # O^T O, without forming O
+    rhs = setup.adjoint(setup.quad_weights[:, None] * setup.masked(problem.data))
     Dm = np.diag(setup.mass_matrix())
     if problem.lam == 0.0:
         lam_ev, V = scipy.linalg.eigh(A, Dm)
@@ -131,7 +128,7 @@ def reconstruct_y0(problem):
                 null_direction=V[:, 0],
             )
     a = scipy.linalg.solve(A + problem.lam * Dm, rhs, assume_a="pos")
-    resid = float(np.linalg.norm(O @ a - d))
+    resid = setup.l2_norm(setup.fields(a) - problem.data)
     rank, sigma_min = unique_continuation_rank(setup)
     return SpectralVec(a, s=setup.ref_exponent), {
         "lambda": problem.lam,
@@ -143,15 +140,13 @@ def reconstruct_y0(problem):
 
 def discrepancy_lambda(setup, data, noise_norm, lam0=1e-14, factor=10.0):
     """Grow lam by factors of `factor` until the residual reaches 0.9 x noise."""
-    O, sq = observation_operator(setup)
-    d = (data * sq).ravel()
-    A = O.T @ O
-    rhs = O.T @ d
+    A = setup.gram(setup.quad_weights)
+    rhs = setup.adjoint(setup.quad_weights[:, None] * setup.masked(data))
     Dm = np.diag(setup.mass_matrix())
     lam = lam0 * max(float(np.trace(A)), 1.0)
     for _ in range(60):
         a = scipy.linalg.solve(A + lam * Dm, rhs, assume_a="pos")
-        if np.linalg.norm(O @ a - d) >= 0.9 * noise_norm:
+        if setup.l2_norm(setup.fields(a) - data) >= 0.9 * noise_norm:
             return lam
         lam *= factor
     return lam

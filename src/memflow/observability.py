@@ -4,11 +4,15 @@ The central object is the masked, time-weighted observation seminorm
 
     obs(y0) = int_S^T' || chi_Q(t, .) y(t, .; y0) ||_{L2}  w(t) dt,
 
-with w(t) = t^alpha on windows starting at 0 and w = 1 otherwise.  Constants
-over the unit reference-norm sphere are estimated by an exact eigensolve of an
-L2-in-time surrogate followed by projected (sub)gradient refinement of the
-true L1-in-time objective with many restarts; the restart spread is reported
-as the reliability proxy.  Blow-up statements from the theory are rendered as
+with w(t) = t^alpha on windows starting at 0 and w = 1 otherwise.  Every
+functional here is built on one discrete operator, the masked observation map
+of ``ObsSetup``: ``fields`` takes mode coefficients to the window x grid
+field, ``adjoint`` is its transpose, ``masked`` applies the masked spatial
+quadrature and ``gram`` sums its time-weighted Gram.  Constants over the unit
+reference-norm sphere are estimated by an exact eigensolve of an L2-in-time
+surrogate followed by projected (sub)gradient refinement of the true
+L1-in-time objective with many restarts; the restart spread is reported as
+the reliability proxy.  Blow-up statements from the theory are rendered as
 finite trend probes, never as limits.
 """
 
@@ -20,12 +24,13 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .flow import FlowTable, flow_apply
-from .spectral import SpectralVec, evaluate_on_grid, hs_norm, project_function
+from .flow import flow_apply
+from .spectral import SpectralVec, hs_norm
 
 __all__ = [
     "ObsSetup",
     "ObsReport",
+    "ObsInvariantError",
     "obs_seminorm",
     "obs_seminorm_many",
     "gram_matrix",
@@ -40,13 +45,19 @@ __all__ = [
 ]
 
 
+class ObsInvariantError(RuntimeError):
+    """An estimated constant breaks a relation it must satisfy."""
+
+
 class ObsSetup:
-    """Frozen bundle of flow table, mask, window and weighting.
+    """Flow table, mask, window and weighting, and the masked observation
+    operator on (window rows of the time grid) x (basis grid).
 
     The weight t^alpha is applied only when the window starts at 0 (the
     weighted-estimate regime); windows with S > 0 are unweighted unless
-    ``force_weight`` overrides.  Precomputes the quadrature and masking
-    arrays shared by every functional.
+    ``force_weight`` overrides.  ``quad_weights`` is the trapezoid rule in
+    time, ``masked_weights`` the grid rule restricted to the mask.  Only the
+    operator methods combine propagators, eigenfunctions and mask.
     """
 
     def __init__(self, table, mask, alpha=None, window=None, ref_exponent=-4.0,
@@ -92,19 +103,51 @@ class ObsSetup:
         """Diagonal of the reference-norm Gram (weights eta_j^ref_exponent)."""
         return self.basis.eigenvalues ** self.ref_exponent
 
-    # -- batched evaluation --------------------------------------------------
+    # -- the masked observation operator -------------------------------------
+
+    def fields(self, A):
+        """Fields of coefficients A: (J,) -> (n_times, n_x), or a batch
+        (n_vec, J) -> (n_vec, n_times, n_x)."""
+        A = np.asarray(A, dtype=float)
+        return (A[..., None, :] * self.phi_win.T) @ self.basis.funcs
+
+    def adjoint(self, W, rows=slice(None)):
+        """Transpose of ``fields`` on the window rows ``rows``:
+        sum(fields(a)[rows] * W) = a @ adjoint(W, rows)."""
+        return np.einsum("ij,ij->j", W @ self.basis.funcs.T, self.phi_win.T[rows])
+
+    def masked(self, F):
+        """F times the masked grid weights (sum over x of masked(F) * G is the
+        masked L2 product per time row)."""
+        return F * self.masked_weights
+
+    def gram(self, coef):
+        """Gram sum_i coef_i (phi_i phi_i^T) o (E diag(w_i) E^T) of the masked
+        map under time weights coef (n_times,), symmetrized."""
+        E = self.basis.funcs
+        J = self.basis.J
+        G = np.zeros((J, J))
+        for lo in range(0, len(self.times), 256):  # bounds the W3 scratch
+            sl = slice(lo, lo + 256)
+            W3 = E[None, :, :] * self.masked_weights[sl][:, None, :]  # (i, J, n_x)
+            S = W3 @ E.T                                              # (i, J, J)
+            G += np.einsum("i,ji,ki,ijk->jk", coef[sl], self.phi_win[:, sl],
+                           self.phi_win[:, sl], S)
+        return 0.5 * (G + G.T)
+
+    def l2_norm(self, F):
+        """L2 norm over the observed part of the window of a field F
+        (n_times, n_x): trapezoid in time, masked grid rule in space."""
+        return math.sqrt(float(self.quad_weights
+                               @ np.einsum("ik,ik->i", self.masked(F), F)))
 
     def time_profiles(self, A, chunk=16):
         """Masked spatial norms r[v, i] for coefficient rows A (n_vec, J)."""
         A = np.atleast_2d(np.asarray(A, dtype=float))
-        E = self.basis.funcs
         out = np.empty((A.shape[0], len(self.times)))
         for lo in range(0, A.shape[0], chunk):
-            Av = A[lo:lo + chunk]
-            modal = Av[:, None, :] * self.phi_win.T[None, :, :]   # (v, i, J)
-            fields = modal @ E                                     # (v, i, n_x)
-            out[lo:lo + chunk] = np.sqrt(
-                np.einsum("vik,ik->vi", fields**2, self.masked_weights))
+            F = self.fields(A[lo:lo + chunk])
+            out[lo:lo + chunk] = np.sqrt(np.einsum("vik,vik->vi", self.masked(F), F))
         return out
 
 
@@ -124,20 +167,17 @@ def obs_seminorm(setup, v):
 
 def _seminorm_and_grad(setup, a):
     """Value and (sub)gradient of the seminorm at coefficient vector a."""
-    E = setup.basis.funcs
-    modal = a[None, :] * setup.phi_win.T          # (i, J)
-    fields = modal @ E                            # (i, n_x)
-    masked = fields * setup.masked_weights
-    r = np.sqrt(np.einsum("ik,ik->i", masked, fields))
+    F = setup.fields(a)
+    masked = setup.masked(F)
+    r = np.sqrt(np.einsum("ik,ik->i", masked, F))
     cw = setup.quad_weights * setup.time_weight
     val = float(r @ cw)
     good = r > 1e-300
-    back = (masked[good] * (cw[good] / r[good])[:, None]) @ E.T   # (i_good, J)
-    grad = np.einsum("ij,ij->j", back, setup.phi_win.T[good])
+    grad = setup.adjoint(masked[good] * (cw[good] / r[good])[:, None], good)
     return val, grad
 
 
-def gram_matrix(setup, time_chunk=256):
+def gram_matrix(setup):
     """L2-in-time surrogate Gram pair (G, D).
 
     G[j,k] = int w2(t) phi_j phi_k <chi e_j, chi e_k>_grid dt with w2 = t^{2a}
@@ -145,19 +185,8 @@ def gram_matrix(setup, time_chunk=256):
     Every raster cell contributes a positive-semidefinite rank-one update, so
     enlarging the mask never shrinks G.
     """
-    E = setup.basis.funcs
-    J = setup.basis.J
     w2 = setup.times ** (2 * setup.alpha) if setup.weighted else np.ones_like(setup.times)
-    coef = setup.quad_weights * w2
-    G = np.zeros((J, J))
-    for lo in range(0, len(setup.times), time_chunk):
-        sl = slice(lo, min(lo + time_chunk, len(setup.times)))
-        W3 = E[None, :, :] * setup.masked_weights[sl][:, None, :]  # (i, J, n_x)
-        S = W3 @ E.T                                               # (i, J, J)
-        G += np.einsum("i,ji,ki,ijk->jk", coef[sl], setup.phi_win[:, sl],
-                       setup.phi_win[:, sl], S)
-    G = 0.5 * (G + G.T)
-    return G, np.diag(setup.mass_matrix())
+    return setup.gram(setup.quad_weights * w2), np.diag(setup.mass_matrix())
 
 
 # ---------------------------------------------------------------------------
@@ -197,34 +226,33 @@ class ObsReport:
         return out
 
 
-def _sphere_optimize(setup, u0, maximize, n_iter=250, step0=0.5):
-    """Projected (sub)gradient ascent/descent of the seminorm on the unit
-    Euclidean sphere in reference-normalized coordinates u = D^{1/2} a."""
-    half = setup.mass_matrix() ** 0.5     # a = u / half
-    sign = 1.0 if maximize else -1.0
+def _sphere_ascent(f, u0, n_iter):
+    """Projected gradient ascent with backtracking on the unit sphere.
+
+    f(u) returns (value, gradient); steps move along the tangent gradient,
+    grow by 1.3 on success and halve until the value improves.  Returns the
+    final (value, u).
+    """
     u = u0 / np.linalg.norm(u0)
-    val, grad = _seminorm_and_grad(setup, u / half)
-    step = step0
+    val, g = f(u)
+    step = 0.5
     for _ in range(n_iter):
-        g = sign * grad / half            # chain rule into u coordinates
         g_tan = g - (g @ u) * u
         gn = np.linalg.norm(g_tan)
-        if gn < 1e-15 * max(abs(val), 1e-300):
+        if not np.isfinite(val) or gn < 1e-15 * max(abs(val), 1e-300):
             break
-        improved = False
         while step > 1e-14:
             cand = u + step * g_tan / max(gn, 1e-300)
             cand /= np.linalg.norm(cand)
-            cval, cgrad = _seminorm_and_grad(setup, cand / half)
-            if sign * (cval - val) > 1e-16 * abs(val):
-                u, val, grad = cand, cval, cgrad
-                improved = True
+            cval, cg = f(cand)
+            if cval - val > 1e-16 * abs(val):
+                u, val, g = cand, cval, cg
                 step *= 1.3
                 break
             step *= 0.5
-        if not improved:
+        else:
             break
-    return val, u / half
+    return val, u
 
 
 def _restart_pool(setup, G, D, n_restarts, rng):
@@ -251,8 +279,10 @@ def two_sided_constants(setup, n_restarts=32, n_iter=250, rng=None):
     The upper constant starts from the exact top generalized eigenvector of
     the L2 surrogate and ascends the true objective; the lower constant runs
     multistart descent (eigendirections, coordinate axes, random).  Reports
-    the restart spread as a stagnation/duality-gap proxy and asserts the
-    Cauchy-Schwarz bridge to the surrogate constants.
+    the restart spread as a stagnation/duality-gap proxy.  Raises
+    ObsInvariantError if a constant breaks the Cauchy-Schwarz bridge to the
+    surrogate constants, if c_lower > c_upper, or if a witness does not
+    reproduce its constant.
     """
     rng = np.random.default_rng(0) if rng is None else rng
     G, D = gram_matrix(setup)
@@ -261,13 +291,23 @@ def two_sided_constants(setup, n_restarts=32, n_iter=250, rng=None):
     sur_up = math.sqrt(max(lam[-1], 0.0))
     starts = _restart_pool(setup, G, D, n_restarts, rng)
 
+    # seminorm and gradient in reference-normalized coordinates u = D^{1/2} a
     half = setup.mass_matrix() ** 0.5
+
+    def upward(u):
+        val, grad = _seminorm_and_grad(setup, u / half)
+        return val, grad / half
+
+    def downward(u):
+        val, grad = _seminorm_and_grad(setup, u / half)
+        return -val, -grad / half
+
     lo_results, up_results = [], []
     for idx, u0 in enumerate(starts):
-        v, w = _sphere_optimize(setup, u0, maximize=False, n_iter=n_iter)
-        lo_results.append((v, idx, w))
-        v, w = _sphere_optimize(setup, u0, maximize=True, n_iter=n_iter)
-        up_results.append((v, idx, w))
+        v, u = _sphere_ascent(downward, u0, n_iter)
+        lo_results.append((-v, idx, u / half))
+        v, u = _sphere_ascent(upward, u0, n_iter)
+        up_results.append((v, idx, u / half))
     lo_val, _, lo_wit = min(lo_results, key=lambda r: (r[0], r[1]))
     up_val, _, up_wit = max(up_results, key=lambda r: (r[0], -r[1]))
 
@@ -283,9 +323,12 @@ def two_sided_constants(setup, n_restarts=32, n_iter=250, rng=None):
     # matching weighted-L2 constants.
     L = setup.window[1] - setup.window[0]
     tol = 1e-9 * max(sur_up, 1.0)
-    assert lo_val <= math.sqrt(L) * sur_lo + tol, "lower-constant bridge violated"
-    assert up_val <= math.sqrt(L) * sur_up + tol, "upper-constant bridge violated"
-    assert lo_val <= up_val + tol
+    if lo_val > math.sqrt(L) * sur_lo + tol:
+        raise ObsInvariantError(f"lower-constant bridge violated: {lo_val!r}")
+    if up_val > math.sqrt(L) * sur_up + tol:
+        raise ObsInvariantError(f"upper-constant bridge violated: {up_val!r}")
+    if lo_val > up_val + tol:
+        raise ObsInvariantError(f"c_lower {lo_val!r} exceeds c_upper {up_val!r}")
 
     report = ObsReport(
         c_lower=lo_val,
@@ -301,7 +344,8 @@ def two_sided_constants(setup, n_restarts=32, n_iter=250, rng=None):
     # witness reproducibility
     for wit, val in ((lo_wit, lo_val), (up_wit, up_val)):
         re = obs_seminorm(setup, wit / max(hs_norm(setup.basis, wit, setup.ref_exponent), 1e-300))
-        assert abs(re - val) <= 1e-9 * max(val, 1.0), "witness does not reproduce"
+        if abs(re - val) > 1e-9 * max(val, 1.0):
+            raise ObsInvariantError(f"witness gives {re!r}, not the reported {val!r}")
     return report
 
 
@@ -351,28 +395,7 @@ def null_obs_constant(setup, n_restarts=24, n_iter=200, rng=None):
 
     best = (-math.inf, None)
     for u0 in starts:
-        u = np.asarray(u0, dtype=float)
-        u /= np.linalg.norm(u)
-        val, g = ratio_and_grad(u)
-        step = 0.5
-        for _ in range(n_iter):
-            g_tan = g - (g @ u) * u
-            gn = np.linalg.norm(g_tan)
-            if not np.isfinite(val) or gn < 1e-15 * max(val, 1e-300):
-                break
-            moved = False
-            while step > 1e-14:
-                cand = u + step * g_tan / gn
-                cand /= np.linalg.norm(cand)
-                cval, cg = ratio_and_grad(cand)
-                if cval > val * (1 + 1e-16):
-                    u, val, g = cand, cval, cg
-                    moved = True
-                    step *= 1.3
-                    break
-                step *= 0.5
-            if not moved:
-                break
+        val, u = _sphere_ascent(ratio_and_grad, u0, n_iter)
         if val > best[0]:
             best = (val, u / half)
     report["surrogate"] = float(math.sqrt(max(scipy.linalg.eigh(

@@ -159,6 +159,51 @@ def test_env_threads_honoured(tmp_path, monkeypatch):
     assert run(["kernel", "--config", p, "--out", tmp_path / "o"]) == 0
 
 
+def test_env_threads_not_integer(tmp_path, monkeypatch, capsys):
+    p = tmp_path / "c.json"
+    write_cfg(p)
+    monkeypatch.setenv("MEMFLOW_THREADS", "abc")
+    assert run(["kernel", "--config", p, "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "MEMFLOW_THREADS" in err
+
+
+def test_csv_fields_are_numbers(tmp_path):
+    p = tmp_path / "c.json"
+    # the bump probe needs a mask containing an early cylinder
+    write_cfg(p, mask={"kind": "cylinder", "n_t": 60, "n_x": 30})
+    out = tmp_path / "out"
+    for command in ("report", "probe-alpha", "probe-ball", "probe-heat"):
+        assert run([command, "--config", p, "--out", out]) == 0
+    paths = sorted(out.rglob("*.csv"))
+    assert len(paths) == 11  # duality writes no CSV
+    for path in paths:
+        lines = path.read_text().splitlines()
+        header = lines[1].split(", ")
+        assert len(lines) > 2, path
+        for line in lines[2:]:
+            fields = line.split(", ")
+            assert len(fields) == len(header), (path, line)
+            for name, value in zip(header, fields):
+                if name in ("h_l", "p_l"):
+                    continue  # kernel coefficients are written as formulas
+                float(value)
+
+
+def test_flow_check_vacuous_remainder_bound(tmp_path):
+    p = tmp_path / "c.json"
+    write_cfg(p, kernel="exp(-1*t)*cos(3*t)",
+              flow_check={"modes": [1], "n_t_values": 1, "orders": [4],
+                          "remainder_t_values": 1})
+    out = tmp_path / "o"
+    assert run(["flow-check", "--config", p, "--out", out]) == 0
+    d = next((out / "flow-check").iterdir())
+    rows = (d / "remainder_bound.csv").read_text().splitlines()[2:]
+    assert len(rows) == 1
+    N, t, _, bound, ok = rows[0].split(", ")
+    assert (N, t, bound, ok) == ("4", "1.0", "inf", "1")
+
+
 def test_report_aggregates(tmp_path):
     p = tmp_path / "c.json"
     write_cfg(p)

@@ -162,6 +162,12 @@ def test_remainder_bound_holds(kernels4):
                 assert np.abs(R).max() <= bound[t]
 
 
+def test_remainder_bound_past_float_range_is_infinite():
+    # kernel_c_norm is about 95 here, so exp(N (1 + t) c) overflows a float
+    M = parse_kernel("exp(-1*t)*cos(3*t)")
+    assert remainder_bound(M, 4, 1.0) == math.inf
+
+
 def test_remainder_mode_convergence_check():
     val = remainder_RN_mode(parse_kernel("1"), ETA1, 0.5, 2)
     assert np.isfinite(val)

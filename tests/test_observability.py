@@ -2,17 +2,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from memflow import observability
 
 from memflow.flow import build_flow_table, first_nonzero_h_index
 from memflow.geometry import (
     Mask,
     ball_complement_mask,
     cylinder_mask,
+    random_rects_mask,
     zigzag_mask,
 )
+from memflow.inverse_control import observation_operator
 from memflow.kernels import ExpPolyFn, h_coeff, parse_kernel
 from memflow.observability import (
+    ObsInvariantError,
     ObsSetup,
+    _seminorm_and_grad,
     alpha_probe,
     bump_vector,
     gram_matrix,
@@ -379,3 +387,62 @@ def test_heat_local_probe_includes_t_zero():
                            half_widths=(0.05,))[0.0]["max_ratio"]
     assert r32 < 0.2
     assert r64 < r32
+
+
+# ---------------------------------------------------------------------------
+# the masked observation operator
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def rects_setup(mem_table):
+    return ObsSetup(mem_table, random_rects_mask(3, 5, 1.0, 80, 40), alpha=2.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_vec=st.integers(1, 5))
+def test_operator_adjoint_identity(rects_setup, seed, n_vec):
+    setup = rects_setup
+    g = np.random.default_rng(seed)
+    A = g.standard_normal((n_vec, setup.basis.J))
+    rows = g.random(len(setup.times)) < 0.5
+    W = g.standard_normal((int(rows.sum()), len(setup.basis.x)))
+    batch = setup.fields(A)
+    for a, F in zip(A, batch):
+        np.testing.assert_allclose(setup.fields(a), F, rtol=1e-14, atol=1e-15)
+        lhs = float(np.sum(F[rows] * W))
+        rhs = float(a @ setup.adjoint(W, rows))
+        assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(F[rows]) * np.linalg.norm(W)
+
+
+@pytest.mark.parametrize("window", [None, (0.25, 0.9)])
+def test_operator_gram_matches_materialized(mem_table, window):
+    setup = ObsSetup(mem_table, zigzag_mask(0.2, 1.0, 80, 40), alpha=2.0,
+                     window=window)
+    O, sq = observation_operator(setup)
+    want = O.T @ O
+    G = setup.gram(setup.quad_weights)
+    assert np.linalg.norm(G - want) <= 1e-12 * np.linalg.norm(want)
+    # the reconstruction right-hand side O^T d_w through the adjoint
+    D = np.random.default_rng(5).standard_normal(sq.shape)
+    rhs = setup.adjoint(setup.quad_weights[:, None] * setup.masked(D))
+    want = O.T @ (D * sq).ravel()
+    assert np.linalg.norm(rhs - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_seminorm_gradient_central_differences(mem_table):
+    setup = ObsSetup(mem_table, zigzag_mask(0.2, 1.0, 80, 40), alpha=2.0)
+    a = np.random.default_rng(11).standard_normal(4)
+    val, grad = _seminorm_and_grad(setup, a)
+    assert val == pytest.approx(obs_seminorm(setup, a), rel=1e-12)
+    h = 1e-6
+    fd = np.array([(_seminorm_and_grad(setup, a + h * e)[0]
+                    - _seminorm_and_grad(setup, a - h * e)[0]) / (2 * h)
+                   for e in np.eye(4)])
+    np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-9 * val)
+
+
+def test_unreproduced_witness_raises_typed_error(mem_table, full_mask, monkeypatch):
+    setup = ObsSetup(mem_table, full_mask, alpha=2.0)
+    monkeypatch.setattr(observability, "obs_seminorm", lambda setup, v: 1e3)
+    with pytest.raises(ObsInvariantError, match="witness"):
+        two_sided_constants(setup, n_restarts=4)

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import geometry, kernels
 from .flow import (
+    _stable_substeps,
     build_flow_table,
     decomposition_mode,
     first_nonzero_h_index,
@@ -276,7 +277,7 @@ def cmd_flow_check(cfg, sink, rng, tol_scale, threads=1):
     dt = T / n_t
     failures = 0
 
-    sub = max(1, math.ceil(float(etas[-1]) * dt / 1.9))
+    sub = _stable_substeps(float(etas[-1]), T, n_t)
     fine = volterra_modes(M, etas, T, n_t * sub)[::sub]
     # check times snapped onto the stepping grid
     idx_checks = np.unique(np.linspace(n_t / n_tv, n_t, n_tv).round().astype(int))
@@ -306,7 +307,7 @@ def cmd_flow_check(cfg, sink, rng, tol_scale, threads=1):
         errs = []
         for lvl in range(3):
             n = n_t * 2**lvl
-            sub_l = max(1, math.ceil(eta * (T / n) / 1.9))
+            sub_l = _stable_substeps(eta, T, n)
             y = volterra_modes(M, [eta], T, n * sub_l)
             errs.append(abs(float(y[-1, 0]) - ref))
         order = math.log2(errs[0] / errs[1]) if errs[1] > 0 else float("inf")

@@ -9,7 +9,14 @@ where * is convolution on [0, t].  Routes implemented:
 
   * time stepping (trapezoidal convolution quadrature, implicit in the stiff
     -eta y term; the update equation is linear in the new value and solved
-    exactly),
+    exactly).  M is an exponential polynomial, so the quadrature's history
+    sum follows an exact recurrence (the exact case of fast convolution
+    quadrature): K = sum_z (m_z + 1) states per mode, one block per distinct
+    complex rate z of top power m_z (conjugate rates share a block, so K = 1
+    for exp(-a t) and for exp(-a t) cos(b t)).  The forward, forced and
+    adjoint runs share it: n steps of J modes update O(n J K) state values,
+    one K x K transition product per step (O(n J K^2) flops), instead of the
+    O(n^2 J) direct sum,
   * the integral representation  phi(t) = e^{-eta t} + int_0^t K(t,u) e^{-eta u} du
     with the series kernel K,
   * the order-N decomposition into a smoothing part, an instantaneous
@@ -76,8 +83,80 @@ class QuadratureError(RuntimeError):
 # trapezoidal convolution-quadrature time stepping
 # ---------------------------------------------------------------------------
 
+def _memory_recurrence(M, dt):
+    """Compile M for the step dt into the exact recurrence of its history sums.
+
+    Writing M(t) = sum_k c_k t^{m_k} e^{z_k t}, the states
+    Z[z, p]_i = sum_{d>=1} (d dt)^p e^{z d dt} v_{i-d} obey
+    Z_{i+1} = W (Z_i + e v_i) with W[p, q] = binom(p, q) dt^(p-q) e^{z dt}
+    (q <= p) on the block of rate z, so that
+
+        sum_{d>=1} M(d dt) v_{i-d} = Re(c @ Z_i).
+
+    Each distinct rate z with top power m carries m+1 states.  Conjugate
+    rates of a real kernel share one block (Im z >= 0, coefficient doubled),
+    and the states are real when every rate is.
+
+    Returns (c, W, w), where w = W e is the column that injects v_i.
+    """
+    blocks = {}
+    for coef, m, z in M._complex_terms():
+        if z.imag < 0.0:
+            continue
+        powers = blocks.setdefault(z, {})
+        powers[m] = powers.get(m, 0.0) + (2.0 * coef if z.imag > 0.0 else coef)
+    K = sum(max(powers) + 1 for powers in blocks.values())
+    c = np.zeros(K, dtype=complex)
+    W = np.zeros((K, K), dtype=complex)
+    w = np.zeros(K, dtype=complex)
+    k = 0
+    for z, powers in blocks.items():
+        ez = np.exp(z * dt)
+        for p in range(max(powers) + 1):
+            c[k + p] = powers.get(p, 0.0)
+            for q in range(p + 1):
+                W[k + p, k + q] = math.comb(p, q) * dt ** (p - q) * ez
+            w[k + p] = W[k + p, k]
+        k += max(powers) + 1
+    if all(z.imag == 0.0 for z in blocks):
+        return c.real.copy(), W.real.copy(), w.real.copy()
+    return c, W, w
+
+
+def _trapezoid_scheme(M, etas, T, n_steps):
+    """Step dt, diagonals a and b, q0 = dt^2 M(0) / 4 and the memory
+    recurrence (c scaled by dt^2/2, w as a column) shared by the forward and
+    the transposed stepping system.
+
+    Raises StepSizeError when eta*dt > 2 for some mode.
+    """
+    dt = T / n_steps
+    if np.max(etas) * dt > 2.0:
+        raise StepSizeError(
+            f"eta*dt = {np.max(etas) * dt:.3g} > 2; refine the grid "
+            f"(n_steps >= {int(math.ceil(np.max(etas) * T / 2.0)) + 1})"
+        )
+    c, W, w = _memory_recurrence(M, dt)
+    q0 = 0.25 * dt * dt * float(M.eval(0.0))
+    a_diag = 1.0 + 0.5 * dt * etas + q0
+    b_diag = 1.0 - 0.5 * dt * etas - q0
+    return dt, a_diag, b_diag, q0, 0.5 * dt * dt * c, W, w[:, None]
+
+
 def volterra_modes(M, etas, T, n_steps, y0=None, forcing=None):
     """March all modes at once on the uniform grid t_i = i*T/n_steps.
+
+    Trapezoid rule in the memory integral, implicit in the -eta y term:
+
+        a y_i = b y_{i-1} - s_{i-1} - s_i + dt (f_{i-1} + f_i) / 2,
+
+    with a = 1 + eta dt/2 + dt^2 M(0)/4, b = 1 - eta dt/2 - dt^2 M(0)/4 and
+    s_i = (dt^2/2) sum_{d>=1} M(d dt) v_{i-d} (v_0 = y_0/2, v_k = y_k; at
+    i = 1 the s_0 term is -dt^2 M(0) y_0/4, which makes b y_0 - s_0 the
+    plain 1 - eta dt/2 decay).  The history sum comes from the exact
+    recurrence of ``_memory_recurrence`` with K = sum_z (m_z + 1) states per
+    mode: O(n J K) state updates (O(n J K^2) flops) instead of the O(n^2 J)
+    direct sum.
 
     Parameters
     ----------
@@ -95,29 +174,23 @@ def volterra_modes(M, etas, T, n_steps, y0=None, forcing=None):
     array (n_steps+1, J) of mode values.
     """
     etas = np.atleast_1d(np.asarray(etas, dtype=float))
-    dt = T / n_steps
-    if np.max(etas) * dt > 2.0:
-        raise StepSizeError(
-            f"eta*dt = {np.max(etas) * dt:.3g} > 2; refine the grid "
-            f"(n_steps >= {int(math.ceil(np.max(etas) * T / 2.0)) + 1})"
-        )
+    dt, a_diag, b_diag, q0, c, W, w = _trapezoid_scheme(M, etas, T, n_steps)
     J = len(etas)
-    Mv = M.eval(np.arange(n_steps + 1) * dt)
-    Mv = np.atleast_1d(np.asarray(Mv, dtype=float))
     y = np.zeros((n_steps + 1, J))
     y[0] = 1.0 if y0 is None else np.asarray(y0, dtype=float)
-    f = np.zeros((n_steps + 1, J)) if forcing is None else np.asarray(forcing, dtype=float)
+    if forcing is None:
+        fh = np.zeros((n_steps, J))
+    else:
+        f = np.asarray(forcing, dtype=float)
+        fh = 0.5 * dt * (f[:-1] + f[1:])
 
-    a_diag = 1.0 + 0.5 * dt * etas + 0.25 * dt * dt * Mv[0]
-    decay = 1.0 - 0.5 * dt * etas
-    prev_Q = np.zeros(J)      # Q_0 = 0
+    Z = w * (0.5 * y[0])
+    s_prev = -q0 * y[0]
     for i in range(1, n_steps + 1):
-        hist = Mv[i - 1:0:-1] @ y[1:i] if i >= 2 else 0.0
-        sigma = dt * (0.5 * Mv[i] * y[0] + hist)
-        rhs = decay * y[i - 1] - 0.5 * dt * (prev_Q + sigma) \
-            + 0.5 * dt * (f[i - 1] + f[i])
-        y[i] = rhs / a_diag
-        prev_Q = sigma + 0.5 * dt * Mv[0] * y[i]
+        s = (c @ Z).real
+        y[i] = yi = (b_diag * y[i - 1] - s_prev - s + fh[i - 1]) / a_diag
+        s_prev = s
+        Z = W @ Z + w * yi
     return y
 
 
@@ -141,24 +214,27 @@ def volterra_influence(M, etas, T, n_steps):
 
     Computed by back-substitution on the transposed stepping system, so a
     forced run reproduces  y(T) = phi(T) y0 + sum_i g[i] * f[i]  to roundoff.
+    The transposed system mirrors the forward one,
+
+        a lam_i = b lam_{i+1} - u_{i+1} - u_i,   lam_n = 1 / a,
+
+    with u_i = (dt^2/2) sum_{k>i} M((k-i) dt) lam_k; the forward recurrence
+    (``_memory_recurrence``) run backward in time gives u with O(n J K)
+    state updates.
     """
     etas = np.atleast_1d(np.asarray(etas, dtype=float))
-    dt = T / n_steps
-    if np.max(etas) * dt > 2.0:
-        raise StepSizeError("eta*dt > 2; refine the grid")
+    dt, a_diag, b_diag, _, c, W, w = _trapezoid_scheme(M, etas, T, n_steps)
     J = len(etas)
     n = n_steps
-    Mv = np.atleast_1d(np.asarray(M.eval(np.arange(n + 1) * dt), dtype=float))
-    a_diag = 1.0 + 0.5 * dt * etas + 0.25 * dt * dt * Mv[0]
-    c1 = -(1.0 - 0.5 * dt * etas) + 0.5 * dt * dt * (0.5 * Mv[0] + Mv[1] if n >= 1 else 0.0)
     lam = np.zeros((n + 1, J))
     lam[n] = 1.0 / a_diag
+    Z = np.zeros((len(c), J))
+    u_next = np.zeros(J)
     for i in range(n - 1, 0, -1):
-        acc = c1 * lam[i + 1]
-        if i + 2 <= n:
-            mwin = Mv[1:n - i] + Mv[2:n - i + 1]
-            acc = acc + 0.5 * dt * dt * (mwin @ lam[i + 2:n + 1])
-        lam[i] = -acc / a_diag
+        Z = W @ Z + w * lam[i + 1]
+        u = (c @ Z).real
+        lam[i] = (b_diag * lam[i + 1] - u_next - u) / a_diag
+        u_next = u
     g = np.zeros((n + 1, J))
     g[0] = 0.5 * dt * lam[1]
     g[1:n] = 0.5 * dt * (lam[1:n] + lam[2:n + 1])

@@ -1,12 +1,15 @@
 import filecmp
+import importlib.util
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from memflow import cli
 from memflow.geometry import save_mask, zigzag_mask
+from memflow.observability import ObsSetup
 
 
 def write_cfg(path, **overrides):
@@ -214,3 +217,31 @@ def test_report_aggregates(tmp_path):
     assert rep["all_ok"]
     assert set(rep["commands"]) == {"flow-check", "kernel", "moc", "obsconst",
                                     "reconstruct", "control", "duality"}
+
+
+def _benchmark_workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+@pytest.mark.parametrize("workload", ["steer", "constants"])
+def test_one_gram_build_per_job(workload, tmp_path, monkeypatch):
+    """reconstruct and obsconst ask for the same Gram several times; the
+    setup builds it once."""
+    command, _, cfg = _benchmark_workloads().make_job(workload, 701, 0)
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(cfg))
+    builds = []
+    build = ObsSetup._gram
+
+    def counted(self, coef):
+        builds.append(1)
+        return build(self, coef)
+
+    monkeypatch.delenv("MEMFLOW_THREADS", raising=False)
+    monkeypatch.setattr(ObsSetup, "_gram", counted)
+    assert run([command, "--config", p, "--out", tmp_path / "o"]) == 0
+    assert len(builds) == 1

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memflow.flow import (
     DecompositionParts,
@@ -335,3 +337,122 @@ def test_volterra_second_order_convergence():
     order1 = math.log2(errs[0] / errs[1])
     order2 = math.log2(errs[1] / errs[2])
     assert order1 > 1.9 and order2 > 1.9
+
+
+# ---------------------------------------------------------------------------
+# memory recurrence against the direct history sum
+# ---------------------------------------------------------------------------
+
+def dense_modes(M, etas, T, n_steps, y0=None, forcing=None):
+    """Forward stepper with the O(n^2 J) direct history sum (reference)."""
+    etas = np.atleast_1d(np.asarray(etas, dtype=float))
+    dt = T / n_steps
+    J = len(etas)
+    Mv = np.atleast_1d(np.asarray(M.eval(np.arange(n_steps + 1) * dt), dtype=float))
+    y = np.zeros((n_steps + 1, J))
+    y[0] = 1.0 if y0 is None else np.asarray(y0, dtype=float)
+    f = np.zeros((n_steps + 1, J)) if forcing is None else np.asarray(forcing, dtype=float)
+    a_diag = 1.0 + 0.5 * dt * etas + 0.25 * dt * dt * Mv[0]
+    decay = 1.0 - 0.5 * dt * etas
+    prev_Q = np.zeros(J)
+    for i in range(1, n_steps + 1):
+        hist = Mv[i - 1:0:-1] @ y[1:i] if i >= 2 else 0.0
+        sigma = dt * (0.5 * Mv[i] * y[0] + hist)
+        rhs = decay * y[i - 1] - 0.5 * dt * (prev_Q + sigma) \
+            + 0.5 * dt * (f[i - 1] + f[i])
+        y[i] = rhs / a_diag
+        prev_Q = sigma + 0.5 * dt * Mv[0] * y[i]
+    return y
+
+
+def dense_influence(M, etas, T, n_steps):
+    """Back-substitution with the O(n^2 J) direct history sum (reference)."""
+    etas = np.atleast_1d(np.asarray(etas, dtype=float))
+    dt = T / n_steps
+    J = len(etas)
+    n = n_steps
+    Mv = np.atleast_1d(np.asarray(M.eval(np.arange(n + 1) * dt), dtype=float))
+    a_diag = 1.0 + 0.5 * dt * etas + 0.25 * dt * dt * Mv[0]
+    c1 = -(1.0 - 0.5 * dt * etas) + 0.5 * dt * dt * (0.5 * Mv[0] + Mv[1])
+    lam = np.zeros((n + 1, J))
+    lam[n] = 1.0 / a_diag
+    for i in range(n - 1, 0, -1):
+        acc = c1 * lam[i + 1]
+        if i + 2 <= n:
+            mwin = Mv[1:n - i] + Mv[2:n - i + 1]
+            acc = acc + 0.5 * dt * dt * (mwin @ lam[i + 2:n + 1])
+        lam[i] = -acc / a_diag
+    g = np.zeros((n + 1, J))
+    g[0] = 0.5 * dt * lam[1]
+    g[1:n] = 0.5 * dt * (lam[1:n] + lam[2:n + 1])
+    g[n] = 0.5 * dt * lam[n]
+    return g
+
+
+RECURRENCE_KERNELS = [
+    "exp(-1*t)",
+    "exp(-1*t)*cos(3*t)",
+    "exp(-0.5*t)*sin(2*t)",
+    "exp(-2*t) + t*exp(-2*t)",   # one rate, two powers
+    "t^2*exp(0.5*t)*cos(2*t)",
+    "1",
+    "0",
+]
+
+
+def _max_rel(x, ref):
+    return np.abs(x - ref).max() / max(np.abs(ref).max(), 1e-300)
+
+
+@pytest.mark.parametrize("text", RECURRENCE_KERNELS)
+def test_recurrence_matches_direct_sum(text):
+    M = parse_kernel(text)
+    etas = interval_basis(6, 24).eigenvalues
+    T, n = 1.5, 600
+    rng = np.random.default_rng(5)
+    y0 = rng.standard_normal(6)
+    f = rng.standard_normal((n + 1, 6))
+    assert _max_rel(volterra_modes(M, etas, T, n), dense_modes(M, etas, T, n)) <= 1e-13
+    assert _max_rel(volterra_modes(M, etas, T, n, y0=y0, forcing=f),
+                    dense_modes(M, etas, T, n, y0=y0, forcing=f)) <= 1e-13
+    assert _max_rel(volterra_influence(M, etas, T, n),
+                    dense_influence(M, etas, T, n)) <= 1e-13
+
+
+_SMALL_KERNEL = st.builds(
+    lambda c, m, a, b, phase: ExpPolyFn.term(c, m, a, b, phase) + ExpPolyFn.term(1.0, 0, -1.0),
+    st.floats(-2.0, 2.0), st.integers(0, 2), st.floats(-2.0, 0.5),
+    st.floats(0.0, 3.0), st.sampled_from(["cos", "sin"]),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(M=_SMALL_KERNEL, seed=st.integers(0, 2**32 - 1),
+       alpha=st.floats(-3.0, 3.0), beta=st.floats(-3.0, 3.0))
+def test_stepper_linear_in_data(M, seed, alpha, beta):
+    etas = interval_basis(4, 16).eigenvalues
+    rng = np.random.default_rng(seed)
+    y0a, y0b = rng.standard_normal((2, 4))
+    fa, fb = rng.standard_normal((2, 201, 4))
+    ya = volterra_modes(M, etas, 1.0, 200, y0=y0a, forcing=fa)
+    yb = volterra_modes(M, etas, 1.0, 200, y0=y0b, forcing=fb)
+    y = volterra_modes(M, etas, 1.0, 200, y0=alpha * y0a + beta * y0b,
+                       forcing=alpha * fa + beta * fb)
+    scale = abs(alpha) * np.abs(ya).max() + abs(beta) * np.abs(yb).max()
+    assert np.abs(y - (alpha * ya + beta * yb)).max() <= 1e-12 * max(scale, 1e-300)
+
+
+@settings(max_examples=25, deadline=None)
+@given(M=_SMALL_KERNEL, seed=st.integers(0, 2**32 - 1))
+def test_influence_adjoint_identity(M, seed):
+    """y(T) = phi(T) y0 + sum_i g_i f_i for the discrete scheme."""
+    etas = interval_basis(4, 16).eigenvalues
+    rng = np.random.default_rng(seed)
+    y0 = rng.standard_normal(4)
+    f = rng.standard_normal((201, 4))
+    yT = volterra_modes(M, etas, 1.0, 200, y0=y0, forcing=f)[-1]
+    phiT = volterra_modes(M, etas, 1.0, 200)[-1]
+    g = volterra_influence(M, etas, 1.0, 200)
+    terms = g * f
+    scale = np.abs(phiT * y0) + np.abs(terms).sum(axis=0)
+    assert np.all(np.abs(yT - (phiT * y0 + terms.sum(axis=0))) <= 1e-12 * scale)

@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -149,6 +148,14 @@ def _validate_ranges(cfg):
         raise ConfigError("basis.n_x must be at least 4*basis.J")
     if cfg["time"]["T"] <= 0 or cfg["time"]["n_t"] < 8:
         raise ConfigError("time.T must be > 0 and time.n_t >= 8")
+    win = cfg["window"]
+    if win is not None and not ("S" in win and "T" in win and 0 <= win["S"] < win["T"]
+                                and win["S"] < cfg["time"]["T"]):
+        raise ConfigError("window needs S and T with 0 <= S < T and S < time.T")
+    for where, key in (("flow_check", "modes"), ("obsconst", "J_list")):
+        vals = cfg.get(where, {}).get(key)
+        if vals is not None and not (vals and all(type(v) is int and v >= 1 for v in vals)):
+            raise ConfigError(f"{where}.{key} must be a non-empty list of integers >= 1")
     if cfg["mask"].get("kind") == "file" and not os.path.exists(cfg["mask"].get("path", "")):
         raise ConfigError(f"mask.path does not exist: {cfg['mask'].get('path')}")
 
@@ -265,7 +272,7 @@ def _json_default(v):
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_flow_check(cfg, sink, rng, tol_scale, threads=1):
+def cmd_flow_check(cfg, sink, rng, tol_scale):
     M = parse_kernel_checked(cfg["kernel"])
     fc = cfg.get("flow_check", {})
     modes = fc.get("modes", [1, 2, 3, 8])
@@ -338,7 +345,7 @@ def cmd_flow_check(cfg, sink, rng, tol_scale, threads=1):
     return failures == 0
 
 
-def cmd_kernel(cfg, sink, rng, tol_scale, threads=1):
+def cmd_kernel(cfg, sink, rng, tol_scale):
     M = parse_kernel_checked(cfg["kernel"])
     kc = cfg.get("kernel_cmd", {})
     l_max = kc.get("l_max", 6)
@@ -369,12 +376,11 @@ def cmd_kernel(cfg, sink, rng, tol_scale, threads=1):
 
 
 def _window(cfg):
-    if cfg.get("window"):
-        return (cfg["window"]["S"], cfg["window"]["T"])
-    return (0.0, cfg["time"]["T"])
+    win = cfg.get("window")
+    return (win["S"], win["T"]) if win else (0.0, cfg["time"]["T"])
 
 
-def cmd_moc(cfg, sink, rng, tol_scale, threads=1):
+def cmd_moc(cfg, sink, rng, tol_scale):
     M = parse_kernel_checked(cfg["kernel"])
     mask = build_mask(cfg)
     S, T_hi = _window(cfg)
@@ -399,7 +405,7 @@ def cmd_moc(cfg, sink, rng, tol_scale, threads=1):
 
 def _setup_from_cfg(cfg, J=None, method="volterra"):
     M = parse_kernel_checked(cfg["kernel"])
-    J = J or cfg["basis"]["J"]
+    J = cfg["basis"]["J"] if J is None else J
     basis = interval_basis(J, max(cfg["basis"]["n_x"], 4 * J))
     table = build_flow_table(M, basis, cfg["time"]["T"], cfg["time"]["n_t"],
                              method=method)
@@ -409,32 +415,24 @@ def _setup_from_cfg(cfg, J=None, method="volterra"):
                     window=(S, min(T_hi, cfg["time"]["T"])))
 
 
-def cmd_obsconst(cfg, sink, rng, tol_scale, threads=1):
+def cmd_obsconst(cfg, sink, rng, tol_scale):
     J_list = cfg.get("obsconst", {}).get("J_list", [cfg["basis"]["J"]])
     n_restarts = cfg.get("obsconst", {}).get("n_restarts", 32)
 
-    def one(J):
-        # per-task rng keyed by (seed, J): deterministic under any threading
+    rows, reports = [], {}
+    for J in J_list:
+        # per-J rng keyed by (seed, J): a row does not depend on the others
         local = np.random.default_rng([cfg["seed"], J])
         setup = _setup_from_cfg(cfg, J=J)
         rep = two_sided_constants(setup, n_restarts=n_restarts, rng=local)
         c_null, _, nd = null_obs_constant(setup, rng=local)
         relC, share = relaxed_inequality_fit(setup, rng=local)
         rank, sig = unique_continuation_rank(setup)
-        d = rep.to_dict()
-        d.update({"c_null": c_null, "relaxed_C": relC, "relaxed_share": share,
-                  "uc_rank": rank, "uc_sigma_min": sig,
-                  "null_unbounded": nd["quotient_unbounded"]})
-        return (J, rep.c_lower, rep.c_upper, c_null, relC,
-                rep.spread_lower, rep.spread_upper, rank, sig), d
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, J_list))
-    else:
-        results = [one(J) for J in J_list]
-    rows = [r for r, _ in results]
-    reports = {str(r[0]): d for r, d in results}
+        reports[str(J)] = {**rep.to_dict(), "c_null": c_null, "relaxed_C": relC,
+                           "relaxed_share": share, "uc_rank": rank, "uc_sigma_min": sig,
+                           "null_unbounded": nd["quotient_unbounded"]}
+        rows.append((J, rep.c_lower, rep.c_upper, c_null, relC,
+                     rep.spread_lower, rep.spread_upper, rank, sig))
     sink.write_csv("constants.csv",
                    "J, c_lower, c_upper, c_null, relaxed_C, spread_lower, "
                    "spread_upper, uc_rank, uc_sigma_min", rows)
@@ -442,7 +440,7 @@ def cmd_obsconst(cfg, sink, rng, tol_scale, threads=1):
     return True
 
 
-def cmd_probe_alpha(cfg, sink, rng, tol_scale, threads=1):
+def cmd_probe_alpha(cfg, sink, rng, tol_scale):
     pa = cfg.get("probe_alpha", {})
     k_list = pa.get("k_list", [1, 2, 4, 8, 16, 24, 32])
     omega = tuple(pa.get("omega", [0.25, 0.75]))
@@ -462,7 +460,7 @@ def cmd_probe_alpha(cfg, sink, rng, tol_scale, threads=1):
     return True
 
 
-def cmd_probe_ball(cfg, sink, rng, tol_scale, threads=1):
+def cmd_probe_ball(cfg, sink, rng, tol_scale):
     pb = cfg.get("probe_ball", {})
     k_list = pb.get("k_list", [2, 4, 8, 16, 24, 32])
     x_star = pb.get("x_star", 0.5)
@@ -487,7 +485,7 @@ def cmd_probe_ball(cfg, sink, rng, tol_scale, threads=1):
     return True
 
 
-def cmd_probe_heat(cfg, sink, rng, tol_scale, threads=1):
+def cmd_probe_heat(cfg, sink, rng, tol_scale):
     ph = cfg.get("probe_heat", {})
     basis = interval_basis(cfg["basis"]["J"], cfg["basis"]["n_x"])
     out = heat_local_probe(
@@ -506,7 +504,7 @@ def cmd_probe_heat(cfg, sink, rng, tol_scale, threads=1):
     return True
 
 
-def cmd_reconstruct(cfg, sink, rng, tol_scale, threads=1):
+def cmd_reconstruct(cfg, sink, rng, tol_scale):
     rc = cfg.get("reconstruct", {})
     setup = _setup_from_cfg(cfg)
     truth_rng = np.random.default_rng(rc.get("truth_seed", cfg["seed"]))
@@ -533,7 +531,7 @@ def cmd_reconstruct(cfg, sink, rng, tol_scale, threads=1):
     return True
 
 
-def cmd_control(cfg, sink, rng, tol_scale, threads=1):
+def cmd_control(cfg, sink, rng, tol_scale):
     cc = cfg.get("control", {})
     M = parse_kernel_checked(cfg["kernel"])
     basis = interval_basis(cfg["basis"]["J"], cfg["basis"]["n_x"])
@@ -566,7 +564,7 @@ def cmd_control(cfg, sink, rng, tol_scale, threads=1):
     return res.final_error <= 1e-6 * tol_scale
 
 
-def cmd_duality(cfg, sink, rng, tol_scale, threads=1):
+def cmd_duality(cfg, sink, rng, tol_scale):
     n_xstar = cfg.get("duality", {}).get("n_xstar", 8)
     # closed-form pair
     C2a, _, C1a = duality_range_test(
@@ -593,14 +591,14 @@ def cmd_duality(cfg, sink, rng, tol_scale, threads=1):
     return ok
 
 
-def cmd_report(cfg, sink, rng, tol_scale, out_dir, threads=1):
+def cmd_report(cfg, sink, rng, tol_scale, out_dir):
     summary = {}
     ok_all = True
     for name in ("flow-check", "kernel", "moc", "obsconst", "reconstruct",
                  "control", "duality"):
         sub_sink = Sink(out_dir, name, cfg)
         ok = COMMAND_IMPL[name](cfg, sub_sink, np.random.default_rng(cfg["seed"]),
-                                tol_scale, threads=threads)
+                                tol_scale)
         sub_sink.finalize("ok" if ok else "failed")
         summary[name] = {"ok": ok, "dir": f"{name}/{sub_sink.hash}",
                          "artifacts": sorted(sub_sink.artifacts)}
@@ -632,29 +630,20 @@ def main(argv=None):
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default MEMFLOW_THREADS or 1)")
     parser.add_argument("--tolerance-scale", type=float, default=1.0,
                         help="multiply every pass/fail tolerance")
     args = parser.parse_args(argv)
 
     try:
-        if args.threads is None:
-            try:
-                args.threads = int(os.environ.get("MEMFLOW_THREADS", "1"))
-            except ValueError:
-                raise ConfigError("MEMFLOW_THREADS must be an integer") from None
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg["seed"] = args.seed
         rng = np.random.default_rng(cfg["seed"])
         sink = Sink(args.out, args.command, cfg)
         if args.command == "report":
-            ok = cmd_report(cfg, sink, rng, args.tolerance_scale, args.out,
-                            threads=args.threads)
+            ok = cmd_report(cfg, sink, rng, args.tolerance_scale, args.out)
         else:
-            ok = COMMAND_IMPL[args.command](cfg, sink, rng, args.tolerance_scale,
-                                            threads=args.threads)
+            ok = COMMAND_IMPL[args.command](cfg, sink, rng, args.tolerance_scale)
         sink.finalize("ok" if ok else "failed")
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

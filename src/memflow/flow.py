@@ -21,8 +21,6 @@ where * is convolution on [0, t].  Routes implemented:
     with the series kernel K,
   * the order-N decomposition into a smoothing part, an instantaneous
     multiplier part, and a quadrature remainder.
-
-Mode computations are independent (parallel map, no shared mutable state).
 """
 
 from __future__ import annotations
@@ -93,32 +91,30 @@ def _memory_recurrence(M, dt):
 
         sum_{d>=1} M(d dt) v_{i-d} = Re(c @ Z_i).
 
-    Each distinct rate z with top power m carries m+1 states.  Conjugate
-    rates of a real kernel share one block (Im z >= 0, coefficient doubled),
-    and the states are real when every rate is.
+    Each distinct rate z with top power m carries m+1 states: the blocks are
+    the rows of M's compiled form, in which conjugate rates of a real kernel
+    already share one row (Im z >= 0, coefficient doubled).  The states are
+    real when every rate is.
 
     Returns (c, W, w), where w = W e is the column that injects v_i.
     """
-    blocks = {}
-    for coef, m, z in M._complex_terms():
-        if z.imag < 0.0:
-            continue
-        powers = blocks.setdefault(z, {})
-        powers[m] = powers.get(m, 0.0) + (2.0 * coef if z.imag > 0.0 else coef)
-    K = sum(max(powers) + 1 for powers in blocks.values())
+    rates, C = M._compiled()
+    tops = [int(np.flatnonzero(row)[-1]) for row in C]
+    K = sum(tops) + len(tops)
     c = np.zeros(K, dtype=complex)
     W = np.zeros((K, K), dtype=complex)
     w = np.zeros(K, dtype=complex)
     k = 0
-    for z, powers in blocks.items():
-        ez = np.exp(z * dt)
-        for p in range(max(powers) + 1):
-            c[k + p] = powers.get(p, 0.0)
+    for z, row, top in zip(rates, C, tops):
+        # a complex exp also for real z: numpy's real exp may differ by an ulp
+        ez = np.exp(complex(z) * dt)
+        for p in range(top + 1):
+            c[k + p] = row[p]
             for q in range(p + 1):
                 W[k + p, k + q] = math.comb(p, q) * dt ** (p - q) * ez
             w[k + p] = W[k + p, k]
-        k += max(powers) + 1
-    if all(z.imag == 0.0 for z in blocks):
+        k += top + 1
+    if C.dtype.kind == "f":
         return c.real.copy(), W.real.copy(), w.real.copy()
     return c, W, w
 
@@ -262,6 +258,15 @@ def _gauss_panels(t, n_levels=36, n_gauss=12):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
+def _series_kernel(M, t, J_max, check_tol):
+    """The series kernel K(t, s) of M; with ``check_tol``, TruncationError
+    unless its tail bound on [0, t] is at most check_tol."""
+    K = km_partial(M, 0, J_max)
+    if check_tol is not None and (bound := K.tail_bound(t, t)) > check_tol:
+        raise TruncationError(f"series tail bound {bound:.3e} exceeds {check_tol:.3e} at t={t}")
+    return K
+
+
 def kernel_rep_profile(M, t, etas, J_max=DEFAULT_KM_TRUNCATION, check_tol=None):
     """phi(t) for an array of modes via the integral representation.
 
@@ -272,17 +277,9 @@ def kernel_rep_profile(M, t, etas, J_max=DEFAULT_KM_TRUNCATION, check_tol=None):
     etas = np.atleast_1d(np.asarray(etas, dtype=float))
     if t == 0.0:
         return np.ones_like(etas)
-    K = km_partial(M, 0, J_max)
-    if check_tol is not None:
-        bound = K.tail_bound(t, t)
-        if bound > check_tol:
-            raise TruncationError(
-                f"series tail bound {bound:.3e} exceeds {check_tol:.3e} at t={t}"
-            )
     s, w = _gauss_panels(t)
-    Kv = K.eval(t, s)
-    integral = np.exp(-np.outer(etas, s)) @ (w * Kv)
-    return np.exp(-etas * t) + integral
+    Kv = _series_kernel(M, t, J_max, check_tol).eval(t, s)
+    return np.exp(-etas * t) + np.exp(-np.outer(etas, s)) @ (w * Kv)
 
 
 def kernel_rep_mode(M, eta, t, J_max=DEFAULT_KM_TRUNCATION, check_tol=None):
@@ -292,13 +289,7 @@ def kernel_rep_mode(M, eta, t, J_max=DEFAULT_KM_TRUNCATION, check_tol=None):
         raise ValueError("t must be >= 0")
     if t == 0.0:
         return 1.0
-    K = km_partial(M, 0, J_max)
-    if check_tol is not None:
-        bound = K.tail_bound(t, t)
-        if bound > check_tol:
-            raise TruncationError(
-                f"series tail bound {bound:.3e} exceeds {check_tol:.3e} at t={t}"
-            )
+    K = _series_kernel(M, t, J_max, check_tol)
     val, _ = quad(
         lambda u: K.eval(t, u) * math.exp(-eta * u),
         0.0,
@@ -323,9 +314,8 @@ def remainder_profile(M, t, N, etas, J_max=DEFAULT_KM_TRUNCATION, n_gauss=12):
     etas = np.atleast_1d(np.asarray(etas, dtype=float))
     if t == 0.0:
         return np.zeros_like(etas)
-    K = km_partial(M, N, J_max)
     s, w = _gauss_panels(t, n_gauss=n_gauss)
-    Kv = K.eval(t, s)
+    Kv = km_partial(M, N, J_max).eval(t, s)
     return etas * (np.exp(-np.outer(etas, s)) @ (w * Kv))
 
 
@@ -372,6 +362,17 @@ class DecompositionParts:
     total: float
 
 
+def _decomposition(M, t, etas, N, J_max):
+    """Heat part, wave part, remainder R_N and scaled remainder of the
+    order-N decomposition at time t, one entry per mode."""
+    inv_powers = etas[:, None] ** -(np.arange(N)[None, :] + 1.0)
+    pl = np.array([p_coeff(M, l).eval(t) for l in range(N)])
+    hl = np.array([h_coeff(M, l).eval(t) for l in range(N)])
+    R = remainder_profile(M, t, N, etas, J_max)
+    return (np.exp(-etas * t) * (1.0 + inv_powers @ pl), inv_powers @ hl,
+            R, R * etas ** -(N + 1.0))
+
+
 def decomposition_mode(M, eta, t, N=DEFAULT_DECOMP_ORDER, J_max=DEFAULT_KM_TRUNCATION):
     """Order-N decomposition of the mode propagator at time t > 0.
 
@@ -382,21 +383,10 @@ def decomposition_mode(M, eta, t, N=DEFAULT_DECOMP_ORDER, J_max=DEFAULT_KM_TRUNC
         raise ValueError("decomposition_mode requires t > 0")
     if N < 2:
         raise ValueError("N must be >= 2")
-    inv_powers = eta ** -(np.arange(N) + 1.0)
-    pl = np.array([p_coeff(M, l).eval(t) for l in range(N)])
-    hl = np.array([h_coeff(M, l).eval(t) for l in range(N)])
-    heat = math.exp(-eta * t) * (1.0 + float(pl @ inv_powers))
-    wave = float(hl @ inv_powers)
-    R = float(remainder_profile(M, t, N, [eta], J_max)[0])
-    scaled = R * eta ** -(N + 1.0)
-    return DecompositionParts(
-        heat=heat,
-        wave=wave,
-        remainder_scaled=scaled,
-        remainder_value=R,
-        order=N,
-        total=heat + wave + scaled,
-    )
+    heat, wave, R, scaled = (float(v[0]) for v in
+                             _decomposition(M, t, np.array([float(eta)]), N, J_max))
+    return DecompositionParts(heat=heat, wave=wave, remainder_scaled=scaled,
+                              remainder_value=R, order=N, total=heat + wave + scaled)
 
 
 def first_nonzero_h_index(M, T, l_max=10):
@@ -464,14 +454,10 @@ def build_flow_table(M, basis, T, n_steps, method="volterra",
             phi[:, i] = kernel_rep_profile(M, t, etas, J_max)
         tag = "kernel_rep"
     elif method == "decomposition":
-        inv_powers = etas[:, None] ** -(np.arange(N)[None, :] + 1.0)
         phi = np.ones((basis.J, n_steps + 1))
         for i, t in enumerate(tgrid[1:], start=1):
-            pl = np.array([p_coeff(M, l).eval(t) for l in range(N)])
-            hl = np.array([h_coeff(M, l).eval(t) for l in range(N)])
-            R = remainder_profile(M, t, N, etas, J_max)
-            phi[:, i] = (np.exp(-etas * t) * (1.0 + inv_powers @ pl)
-                         + inv_powers @ hl + R * etas ** -(N + 1.0))
+            heat, wave, _, scaled = _decomposition(M, t, etas, N, J_max)
+            phi[:, i] = heat + wave + scaled
         tag = f"decomposition({N})"
     else:
         raise ValueError(f"unknown method {method!r}")

@@ -8,10 +8,19 @@ series kernel) live in the family
 
 which is closed under differentiation, pointwise products and finite
 convolution on [0, inf).  All values are immutable and all operations pure.
+
+Every evaluation reads one compiled form: the distinct rates z (Im z >= 0, a
+conjugate pair folded into one rate with its coefficient doubled) and an array
+C[z, m] with f(t) = Re sum_z e^{z t} sum_m C[z, m] t^m, real when every rate
+is.  The series kernel folds its pieces into one C[z, p, m] over s^p (t-s)^m;
+the stepper's memory recurrence reads its blocks.  This form and the objects
+derived from a kernel (convolution powers, h_l, p_l, ``km_partial``, the C^N
+norms) are kept in a memo on the kernel and live as long as it does.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -50,11 +59,17 @@ class Term:
     freq: float
     phase: str  # "cos" or "sin"
 
-    def eval(self, t):
-        t = np.asarray(t, dtype=float)
-        trig = np.cos if self.phase == "cos" else np.sin
-        val = self.coeff * t**self.power * np.exp(self.rate * t) * trig(self.freq * t)
-        return val if val.ndim else float(val)
+
+def _kept_on_kernel(fn):
+    """Memoize fn(M, *args) in the memo of the ExpPolyFn M."""
+    @functools.wraps(fn)
+    def kept(M, *args, **kwargs):
+        key = (fn.__name__, *args, *sorted(kwargs.items()))
+        hit = M._memo.get(key)
+        if hit is None:
+            hit = M._memo[key] = fn(M, *args, **kwargs)
+        return hit
+    return kept
 
 
 def _canonical(terms):
@@ -95,13 +110,14 @@ class ExpPolyFn:
     dropped (resonant convolutions generate near-cancelling pairs).
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_memo")
 
     def __init__(self, terms=()):
         object.__setattr__(self, "terms", _canonical(
             (T.coeff, T.power, T.rate, T.freq, T.phase) if isinstance(T, Term) else T
             for T in terms
         ))
+        object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, *a):  # immutable
         raise AttributeError("ExpPolyFn is immutable")
@@ -126,12 +142,8 @@ class ExpPolyFn:
         return not self.terms
 
     def eval(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        for T in self.terms:
-            trig = np.cos if T.phase == "cos" else np.sin
-            out = out + T.coeff * t**T.power * np.exp(T.rate * t) * trig(T.freq * t)
-        return out if out.ndim else float(out)
+        rates, C = self._compiled()
+        return _eval_compiled(rates, C[:, None, :], t)
 
     __call__ = eval
 
@@ -205,6 +217,25 @@ class ExpPolyFn:
 
     # -- internal ------------------------------------------------------------
 
+    @_kept_on_kernel
+    def _compiled(self):
+        """Read-only (rates, C) with f(t) = Re sum_z e^{z t} sum_m C[z, m] t^m;
+        rates in the order of their first term, a row's last nonzero entry at
+        the top power of its rate."""
+        rows = {}
+        for coef, m, z in self._complex_terms():
+            if z.imag >= 0.0:
+                row = rows.setdefault(z, {})
+                row[m] = row.get(m, 0.0) + (2.0 * coef if z.imag > 0.0 else coef)
+        width = 1 + max((max(row) for row in rows.values()), default=0)
+        rates = np.array(list(rows), dtype=complex)
+        C = np.array([[row.get(m, 0.0) for m in range(width)] for row in rows.values()],
+                     dtype=complex).reshape(len(rows), width)
+        if not rates.imag.any():
+            rates, C = rates.real.copy(), C.real.copy()
+        rates.flags.writeable = C.flags.writeable = False
+        return rates, C
+
     def _complex_terms(self):
         """Rewrite as sum of c * t^m * exp(z t) with complex c, z."""
         out = []
@@ -219,6 +250,18 @@ class ExpPolyFn:
                 out.append((-0.5j * c, m, complex(a, b)))
                 out.append((0.5j * c, m, complex(a, -b)))
         return out
+
+
+def _eval_compiled(rates, C, u, s=0.0):
+    """Re sum_z e^{z u} sum_{p,m} C[z, p, m] s^p u^m, elementwise over the
+    broadcast of u and s; a float for scalar input."""
+    u, s = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(s, dtype=float))
+    shape, u, s = u.shape, u.ravel(), s.ravel()
+    n_z, n_p, n_m = C.shape
+    poly = (C.reshape(-1, n_m) @ u ** np.arange(n_m)[:, None]).reshape(n_z, n_p, len(u))
+    out = np.einsum("zpn,pn,zn->n", poly, s ** np.arange(n_p)[:, None],
+                    np.exp(np.multiply.outer(rates, u))).real
+    return out.reshape(shape) if shape else float(out[0])
 
 
 def _complex_to_real(c, m, z):
@@ -257,27 +300,19 @@ def _conv_pair(p, z1, q, z2):
 # convolution powers and the decomposition coefficients
 # ---------------------------------------------------------------------------
 
-_conv_power_cache = {}
-
-
+@_kept_on_kernel
 def conv_power(M, j):
     """j-fold convolution M * ... * M; the zero function for j = 0."""
     if j < 0:
         raise ValueError("j must be >= 0")
     if j == 0:
         return ExpPolyFn.zero()
-    key = (format_kernel(M), j)
-    hit = _conv_power_cache.get(key)
-    if hit is not None:
-        return hit
     if j == 1:
-        out = M
-    else:
-        out = conv_power(M, j - 1).convolve(M)
-    _conv_power_cache[key] = out
-    return out
+        return M
+    return conv_power(M, j - 1).convolve(M)
 
 
+@_kept_on_kernel
 def h_coeff(M, l):
     """Coefficient of the instantaneous (wave-like) flow part at inverse-Laplacian
     order l+1.  h_0 is identically zero; h_1 = -M."""
@@ -289,6 +324,7 @@ def h_coeff(M, l):
     return out * float((-1) ** l)
 
 
+@_kept_on_kernel
 def p_coeff(M, l):
     """Polynomial coefficient of the smoothing (heat-like) flow part at order l+1.
 
@@ -345,6 +381,7 @@ def _max_abs(f, lo, hi, samples=1024):
     return max(best, fc, fd)
 
 
+@_kept_on_kernel
 def kernel_c_norm(M, N, t):
     """sum_{k<=N} sup_{[0,t]} |M^(k)|, each sup found numerically."""
     if t <= 0:
@@ -361,8 +398,10 @@ class BivariateKernel:
     differentiated deriv_order times in s, valid on t >= s >= 0.
 
     Each series term is expanded by the Leibniz rule into powers of s times
-    derivatives of the convolution powers, all exact exponential polynomials.
-    A computable tail bound controls the truncation at ``truncation_order``.
+    derivatives of the convolution powers, all exact exponential polynomials,
+    and the pieces are folded into one compiled array C[z, p, m] in the powers
+    s^p (t-s)^m.  A computable tail bound controls the truncation at
+    ``truncation_order``.
     """
 
     def __init__(self, M, deriv_order, truncation_order):
@@ -374,53 +413,30 @@ class BivariateKernel:
         self.deriv_order = int(deriv_order)
         self.truncation_order = int(truncation_order)
         N = self.deriv_order
-        # pieces[j] = list of (scalar, s_power, ExpPolyFn in (t-s))
-        self.pieces = []
-        for j in range(1, truncation_order + 1):
-            Fj = conv_power(M, j)
-            row = []
-            for i in range(min(N, j) + 1):
-                scal = (
-                    math.comb(N, i)
-                    * (-1.0) ** j
-                    * (-1.0) ** (N - i)
-                    / math.factorial(j - i)
-                )
-                row.append((scal, j - i, Fj.derivative(N - i)))
-            self.pieces.append(row)
-        self._cnorm_cache = {}
-
-    def _cnorm(self, t):
-        val = self._cnorm_cache.get(t)
-        if val is None:
-            val = kernel_c_norm(self.M, self.deriv_order, t) if t > 0 else abs(self.M.eval(0.0))
-            self._cnorm_cache[t] = val
-        return val
+        # pieces[j-1] = list of (scalar, s_power, ExpPolyFn in (t-s)) of term j
+        self.pieces = [
+            [(math.comb(N, i) * (-1.0) ** j * (-1.0) ** (N - i) / math.factorial(j - i),
+              j - i, conv_power(M, j).derivative(N - i)) for i in range(min(N, j) + 1)]
+            for j in range(1, truncation_order + 1)]
+        self._form = _fold(piece for row in self.pieces for piece in row)
 
     def eval(self, t, s):
         """Partial-sum value at (t, s); s may be an array (with scalar t)."""
         s = np.asarray(s, dtype=float)
-        out = np.zeros_like(s)
-        for row in self.pieces:
-            for scal, spow, f in row:
-                out = out + scal * s**spow * f.eval(t - s)
-        return out if out.ndim else float(out)
+        return _eval_compiled(*self._form, t - s, s)
 
     def term_value(self, j, t, s):
         """Value of the j-th series term alone (1-based j)."""
-        row = self.pieces[j - 1]
         s = np.asarray(s, dtype=float)
-        out = np.zeros_like(s)
-        for scal, spow, f in row:
-            out = out + scal * s**spow * f.eval(t - s)
-        return out if out.ndim else float(out)
+        return _eval_compiled(*_fold(self.pieces[j - 1]), t - s, s)
 
     def _term_bound(self, j, t, s):
         # |term_j| <= 2^N * max_i s^{j-i}/(j-i)! * (cbar (1+t))^j where cbar is
         # the C^N-type norm of M on [0, t]; the growth factor follows from the
         # recursion max-norm(M * g) <= cbar (1+t) max-norm(g).
         N = self.deriv_order
-        g = self._cnorm(t) * (1.0 + t)
+        cnorm = kernel_c_norm(self.M, N, t) if t > 0 else abs(self.M.eval(0.0))
+        g = cnorm * (1.0 + t)
         if g == 0.0:
             return 0.0
         best = 0.0
@@ -461,18 +477,25 @@ class BivariateKernel:
         return self.eval(t, s)
 
 
-_km_cache = {}
+def _fold(pieces):
+    """Compiled (rates, C[z, p, m]) of sum scal * s^p * f(u) over the pieces
+    (scal, p, f), with u = t - s."""
+    forms = [(scal, p, *f._compiled()) for scal, p, f in pieces]
+    index = {z: k for k, z in enumerate(dict.fromkeys(
+        z for _, _, rates, _ in forms for z in rates))}
+    out = np.zeros((len(index), 1 + max(p for _, p, _, _ in forms),
+                    max(C.shape[1] for *_, C in forms)),
+                   dtype=np.result_type(*(C for *_, C in forms)))
+    for scal, p, rates, C in forms:
+        out[[index[z] for z in rates], p, :C.shape[1]] += scal * C
+    return np.array(list(index), dtype=out.dtype), out
 
 
+@_kept_on_kernel
 def km_partial(M, N, J_max):
     """Evaluator for the J_max-term partial sum of the N-th s-derivative of the
-    series kernel; cached per (kernel, N, J_max)."""
-    key = (format_kernel(M), int(N), int(J_max))
-    hit = _km_cache.get(key)
-    if hit is None:
-        hit = BivariateKernel(M, N, J_max)
-        _km_cache[key] = hit
-    return hit
+    series kernel; kept on M per (N, J_max)."""
+    return BivariateKernel(M, N, J_max)
 
 
 # ---------------------------------------------------------------------------

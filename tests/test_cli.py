@@ -144,31 +144,19 @@ def test_determinism_byte_identical(tmp_path, command):
         assert open(da / name, "rb").read() == open(db / name, "rb").read()
 
 
-def test_threads_flag_same_results(tmp_path):
+@pytest.mark.parametrize("overrides", [
+    {"window": {"S": 0.1}},
+    {"window": {"S": 0.8, "T": 0.2}},
+    {"flow_check": {"modes": [0]}},
+    {"obsconst": {"J_list": [0]}},
+], ids=["window-without-T", "window-reversed", "mode-zero", "J-zero"])
+def test_bad_ranges_exit_two(tmp_path, capsys, overrides):
     p = tmp_path / "c.json"
-    write_cfg(p, obsconst={"J_list": [2, 4], "n_restarts": 6})
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert run(["obsconst", "--config", p, "--out", a, "--threads", "1"]) == 0
-    assert run(["obsconst", "--config", p, "--out", b, "--threads", "4"]) == 0
-    da = next((a / "obsconst").iterdir())
-    db = next((b / "obsconst").iterdir())
-    assert open(da / "constants.csv").read() == open(db / "constants.csv").read()
-
-
-def test_env_threads_honoured(tmp_path, monkeypatch):
-    p = tmp_path / "c.json"
-    write_cfg(p)
-    monkeypatch.setenv("MEMFLOW_THREADS", "2")
-    assert run(["kernel", "--config", p, "--out", tmp_path / "o"]) == 0
-
-
-def test_env_threads_not_integer(tmp_path, monkeypatch, capsys):
-    p = tmp_path / "c.json"
-    write_cfg(p)
-    monkeypatch.setenv("MEMFLOW_THREADS", "abc")
-    assert run(["kernel", "--config", p, "--out", tmp_path / "o"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error:") and "MEMFLOW_THREADS" in err
+    write_cfg(p, **overrides)
+    command = "flow-check" if "flow_check" in overrides else "obsconst"
+    assert run([command, "--config", p, "--out", tmp_path / "o"]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "o").exists()
 
 
 def test_csv_fields_are_numbers(tmp_path):
@@ -241,7 +229,6 @@ def test_one_gram_build_per_job(workload, tmp_path, monkeypatch):
         builds.append(1)
         return build(self, coef)
 
-    monkeypatch.delenv("MEMFLOW_THREADS", raising=False)
     monkeypatch.setattr(ObsSetup, "_gram", counted)
     assert run([command, "--config", p, "--out", tmp_path / "o"]) == 0
     assert len(builds) == 1

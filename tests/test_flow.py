@@ -456,3 +456,15 @@ def test_influence_adjoint_identity(M, seed):
     terms = g * f
     scale = np.abs(phiT * y0) + np.abs(terms).sum(axis=0)
     assert np.all(np.abs(yT - (phiT * y0 + terms.sum(axis=0))) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("route", [
+    lambda M, J_max, tol: kernel_rep_profile(M, 1.0, [ETA1], J_max, check_tol=tol)[0],
+    lambda M, J_max, tol: kernel_rep_mode(M, ETA1, 1.0, J_max, check_tol=tol),
+], ids=["profile", "mode"])
+def test_kernel_rep_tail_bound_guard(route):
+    from memflow.kernels import TruncationError
+    M = parse_kernel("3")
+    with pytest.raises(TruncationError, match="series tail bound"):
+        route(M, 3, 1e-12)  # tail bound 343 at t = 1
+    assert route(M, 40, 1e-12) == route(M, 40, None)  # tail bound 2.8e-18

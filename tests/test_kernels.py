@@ -310,3 +310,90 @@ def test_negative_frequency_folded():
     ts = np.linspace(0, 2, 16)
     assert np.allclose(f.eval(ts), g.eval(ts))
     assert f.terms == g.terms
+
+
+# ---------------------------------------------------------------------------
+# compiled form and per-kernel memo
+# ---------------------------------------------------------------------------
+
+def per_term_eval(f, t):
+    """Term-by-term sum of c t^m e^{a t} trig(b t): the reference evaluator."""
+    t = np.asarray(t, dtype=float)
+    out = np.zeros_like(t)
+    for T in f.terms:
+        trig = np.cos if T.phase == "cos" else np.sin
+        out = out + T.coeff * t**T.power * np.exp(T.rate * t) * trig(T.freq * t)
+    return out
+
+
+def per_term_scale(f, t):
+    """Sum of the term magnitudes |c| t^m e^{a t}: the scale of the rounding."""
+    t = np.asarray(t, dtype=float)
+    return sum(abs(T.coeff) * t**T.power * np.exp(T.rate * t) for T in f.terms) + 0.0 * t
+
+
+def assert_compiled_eval_matches(f, ts):
+    got, want = f.eval(ts), per_term_eval(f, ts)
+    assert np.all(np.abs(got - want) <= 1e-13 * per_term_scale(f, ts))
+    for t in ts[::7]:
+        assert isinstance(f.eval(float(t)), float)
+        assert abs(f.eval(float(t)) - float(per_term_eval(f, t))) <= (
+            1e-13 * float(per_term_scale(f, t)))
+
+
+_TERMS = st.lists(
+    st.tuples(
+        st.floats(-2.0, 2.0).filter(lambda c: abs(c) > 1e-3),
+        st.integers(0, 3),
+        _RATES,
+        _FREQS,
+        st.sampled_from(["cos", "sin"]),
+    ),
+    max_size=6,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(terms=_TERMS, shared_rate=_RATES, real_only=st.booleans())
+def test_compiled_eval_matches_per_term_loop(terms, shared_rate, real_only):
+    # every other term reuses one rate, so rates repeat across powers and phases
+    terms = [(c, m, shared_rate if k % 2 else a, 0.0 if real_only else b, ph)
+             for k, (c, m, a, b, ph) in enumerate(terms)]
+    assert_compiled_eval_matches(ExpPolyFn(terms), np.linspace(0.0, 3.0, 31))
+
+
+@pytest.mark.parametrize("text", [
+    "0",
+    "2 + t^3*exp(-1*t) + -0.5*t*exp(-1*t) + exp(0.3*t)",
+    "exp(-0.5*t)*cos(2*t) + 3*exp(-0.5*t)*sin(2*t) + t^2*exp(-0.5*t)*sin(2*t)",
+    "t^3*cos(1*t) + -1*t^3*sin(1*t) + t*exp(-1*t)*cos(1*t) + 4",
+])
+def test_compiled_eval_fixed_kernels(text):
+    f = parse_kernel(text)
+    assert_compiled_eval_matches(f, np.linspace(0.0, 3.0, 31))
+    rates, C = f._compiled()
+    assert np.all(rates.imag >= 0.0) and len(set(rates.tolist())) == len(rates)
+    assert np.isrealobj(C) == all(T.freq == 0.0 for T in f.terms)
+
+
+@pytest.mark.parametrize("N", [0, 1, 2])
+def test_series_kernel_eval_is_sum_of_terms(kernels4, N):
+    extra = ("exp(-1*t)*cos(2*t)", "exp(-0.7*t) + 0.5*t*exp(-2*t)")
+    for M in [parse_kernel(text) for text in extra] + list(kernels4.values()):
+        K = BivariateKernel(M, N, 12)
+        for t in (0.5, 1.0, 2.0):
+            s = np.linspace(0.0, t, 9)
+            terms = [K.term_value(j, t, s) for j in range(1, 13)]
+            scale = np.sum(np.abs(terms), axis=0)
+            assert np.all(np.abs(K.eval(t, s) - np.sum(terms, axis=0)) <= 1e-13 * scale)
+            assert abs(K.eval(t, float(s[3])) - K.eval(t, s)[3]) <= 1e-13 * scale[3]
+
+
+def test_derived_objects_kept_on_kernel():
+    M = parse_kernel("exp(-0.7*t) + 0.5*t*exp(-2*t)")
+    assert conv_power(M, 3) is conv_power(M, 3)
+    assert km_partial(M, 0, 40) is km_partial(M, 0, 40)
+    assert km_partial(M, 1, 40) is not km_partial(M, 0, 40)
+    assert h_coeff(M, 3) is h_coeff(M, 3) and p_coeff(M, 3) is p_coeff(M, 3)
+    # equal kernels parsed twice are separate objects with separate memos
+    assert conv_power(parse_kernel(format_kernel(M)), 3) is not conv_power(M, 3)

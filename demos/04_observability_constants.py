@@ -3,7 +3,7 @@
 
 The masked, time-weighted observation seminorm is extremized over the unit
 sphere of the reference norm: an exact eigensolve of the weighted-L2
-surrogate seeds a projected-subgradient refinement of the true objective.
+surrogate seeds a majorize-minimize refinement of the true objective.
 The two-sided constants certify that masked observations encode the initial
 state; their trend as the truncation grows separates healthy sets from
 degenerate ones.

@@ -152,10 +152,14 @@ def _validate_ranges(cfg):
     if win is not None and not ("S" in win and "T" in win and 0 <= win["S"] < win["T"]
                                 and win["S"] < cfg["time"]["T"]):
         raise ConfigError("window needs S and T with 0 <= S < T and S < time.T")
-    for where, key in (("flow_check", "modes"), ("obsconst", "J_list")):
+    for where, key in (("flow_check", "modes"), ("flow_check", "orders"),
+                       ("obsconst", "J_list")):
         vals = cfg.get(where, {}).get(key)
         if vals is not None and not (vals and all(type(v) is int and v >= 1 for v in vals)):
             raise ConfigError(f"{where}.{key} must be a non-empty list of integers >= 1")
+    for key in ("n_t_values", "remainder_t_values"):
+        if cfg.get("flow_check", {}).get(key, 1) < 1:
+            raise ConfigError(f"flow_check.{key} must be >= 1")
     if cfg["mask"].get("kind") == "file" and not os.path.exists(cfg["mask"].get("path", "")):
         raise ConfigError(f"mask.path does not exist: {cfg['mask'].get('path')}")
 
@@ -430,7 +434,9 @@ def cmd_obsconst(cfg, sink, rng, tol_scale):
         rank, sig = unique_continuation_rank(setup)
         reports[str(J)] = {**rep.to_dict(), "c_null": c_null, "relaxed_C": relC,
                            "relaxed_share": share, "uc_rank": rank, "uc_sigma_min": sig,
-                           "null_unbounded": nd["quotient_unbounded"]}
+                           "null_unbounded": nd["quotient_unbounded"],
+                           "iterations_null": nd["iterations"],
+                           "converged_null": nd["converged"]}
         rows.append((J, rep.c_lower, rep.c_upper, c_null, relC,
                      rep.spread_lower, rep.spread_upper, rank, sig))
     sink.write_csv("constants.csv",

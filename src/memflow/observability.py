@@ -8,12 +8,20 @@ with w(t) = t^alpha on windows starting at 0 and w = 1 otherwise.  Every
 functional here is built on one discrete operator, the masked observation map
 of ``ObsSetup``: ``fields`` takes mode coefficients to the window x grid
 field, ``adjoint`` is its transpose, ``masked`` applies the masked spatial
-quadrature and ``gram`` sums its time-weighted Gram.  Constants over the unit
-reference-norm sphere are estimated by an exact eigensolve of an L2-in-time
-surrogate followed by projected (sub)gradient refinement of the true
-L1-in-time objective with many restarts; the restart spread is reported as
-the reliability proxy.  Blow-up statements from the theory are rendered as
-finite trend probes, never as limits.
+quadrature and ``gram`` sums its time-weighted Gram.  ``row_grams`` keeps the
+per-row Grams K_i behind it, so that obs(y0) = sum_i cw_i sqrt(a^T K_i a).
+
+Constants over the unit reference-norm sphere start from an exact eigensolve
+of an L2-in-time surrogate and refine the true L1-in-time objective with one
+batched majorize-minimize loop over many restarts (``_mm_loop``).  The lower
+and null constants reweight the row Grams at the iterate and take a
+generalized eigenvector, which decreases the quotient monotonically; the
+upper constant keeps the better of the linearized ascent (monotone, f being
+convex) and a saddle-free Newton step.  Every step advances all restarts
+with one stacked J x J eigensolve and one contraction of the row-Gram stack,
+O(n_restarts n_times J^2), and needs no step size.  The restart spread, the
+step counts and a convergence flag are reported.  Blow-up statements from
+the theory are rendered as finite trend probes, never as limits.
 """
 
 from __future__ import annotations
@@ -95,6 +103,7 @@ class ObsSetup:
                                        basis.weights[None, :], 0.0)
         self.phi_win = table.phi[:, i0:i1 + 1]
         self._gram_memo = (None, None)
+        self._row_grams = None
 
     @property
     def basis(self):
@@ -137,17 +146,38 @@ class ObsSetup:
             self._gram_memo = (key, G)
         return self._gram_memo[1]
 
-    def _gram(self, coef):
+    def _row_blocks(self):
+        """(rows, S) per block of 256 window rows, S[i] = E diag(w_i) E^T the
+        masked spatial Gram of row i; the block bounds the (i, J, n_x)
+        scratch."""
         E = self.basis.funcs
-        J = self.basis.J
-        G = np.zeros((J, J))
-        for lo in range(0, len(self.times), 256):  # bounds the W3 scratch
+        for lo in range(0, len(self.times), 256):
             sl = slice(lo, lo + 256)
             W3 = E[None, :, :] * self.masked_weights[sl][:, None, :]  # (i, J, n_x)
-            S = W3 @ E.T                                              # (i, J, J)
+            yield sl, W3 @ E.T                                        # (i, J, J)
+
+    def _gram(self, coef):
+        J = self.basis.J
+        G = np.zeros((J, J))
+        for sl, S in self._row_blocks():
             G += np.einsum("i,ji,ki,ijk->jk", coef[sl], self.phi_win[:, sl],
                            self.phi_win[:, sl], S)
         return 0.5 * (G + G.T)
+
+    def row_grams(self):
+        """Stack K (n_times, J, J) of row Grams K_i = (phi_i phi_i^T) o S_i:
+        a^T K_i a is the squared masked spatial norm of row i of fields(a),
+        and gram(coef) = sum_i coef_i K_i.  Built once, read-only."""
+        if self._row_grams is None:
+            J = self.basis.J
+            K = np.empty((len(self.times), J, J))
+            for sl, S in self._row_blocks():
+                P = self.phi_win[:, sl].T
+                K[sl] = P[:, :, None] * P[:, None, :] * S
+            K = 0.5 * (K + K.transpose(0, 2, 1))
+            K.setflags(write=False)
+            self._row_grams = K
+        return self._row_grams
 
     def l2_norm(self, F):
         """L2 norm over the observed part of the window of a field F
@@ -240,33 +270,117 @@ class ObsReport:
         return out
 
 
-def _sphere_ascent(f, u0, n_iter):
-    """Projected gradient ascent with backtracking on the unit sphere.
+def _pencil_top(G, p):
+    """Top eigenvectors of the pencils (diag(p)^2, G[r]) for a stack G of
+    positive semidefinite matrices; p = None is the identity pencil, whose
+    top eigenvector is the smallest eigenvector of G.
 
-    f(u) returns (value, gradient); steps move along the tangent gradient,
-    grow by 1.3 on success and halve until the value improves.  Returns the
-    final (value, u).
+    With G = V diag(lam) V^T and a = V diag(lam)^(-1/2) y the pencil becomes
+    the matrix B^T B, B = diag(p) V diag(lam)^(-1/2); the common factor
+    sqrt(lam_min) keeps B bounded, and clipping lam at the smallest normal
+    number lets a null direction of G (a zero of the seminorm) win outright.
     """
-    u = u0 / np.linalg.norm(u0)
-    val, g = f(u)
-    step = 0.5
+    lam, V = np.linalg.eigh(G)
+    if p is None:
+        return V[:, :, 0]
+    lam = np.maximum(lam, np.finfo(float).tiny)
+    S = V * np.sqrt(lam[:, :1] / lam)[:, None, :]
+    B = p[None, :, None] * S
+    y = np.linalg.eigh(np.swapaxes(B, 1, 2) @ B)[1][:, :, -1]
+    return np.einsum("rjk,rk->rj", S, y)
+
+
+def _newton_on_sphere(U, g, H):
+    """Saddle-free Newton step for a maximum of f on the unit sphere from the
+    unit rows U, with gradients g and Hessians H of f there: u + d with
+    d = |P (f I - H) P|^+ P g, P = I - u u^T.  This is the Riemannian Newton
+    step with the Hessian's eigenvalues taken in absolute value, so that d
+    points uphill; eigenvalues are floored at roundoff and d is kept
+    tangent."""
+    J = U.shape[1]
+    f = np.sum(U * g, axis=1)
+    P = np.eye(J) - U[:, :, None] * U[:, None, :]
+    lam, Q = np.linalg.eigh(P @ (f[:, None, None] * np.eye(J) - H) @ P)
+    floor = np.finfo(float).eps * f[:, None] + np.finfo(float).tiny
+    c = np.einsum("rjk,rj->rk", Q, g - f[:, None] * U) / np.maximum(np.abs(lam), floor)
+    return U + np.einsum("rjk,rk->rj", P @ Q, c)
+
+
+def _mm_loop(setup, U0, n_iter, p=None, ascend=False):
+    """Batched majorize-minimize on the reference sphere, every restart at once.
+
+    In reference-normalized coordinates u = D^{1/2} a the seminorm is
+    f(u) = sum_i cw_i r_i(u), r_i the masked spatial norm of time row i, with
+    r_i^2 = a^T K_i a for the row Grams K_i of ``ObsSetup.row_grams``.  At
+    the iterate u_k they reweight to G_w = D^{-1/2} (sum_i (cw_i / r_i) K_i)
+    D^{-1/2}, and Cauchy-Schwarz gives f(u)^2 <= f(u_k) u^T G_w u with
+    equality at u_k.
+
+    Descent minimizes q(u) = f(u) / ||p u|| (p = None: ||u||) by the top
+    eigenvector of the pencil (diag p^2, G_w), which makes q monotone.
+    Ascent maximizes f on the sphere.  Its monotone step is the linearized
+    one, u <- G_w u / ||G_w u|| (f is convex and positively homogeneous), but
+    that one crawls across flat stretches, so each ascent step also tries
+    the saddle-free Newton step on the sphere and keeps the better of the
+    two.  A step is taken only if q does not get worse, and a restart stops
+    when q stops improving or after n_iter steps.
+
+    Returns (U, iterations, capped): the unit iterates, the steps taken by
+    each restart and whether it was still improving at the cap.
+    """
+    K = setup.row_grams()
+    n, J = K.shape[0], K.shape[1]
+    K_rows = K.reshape(n * J, J)
+    K_flat = K.reshape(n, J * J)
+    cw = setup.quad_weights * setup.time_weight
+    half = setup.mass_matrix() ** 0.5
+    sense = -1.0 if ascend else 1.0
+
+    def row_products(U):
+        """K_i u for every row U (m, J) and time row i: (m, n, J)."""
+        KA = (K_rows @ (U / half).T).reshape(n, J, -1)
+        return KA.transpose(2, 0, 1) / half
+
+    def evaluate(U):
+        r = np.sqrt(np.maximum(np.einsum("rij,rj->ri", row_products(U), U), 0.0))
+        den = np.linalg.norm(U if p is None else U * p, axis=1)
+        q = np.divide(sense * (r @ cw), den, out=np.full(len(U), np.inf), where=den > 0)
+        return q, r
+
+    U = U0 / np.linalg.norm(U0, axis=1, keepdims=True)
+    q, r = evaluate(U)
+    iterations = np.zeros(len(U), dtype=int)
+    active = np.ones(len(U), dtype=bool)
     for _ in range(n_iter):
-        g_tan = g - (g @ u) * u
-        gn = np.linalg.norm(g_tan)
-        if not np.isfinite(val) or gn < 1e-15 * max(abs(val), 1e-300):
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
             break
-        while step > 1e-14:
-            cand = u + step * g_tan / max(gn, 1e-300)
-            cand /= np.linalg.norm(cand)
-            cval, cg = f(cand)
-            if cval - val > 1e-16 * abs(val):
-                u, val, g = cand, cval, cg
-                step *= 1.3
-                break
-            step *= 0.5
+        m, Ui, ri = idx.size, U[idx], r[idx]
+        W = np.divide(cw, ri, out=np.zeros((m, n)), where=ri > 0)
+        G = (W @ K_flat).reshape(m, J, J) / np.outer(half, half)
+        if ascend:
+            g = np.einsum("rjk,rk->rj", G, Ui)
+            KU = row_products(Ui)
+            w3 = np.divide(W, ri**2, out=np.zeros_like(W), where=ri > 0)
+            H = G - np.swapaxes(KU * w3[:, :, None], 1, 2) @ KU
+            cands = np.stack([g, _newton_on_sphere(Ui, g, H)])
         else:
-            break
-    return val, u
+            cands = _pencil_top(G, p)[None]
+        norm = np.linalg.norm(cands, axis=2, keepdims=True)
+        cands = np.divide(cands, norm, out=np.full_like(cands, np.nan), where=norm > 0)
+        cands *= np.where(np.sum(cands * Ui, axis=2) < 0.0, -1.0, 1.0)[..., None]
+        qs, rs = evaluate(cands.reshape(-1, J))
+        qs = qs.reshape(len(cands), m)
+        pick = np.argmin(qs, axis=0)
+        cols = np.arange(m)
+        C, qc = cands[pick, cols], qs[pick, cols]
+        rc = rs.reshape(len(cands), m, n)[pick, cols]
+        keep, improved = qc <= q[idx], qc < q[idx]
+        take = idx[keep]
+        U[take], q[take], r[take] = C[keep], qc[keep], rc[keep]
+        iterations[take] += 1
+        active[idx[~improved]] = False
+    return U, iterations, active
 
 
 def _restart_pool(setup, G, D, n_restarts, rng):
@@ -290,10 +404,15 @@ def _restart_pool(setup, G, D, n_restarts, rng):
 def two_sided_constants(setup, n_restarts=32, n_iter=250, rng=None):
     """Extremes of the seminorm over the unit reference sphere.
 
-    The upper constant starts from the exact top generalized eigenvector of
-    the L2 surrogate and ascends the true objective; the lower constant runs
-    multistart descent (eigendirections, coordinate axes, random).  Reports
-    the restart spread as a stagnation/duality-gap proxy.  Raises
+    Every start of the pool (surrogate eigendirections, coordinate axes,
+    seeded random) runs both batched loops of ``_mm_loop``: the lower
+    constant takes the smallest eigenvector of the reweighted row Gram at
+    each step, the upper constant the better of the linearized ascent and a
+    saddle-free Newton step.  A step costs one stacked J x J eigensolve and
+    one contraction of the row-Gram stack per restart, O(n_times J^2), and
+    each restart takes at most n_iter steps (tens at J=12).  Reports the
+    restart spread as a stagnation proxy and, per constant, the largest step
+    count and whether the best restart stopped short of the cap.  Raises
     ObsInvariantError if a constant breaks the Cauchy-Schwarz bridge to the
     surrogate constants, if c_lower > c_upper, or if a witness does not
     reproduce its constant.
@@ -303,35 +422,24 @@ def two_sided_constants(setup, n_restarts=32, n_iter=250, rng=None):
     lam = scipy.linalg.eigh(G, D, eigvals_only=True)
     sur_lo = math.sqrt(max(lam[0], 0.0))
     sur_up = math.sqrt(max(lam[-1], 0.0))
-    starts = _restart_pool(setup, G, D, n_restarts, rng)
-
-    # seminorm and gradient in reference-normalized coordinates u = D^{1/2} a
+    U0 = np.array(_restart_pool(setup, G, D, n_restarts, rng))
     half = setup.mass_matrix() ** 0.5
 
-    def upward(u):
-        val, grad = _seminorm_and_grad(setup, u / half)
-        return val, grad / half
-
-    def downward(u):
-        val, grad = _seminorm_and_grad(setup, u / half)
-        return -val, -grad / half
-
-    lo_results, up_results = [], []
-    for idx, u0 in enumerate(starts):
-        v, u = _sphere_ascent(downward, u0, n_iter)
-        lo_results.append((-v, idx, u / half))
-        v, u = _sphere_ascent(upward, u0, n_iter)
-        up_results.append((v, idx, u / half))
-    lo_val, _, lo_wit = min(lo_results, key=lambda r: (r[0], r[1]))
-    up_val, _, up_wit = max(up_results, key=lambda r: (r[0], -r[1]))
+    U_lo, it_lo, cap_lo = _mm_loop(setup, U0, n_iter)
+    U_up, it_up, cap_up = _mm_loop(setup, U0, n_iter, ascend=True)
+    lo_vals = obs_seminorm_many(setup, U_lo / half)
+    up_vals = obs_seminorm_many(setup, U_up / half)
+    i_lo, i_up = int(np.argmin(lo_vals)), int(np.argmax(up_vals))
+    lo_val, up_val = float(lo_vals[i_lo]), float(up_vals[i_up])
+    lo_wit, up_wit = U_lo[i_lo] / half, U_up[i_up] / half
 
     # reliability proxy: gap between the best value and the quartile-ranked
     # one -- near zero when a solid fraction of restarts agree on the optimum
-    k = max(1, len(starts) // 4)
-    lo_vals = np.sort([r[0] for r in lo_results])
-    up_vals = np.sort([r[0] for r in up_results])[::-1]
-    spread_lo = float((lo_vals[k] - lo_vals[0]) / max(lo_val, 1e-300))
-    spread_up = float((up_vals[0] - up_vals[k]) / max(up_val, 1e-300))
+    k = max(1, len(U0) // 4)
+    lo_sorted = np.sort(lo_vals)
+    up_sorted = np.sort(up_vals)[::-1]
+    spread_lo = float((lo_sorted[k] - lo_sorted[0]) / max(lo_val, 1e-300))
+    spread_up = float((up_sorted[0] - up_sorted[k]) / max(up_val, 1e-300))
 
     # Cauchy-Schwarz bridge: both L1 constants sit below sqrt(window) x the
     # matching weighted-L2 constants.
@@ -353,7 +461,11 @@ def two_sided_constants(setup, n_restarts=32, n_iter=250, rng=None):
         surrogate_upper=sur_up,
         spread_lower=spread_lo,
         spread_upper=spread_up,
-        diagnostics={"n_restarts": len(starts), "window_length": L},
+        diagnostics={"n_restarts": len(U0), "window_length": L,
+                     "iterations_lower": int(it_lo.max()),
+                     "converged_lower": not bool(cap_lo[i_lo]),
+                     "iterations_upper": int(it_up.max()),
+                     "converged_upper": not bool(cap_up[i_up])},
     )
     # witness reproducibility
     for wit, val in ((lo_wit, lo_val), (up_wit, up_val)):
@@ -367,12 +479,18 @@ def null_obs_constant(setup, n_restarts=24, n_iter=200, rng=None):
     """Largest ratio ||phi(T') y0|| / obs(y0), with an unbounded-quotient flag.
 
     Surrogate: top eigenpair of the final-state form against the seminorm
-    Gram; refinement maximizes the true log-ratio on the reference sphere.
+    Gram.  Its two top eigendirections, the coordinate axes and seeded random
+    fills start the batched majorize-minimize loop of ``_mm_loop`` on
+    1/c_null = min obs(y0) / ||phi(T') y0||: each step takes the top
+    eigenvector of the pencil (diag phi(T')^2, G_w) of the reweighted row
+    Gram, which stays defined where phi(T') vanishes; same cost per step as
+    ``two_sided_constants``.  The report carries the surrogate, the largest
+    step count and whether the best restart stopped short of the cap.
     """
     rng = np.random.default_rng(0) if rng is None else rng
     G, D = gram_matrix(setup)
     lamG = scipy.linalg.eigh(G, eigvals_only=True)
-    report = {"quotient_unbounded": False}
+    report = {"quotient_unbounded": False, "iterations": 0, "converged": True}
     if lamG[0] <= 1e-14 * max(lamG[-1], 1e-300):
         # direction with (numerically) zero observation
         _, V = scipy.linalg.eigh(G)
@@ -383,16 +501,6 @@ def null_obs_constant(setup, n_restarts=24, n_iter=200, rng=None):
     half = setup.mass_matrix() ** 0.5
     phiT = setup.phi_win[:, -1]
 
-    def ratio_and_grad(u):
-        a = u / half
-        num = float(np.linalg.norm(phiT * a))
-        den, gden = _seminorm_and_grad(setup, a)
-        if den <= 1e-300:
-            return math.inf, np.zeros_like(u)
-        gnum = (phiT**2 * a) / max(num, 1e-300)
-        g = (gnum / num - gden / den) / half
-        return num / den, g
-
     reg = 1e-13 * np.trace(G) * np.eye(len(G))
     lamF, V = scipy.linalg.eigh(np.diag(phiT**2), G + reg)
     starts = [V[:, -1] * half, V[:, -2] * half] if V.shape[1] >= 2 else [V[:, -1] * half]
@@ -400,13 +508,16 @@ def null_obs_constant(setup, n_restarts=24, n_iter=200, rng=None):
     while len(starts) < n_restarts:
         starts.append(rng.standard_normal(setup.basis.J))
 
-    best = (-math.inf, None)
-    for u0 in starts:
-        val, u = _sphere_ascent(ratio_and_grad, u0, n_iter)
-        if val > best[0]:
-            best = (val, u / half)
+    U, iterations, capped = _mm_loop(setup, np.array(starts), n_iter, p=phiT / half)
+    A = U / half
+    num = np.linalg.norm(A * phiT, axis=1)
+    den = obs_seminorm_many(setup, A)
+    vals = np.divide(num, den, out=np.full(len(A), math.inf), where=den > 1e-300)
+    best = int(np.argmax(vals))
     report["surrogate"] = float(math.sqrt(max(lamF[-1], 0.0)))
-    return best[0], SpectralVec(best[1]), report
+    report["iterations"] = int(iterations.max())
+    report["converged"] = not bool(capped[best])
+    return float(vals[best]), SpectralVec(A[best]), report
 
 
 def relaxed_inequality_fit(setup, n_samples=256, rng=None):

@@ -149,7 +149,11 @@ def test_determinism_byte_identical(tmp_path, command):
     {"window": {"S": 0.8, "T": 0.2}},
     {"flow_check": {"modes": [0]}},
     {"obsconst": {"J_list": [0]}},
-], ids=["window-without-T", "window-reversed", "mode-zero", "J-zero"])
+    {"flow_check": {"n_t_values": 0}},
+    {"flow_check": {"remainder_t_values": 0}},
+    {"flow_check": {"orders": [-1]}},
+], ids=["window-without-T", "window-reversed", "mode-zero", "J-zero",
+        "check-times-zero", "remainder-times-zero", "order-negative"])
 def test_bad_ranges_exit_two(tmp_path, capsys, overrides):
     p = tmp_path / "c.json"
     write_cfg(p, **overrides)

@@ -1,11 +1,17 @@
+import dataclasses
+import importlib.util
+import json
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memflow import observability
+from memflow import cli, observability
 
 from memflow.flow import build_flow_table, first_nonzero_h_index
 from memflow.geometry import (
@@ -197,6 +203,24 @@ def test_null_constant_single_mode(full_mask):
     from scipy.integrate import quad
     denom, _ = quad(lambda t: math.exp(-ETA1 * t) * t**2, 0, 1)
     assert val == pytest.approx(math.exp(-ETA1) / denom, rel=1e-3)
+
+
+def test_null_constant_where_the_final_state_vanishes():
+    # the heat propagator of modes 11 and 12 underflows to 0 at T' = 1
+    table = build_flow_table(ExpPolyFn.zero(), interval_basis(12, 64), 1.0, 1000)
+    setup = ObsSetup(table, cylinder_mask(1.0, 100, 50, x_lo=0.2, x_hi=0.7),
+                     alpha=2.0)
+    phiT = setup.phi_win[:, -1]
+    assert np.sum(phiT == 0.0) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        val, wit, diag = null_obs_constant(setup)
+    assert np.all(np.isfinite(wit.coeffs)) and diag["converged"]
+    axes = max(abs(phiT[j]) / obs_seminorm(setup, e)
+               for j, e in enumerate(np.eye(12)))
+    assert axes <= val < math.inf
+    assert val == pytest.approx(np.linalg.norm(phiT * wit.coeffs)
+                                / obs_seminorm(setup, wit), rel=1e-12)
 
 
 def test_null_constant_unbounded_flag(mem_table, empty_mask):
@@ -446,3 +470,140 @@ def test_unreproduced_witness_raises_typed_error(mem_table, full_mask, monkeypat
     monkeypatch.setattr(observability, "obs_seminorm", lambda setup, v: 1e3)
     with pytest.raises(ObsInvariantError, match="witness"):
         two_sided_constants(setup, n_restarts=4)
+
+
+# ---------------------------------------------------------------------------
+# majorize-minimize against the projected-subgradient ascent it replaced
+# ---------------------------------------------------------------------------
+
+def ref_sphere_ascent(f, u0, n_iter):
+    """Projected gradient ascent with backtracking on the unit sphere
+    (reference: the optimizer of all three constants before majorize-
+    minimize)."""
+    u = u0 / np.linalg.norm(u0)
+    val, g = f(u)
+    step = 0.5
+    for _ in range(n_iter):
+        g_tan = g - (g @ u) * u
+        gn = np.linalg.norm(g_tan)
+        if not np.isfinite(val) or gn < 1e-15 * max(abs(val), 1e-300):
+            break
+        while step > 1e-14:
+            cand = u + step * g_tan / max(gn, 1e-300)
+            cand /= np.linalg.norm(cand)
+            cval, cg = f(cand)
+            if cval - val > 1e-16 * abs(val):
+                u, val, g = cand, cval, cg
+                step *= 1.3
+                break
+            step *= 0.5
+        else:
+            break
+    return val, u
+
+
+def ref_two_sided(setup, n_restarts=32, n_iter=250, rng=None):
+    """(c_lower, c_upper) by the reference ascent from the same start pool."""
+    G, D = gram_matrix(setup)
+    starts = observability._restart_pool(setup, G, D, n_restarts, rng)
+    half = setup.mass_matrix() ** 0.5
+
+    def upward(u):
+        val, grad = _seminorm_and_grad(setup, u / half)
+        return val, grad / half
+
+    def downward(u):
+        val, grad = _seminorm_and_grad(setup, u / half)
+        return -val, -grad / half
+
+    lo = min(-ref_sphere_ascent(downward, u0, n_iter)[0] for u0 in starts)
+    up = max(ref_sphere_ascent(upward, u0, n_iter)[0] for u0 in starts)
+    return lo, up
+
+
+def ref_null(setup, n_restarts=24, n_iter=200, rng=None):
+    """c_null by the reference ascent of the log-ratio (bounded setups)."""
+    G, _ = gram_matrix(setup)
+    half = setup.mass_matrix() ** 0.5
+    phiT = setup.phi_win[:, -1]
+
+    def ratio_and_grad(u):
+        a = u / half
+        num = float(np.linalg.norm(phiT * a))
+        den, gden = _seminorm_and_grad(setup, a)
+        if den <= 1e-300:
+            return math.inf, np.zeros_like(u)
+        gnum = (phiT**2 * a) / max(num, 1e-300)
+        g = (gnum / num - gden / den) / half
+        return num / den, g
+
+    reg = 1e-13 * np.trace(G) * np.eye(len(G))
+    _, V = scipy.linalg.eigh(np.diag(phiT**2), G + reg)
+    starts = [V[:, -1] * half, V[:, -2] * half]
+    starts.extend(np.eye(setup.basis.J))
+    while len(starts) < n_restarts:
+        starts.append(rng.standard_normal(setup.basis.J))
+    return max(ref_sphere_ascent(ratio_and_grad, u0, n_iter)[0] for u0 in starts)
+
+
+def _constants_job(tmp_path_factory, index):
+    """(config, setup) of the J=12 ``obsconst`` job of benchmark seed 701."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    _, _, cfg = workloads.make_job("constants", 701, index)
+    p = tmp_path_factory.mktemp("cfg") / "c.json"
+    p.write_text(json.dumps(cfg))
+    cfg = cli.load_config(p)
+    return cfg, cli._setup_from_cfg(cfg, J=12)
+
+
+def _job_constants(cfg, setup):
+    """c_lower, c_upper and c_null with the rng use of ``memflow obsconst``."""
+    rng = np.random.default_rng([cfg["seed"], setup.basis.J])
+    rep = two_sided_constants(setup, rng=rng)
+    return np.array([rep.c_lower, rep.c_upper, null_obs_constant(setup, rng=rng)[0]])
+
+
+@pytest.mark.parametrize("index", [0, 1, 2])
+def test_mm_no_worse_than_reference_ascent(tmp_path_factory, index):
+    cfg, setup = _constants_job(tmp_path_factory, index)
+    lo, up, null = _job_constants(cfg, setup)
+    rng = np.random.default_rng([cfg["seed"], setup.basis.J])
+    ref_lo, ref_up = ref_two_sided(setup, rng=rng)
+    ref_c_null = ref_null(setup, rng=rng)
+    assert lo <= ref_lo * (1 + 1e-10)
+    assert up >= ref_up * (1 - 1e-10)
+    assert null >= ref_c_null * (1 - 1e-10)
+
+
+def test_constants_stable_under_roundoff_in_the_table(tmp_path_factory):
+    cfg, setup = _constants_job(tmp_path_factory, 0)
+    base = _job_constants(cfg, setup)
+    table = setup.table
+    for seed in range(4):
+        noise = np.random.default_rng(seed).standard_normal(table.phi.shape)
+        noisy = dataclasses.replace(table, phi=table.phi * (1 + 2.2e-16 * noise))
+        moved = ObsSetup(noisy, setup.mask, alpha=setup.alpha, window=setup.window)
+        drift = np.abs(_job_constants(cfg, moved) - base) / base
+        assert drift.max() <= 1e-12, drift
+
+
+@settings(max_examples=30, deadline=None)
+@given(mask_seed=st.integers(0, 2**31 - 1), count=st.integers(1, 6),
+       start_seed=st.integers(0, 2**31 - 1))
+def test_mm_never_worse_than_its_start(mem_table, mask_seed, count, start_seed):
+    # MM steps are accepted only when the quotient does not get worse; the
+    # loop decides on the row-Gram stack and the check evaluates through the
+    # fields, so the two may differ at roundoff
+    setup = ObsSetup(mem_table, random_rects_mask(mask_seed, count, 1.0, 40, 20),
+                     alpha=2.0)
+    half = setup.mass_matrix() ** 0.5
+    u0 = np.random.default_rng(start_seed).standard_normal((1, setup.basis.J))
+    u0 /= np.linalg.norm(u0)
+    q0 = obs_seminorm_many(setup, u0 / half)[0]
+    U, _, _ = observability._mm_loop(setup, u0, 100)
+    assert obs_seminorm_many(setup, U / half)[0] <= q0 * (1 + 1e-12)
+    U, _, _ = observability._mm_loop(setup, u0, 100, ascend=True)
+    assert obs_seminorm_many(setup, U / half)[0] >= q0 * (1 - 1e-12)

@@ -63,7 +63,6 @@ from .kernels import (
     BivariateKernel,
     ExpPolyFn,
     KernelParseError,
-    Term,
     TruncationError,
     conv_power,
     format_kernel,

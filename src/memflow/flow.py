@@ -92,13 +92,13 @@ def _memory_recurrence(M, dt):
         sum_{d>=1} M(d dt) v_{i-d} = Re(c @ Z_i).
 
     Each distinct rate z with top power m carries m+1 states: the blocks are
-    the rows of M's compiled form, in which conjugate rates of a real kernel
+    the rows of M's stored form, in which conjugate rates of a real kernel
     already share one row (Im z >= 0, coefficient doubled).  The states are
     real when every rate is.
 
     Returns (c, W, w), where w = W e is the column that injects v_i.
     """
-    rates, C = M._compiled()
+    rates, C = M.rates, M.C
     tops = [int(np.flatnonzero(row)[-1]) for row in C]
     K = sum(tops) + len(tops)
     c = np.zeros(K, dtype=complex)

@@ -9,13 +9,20 @@ series kernel) live in the family
 which is closed under differentiation, pointwise products and finite
 convolution on [0, inf).  All values are immutable and all operations pure.
 
-Every evaluation reads one compiled form: the distinct rates z (Im z >= 0, a
-conjugate pair folded into one rate with its coefficient doubled) and an array
-C[z, m] with f(t) = Re sum_z e^{z t} sum_m C[z, m] t^m, real when every rate
-is.  The series kernel folds its pieces into one C[z, p, m] over s^p (t-s)^m;
-the stepper's memory recurrence reads its blocks.  This form and the objects
-derived from a kernel (convolution powers, h_l, p_l, ``km_partial``, the C^N
-norms) are kept in a memo on the kernel and live as long as it does.
+An ExpPolyFn stores one form: the distinct rates z and an array C[z, m] with
+
+    f(t) = Re sum_z e^{z t} sum_m C[z, m] t^m.
+
+Rates have Im z >= 0 (a conjugate pair is folded into one rate, its
+coefficient doubled) and are sorted by (Re z, Im z); C is real when every
+rate is.  At z = a + ib the cos and sin coefficients of t^m e^{a t} are
+Re C[z, m] and -Im C[z, m].  Sums, derivatives, products and convolutions
+work on these rows; (c, m, a, b, phase) tuples are only what the
+constructors take and what the printer writes.  The series kernel folds its
+pieces into one array C[z, p, m] over s^p (t-s)^m; the stepper's memory
+recurrence reads the rows.  The objects derived from a kernel (convolution
+powers, h_l, p_l, ``km_partial``, the C^N norms) are kept in a memo on the
+kernel and live as long as it does.
 """
 
 from __future__ import annotations
@@ -23,13 +30,12 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "Term",
     "ExpPolyFn",
+    "KernelParseError",
     "TruncationError",
     "conv_power",
     "h_coeff",
@@ -41,23 +47,12 @@ __all__ = [
     "format_kernel",
 ]
 
-# Relative magnitude below which a term is treated as cancellation noise.
+# Relative magnitude below which a coefficient is treated as cancellation noise.
 CANCEL_TOL = 1e-15
 
 
 class TruncationError(Exception):
     """Partial-sum tail bound exceeds the caller tolerance."""
-
-
-@dataclass(frozen=True)
-class Term:
-    """One summand c * t^power * exp(rate*t) * phase(freq*t), phase in {cos, sin}."""
-
-    coeff: float
-    power: int
-    rate: float
-    freq: float
-    phase: str  # "cos" or "sin"
 
 
 def _kept_on_kernel(fn):
@@ -72,51 +67,60 @@ def _kept_on_kernel(fn):
     return kept
 
 
-def _canonical(terms):
-    """Merge duplicate (power, rate, freq, phase) keys, fold freq < 0, drop noise."""
-    acc = {}
-    for c, m, a, b, ph in terms:
-        if c == 0.0:
-            continue
-        if b < 0:
-            # cos is even, sin is odd
-            if ph == "sin":
-                c = -c
-            b = -b
-        if b == 0.0 and ph == "sin":
-            continue  # sin(0) == 0
-        if b == 0.0:
-            ph = "cos"
-        key = (int(m), float(a), float(b), ph)
-        acc[key] = acc.get(key, 0.0) + float(c)
-    if not acc:
-        return ()
-    biggest = max(abs(c) for c in acc.values())
-    tol = CANCEL_TOL * biggest
-    out = [
-        Term(c, m, a, b, ph)
-        for (m, a, b, ph), c in acc.items()
-        if abs(c) > tol
-    ]
-    out.sort(key=lambda T: (T.power, T.rate, T.freq, T.phase))
-    return tuple(out)
-
-
 class ExpPolyFn:
-    """A finite sum of exponential-polynomial terms, kept in canonical form.
+    """A real exponential polynomial, stored as the rows (rates, C) of the
+    module docstring.
 
-    Canonical form: no two terms share (power, rate, freq, phase), frequencies
-    are non-negative, and coefficients below 1e-15 of the largest one are
-    dropped (resonant convolutions generate near-cancelling pairs).
+    Stored form: no two rows share a rate, cos and sin coefficients at or
+    below 1e-15 of the largest one are dropped (resonant convolutions
+    generate near-cancelling pairs), and there are no zero rows and no
+    trailing zero columns.  ``ExpPolyFn(terms)`` takes tuples
+    (c, m, a, b, phase), each the term c t^m e^{a t} phase(b t) with phase
+    "cos" or "sin".
     """
 
-    __slots__ = ("terms", "_memo")
+    __slots__ = ("rates", "C", "_memo")
 
     def __init__(self, terms=()):
-        object.__setattr__(self, "terms", _canonical(
-            (T.coeff, T.power, T.rate, T.freq, T.phase) if isinstance(T, Term) else T
-            for T in terms
-        ))
+        rows = []
+        for c, m, a, b, phase in terms:
+            row = np.zeros(int(m) + 1, dtype=complex)
+            row[-1] = -1j * c if phase == "sin" else c
+            rows.append((complex(a, b), row))
+        self._store(rows)
+
+    @staticmethod
+    def _of_rows(rows):
+        f = object.__new__(ExpPolyFn)
+        f._store(rows)
+        return f
+
+    def _store(self, rows):
+        """Set the stored form of sum Re e^{z t} sum_m row[m] t^m over the
+        (z, row) pairs, which may repeat a rate or have Im z < 0."""
+        rows = list(rows)
+        rates = np.array([z for z, _ in rows], dtype=complex)
+        C = np.zeros((len(rows), max((len(row) for _, row in rows), default=1)),
+                     dtype=complex)
+        for k, (_, row) in enumerate(rows):
+            C[k, :len(row)] = row
+        low = rates.imag < 0.0  # Re(c e^{conj(z) t}) = Re(conj(c) e^{z t})
+        rates[low], C[low] = rates[low].conj(), C[low].conj()
+        C.imag[rates.imag == 0.0] = 0.0
+        rates, slot = np.unique(rates, return_inverse=True)
+        packed, C = C, np.zeros((len(rates), C.shape[1]), dtype=complex)
+        np.add.at(C, slot, packed)
+        cos, sin = C.real, C.imag  # views: Re C and -Im C are the cos and sin terms
+        tol = CANCEL_TOL * max(np.abs(cos).max(initial=0.0), np.abs(sin).max(initial=0.0))
+        cos[np.abs(cos) <= tol] = sin[np.abs(sin) <= tol] = 0.0
+        live = C.any(axis=1)
+        cols = np.flatnonzero(C.any(axis=0))
+        rates, C = rates[live], C[live, :cols[-1] + 1 if cols.size else 1]
+        if not rates.imag.any():
+            rates, C = rates.real.copy(), C.real.copy()
+        rates.flags.writeable = C.flags.writeable = False
+        object.__setattr__(self, "rates", rates)
+        object.__setattr__(self, "C", C)
         object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, *a):  # immutable
@@ -139,23 +143,22 @@ class ExpPolyFn:
     # -- basics --------------------------------------------------------------
 
     def is_zero(self):
-        return not self.terms
+        return self.rates.size == 0
 
     def eval(self, t):
-        rates, C = self._compiled()
-        return _eval_compiled(rates, C[:, None, :], t)
+        return _eval_compiled(self.rates, self.C[:, None, :], t)
 
     __call__ = eval
 
     def __add__(self, other):
         if isinstance(other, (int, float)):
             other = ExpPolyFn.const(other)
-        return ExpPolyFn(self.terms + other.terms)
+        return ExpPolyFn._of_rows([*zip(self.rates, self.C), *zip(other.rates, other.C)])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExpPolyFn([Term(-T.coeff, T.power, T.rate, T.freq, T.phase) for T in self.terms])
+        return self * -1.0
 
     def __sub__(self, other):
         if isinstance(other, (int, float)):
@@ -164,15 +167,11 @@ class ExpPolyFn:
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
-            return ExpPolyFn(
-                [Term(other * T.coeff, T.power, T.rate, T.freq, T.phase) for T in self.terms]
-            )
-        # pointwise product via the complex representation
-        out = []
-        for c1, m1, z1 in self._complex_terms():
-            for c2, m2, z2 in other._complex_terms():
-                out.extend(_complex_to_real(c1 * c2, m1 + m2, z1 + z2))
-        return ExpPolyFn(out)
+            return ExpPolyFn._of_rows(zip(self.rates, other * self.C))
+        # Re(F) g = Re(F g) for real g: rates add, coefficient rows multiply
+        return ExpPolyFn._of_rows((z + w, np.convolve(a, b))
+                                  for z, a in zip(self.rates, self.C)
+                                  for w, b in _unfolded(other))
 
     __rmul__ = __mul__
 
@@ -181,75 +180,92 @@ class ExpPolyFn:
 
     # -- calculus ------------------------------------------------------------
 
+    @_kept_on_kernel
     def derivative(self, k=1):
-        """Exact k-th derivative, in canonical form."""
+        """Exact k-th derivative: C'[z, m] = z C[z, m] + (m+1) C[z, m+1]."""
         if k < 0:
             raise ValueError("derivative order must be >= 0")
-        f = self
-        for _ in range(k):
-            new = []
-            for T in f.terms:
-                c, m, a, b, ph = T.coeff, T.power, T.rate, T.freq, T.phase
-                if m > 0:
-                    new.append((c * m, m - 1, a, b, ph))
-                if a != 0.0:
-                    new.append((c * a, m, a, b, ph))
-                if b != 0.0:
-                    if ph == "cos":
-                        new.append((-c * b, m, a, b, "sin"))
-                    else:
-                        new.append((c * b, m, a, b, "cos"))
-            f = ExpPolyFn(new)
-        return f
+        if k == 0:
+            return self
+        f = self.derivative(k - 1)
+        C = f.rates[:, None] * f.C
+        C[:, :-1] += np.arange(1, C.shape[1]) * f.C[:, 1:]
+        return ExpPolyFn._of_rows(zip(f.rates, C))
 
     def convolve(self, other):
         """Exact convolution (f*g)(t) = int_0^t f(t-u) g(u) du.
 
-        Closed in the family; coinciding complex rates (resonance) raise the
-        power of t instead of dividing by a vanishing rate gap.
+        Closed in the family: Re(F) * g = Re(F * g) for real g, so each row
+        of f meets each row of g and its conjugate once.  Coinciding rates
+        (resonance) raise the power of t instead of dividing by a vanishing
+        rate gap.
         """
-        out = []
-        for c1, m1, z1 in self._complex_terms():
-            for c2, m2, z2 in other._complex_terms():
-                for c, m, z in _conv_pair(m1, z1, m2, z2):
-                    out.extend(_complex_to_real(c1 * c2 * c, m, z))
-        return ExpPolyFn(out)
+        return ExpPolyFn._of_rows(row for z, a in zip(self.rates, self.C)
+                                  for w, b in _unfolded(other)
+                                  for row in _conv_rows(z, a, w, b))
 
-    # -- internal ------------------------------------------------------------
 
-    @_kept_on_kernel
-    def _compiled(self):
-        """Read-only (rates, C) with f(t) = Re sum_z e^{z t} sum_m C[z, m] t^m;
-        rates in the order of their first term, a row's last nonzero entry at
-        the top power of its rate."""
-        rows = {}
-        for coef, m, z in self._complex_terms():
-            if z.imag >= 0.0:
-                row = rows.setdefault(z, {})
-                row[m] = row.get(m, 0.0) + (2.0 * coef if z.imag > 0.0 else coef)
-        width = 1 + max((max(row) for row in rows.values()), default=0)
-        rates = np.array(list(rows), dtype=complex)
-        C = np.array([[row.get(m, 0.0) for m in range(width)] for row in rows.values()],
-                     dtype=complex).reshape(len(rows), width)
-        if not rates.imag.any():
-            rates, C = rates.real.copy(), C.real.copy()
-        rates.flags.writeable = C.flags.writeable = False
-        return rates, C
+def _unfolded(g):
+    """Rows (w, b) of g with sum_w e^{w t} b(t) = g(t): each complex row
+    split into itself and its conjugate, each with half the coefficient."""
+    for w, b in zip(g.rates, g.C):
+        if w.imag == 0.0:
+            yield w, b
+        else:
+            yield w, 0.5 * b
+            yield w.conjugate(), 0.5 * b.conj()
 
-    def _complex_terms(self):
-        """Rewrite as sum of c * t^m * exp(z t) with complex c, z."""
-        out = []
-        for T in self.terms:
-            c, m, a, b = T.coeff, T.power, T.rate, T.freq
-            if b == 0.0:
-                out.append((complex(c), m, complex(a)))
-            elif T.phase == "cos":
-                out.append((0.5 * c + 0j, m, complex(a, b)))
-                out.append((0.5 * c + 0j, m, complex(a, -b)))
-            else:
-                out.append((-0.5j * c, m, complex(a, b)))
-                out.append((0.5j * c, m, complex(a, -b)))
-        return out
+
+@functools.cache
+def _pascal(size):
+    """Read-only table of the binomials C(i, j), i, j < size, as floats."""
+    table = np.array([[math.comb(i, j) for j in range(size)] for i in range(size)],
+                     dtype=float)
+    table.flags.writeable = False
+    return table
+
+
+def _binomials(n):
+    """A table of the binomials C(i, j) for i, j < n at least; its size is a
+    power of two, so the cache holds a few tables."""
+    return _pascal(max(64, 1 << (n - 1).bit_length()))
+
+
+def _conv_rows(z1, a, z2, b):
+    """Rows of (e^{z1 t} a(t)) * (e^{z2 t} b(t)) with the polynomials
+    a(t) = sum_p a[p] t^p and b(t) = sum_q b[q] t^q.
+
+    Rates closer than 1e-12 (relative) are resonant: t^p * t^q under e^{z1 t}
+    is p! q! / (p+q+1)! t^(p+q+1).  Otherwise the result is the partial-fraction
+    principal parts at z1 and z2.  Rate gaps that are tiny but above that
+    threshold are inherently ill-conditioned in this representation (the
+    closed form divides by powers of the gap).
+    """
+    if abs(z2 - z1) <= 1e-12 * max(1.0, abs(z1), abs(z2)):
+        p, q = np.arange(len(a))[:, None], np.arange(len(b))
+        r = np.zeros(len(a) + len(b), dtype=np.result_type(a, b))
+        np.add.at(r, p + q + 1, np.outer(a, b) / (
+            (p + q + 1) * _binomials(len(a) + len(b))[p + q, p]))
+        return [(z1, r)]
+    return [(z1, _principal_part(a, b, z1 - z2)), (z2, _principal_part(b, a, z2 - z1))]
+
+
+def _principal_part(a, b, w):
+    """Row at z1 of the convolution of _conv_rows, w = z1 - z2 != 0:
+
+        r[n] = sum_k C(n+k, k) a[n+k] (-1)^k sum_q b[q] (q+k)! / w^(q+k+1),
+
+    the Laplace principal part of the two factors at z1 (the second one
+    expanded in powers of s - z1).
+    """
+    P, Q = len(a), len(b)
+    ratios = np.arange(P + Q - 1) / w
+    ratios[0] = 1.0 / w
+    v = np.cumprod(ratios)  # v[i] = i! / w^(i+1), never forming i! alone
+    k = np.arange(P)
+    h = (-1.0) ** k * (v[k[:, None] + np.arange(Q)] @ b)
+    nk = k[:, None] + k
+    return (_binomials(2 * P)[nk, k] * np.concatenate([a, np.zeros(P)])[nk]) @ h
 
 
 def _eval_compiled(rates, C, u, s=0.0):
@@ -262,38 +278,6 @@ def _eval_compiled(rates, C, u, s=0.0):
     out = np.einsum("zpn,pn,zn->n", poly, s ** np.arange(n_p)[:, None],
                     np.exp(np.multiply.outer(rates, u))).real
     return out.reshape(shape) if shape else float(out[0])
-
-
-def _complex_to_real(c, m, z):
-    """Real part of c * t^m * exp(z t) as canonical real term tuples."""
-    a, b = z.real, z.imag
-    if b == 0.0:
-        return [(c.real, m, a, 0.0, "cos")]
-    return [(c.real, m, a, b, "cos"), (-c.imag, m, a, b, "sin")]
-
-
-def _conv_pair(p, z1, q, z2):
-    """Convolution of t^p e^{z1 t} with t^q e^{z2 t} as complex term tuples.
-
-    Rates closer than 1e-12 (relative) are treated as resonant; rate gaps that
-    are tiny but above that threshold are inherently ill-conditioned in this
-    representation (the closed form divides by powers of the gap).
-    """
-    fact = math.factorial
-    if abs(z2 - z1) <= 1e-12 * max(1.0, abs(z1), abs(z2)):
-        c = fact(p) * fact(q) / fact(p + q + 1)
-        return [(complex(c), p + q + 1, z1)]
-    w = z2 - z1
-    out = []
-    for i in range(p + 1):
-        pref = math.comb(p, i) * (-1) ** i
-        n = q + i
-        # int_0^t u^n e^{w u} du, then multiplied by e^{z1 t} t^{p-i}
-        for k in range(n + 1):
-            c = pref * (-1) ** k * (fact(n) // fact(n - k)) / w ** (k + 1)
-            out.append((c, p - i + n - k, z2))
-        out.append((pref * (-1) ** (n + 1) * fact(n) / w ** (n + 1), p - i, z1))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +464,7 @@ class BivariateKernel:
 def _fold(pieces):
     """Compiled (rates, C[z, p, m]) of sum scal * s^p * f(u) over the pieces
     (scal, p, f), with u = t - s."""
-    forms = [(scal, p, *f._compiled()) for scal, p, f in pieces]
+    forms = [(scal, p, f.rates, f.C) for scal, p, f in pieces]
     index = {z: k for k, z in enumerate(dict.fromkeys(
         z for _, _, rates, _ in forms for z in rates))}
     out = np.zeros((len(index), 1 + max(p for _, p, _, _ in forms),
@@ -582,6 +566,8 @@ def parse_kernel(text):
                     )
                 phase = ph
                 freq = db
+        if not all(map(math.isfinite, (coeff, rate, freq))):
+            raise KernelParseError(f"term {pos}: non-finite number in {chunk!r}")
         terms.append((coeff, power, rate, freq, phase or "cos"))
     return ExpPolyFn(terms)
 
@@ -591,19 +577,21 @@ def _fmt_float(x):
 
 
 def format_kernel(f):
-    """Canonical printer; the output parses back to an eval-identical function."""
-    if f.is_zero():
-        return "0"
+    """Canonical printer, terms in (power, rate, freq, phase) order; the output
+    parses back to an eval-identical function."""
+    terms = sorted((m, float(z.real), float(z.imag), phase, coeff)
+                   for z, row in zip(f.rates, f.C) for m, c in enumerate(row)
+                   for phase, coeff in (("cos", c.real), ("sin", -c.imag)) if coeff != 0.0)
     parts = []
-    for T in f.terms:
-        factors = [_fmt_float(T.coeff)]
-        if T.power == 1:
+    for power, rate, freq, phase, coeff in terms:
+        factors = [_fmt_float(coeff)]
+        if power == 1:
             factors.append("t")
-        elif T.power > 1:
-            factors.append(f"t^{T.power}")
-        if T.rate != 0.0:
-            factors.append(f"exp({_fmt_float(T.rate)}*t)")
-        if T.freq != 0.0:
-            factors.append(f"{T.phase}({_fmt_float(T.freq)}*t)")
+        elif power > 1:
+            factors.append(f"t^{power}")
+        if rate != 0.0:
+            factors.append(f"exp({_fmt_float(rate)}*t)")
+        if freq != 0.0:
+            factors.append(f"{phase}({_fmt_float(freq)}*t)")
         parts.append("*".join(factors))
-    return " + ".join(parts)
+    return " + ".join(parts) or "0"

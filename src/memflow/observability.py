@@ -209,18 +209,6 @@ def obs_seminorm(setup, v):
     return float(obs_seminorm_many(setup, full[None, :])[0])
 
 
-def _seminorm_and_grad(setup, a):
-    """Value and (sub)gradient of the seminorm at coefficient vector a."""
-    F = setup.fields(a)
-    masked = setup.masked(F)
-    r = np.sqrt(np.einsum("ik,ik->i", masked, F))
-    cw = setup.quad_weights * setup.time_weight
-    val = float(r @ cw)
-    good = r > 1e-300
-    grad = setup.adjoint(masked[good] * (cw[good] / r[good])[:, None], good)
-    return val, grad
-
-
 def gram_matrix(setup):
     """L2-in-time surrogate Gram pair (G, D).
 

@@ -63,6 +63,14 @@ def test_invalid_kernel_exit_two(tmp_path, capsys):
     assert "kernel" in err and "term 0" in err
 
 
+@pytest.mark.parametrize("kernel", ["1e400", "exp(1e400*t)", "2 + 1e400*t*cos(1*t)"])
+def test_non_finite_kernel_exit_two(tmp_path, capsys, kernel):
+    p = tmp_path / "c.json"
+    write_cfg(p, kernel=kernel)
+    assert run(["kernel", "--config", p, "--out", tmp_path / "o"]) == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_range_validation(tmp_path):
     p = tmp_path / "c.json"
     write_cfg(p, basis={"J": 4, "n_x": 8})  # n_x < 4J

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -292,7 +296,10 @@ def test_parse_format_round_trip(text):
 
 
 @pytest.mark.parametrize("bad", ["", "t^", "exp(t^2)", "cos(2*t)*sin(1*t)*cos(1*t)",
-                                 "2**t", "spam", "t^2.5"])
+                                 "2**t", "spam", "t^2.5",
+                                 # non-finite numbers
+                                 "1e400", "-1e400*t", "exp(1e400*t)", "cos(-1e400*t)",
+                                 "1e200*1e200", "exp(1e308*t)*exp(1e308*t)"])
 def test_parse_errors(bad):
     with pytest.raises(KernelParseError):
         parse_kernel(bad)
@@ -300,8 +307,8 @@ def test_parse_errors(bad):
 
 def test_canonical_merges_terms():
     f = ExpPolyFn.term(1.0, 1, -0.5, 0.0) + ExpPolyFn.term(2.0, 1, -0.5, 0.0)
-    assert len(f.terms) == 1
-    assert f.terms[0].coeff == 3.0
+    assert f.rates.tolist() == [-0.5]
+    assert f.C.tolist() == [[0.0, 3.0]]
 
 
 def test_negative_frequency_folded():
@@ -309,36 +316,51 @@ def test_negative_frequency_folded():
     g = ExpPolyFn.term(-1.0, 0, 0.0, 2.0, "sin")
     ts = np.linspace(0, 2, 16)
     assert np.allclose(f.eval(ts), g.eval(ts))
-    assert f.terms == g.terms
+    assert f.rates.tolist() == g.rates.tolist() == [2j]
+    assert f.C.tolist() == g.C.tolist() == [[1j]]
+
+
+def test_stored_form_rows():
+    f = parse_kernel("3*t*exp(-1*t)*sin(2*t) + exp(-1*t)*cos(2*t) + 2 + -1*exp(-1*t)*cos(-2*t)")
+    # the two cos terms cancel exactly; rows sorted by (Re z, Im z)
+    assert f.rates.tolist() == [-1 + 2j, 0.0]
+    assert f.C.tolist() == [[0.0, -3j], [2.0, 0.0]]
+    assert not f.rates.flags.writeable and not f.C.flags.writeable
+    with pytest.raises(AttributeError):
+        f.rates = f.rates
+    # the cancellation rule applies to the cos and the sin coefficients alike
+    noisy = ExpPolyFn([(1.0, 0, 0.0, 2.0, "cos"), (1e-16, 0, 0.0, 2.0, "sin"),
+                       (1e-16, 1, 0.0, 2.0, "cos")])
+    assert noisy.C.tolist() == [[1.0]]
 
 
 # ---------------------------------------------------------------------------
-# compiled form and per-kernel memo
+# stored form and per-kernel memo
 # ---------------------------------------------------------------------------
 
-def per_term_eval(f, t):
+def per_term_eval(terms, t):
     """Term-by-term sum of c t^m e^{a t} trig(b t): the reference evaluator."""
     t = np.asarray(t, dtype=float)
     out = np.zeros_like(t)
-    for T in f.terms:
-        trig = np.cos if T.phase == "cos" else np.sin
-        out = out + T.coeff * t**T.power * np.exp(T.rate * t) * trig(T.freq * t)
+    for c, m, a, b, phase in terms:
+        trig = np.cos if phase == "cos" else np.sin
+        out = out + c * t**m * np.exp(a * t) * trig(b * t)
     return out
 
 
-def per_term_scale(f, t):
+def per_term_scale(terms, t):
     """Sum of the term magnitudes |c| t^m e^{a t}: the scale of the rounding."""
     t = np.asarray(t, dtype=float)
-    return sum(abs(T.coeff) * t**T.power * np.exp(T.rate * t) for T in f.terms) + 0.0 * t
+    return sum(abs(c) * t**m * np.exp(a * t) for c, m, a, _, _ in terms) + 0.0 * t
 
 
-def assert_compiled_eval_matches(f, ts):
-    got, want = f.eval(ts), per_term_eval(f, ts)
-    assert np.all(np.abs(got - want) <= 1e-13 * per_term_scale(f, ts))
+def assert_compiled_eval_matches(terms, f, ts):
+    got, want = f.eval(ts), per_term_eval(terms, ts)
+    assert np.all(np.abs(got - want) <= 1e-13 * per_term_scale(terms, ts))
     for t in ts[::7]:
         assert isinstance(f.eval(float(t)), float)
-        assert abs(f.eval(float(t)) - float(per_term_eval(f, t))) <= (
-            1e-13 * float(per_term_scale(f, t)))
+        assert abs(f.eval(float(t)) - float(per_term_eval(terms, t))) <= (
+            1e-13 * float(per_term_scale(terms, t)))
 
 
 _TERMS = st.lists(
@@ -359,21 +381,29 @@ def test_compiled_eval_matches_per_term_loop(terms, shared_rate, real_only):
     # every other term reuses one rate, so rates repeat across powers and phases
     terms = [(c, m, shared_rate if k % 2 else a, 0.0 if real_only else b, ph)
              for k, (c, m, a, b, ph) in enumerate(terms)]
-    assert_compiled_eval_matches(ExpPolyFn(terms), np.linspace(0.0, 3.0, 31))
+    assert_compiled_eval_matches(terms, ExpPolyFn(terms), np.linspace(0.0, 3.0, 31))
 
 
-@pytest.mark.parametrize("text", [
-    "0",
-    "2 + t^3*exp(-1*t) + -0.5*t*exp(-1*t) + exp(0.3*t)",
-    "exp(-0.5*t)*cos(2*t) + 3*exp(-0.5*t)*sin(2*t) + t^2*exp(-0.5*t)*sin(2*t)",
-    "t^3*cos(1*t) + -1*t^3*sin(1*t) + t*exp(-1*t)*cos(1*t) + 4",
-])
+# parsed kernels and the term tuples they stand for
+_FIXED_KERNELS = {
+    "0": [],
+    "2 + t^3*exp(-1*t) + -0.5*t*exp(-1*t) + exp(0.3*t)":
+        [(2.0, 0, 0.0, 0.0, "cos"), (1.0, 3, -1.0, 0.0, "cos"), (-0.5, 1, -1.0, 0.0, "cos"),
+         (1.0, 0, 0.3, 0.0, "cos")],
+    "exp(-0.5*t)*cos(2*t) + 3*exp(-0.5*t)*sin(2*t) + t^2*exp(-0.5*t)*sin(2*t)":
+        [(1.0, 0, -0.5, 2.0, "cos"), (3.0, 0, -0.5, 2.0, "sin"), (1.0, 2, -0.5, 2.0, "sin")],
+    "t^3*cos(1*t) + -1*t^3*sin(1*t) + t*exp(-1*t)*cos(1*t) + 4":
+        [(1.0, 3, 0.0, 1.0, "cos"), (-1.0, 3, 0.0, 1.0, "sin"), (1.0, 1, -1.0, 1.0, "cos"),
+         (4.0, 0, 0.0, 0.0, "cos")],
+}
+
+
+@pytest.mark.parametrize("text", list(_FIXED_KERNELS))
 def test_compiled_eval_fixed_kernels(text):
-    f = parse_kernel(text)
-    assert_compiled_eval_matches(f, np.linspace(0.0, 3.0, 31))
-    rates, C = f._compiled()
-    assert np.all(rates.imag >= 0.0) and len(set(rates.tolist())) == len(rates)
-    assert np.isrealobj(C) == all(T.freq == 0.0 for T in f.terms)
+    f, terms = parse_kernel(text), _FIXED_KERNELS[text]
+    assert_compiled_eval_matches(terms, f, np.linspace(0.0, 3.0, 31))
+    assert np.all(f.rates.imag >= 0.0) and len(set(f.rates.tolist())) == len(f.rates)
+    assert np.isrealobj(f.C) == all(b == 0.0 for _, _, _, b, _ in terms)
 
 
 @pytest.mark.parametrize("N", [0, 1, 2])
@@ -395,5 +425,158 @@ def test_derived_objects_kept_on_kernel():
     assert km_partial(M, 0, 40) is km_partial(M, 0, 40)
     assert km_partial(M, 1, 40) is not km_partial(M, 0, 40)
     assert h_coeff(M, 3) is h_coeff(M, 3) and p_coeff(M, 3) is p_coeff(M, 3)
+    assert M.derivative(2) is M.derivative(2) and M.derivative(0) is M
     # equal kernels parsed twice are separate objects with separate memos
     assert conv_power(parse_kernel(format_kernel(M)), 3) is not conv_power(M, 3)
+
+
+# ---------------------------------------------------------------------------
+# the term-tuple algebra the row algebra replaced, kept as a reference
+# ---------------------------------------------------------------------------
+
+def ref_canonical(terms):
+    """Merge duplicate (power, rate, freq, phase) keys, fold freq < 0, drop noise."""
+    acc = {}
+    for c, m, a, b, ph in terms:
+        if c == 0.0:
+            continue
+        if b < 0:
+            # cos is even, sin is odd
+            if ph == "sin":
+                c = -c
+            b = -b
+        if b == 0.0 and ph == "sin":
+            continue  # sin(0) == 0
+        if b == 0.0:
+            ph = "cos"
+        key = (int(m), float(a), float(b), ph)
+        acc[key] = acc.get(key, 0.0) + float(c)
+    if not acc:
+        return []
+    tol = 1e-15 * max(abs(c) for c in acc.values())
+    return sorted((c, m, a, b, ph) for (m, a, b, ph), c in acc.items() if abs(c) > tol)
+
+
+def ref_complex_terms(terms):
+    """Rewrite as sum of c * t^m * exp(z t) with complex c, z."""
+    out = []
+    for c, m, a, b, ph in ref_canonical(terms):
+        if b == 0.0:
+            out.append((complex(c), m, complex(a)))
+        elif ph == "cos":
+            out.append((0.5 * c + 0j, m, complex(a, b)))
+            out.append((0.5 * c + 0j, m, complex(a, -b)))
+        else:
+            out.append((-0.5j * c, m, complex(a, b)))
+            out.append((0.5j * c, m, complex(a, -b)))
+    return out
+
+
+def ref_complex_to_real(c, m, z):
+    """Real part of c * t^m * exp(z t) as real term tuples."""
+    a, b = z.real, z.imag
+    if b == 0.0:
+        return [(c.real, m, a, 0.0, "cos")]
+    return [(c.real, m, a, b, "cos"), (-c.imag, m, a, b, "sin")]
+
+
+def ref_conv_pair(p, z1, q, z2):
+    """Convolution of t^p e^{z1 t} with t^q e^{z2 t} as complex term tuples."""
+    fact = math.factorial
+    if abs(z2 - z1) <= 1e-12 * max(1.0, abs(z1), abs(z2)):
+        c = fact(p) * fact(q) / fact(p + q + 1)
+        return [(complex(c), p + q + 1, z1)]
+    w = z2 - z1
+    out = []
+    for i in range(p + 1):
+        pref = math.comb(p, i) * (-1) ** i
+        n = q + i
+        # int_0^t u^n e^{w u} du, then multiplied by e^{z1 t} t^{p-i}
+        for k in range(n + 1):
+            c = pref * (-1) ** k * (fact(n) // fact(n - k)) / w ** (k + 1)
+            out.append((c, p - i + n - k, z2))
+        out.append((pref * (-1) ** (n + 1) * fact(n) / w ** (n + 1), p - i, z1))
+    return out
+
+
+def ref_convolve(f, g):
+    return ref_canonical(
+        term for c1, m1, z1 in ref_complex_terms(f) for c2, m2, z2 in ref_complex_terms(g)
+        for c, m, z in ref_conv_pair(m1, z1, m2, z2)
+        for term in ref_complex_to_real(c1 * c2 * c, m, z))
+
+
+def ref_mul(f, g):
+    return ref_canonical(
+        term for c1, m1, z1 in ref_complex_terms(f) for c2, m2, z2 in ref_complex_terms(g)
+        for term in ref_complex_to_real(c1 * c2, m1 + m2, z1 + z2))
+
+
+# rates and frequencies on grids of step 0.25: two rates coincide or differ
+# by at least 0.25, so the closed forms are well conditioned
+_SOME_TERMS = _TERMS.filter(bool).map(lambda terms: terms[:3])
+
+
+@settings(max_examples=40, deadline=None)
+@given(f=_SOME_TERMS, g=_SOME_TERMS)
+def test_convolve_and_product_match_tuple_reference(f, g):
+    ts = np.linspace(0.0, 3.0, 31)
+    F, G = ExpPolyFn(f), ExpPolyFn(g)
+    for got, want in ((F.convolve(G), ref_convolve(f, g)), (F * G, ref_mul(f, g))):
+        assert np.all(np.abs(got.eval(ts) - per_term_eval(want, ts))
+                      <= 1e-12 * per_term_scale(want, ts))
+
+
+@settings(max_examples=40, deadline=None)
+@given(terms=_TERMS, t=st.floats(0.25, 2.5))
+def test_derivative_matches_central_differences(terms, t):
+    f, h = ExpPolyFn(terms), 1e-3
+    fd = (f.eval(t - 2 * h) - 8 * f.eval(t - h) + 8 * f.eval(t + h) - f.eval(t + 2 * h)) / (12 * h)
+    # fourth-order stencil, error h^4/30 |f^(5)|; on [0.25, 2.5] the scale
+    # below bounds |f^(5)| with room to spare
+    scale = sum(abs(c) * (1 + m + abs(a) + b) ** 5 * (1 + t) ** m * np.exp(a * t + 2 * h * abs(a))
+                for c, m, a, b, _ in terms)
+    assert abs(f.derivative(1).eval(t) - fd) <= 1e-10 * scale + 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(terms=_TERMS)
+def test_parse_format_round_trip_random_terms(terms):
+    f = ExpPolyFn(terms)
+    g = parse_kernel(format_kernel(f))
+    ts = np.linspace(0.0, 3.0, 31)
+    assert np.all(np.abs(f.eval(ts) - g.eval(ts)) <= 1e-14 * (1.0 + per_term_scale(terms, ts)))
+
+
+def _trapezoid_powers(M, T, n, j_max):
+    """M^{*j} for j <= j_max on the grid of n steps on [0, T], by repeated
+    trapezoid convolution."""
+    m = M.eval(np.linspace(0.0, T, n + 1))
+    powers, h = [None, m], T / n
+    for _ in range(2, j_max + 1):
+        f = powers[-1]
+        powers.append(h * (np.convolve(f, m)[:n + 1] - 0.5 * (f * m[0] + f[0] * m)))
+    return powers
+
+
+@pytest.mark.parametrize("text", ["exp(-0.9321*t)*cos(1.8472*t)",
+                                  "exp(-0.8668*t) + 0.7431*t*exp(-2.2246*t)"])
+def test_conv_power_matches_trapezoid_quadrature(text):
+    M = parse_kernel(text)
+    coarse, fine = _trapezoid_powers(M, 3.0, 600, 12), _trapezoid_powers(M, 3.0, 1200, 12)
+    for j in range(1, 13):
+        ref = (4 * fine[j][::2] - coarse[j]) / 3  # Richardson: O(h^4)
+        err = np.max(np.abs(conv_power(M, j).eval(np.linspace(0.0, 3.0, 601)) - ref))
+        # up to j = 9 both kernels agree to the quadrature's 1e-11; from j = 10
+        # the two-rate kernel drifts to 1.1e-9, because the 1e-15 cancellation
+        # rule drops the top powers of its convolution powers
+        assert err <= 2e-9
+
+
+def test_kernel_demo_runs():
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(root / "demos" / "01_kernel_algebra.py")],
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr

@@ -26,7 +26,6 @@ from memflow.kernels import ExpPolyFn, h_coeff, parse_kernel
 from memflow.observability import (
     ObsInvariantError,
     ObsSetup,
-    _seminorm_and_grad,
     alpha_probe,
     bump_vector,
     gram_matrix,
@@ -63,6 +62,19 @@ def full_mask():
 @pytest.fixture(scope="module")
 def empty_mask():
     return Mask(T=1.0, n_t=20, n_x=10, cells=np.zeros((20, 10), dtype=bool))
+
+
+def _seminorm_and_grad(setup, a):
+    """Value and (sub)gradient of the seminorm at coefficient vector a: the
+    gradient reference for the optimizers, which contract the row Grams."""
+    F = setup.fields(a)
+    masked = setup.masked(F)
+    r = np.sqrt(np.einsum("ik,ik->i", masked, F))
+    cw = setup.quad_weights * setup.time_weight
+    val = float(r @ cw)
+    good = r > 1e-300
+    grad = setup.adjoint(masked[good] * (cw[good] / r[good])[:, None], good)
+    return val, grad
 
 
 def e1(J=4):

@@ -13,10 +13,12 @@ where * is convolution on [0, t].  Routes implemented:
     sum follows an exact recurrence (the exact case of fast convolution
     quadrature): K = sum_z (m_z + 1) states per mode, one block per distinct
     complex rate z of top power m_z (conjugate rates share a block, so K = 1
-    for exp(-a t) and for exp(-a t) cos(b t)).  The forward, forced and
-    adjoint runs share it: n steps of J modes update O(n J K) state values,
-    one K x K transition product per step (O(n J K^2) flops), instead of the
-    O(n^2 J) direct sum,
+    for exp(-a t) and for exp(-a t) cos(b t)).  One step is then a constant
+    linear map A per mode on K + 2 real states (2K + 2 for complex rates),
+    and the forward, forced and adjoint runs are one blocked scan of it
+    (``_scan``): in blocks of L ~ sqrt(n) steps, about sqrt(n) batched
+    (J, K+2, K+2) products and a few batched products over the table,
+    instead of n Python-level steps or the O(n^2 J) direct sum,
   * the integral representation  phi(t) = e^{-eta t} + int_0^t K(t,u) e^{-eta u} du
     with the series kernel K,
   * the order-N decomposition into a smoothing part, an instantaneous
@@ -29,6 +31,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
@@ -119,10 +122,18 @@ def _memory_recurrence(M, dt):
     return c, W, w
 
 
-def _trapezoid_scheme(M, etas, T, n_steps):
-    """Step dt, diagonals a and b, q0 = dt^2 M(0) / 4 and the memory
-    recurrence (c scaled by dt^2/2, w as a column) shared by the forward and
-    the transposed stepping system.
+def _state_space(M, etas, T, n_steps):
+    """The trapezoid step with its memory recurrence as one linear map per mode.
+
+    On the real state x_i = (y_i, s_i, Z_{i+1}) of size P = K + 2 (a complex
+    recurrence is split into real and imaginary parts, since s = Re(c @ Z)
+    is not C-linear, and then P = 2K + 2) one step of the scheme is
+
+        x_i = A x_{i-1} + e u_{i-1},   u_{i-1} = dt (f_{i-1} + f_i) / 2,
+
+    with y_i = (b y_{i-1} - s_{i-1} - s_i + u_{i-1}) / a, s_i = c . Z_i and
+    Z_{i+1} = W Z_i + w y_i.  Returns dt, q0 = dt^2 M(0) / 4, A (J, P, P),
+    e (J, P) and the injection column w of the states.
 
     Raises StepSizeError when eta*dt > 2 for some mode.
     """
@@ -133,10 +144,75 @@ def _trapezoid_scheme(M, etas, T, n_steps):
             f"(n_steps >= {int(math.ceil(np.max(etas) * T / 2.0)) + 1})"
         )
     c, W, w = _memory_recurrence(M, dt)
+    if np.iscomplexobj(W):
+        c = np.concatenate([c.real, -c.imag])
+        W = np.block([[W.real, -W.imag], [W.imag, W.real]])
+        w = np.concatenate([w.real, w.imag])
+    c = 0.5 * dt * dt * c
     q0 = 0.25 * dt * dt * float(M.eval(0.0))
-    a_diag = 1.0 + 0.5 * dt * etas + q0
-    b_diag = 1.0 - 0.5 * dt * etas - q0
-    return dt, a_diag, b_diag, q0, 0.5 * dt * dt * c, W, w[:, None]
+    inv_a = 1.0 / (1.0 + 0.5 * dt * etas + q0)
+    J, K = len(etas), len(c)
+    A = np.zeros((J, K + 2, K + 2))
+    A[:, 0, 0] = (1.0 - 0.5 * dt * etas - q0) * inv_a
+    A[:, 0, 1] = -inv_a
+    A[:, 0, 2:] = -inv_a[:, None] * c
+    A[:, 1, 2:] = c
+    A[:, 2:, 2:] = W
+    A[:, 2:, :] += w[:, None] * A[:, None, 0, :]  # + w y_i, y_i from row 0
+    e = np.zeros((J, K + 2))
+    e[:, 0] = inv_a
+    e[:, 2:] = w * inv_a[:, None]
+    return dt, q0, A, e, w
+
+
+def _scan(A, x0, n_out, e=None, u=None, block=None):
+    """First components y_i of x_i = A x_{i-1} (+ e u_{i-1}), 0 <= i < n_out.
+
+    A two-level prefix scan (Blelloch 1990) of the constant map.  Within a
+    block of L ~ sqrt(n_out) positions, y_{bL+k} = (e_0^T A^k) X_b plus the
+    lower-triangular Toeplitz product of the impulse response h_k = e_0^T A^k e
+    with the block's forcing; from block to block the state X_b = x_{bL} is
+    carried by A^L, plus the forcing that the columns A^k e carry out of the
+    block.  L is a power of two, so the rows e_0^T A^k and columns A^k e are
+    built by doubling, which leaves A^L, and a run costs about
+    2 log2(L) + n_out/L batched (J, P, P) products and a few batched matrix
+    products over the table; no (n_out, J, P) array is formed.  ``block``
+    (a power of two) overrides L.
+
+    A (J, P, P), x0 (J, P), e (J, P), u (n_out - 1, J); returns (n_out, J).
+    """
+    J, P, _ = A.shape
+    L = block or 1 << (int(n_out).bit_length() // 2)
+    nb = -(-n_out // L)
+    rows = np.zeros((J, L, P))
+    rows[:, 0, 0] = 1.0
+    if u is not None:
+        cols = np.zeros((J, L, P))
+        cols[:, 0] = e
+    Ap, m = A, 1  # Ap = A^m
+    while m < L:
+        k = min(m, L - m)
+        rows[:, m:m + k] = rows[:, :k] @ Ap
+        if u is not None:
+            cols[:, m:m + k] = cols[:, :k] @ Ap.transpose(0, 2, 1)
+        Ap, m = Ap @ Ap, 2 * m
+    F = np.zeros((J, nb, P))  # the forcing each block carries out
+    if u is not None:
+        U = np.zeros((J, nb * L))
+        U[:, : n_out - 1] = u.T
+        U = U.reshape(J, nb, L)
+        F = U @ cols[:, ::-1]
+    X = np.empty((J, nb, P))
+    X[:, 0] = x0
+    for b in range(1, nb):
+        X[:, b] = np.einsum("jpq,jq->jp", Ap, X[:, b - 1]) + F[:, b - 1]
+    y = X @ rows.transpose(0, 2, 1)
+    if u is not None:
+        # transposed Toeplitz: toeplitz[j, m, k] = h_{k-1-m} (zero for m >= k)
+        h = np.zeros((J, 2 * L - 1))
+        h[:, L:] = (rows[:, :L - 1] @ e[:, :, None])[:, :, 0]
+        y += U @ sliding_window_view(h, L, axis=1)[:, ::-1].copy()
+    return y.reshape(J, nb * L)[:, :n_out].T
 
 
 def volterra_modes(M, etas, T, n_steps, y0=None, forcing=None):
@@ -149,10 +225,12 @@ def volterra_modes(M, etas, T, n_steps, y0=None, forcing=None):
     with a = 1 + eta dt/2 + dt^2 M(0)/4, b = 1 - eta dt/2 - dt^2 M(0)/4 and
     s_i = (dt^2/2) sum_{d>=1} M(d dt) v_{i-d} (v_0 = y_0/2, v_k = y_k; at
     i = 1 the s_0 term is -dt^2 M(0) y_0/4, which makes b y_0 - s_0 the
-    plain 1 - eta dt/2 decay).  The history sum comes from the exact
-    recurrence of ``_memory_recurrence`` with K = sum_z (m_z + 1) states per
-    mode: O(n J K) state updates (O(n J K^2) flops) instead of the O(n^2 J)
-    direct sum.
+    plain 1 - eta dt/2 decay).  The history sum follows the exact recurrence
+    of ``_memory_recurrence`` (K = sum_z (m_z + 1) states per mode), so one
+    step is a constant linear map on K + 2 states (``_state_space``), and the
+    n steps run as a blocked scan of that map (``_scan``): about sqrt(n)
+    batched (J, K+2, K+2) products and a few batched products over the
+    table, instead of n steps or the O(n^2 J) direct sum.
 
     Parameters
     ----------
@@ -170,24 +248,13 @@ def volterra_modes(M, etas, T, n_steps, y0=None, forcing=None):
     array (n_steps+1, J) of mode values.
     """
     etas = np.atleast_1d(np.asarray(etas, dtype=float))
-    dt, a_diag, b_diag, q0, c, W, w = _trapezoid_scheme(M, etas, T, n_steps)
-    J = len(etas)
-    y = np.zeros((n_steps + 1, J))
-    y[0] = 1.0 if y0 is None else np.asarray(y0, dtype=float)
+    dt, q0, A, e, w = _state_space(M, etas, T, n_steps)
+    y0 = np.ones(len(etas)) if y0 is None else np.asarray(y0, dtype=float)
+    x0 = np.outer(y0, np.concatenate([[1.0, -q0], 0.5 * w]))
     if forcing is None:
-        fh = np.zeros((n_steps, J))
-    else:
-        f = np.asarray(forcing, dtype=float)
-        fh = 0.5 * dt * (f[:-1] + f[1:])
-
-    Z = w * (0.5 * y[0])
-    s_prev = -q0 * y[0]
-    for i in range(1, n_steps + 1):
-        s = (c @ Z).real
-        y[i] = yi = (b_diag * y[i - 1] - s_prev - s + fh[i - 1]) / a_diag
-        s_prev = s
-        Z = W @ Z + w * yi
-    return y
+        return _scan(A, x0, n_steps + 1)
+    f = np.asarray(forcing, dtype=float)
+    return _scan(A, x0, n_steps + 1, e, 0.5 * dt * (f[:-1] + f[1:]))
 
 
 def volterra_mode(M, eta, tgrid, forcing=None, y0=1.0):
@@ -214,28 +281,18 @@ def volterra_influence(M, etas, T, n_steps):
 
         a lam_i = b lam_{i+1} - u_{i+1} - u_i,   lam_n = 1 / a,
 
-    with u_i = (dt^2/2) sum_{k>i} M((k-i) dt) lam_k; the forward recurrence
-    (``_memory_recurrence``) run backward in time gives u with O(n J K)
-    state updates.
+    with u_i = (dt^2/2) sum_{k>i} M((k-i) dt) lam_k.  Run backward in time it
+    is the forward map of ``_state_space`` started from the forcing column e,
+    so lam_{n-k} = e_0^T A^k e is the scheme's impulse response and comes
+    from the same blocked scan as the forward run.
     """
     etas = np.atleast_1d(np.asarray(etas, dtype=float))
-    dt, a_diag, b_diag, _, c, W, w = _trapezoid_scheme(M, etas, T, n_steps)
-    J = len(etas)
-    n = n_steps
-    lam = np.zeros((n + 1, J))
-    lam[n] = 1.0 / a_diag
-    Z = np.zeros((len(c), J))
-    u_next = np.zeros(J)
-    for i in range(n - 1, 0, -1):
-        Z = W @ Z + w * lam[i + 1]
-        u = (c @ Z).real
-        lam[i] = (b_diag * lam[i + 1] - u_next - u) / a_diag
-        u_next = u
-    g = np.zeros((n + 1, J))
-    g[0] = 0.5 * dt * lam[1]
-    g[1:n] = 0.5 * dt * (lam[1:n] + lam[2:n + 1])
-    g[n] = 0.5 * dt * lam[n]
-    return g
+    dt, _, A, e, _ = _state_space(M, etas, T, n_steps)
+    lam = _scan(A, e, n_steps)[::-1]  # lam_1, ..., lam_n
+    g = np.zeros((n_steps + 1, len(etas)))
+    g[:-1] += lam
+    g[1:] += lam
+    return 0.5 * dt * g
 
 
 # ---------------------------------------------------------------------------
@@ -528,13 +585,21 @@ def forced_solution(M, basis, y0, control, mask, T, n_steps, checkpoints=16,
     discrepancy : float
     """
     etas = basis.eigenvalues
-    sub = _stable_substeps(float(etas[-1]), T, n_steps)
-    nf = n_steps * sub
+    nf = n_steps * _stable_substeps(float(etas[-1]), T, n_steps)
+    return _replay(M, basis, y0, control, mask, T, n_steps,
+                   volterra_modes(M, etas, T, nf), checkpoints, discrepancy_tol)
+
+
+def _replay(M, basis, y0, control, mask, T, n_steps, phi, checkpoints=16,
+            discrepancy_tol=None):
+    """``forced_solution`` given the unforced table phi (nf+1, J) of its
+    substepped grid, for a caller that has already swept it."""
+    nf = len(phi) - 1
     tgrid = np.linspace(0.0, T, nf + 1)
     a0 = y0.coeffs if isinstance(y0, SpectralVec) else np.asarray(y0, dtype=float)
     f = control_forcing(basis, mask, control, tgrid)
-    fine = volterra_modes(M, etas, T, nf, y0=a0, forcing=f)
-    phi = volterra_modes(M, etas, T, nf).T  # (J, nf+1)
+    fine = volterra_modes(M, basis.eigenvalues, T, nf, y0=a0, forcing=f)
+    phi = phi.T  # (J, nf+1)
 
     dt = T / nf
     idxs = sorted(set(list(np.linspace(0, nf, checkpoints + 1).astype(int)) + [nf]))
@@ -550,4 +615,4 @@ def forced_solution(M, basis, y0, control, mask, T, n_steps, checkpoints=16,
         raise RouteMismatchError(
             f"forced-solution routes disagree by {disc:.3e} "
             f"(tolerance {discrepancy_tol:.3e})")
-    return fine[::sub], disc
+    return fine[::nf // n_steps], disc

@@ -20,10 +20,10 @@ import scipy.linalg
 
 from .flow import (
     RouteMismatchError,
+    _replay,
     _stable_substeps,
     control_forcing,
     control_mode_projection,
-    forced_solution,
     volterra_influence,
     volterra_modes,
 )
@@ -225,12 +225,13 @@ def min_norm_control(problem):
     nf = problem.n_steps * sub
     G, dof = reachability_matrix(problem.kernel, basis, mask,
                                  problem.T_hat, problem.n_steps)
-    phiT = volterra_modes(problem.kernel, etas, problem.T_hat, nf)[-1]
+    # one unforced sweep: phi(T_hat) for the target, the table for the replay
+    phi = volterra_modes(problem.kernel, etas, problem.T_hat, nf)
     a0 = np.zeros(basis.J)
     a0[: len(problem.y0.coeffs)] = problem.y0.coeffs
     a1 = np.zeros(basis.J)
     a1[: len(problem.y1.coeffs)] = problem.y1.coeffs
-    target = a1 - phiT * a0
+    target = a1 - phi[-1] * a0
 
     gram = G @ G.T
     jitter = 1e-14 * np.trace(gram)
@@ -239,13 +240,14 @@ def min_norm_control(problem):
                                 assume_a="pos")
         u_dof = G.T @ mu
         objective = float(np.linalg.norm(u_dof))
-        n_irls = 0
+        n_irls, converged = 0, True
     else:
         t_mid = (dof[:, 0] + 0.5) * mask.dt
         wfac = (problem.T_hat - t_mid) ** (-2.0 * problem.alpha)
         cells = dof[:, 0]
         omega = np.ones(mask.n_t)
         u_dof = None
+        converged = True
         for n_irls in range(1, 41):
             w_dof = wfac * omega[cells]
             Gw = G / w_dof[None, :]
@@ -269,13 +271,15 @@ def min_norm_control(problem):
                 omega = new
                 break
             omega = new
+        else:
+            converged = False  # stopped at the iteration cap
         objective = float(np.max(gamma)) if u_dof is not None else 0.0
 
     u = np.zeros((mask.n_t, mask.n_x))
     u[dof[:, 0], dof[:, 1]] = u_dof
 
-    traj, disc = forced_solution(problem.kernel, basis, a0, u, mask,
-                                 problem.T_hat, problem.n_steps)
+    traj, disc = _replay(problem.kernel, basis, a0, u, mask, problem.T_hat,
+                         problem.n_steps, phi)
     final_error = float(np.linalg.norm(traj[-1] - a1))
     # the replay must land on the moment-solve prediction to roundoff;
     # anything larger signals a broken discretization pairing
@@ -294,7 +298,9 @@ def min_norm_control(problem):
             "objective": objective,
             "moment_residual": float(np.linalg.norm(G @ u_dof - target)),
             "irls_iterations": n_irls,
+            "irls_converged": converged,
             "n_dof": int(len(u_dof)),
+            "n_steps_fine": nf,
         },
     )
 
@@ -310,9 +316,12 @@ def reachable_difference_check(kernel, basis, y0, u, mask, T_hat, n_steps=1000):
     from .kernels import ExpPolyFn
 
     a0 = y0.coeffs if isinstance(y0, SpectralVec) else np.asarray(y0, dtype=float)
-    traj_m, _ = forced_solution(kernel, basis, a0, u, mask, T_hat, n_steps)
-    traj_0, _ = forced_solution(ExpPolyFn.zero(), basis, a0, u, mask, T_hat, n_steps)
-    gap = traj_m[-1] - traj_0[-1]
+    etas = basis.eigenvalues
+    nf = n_steps * _stable_substeps(float(etas[-1]), T_hat, n_steps)
+    # the forced runs alone: the gap needs no superposition cross-check
+    f = control_forcing(basis, mask, u, np.linspace(0.0, T_hat, nf + 1))
+    gap = (volterra_modes(kernel, etas, T_hat, nf, y0=a0, forcing=f)[-1]
+           - volterra_modes(ExpPolyFn.zero(), etas, T_hat, nf, y0=a0, forcing=f)[-1])
     terms = gap**2 * basis.eigenvalues**4
     partial = np.cumsum(terms)
     J = basis.J

@@ -244,3 +244,19 @@ def test_one_gram_build_per_job(workload, tmp_path, monkeypatch):
     monkeypatch.setattr(ObsSetup, "_gram", counted)
     assert run([command, "--config", p, "--out", tmp_path / "o"]) == 0
     assert len(builds) == 1
+
+
+def test_control_json_reports_fine_grid_and_irls_cap(tmp_path):
+    """The weighted_linf probe that misses the 1e-6 gate stops its IRLS at
+    the 40-iteration cap (perfbench/checks.py: CONTROL_MISS_CONFIG)."""
+    cfg = {"seed": 1350752518, "basis": {"J": 32, "n_x": 128},
+           "time": {"T": 1.0, "n_t": 1000}, "kernel": "exp(-0.5097*t)",
+           "mask": {"kind": "cylinder", "S": 0.042, "x_lo": 0.5018, "x_hi": 0.8888},
+           "control": {"regime": "weighted_linf"}}
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(cfg))
+    run(["control", "--config", p, "--out", tmp_path / "o"])
+    art = tmp_path / "o" / "control" / cli.config_hash(cli.load_config(p))
+    rep = json.loads((art / "control.json").read_text())
+    assert rep["n_steps_fine"] == 6000  # eta_32 = 1024 pi^2, 6 substeps
+    assert rep["irls_iterations"] == 40 and rep["irls_converged"] is False

@@ -9,6 +9,9 @@ from memflow.flow import (
     DecompositionParts,
     FlowTable,
     StepSizeError,
+    _memory_recurrence,
+    _scan,
+    _state_space,
     build_flow_table,
     decomposition_mode,
     first_nonzero_h_index,
@@ -389,6 +392,57 @@ def dense_influence(M, etas, T, n_steps):
     return g
 
 
+def _loop_scheme(M, etas, T, n_steps):
+    dt = T / n_steps
+    c, W, w = _memory_recurrence(M, dt)
+    q0 = 0.25 * dt * dt * float(M.eval(0.0))
+    a_diag = 1.0 + 0.5 * dt * etas + q0
+    b_diag = 1.0 - 0.5 * dt * etas - q0
+    return dt, a_diag, b_diag, q0, 0.5 * dt * dt * c, W, w[:, None]
+
+
+def loop_modes(M, etas, T, n_steps, y0=None, forcing=None):
+    """Forward stepper, one memory-recurrence step at a time (reference)."""
+    etas = np.atleast_1d(np.asarray(etas, dtype=float))
+    dt, a_diag, b_diag, q0, c, W, w = _loop_scheme(M, etas, T, n_steps)
+    y = np.zeros((n_steps + 1, len(etas)))
+    y[0] = 1.0 if y0 is None else np.asarray(y0, dtype=float)
+    if forcing is None:
+        fh = np.zeros((n_steps, len(etas)))
+    else:
+        f = np.asarray(forcing, dtype=float)
+        fh = 0.5 * dt * (f[:-1] + f[1:])
+    Z = w * (0.5 * y[0])
+    s_prev = -q0 * y[0]
+    for i in range(1, n_steps + 1):
+        s = (c @ Z).real
+        y[i] = yi = (b_diag * y[i - 1] - s_prev - s + fh[i - 1]) / a_diag
+        s_prev = s
+        Z = W @ Z + w * yi
+    return y
+
+
+def loop_influence(M, etas, T, n_steps):
+    """Back-substitution, one memory-recurrence step at a time (reference)."""
+    etas = np.atleast_1d(np.asarray(etas, dtype=float))
+    dt, a_diag, b_diag, _, c, W, w = _loop_scheme(M, etas, T, n_steps)
+    n = n_steps
+    lam = np.zeros((n + 1, len(etas)))
+    lam[n] = 1.0 / a_diag
+    Z = np.zeros((len(c), len(etas)))
+    u_next = np.zeros(len(etas))
+    for i in range(n - 1, 0, -1):
+        Z = W @ Z + w * lam[i + 1]
+        u = (c @ Z).real
+        lam[i] = (b_diag * lam[i + 1] - u_next - u) / a_diag
+        u_next = u
+    g = np.zeros((n + 1, len(etas)))
+    g[0] = 0.5 * dt * lam[1]
+    g[1:n] = 0.5 * dt * (lam[1:n] + lam[2:n + 1])
+    g[n] = 0.5 * dt * lam[n]
+    return g
+
+
 RECURRENCE_KERNELS = [
     "exp(-1*t)",
     "exp(-1*t)*cos(3*t)",
@@ -404,6 +458,11 @@ def _max_rel(x, ref):
     return np.abs(x - ref).max() / max(np.abs(ref).max(), 1e-300)
 
 
+def _three_runs(stepper, influence, M, etas, T, n, y0, f):
+    return (stepper(M, etas, T, n), stepper(M, etas, T, n, y0=y0, forcing=f),
+            influence(M, etas, T, n))
+
+
 @pytest.mark.parametrize("text", RECURRENCE_KERNELS)
 def test_recurrence_matches_direct_sum(text):
     M = parse_kernel(text)
@@ -412,11 +471,74 @@ def test_recurrence_matches_direct_sum(text):
     rng = np.random.default_rng(5)
     y0 = rng.standard_normal(6)
     f = rng.standard_normal((n + 1, 6))
-    assert _max_rel(volterra_modes(M, etas, T, n), dense_modes(M, etas, T, n)) <= 1e-13
-    assert _max_rel(volterra_modes(M, etas, T, n, y0=y0, forcing=f),
-                    dense_modes(M, etas, T, n, y0=y0, forcing=f)) <= 1e-13
-    assert _max_rel(volterra_influence(M, etas, T, n),
-                    dense_influence(M, etas, T, n)) <= 1e-13
+    scan = _three_runs(volterra_modes, volterra_influence, M, etas, T, n, y0, f)
+    for ref in (_three_runs(dense_modes, dense_influence, M, etas, T, n, y0, f),
+                _three_runs(loop_modes, loop_influence, M, etas, T, n, y0, f)):
+        for x, r in zip(scan, ref):
+            assert _max_rel(x, r) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 15, 16, 17, 63, 64, 65])
+@pytest.mark.parametrize("text", RECURRENCE_KERNELS)
+def test_scan_edge_grids(text, n):
+    """Grids with fewer points than a block, and around exactly filled
+    blocks: n + 1 = L^2 (forward) and n = L^2 (adjoint) at n = 15, 63."""
+    M = parse_kernel(text)
+    T = 1.5
+    etas = np.linspace(0.3, 1.9 * n / T, 5)
+    rng = np.random.default_rng(n)
+    y0 = rng.standard_normal(5)
+    f = rng.standard_normal((n + 1, 5))
+    scan = _three_runs(volterra_modes, volterra_influence, M, etas, T, n, y0, f)
+    ref = _three_runs(loop_modes, loop_influence, M, etas, T, n, y0, f)
+    for x, r in zip(scan, ref):
+        assert x.shape == r.shape
+        assert _max_rel(x, r) <= 1e-13
+
+
+def test_stepper_takes_numpy_integer_steps():
+    M = parse_kernel("exp(-1*t)")
+    assert np.array_equal(volterra_modes(M, [1.0, 2.0], 1.0, np.int64(50)),
+                          volterra_modes(M, [1.0, 2.0], 1.0, 50))
+    assert np.array_equal(volterra_influence(M, [1.0, 2.0], 1.0, np.int64(50)),
+                          volterra_influence(M, [1.0, 2.0], 1.0, 50))
+
+
+@pytest.mark.parametrize("n_out, block", [(5, 8), (1, 4), (15, 4), (16, 4),
+                                          (17, 4), (40, 2), (7, 1)])
+def test_scan_any_block_length(n_out, block):
+    """The scan against the plain state recursion, with blocks longer than
+    the run, exactly filled, or one position over."""
+    M = parse_kernel("t^2*exp(0.5*t)*cos(2*t)")
+    etas = np.array([0.5, 3.0, 20.0])
+    _, _, A, e, _ = _state_space(M, etas, 1.0, 40)
+    rng = np.random.default_rng(n_out)
+    x0 = rng.standard_normal(e.shape)
+    u = rng.standard_normal((n_out - 1, 3))
+    x, ref_free, ref_forced = x0.copy(), [x0[:, 0]], [x0[:, 0]]
+    xf = x0.copy()
+    for i in range(n_out - 1):
+        x = np.einsum("jpq,jq->jp", A, x)
+        xf = np.einsum("jpq,jq->jp", A, xf) + e * u[i][:, None]
+        ref_free.append(x[:, 0])
+        ref_forced.append(xf[:, 0])
+    assert _max_rel(_scan(A, x0, n_out, block=block), np.array(ref_free)) <= 1e-13
+    assert _max_rel(_scan(A, x0, n_out, e, u, block=block),
+                    np.array(ref_forced)) <= 1e-13
+
+
+@pytest.mark.parametrize("text", ["exp(-0.9*t)", "t^2*exp(0.5*t)*cos(2*t)"])
+def test_scan_at_control_size(text):
+    """J = 32 and n = 6000, the substepped grid of a control job."""
+    M = parse_kernel(text)
+    etas = interval_basis(32, 128).eigenvalues
+    rng = np.random.default_rng(11)
+    y0 = rng.standard_normal(32)
+    f = rng.standard_normal((6001, 32))
+    scan = _three_runs(volterra_modes, volterra_influence, M, etas, 1.0, 6000, y0, f)
+    ref = _three_runs(loop_modes, loop_influence, M, etas, 1.0, 6000, y0, f)
+    for x, r in zip(scan, ref):
+        assert _max_rel(x, r) <= 1e-13
 
 
 _SMALL_KERNEL = st.builds(

@@ -152,6 +152,42 @@ def test_weighted_regime(rng):
     assert res.diagnostics["objective"] <= 10.0 * ess_sup
 
 
+def test_weighted_regime_reports_convergence():
+    basis = interval_basis(8, 48)
+    y0 = SpectralVec(np.random.default_rng(20240811).standard_normal(8))
+    res = min_norm_control(ControlProblem(
+        KERNEL, basis, cylinder_mask(1.0, 80, 48), 1.0, y0,
+        SpectralVec(basis.eigenvalues**-3.0, s=4.0),
+        regime="weighted_linf", alpha=2.0, n_steps=800))
+    assert res.diagnostics["irls_converged"] is True
+    assert res.diagnostics["irls_iterations"] < 40
+
+
+def test_control_job_sweeps_the_unforced_grid_once(rng, monkeypatch):
+    """phi(T_hat) for the moment target and the replay's superposition check
+    share one unforced stepper sweep; the replay adds one forced run."""
+    import memflow.flow as flow
+    import memflow.inverse_control as ic
+
+    runs = []
+    stepper = flow.volterra_modes
+
+    def counted(M, etas, T, n_steps, y0=None, forcing=None):
+        runs.append((n_steps, forcing is None))
+        return stepper(M, etas, T, n_steps, y0=y0, forcing=forcing)
+
+    monkeypatch.setattr(flow, "volterra_modes", counted)
+    monkeypatch.setattr(ic, "volterra_modes", counted)
+    basis = interval_basis(16, 64)  # substeps: eta_16 dt = 2.5 at n_steps = 1000
+    mask = zigzag_mask(0.15, 1.0, 80, 64)
+    res = min_norm_control(ControlProblem(
+        KERNEL, basis, mask, 1.0, SpectralVec(rng.standard_normal(16)),
+        SpectralVec(basis.eigenvalues**-3.0, s=4.0), n_steps=1000))
+    nf = res.diagnostics["n_steps_fine"]
+    assert nf == 2000
+    assert sorted(runs) == [(nf, False), (nf, True)]
+
+
 def test_weighted_regime_rejects_small_alpha(rng):
     basis = interval_basis(4, 16)
     mask = cylinder_mask(1.0, 40, 16)
@@ -177,7 +213,7 @@ def test_reachable_set_shift_identity(rng):
     res0 = min_norm_control(ControlProblem(ExpPolyFn.zero(), basis, mask, 1.0,
                                            y0, y1, n_steps=800))
     assert res0.final_error <= 1e-9
-    from memflow.inverse_control import forced_solution
+    from memflow.flow import forced_solution
     traj_m, _ = forced_solution(KERNEL, basis, y0.coeffs, res0.u, mask, 1.0, 800)
     traj_0, _ = forced_solution(ExpPolyFn.zero(), basis, y0.coeffs, res0.u,
                                 mask, 1.0, 800)

@@ -275,6 +275,27 @@ def test_c_norm_sine():
     assert kernel_c_norm(parse_kernel("sin(1*t)"), 0, 3.0) == pytest.approx(1.0, rel=1e-9)
 
 
+@pytest.mark.parametrize("text, lo, hi, sup", [
+    ("t*exp(-1*t)", 0.0, 3.0, math.exp(-1.0)),          # interior, at t = 1
+    ("t*exp(-1*t)", 0.0, 0.7, 0.7 * math.exp(-0.7)),    # at the right end
+    # |f| at the trough where tan(2t) = -1/2
+    ("exp(-1*t)*cos(2*t)", 1.0, 2.0,
+     2.0 / math.sqrt(5.0) * math.exp(-(math.pi - math.atan(0.5)) / 2.0)),
+])
+def test_max_abs_to_roundoff_with_array_evaluations(text, lo, hi, sup, monkeypatch):
+    from memflow.kernels import _max_abs
+    sizes = []
+    evaluate = ExpPolyFn.eval
+
+    def counted(self, t):
+        sizes.append(np.size(t))
+        return evaluate(self, t)
+
+    monkeypatch.setattr(ExpPolyFn, "eval", counted)
+    assert _max_abs(parse_kernel(text), lo, hi) == pytest.approx(sup, rel=4e-16)
+    assert min(sizes) > 1000 and len(sizes) <= 4
+
+
 # ---------------------------------------------------------------------------
 # parsing and printing
 # ---------------------------------------------------------------------------

@@ -165,7 +165,7 @@ def _state_space(M, etas, T, n_steps):
     return dt, q0, A, e, w
 
 
-def _scan(A, x0, n_out, e=None, u=None, block=None):
+def _scan(A, x0, n_out, e=None, u=None):
     """First components y_i of x_i = A x_{i-1} (+ e u_{i-1}), 0 <= i < n_out.
 
     A two-level prefix scan (Blelloch 1990) of the constant map.  Within a
@@ -176,13 +176,12 @@ def _scan(A, x0, n_out, e=None, u=None, block=None):
     block.  L is a power of two, so the rows e_0^T A^k and columns A^k e are
     built by doubling, which leaves A^L, and a run costs about
     2 log2(L) + n_out/L batched (J, P, P) products and a few batched matrix
-    products over the table; no (n_out, J, P) array is formed.  ``block``
-    (a power of two) overrides L.
+    products over the table; no (n_out, J, P) array is formed.
 
     A (J, P, P), x0 (J, P), e (J, P), u (n_out - 1, J); returns (n_out, J).
     """
     J, P, _ = A.shape
-    L = block or 1 << (int(n_out).bit_length() // 2)
+    L = 1 << (int(n_out).bit_length() // 2)
     nb = -(-n_out // L)
     rows = np.zeros((J, L, P))
     rows[:, 0, 0] = 1.0
@@ -491,6 +490,11 @@ def _stable_substeps(eta_max, T, n_steps, target=1.9):
     return max(1, int(math.ceil(eta_max * dt / target)))
 
 
+def _fine_steps(etas, T, n_steps):
+    """Step count of the substepped grid that keeps every mode stable."""
+    return n_steps * _stable_substeps(float(etas[-1]), T, n_steps)
+
+
 def build_flow_table(M, basis, T, n_steps, method="volterra",
                      N=DEFAULT_DECOMP_ORDER, J_max=DEFAULT_KM_TRUNCATION):
     """Tabulate all mode propagators on the uniform grid over [0, T].
@@ -585,9 +589,16 @@ def forced_solution(M, basis, y0, control, mask, T, n_steps, checkpoints=16,
     discrepancy : float
     """
     etas = basis.eigenvalues
-    nf = n_steps * _stable_substeps(float(etas[-1]), T, n_steps)
-    return _replay(M, basis, y0, control, mask, T, n_steps,
-                   volterra_modes(M, etas, T, nf), checkpoints, discrepancy_tol)
+    phi = volterra_modes(M, etas, T, _fine_steps(etas, T, n_steps))
+    return _replay(M, basis, y0, control, mask, T, n_steps, phi, checkpoints,
+                   discrepancy_tol)
+
+
+def _forced_run(M, basis, a0, control, mask, T, nf):
+    """The forced stepper from coefficients a0 under a raster control on the
+    grid of nf steps; returns the trajectory and the forcing, both (nf+1, J)."""
+    f = control_forcing(basis, mask, control, np.linspace(0.0, T, nf + 1))
+    return volterra_modes(M, basis.eigenvalues, T, nf, y0=a0, forcing=f), f
 
 
 def _replay(M, basis, y0, control, mask, T, n_steps, phi, checkpoints=16,
@@ -595,10 +606,8 @@ def _replay(M, basis, y0, control, mask, T, n_steps, phi, checkpoints=16,
     """``forced_solution`` given the unforced table phi (nf+1, J) of its
     substepped grid, for a caller that has already swept it."""
     nf = len(phi) - 1
-    tgrid = np.linspace(0.0, T, nf + 1)
     a0 = y0.coeffs if isinstance(y0, SpectralVec) else np.asarray(y0, dtype=float)
-    f = control_forcing(basis, mask, control, tgrid)
-    fine = volterra_modes(M, basis.eigenvalues, T, nf, y0=a0, forcing=f)
+    fine, f = _forced_run(M, basis, a0, control, mask, T, nf)
     phi = phi.T  # (J, nf+1)
 
     dt = T / nf

@@ -20,9 +20,9 @@ import scipy.linalg
 
 from .flow import (
     RouteMismatchError,
+    _fine_steps,
+    _forced_run,
     _replay,
-    _stable_substeps,
-    control_forcing,
     control_mode_projection,
     volterra_influence,
     volterra_modes,
@@ -193,8 +193,7 @@ def reachability_matrix(kernel, basis, mask, T_hat, n_steps):
     Returns (G, dof_index) with dof_index the (i_t, i_x) pairs of mask cells.
     """
     etas = basis.eigenvalues
-    sub = _stable_substeps(float(etas[-1]), T_hat, n_steps)
-    nf = n_steps * sub
+    nf = _fine_steps(etas, T_hat, n_steps)
     g = volterra_influence(kernel, etas, T_hat, nf)       # (nf+1, J)
     tgrid = np.linspace(0.0, T_hat, nf + 1)
     cell = np.clip((tgrid / mask.T * mask.n_t).astype(int), 0, mask.n_t - 1)
@@ -221,8 +220,7 @@ def min_norm_control(problem):
         raise ValueError("weighted regime requires alpha > 1")
     basis, mask = problem.basis, problem.mask
     etas = basis.eigenvalues
-    sub = _stable_substeps(float(etas[-1]), problem.T_hat, problem.n_steps)
-    nf = problem.n_steps * sub
+    nf = _fine_steps(etas, problem.T_hat, problem.n_steps)
     G, dof = reachability_matrix(problem.kernel, basis, mask,
                                  problem.T_hat, problem.n_steps)
     # one unforced sweep: phi(T_hat) for the target, the table for the replay
@@ -316,12 +314,10 @@ def reachable_difference_check(kernel, basis, y0, u, mask, T_hat, n_steps=1000):
     from .kernels import ExpPolyFn
 
     a0 = y0.coeffs if isinstance(y0, SpectralVec) else np.asarray(y0, dtype=float)
-    etas = basis.eigenvalues
-    nf = n_steps * _stable_substeps(float(etas[-1]), T_hat, n_steps)
+    nf = _fine_steps(basis.eigenvalues, T_hat, n_steps)
     # the forced runs alone: the gap needs no superposition cross-check
-    f = control_forcing(basis, mask, u, np.linspace(0.0, T_hat, nf + 1))
-    gap = (volterra_modes(kernel, etas, T_hat, nf, y0=a0, forcing=f)[-1]
-           - volterra_modes(ExpPolyFn.zero(), etas, T_hat, nf, y0=a0, forcing=f)[-1])
+    gap = (_forced_run(kernel, basis, a0, u, mask, T_hat, nf)[0][-1]
+           - _forced_run(ExpPolyFn.zero(), basis, a0, u, mask, T_hat, nf)[0][-1])
     terms = gap**2 * basis.eigenvalues**4
     partial = np.cumsum(terms)
     J = basis.J

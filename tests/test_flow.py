@@ -482,7 +482,8 @@ def test_recurrence_matches_direct_sum(text):
 @pytest.mark.parametrize("text", RECURRENCE_KERNELS)
 def test_scan_edge_grids(text, n):
     """Grids with fewer points than a block, and around exactly filled
-    blocks: n + 1 = L^2 (forward) and n = L^2 (adjoint) at n = 15, 63."""
+    blocks: n + 1 = L^2 (forward) and n = L^2 (adjoint) at n = 15, 63.
+    Also the scan of a generic state against the plain state recursion."""
     M = parse_kernel(text)
     T = 1.5
     etas = np.linspace(0.3, 1.9 * n / T, 5)
@@ -495,6 +496,18 @@ def test_scan_edge_grids(text, n):
         assert x.shape == r.shape
         assert _max_rel(x, r) <= 1e-13
 
+    _, _, A, e, _ = _state_space(M, etas, T, n)
+    x0 = rng.standard_normal(e.shape)
+    u = rng.standard_normal((n, 5))
+    x, xf, ref_free, ref_forced = x0, x0, [x0[:, 0]], [x0[:, 0]]
+    for i in range(n):
+        x = np.einsum("jpq,jq->jp", A, x)
+        xf = np.einsum("jpq,jq->jp", A, xf) + e * u[i][:, None]
+        ref_free.append(x[:, 0])
+        ref_forced.append(xf[:, 0])
+    assert _max_rel(_scan(A, x0, n + 1), np.array(ref_free)) <= 1e-13
+    assert _max_rel(_scan(A, x0, n + 1, e, u), np.array(ref_forced)) <= 1e-13
+
 
 def test_stepper_takes_numpy_integer_steps():
     M = parse_kernel("exp(-1*t)")
@@ -502,29 +515,6 @@ def test_stepper_takes_numpy_integer_steps():
                           volterra_modes(M, [1.0, 2.0], 1.0, 50))
     assert np.array_equal(volterra_influence(M, [1.0, 2.0], 1.0, np.int64(50)),
                           volterra_influence(M, [1.0, 2.0], 1.0, 50))
-
-
-@pytest.mark.parametrize("n_out, block", [(5, 8), (1, 4), (15, 4), (16, 4),
-                                          (17, 4), (40, 2), (7, 1)])
-def test_scan_any_block_length(n_out, block):
-    """The scan against the plain state recursion, with blocks longer than
-    the run, exactly filled, or one position over."""
-    M = parse_kernel("t^2*exp(0.5*t)*cos(2*t)")
-    etas = np.array([0.5, 3.0, 20.0])
-    _, _, A, e, _ = _state_space(M, etas, 1.0, 40)
-    rng = np.random.default_rng(n_out)
-    x0 = rng.standard_normal(e.shape)
-    u = rng.standard_normal((n_out - 1, 3))
-    x, ref_free, ref_forced = x0.copy(), [x0[:, 0]], [x0[:, 0]]
-    xf = x0.copy()
-    for i in range(n_out - 1):
-        x = np.einsum("jpq,jq->jp", A, x)
-        xf = np.einsum("jpq,jq->jp", A, xf) + e * u[i][:, None]
-        ref_free.append(x[:, 0])
-        ref_forced.append(xf[:, 0])
-    assert _max_rel(_scan(A, x0, n_out, block=block), np.array(ref_free)) <= 1e-13
-    assert _max_rel(_scan(A, x0, n_out, e, u, block=block),
-                    np.array(ref_forced)) <= 1e-13
 
 
 @pytest.mark.parametrize("text", ["exp(-0.9*t)", "t^2*exp(0.5*t)*cos(2*t)"])

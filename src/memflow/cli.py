@@ -19,7 +19,7 @@ import numpy as np
 
 from . import geometry, kernels
 from .flow import (
-    _stable_substeps,
+    _fine_steps,
     build_flow_table,
     decomposition_mode,
     first_nonzero_h_index,
@@ -288,8 +288,7 @@ def cmd_flow_check(cfg, sink, rng, tol_scale):
     dt = T / n_t
     failures = 0
 
-    sub = _stable_substeps(float(etas[-1]), T, n_t)
-    fine = volterra_modes(M, etas, T, n_t * sub)[::sub]
+    phi = build_flow_table(M, basis, T, n_t).phi
     # check times snapped onto the stepping grid
     idx_checks = np.unique(np.linspace(n_t / n_tv, n_t, n_tv).round().astype(int))
     rows = []
@@ -297,7 +296,7 @@ def cmd_flow_check(cfg, sink, rng, tol_scale):
         eta = float(etas[j - 1])
         for i in idx_checks:
             t = i * dt
-            v = float(fine[i, j - 1])
+            v = float(phi[j - 1, i])
             kr = kernel_rep_mode(M, eta, float(t))
             dec = decomposition_mode(M, eta, float(t), N=4)
             tol = max(1e-6, eta**2 * dt**2 / 20.0) * tol_scale
@@ -317,9 +316,7 @@ def cmd_flow_check(cfg, sink, rng, tol_scale):
         ref = kernel_rep_mode(M, eta, T)
         errs = []
         for lvl in range(3):
-            n = n_t * 2**lvl
-            sub_l = _stable_substeps(eta, T, n)
-            y = volterra_modes(M, [eta], T, n * sub_l)
+            y = volterra_modes(M, [eta], T, _fine_steps([eta], T, n_t * 2**lvl))
             errs.append(abs(float(y[-1, 0]) - ref))
         order = math.log2(errs[0] / errs[1]) if errs[1] > 0 else float("inf")
         orders.append(order)

@@ -485,14 +485,10 @@ class FlowTable:
         return float(self.tgrid[-1])
 
 
-def _stable_substeps(eta_max, T, n_steps, target=1.9):
-    dt = T / n_steps
-    return max(1, int(math.ceil(eta_max * dt / target)))
-
-
 def _fine_steps(etas, T, n_steps):
-    """Step count of the substepped grid that keeps every mode stable."""
-    return n_steps * _stable_substeps(float(etas[-1]), T, n_steps)
+    """Step count of the substepped grid that keeps every mode stable: n_steps
+    times the least factor that brings eta_max dt to 1.9 or below."""
+    return n_steps * max(1, math.ceil(float(etas[-1]) * (T / n_steps) / 1.9))
 
 
 def build_flow_table(M, basis, T, n_steps, method="volterra",
@@ -505,9 +501,8 @@ def build_flow_table(M, basis, T, n_steps, method="volterra",
     etas = basis.eigenvalues
     tgrid = np.linspace(0.0, T, n_steps + 1)
     if method == "volterra":
-        sub = _stable_substeps(float(etas[-1]), T, n_steps)
-        fine = volterra_modes(M, etas, T, n_steps * sub)
-        phi = fine[::sub].T.copy()
+        nf = _fine_steps(etas, T, n_steps)
+        phi = volterra_modes(M, etas, T, nf)[::nf // n_steps].T.copy()
         tag = "volterra"
     elif method == "kernel_rep":
         phi = np.ones((basis.J, n_steps + 1))

@@ -7,9 +7,12 @@ The central object is the masked, time-weighted observation seminorm
 with w(t) = t^alpha on windows starting at 0 and w = 1 otherwise.  Every
 functional here is built on one discrete operator, the masked observation map
 of ``ObsSetup``: ``fields`` takes mode coefficients to the window x grid
-field, ``adjoint`` is its transpose, ``masked`` applies the masked spatial
-quadrature and ``gram`` sums its time-weighted Gram.  ``row_grams`` keeps the
-per-row Grams K_i behind it, so that obs(y0) = sum_i cw_i sqrt(a^T K_i a).
+field, ``adjoint`` is its transpose and ``masked`` applies the masked spatial
+quadrature.  ``row_grams`` holds the row Grams K_i = (phi_i phi_i^T) o S_r,
+with one masked spatial Gram S_r per mask row r that the window meets, so
+that obs(y0) = sum_i cw_i sqrt(a^T K_i a); every time-weighted Gram (``gram``)
+is a contraction of that stack.  The seminorm itself is evaluated on the
+fields: the quadratic form loses relative accuracy on tiny observations.
 
 Constants over the unit reference-norm sphere start from an exact eigensolve
 of an L2-in-time surrogate and refine the true L1-in-time objective with one
@@ -53,6 +56,10 @@ __all__ = [
 ]
 
 
+# coefficient rows per batch of ``time_profiles``; bounds its field scratch
+_PROFILE_CHUNK = 16
+
+
 class ObsInvariantError(RuntimeError):
     """An estimated constant breaks a relation it must satisfy."""
 
@@ -65,7 +72,8 @@ class ObsSetup:
     weighted-estimate regime); windows with S > 0 are unweighted unless
     ``force_weight`` overrides.  ``quad_weights`` is the trapezoid rule in
     time, ``masked_weights`` the grid rule restricted to the mask.  Only the
-    operator methods combine propagators, eigenfunctions and mask.
+    operator methods combine propagators, eigenfunctions and mask; the row
+    Grams are built once per setup, on first use.
     """
 
     def __init__(self, table, mask, alpha=None, window=None, ref_exponent=-4.0,
@@ -102,7 +110,8 @@ class ObsSetup:
         self.masked_weights = np.where(mask.cells[np.ix_(rows, cols)],
                                        basis.weights[None, :], 0.0)
         self.phi_win = table.phi[:, i0:i1 + 1]
-        self._gram_memo = (None, None)
+        # first window row of each run of rows that meet one mask row
+        self._run_starts = np.flatnonzero(np.diff(rows, prepend=-1))
         self._row_grams = None
 
     @property
@@ -131,53 +140,31 @@ class ObsSetup:
         masked L2 product per time row)."""
         return F * self.masked_weights
 
-    def gram(self, coef):
-        """Gram sum_i coef_i (phi_i phi_i^T) o (E diag(w_i) E^T) of the masked
-        map under time weights coef (n_times,), symmetrized.
-
-        Built once per weight vector: the setup keeps the Gram of the last
-        weights it was asked for and returns it read-only.
-        """
-        coef = np.asarray(coef, dtype=float)
-        key = coef.tobytes()
-        if self._gram_memo[0] != key:
-            G = self._gram(coef)
-            G.setflags(write=False)
-            self._gram_memo = (key, G)
-        return self._gram_memo[1]
-
-    def _row_blocks(self):
-        """(rows, S) per block of 256 window rows, S[i] = E diag(w_i) E^T the
-        masked spatial Gram of row i; the block bounds the (i, J, n_x)
-        scratch."""
-        E = self.basis.funcs
-        for lo in range(0, len(self.times), 256):
-            sl = slice(lo, lo + 256)
-            W3 = E[None, :, :] * self.masked_weights[sl][:, None, :]  # (i, J, n_x)
-            yield sl, W3 @ E.T                                        # (i, J, J)
-
-    def _gram(self, coef):
-        J = self.basis.J
-        G = np.zeros((J, J))
-        for sl, S in self._row_blocks():
-            G += np.einsum("i,ji,ki,ijk->jk", coef[sl], self.phi_win[:, sl],
-                           self.phi_win[:, sl], S)
-        return 0.5 * (G + G.T)
-
     def row_grams(self):
-        """Stack K (n_times, J, J) of row Grams K_i = (phi_i phi_i^T) o S_i:
-        a^T K_i a is the squared masked spatial norm of row i of fields(a),
-        and gram(coef) = sum_i coef_i K_i.  Built once, read-only."""
+        """Stack K (n_times, J, J) of row Grams K_i = (phi_i phi_i^T) o S_r(i):
+        a^T K_i a is the squared masked spatial norm of row i of fields(a).
+
+        S_r = E diag(w_r) E^T is the masked spatial Gram of mask row r, built
+        once for each mask row the window meets and symmetrized, so every
+        K_i is exactly symmetric.  Built once, in place, and read-only.
+        """
         if self._row_grams is None:
-            J = self.basis.J
-            K = np.empty((len(self.times), J, J))
-            for sl, S in self._row_blocks():
-                P = self.phi_win[:, sl].T
-                K[sl] = P[:, :, None] * P[:, None, :] * S
-            K = 0.5 * (K + K.transpose(0, 2, 1))
+            E, P = self.basis.funcs, self.phi_win.T
+            W = self.masked_weights[self._run_starts]
+            S = (W[:, None, :] * E) @ E.T                       # (R, J, J)
+            S = 0.5 * (S + S.transpose(0, 2, 1))
+            K = P[:, :, None] * P[:, None, :]
+            for run, S_r in zip(np.split(K, self._run_starts[1:]), S):
+                run *= S_r
             K.setflags(write=False)
             self._row_grams = K
         return self._row_grams
+
+    def gram(self, coef):
+        """Gram sum_i coef_i K_i of the masked map under time weights coef
+        (n_times,): coef contracted with ``row_grams``, symmetrized."""
+        G = np.tensordot(coef, self.row_grams(), axes=1)
+        return 0.5 * (G + G.T)
 
     def l2_norm(self, F):
         """L2 norm over the observed part of the window of a field F
@@ -185,13 +172,13 @@ class ObsSetup:
         return math.sqrt(float(self.quad_weights
                                @ np.einsum("ik,ik->i", self.masked(F), F)))
 
-    def time_profiles(self, A, chunk=16):
+    def time_profiles(self, A):
         """Masked spatial norms r[v, i] for coefficient rows A (n_vec, J)."""
         A = np.atleast_2d(np.asarray(A, dtype=float))
         out = np.empty((A.shape[0], len(self.times)))
-        for lo in range(0, A.shape[0], chunk):
-            F = self.fields(A[lo:lo + chunk])
-            out[lo:lo + chunk] = np.sqrt(np.einsum("vik,vik->vi", self.masked(F), F))
+        for lo in range(0, A.shape[0], _PROFILE_CHUNK):
+            F = self.fields(A[lo:lo + _PROFILE_CHUNK])
+            out[lo:lo + len(F)] = np.sqrt(np.einsum("vik,vik->vi", self.masked(F), F))
         return out
 
 
@@ -371,22 +358,23 @@ def _mm_loop(setup, U0, n_iter, p=None, ascend=False):
     return U, iterations, active
 
 
-def _restart_pool(setup, G, D, n_restarts, rng):
-    """Start vectors in u coordinates: surrogate eigendirections, coordinate
-    axes, then seeded random fills."""
-    half = setup.mass_matrix() ** 0.5
-    J = setup.basis.J
-    starts = []
+def _pencil_eigh(A, B):
+    """Eigenpairs (lam, V) of the pencil (A, B) in ascending order, or none
+    (empty lam and V) where the solver fails on it."""
     try:
-        _, V = scipy.linalg.eigh(G, D)
-        for k in range(V.shape[1]):
-            starts.append(V[:, k] * half)
+        return scipy.linalg.eigh(A, B)
     except scipy.linalg.LinAlgError:
-        pass
-    starts.extend(np.eye(J))
-    while len(starts) < n_restarts:
+        return np.zeros(0), np.zeros((len(A), 0))
+
+
+def _start_pool(leading, n, rng):
+    """Starts of a sphere search: the rows of ``leading`` (k, J), then the J
+    coordinate axes, then seeded standard normal rows up to n in all."""
+    J = leading.shape[1]
+    starts = [*leading, *np.eye(J)]
+    while len(starts) < n:
         starts.append(rng.standard_normal(J))
-    return [s / np.linalg.norm(s) for s in starts]
+    return np.array(starts)
 
 
 def two_sided_constants(setup, n_restarts=32, n_iter=250, rng=None):
@@ -410,8 +398,8 @@ def two_sided_constants(setup, n_restarts=32, n_iter=250, rng=None):
     lam = scipy.linalg.eigh(G, D, eigvals_only=True)
     sur_lo = math.sqrt(max(lam[0], 0.0))
     sur_up = math.sqrt(max(lam[-1], 0.0))
-    U0 = np.array(_restart_pool(setup, G, D, n_restarts, rng))
     half = setup.mass_matrix() ** 0.5
+    U0 = _start_pool(_pencil_eigh(G, D)[1].T * half, n_restarts, rng)
 
     U_lo, it_lo, cap_lo = _mm_loop(setup, U0, n_iter)
     U_up, it_up, cap_up = _mm_loop(setup, U0, n_iter, ascend=True)
@@ -491,12 +479,9 @@ def null_obs_constant(setup, n_restarts=24, n_iter=200, rng=None):
 
     reg = 1e-13 * np.trace(G) * np.eye(len(G))
     lamF, V = scipy.linalg.eigh(np.diag(phiT**2), G + reg)
-    starts = [V[:, -1] * half, V[:, -2] * half] if V.shape[1] >= 2 else [V[:, -1] * half]
-    starts.extend(np.eye(setup.basis.J))
-    while len(starts) < n_restarts:
-        starts.append(rng.standard_normal(setup.basis.J))
+    starts = _start_pool(V[:, -2:][:, ::-1].T * half, n_restarts, rng)
 
-    U, iterations, capped = _mm_loop(setup, np.array(starts), n_iter, p=phiT / half)
+    U, iterations, capped = _mm_loop(setup, starts, n_iter, p=phiT / half)
     A = U / half
     num = np.linalg.norm(A * phiT, axis=1)
     den = obs_seminorm_many(setup, A)
@@ -511,22 +496,13 @@ def null_obs_constant(setup, n_restarts=24, n_iter=200, rng=None):
 def relaxed_inequality_fit(setup, n_samples=256, rng=None):
     """Largest C with C ||y0||_ref <= obs(y0) + ||y0||_{ref-2} on a sampled sphere.
 
-    Samples: coordinate directions, surrogate eigendirections, seeded random.
+    Samples: surrogate eigendirections, coordinate directions, seeded random.
     Returns (C, share) where share is the seminorm's fraction of the minimal
     combined value (small share means the compactness term is doing the work).
     """
     rng = np.random.default_rng(0) if rng is None else rng
-    J = setup.basis.J
     G, D = gram_matrix(setup)
-    samples = list(np.eye(J))
-    try:
-        _, V = scipy.linalg.eigh(G, D)
-        samples.extend(V.T)
-    except scipy.linalg.LinAlgError:
-        pass
-    while len(samples) < n_samples:
-        samples.append(rng.standard_normal(J))
-    A = np.array(samples)
+    A = _start_pool(_pencil_eigh(G, D)[1].T, n_samples, rng)
     obs = obs_seminorm_many(setup, A)
     ev = setup.basis.eigenvalues
     ref = np.sqrt(A**2 @ ev**setup.ref_exponent)

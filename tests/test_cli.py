@@ -229,21 +229,23 @@ def _benchmark_workloads():
 
 @pytest.mark.parametrize("workload", ["steer", "constants"])
 def test_one_gram_build_per_job(workload, tmp_path, monkeypatch):
-    """reconstruct and obsconst ask for the same Gram several times; the
-    setup builds it once."""
+    """reconstruct and obsconst ask for Grams several times; their one setup
+    builds the row-Gram stack behind them once."""
     command, _, cfg = _benchmark_workloads().make_job(workload, 701, 0)
     p = tmp_path / "c.json"
     p.write_text(json.dumps(cfg))
-    builds = []
-    build = ObsSetup._gram
+    calls, builds = [], []
+    row_grams = ObsSetup.row_grams
 
-    def counted(self, coef):
-        builds.append(1)
-        return build(self, coef)
+    def counted(self):
+        calls.append(id(self))
+        if self._row_grams is None:
+            builds.append(id(self))
+        return row_grams(self)
 
-    monkeypatch.setattr(ObsSetup, "_gram", counted)
+    monkeypatch.setattr(ObsSetup, "row_grams", counted)
     assert run([command, "--config", p, "--out", tmp_path / "o"]) == 0
-    assert len(builds) == 1
+    assert len(builds) == 1 and len(calls) > 1
 
 
 def test_control_json_reports_fine_grid_and_irls_cap(tmp_path):

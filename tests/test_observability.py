@@ -17,6 +17,7 @@ from memflow.flow import build_flow_table, first_nonzero_h_index
 from memflow.geometry import (
     Mask,
     ball_complement_mask,
+    cusp_mask,
     cylinder_mask,
     random_rects_mask,
     zigzag_mask,
@@ -466,6 +467,67 @@ def test_operator_gram_matches_materialized(mem_table, window):
     assert np.linalg.norm(rhs - want) <= 1e-12 * np.linalg.norm(want)
 
 
+ROW_GRAM_CASES = {
+    # window from t = 0 over 80 mask rows, runs of 12 or 13 time rows per
+    # mask row; mask row 0 is empty and row 1 is not
+    "cylinder-from-0": (lambda: cylinder_mask(1.0, 80, 40, 0.2, 0.7, S=0.0125), None),
+    "zigzag-from-0": (lambda: zigzag_mask(0.2, 1.0, 80, 40), None),
+    # S = 0.2532 starts partway through mask row 20 of random_rects
+    "rects-partway": (lambda: random_rects_mask(3, 5, 1.0, 80, 40), (0.2532, 1.0)),
+    # mask rows before 0.3 and after 0.6 unmet
+    "cusp-inner": (lambda: cusp_mask(0.4, 0.1, 1.0, 80, 40), (0.3, 0.6)),
+    # 1500 mask rows over 1001 time rows: every other mask row or so unmet
+    "rects-fine": (lambda: random_rects_mask(7, 6, 1.0, 1500, 40), (0.1, 0.9)),
+    "empty": (lambda: Mask(T=1.0, n_t=20, n_x=10, cells=np.zeros((20, 10), dtype=bool)),
+              (0.15, 0.7)),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(ROW_GRAM_CASES))
+def row_gram_case(request, mem_table):
+    """(setup, dense row Grams O_i^T O_i / wt_i of ``observation_operator``)."""
+    mask, window = ROW_GRAM_CASES[request.param]
+    setup = ObsSetup(mem_table, mask(), alpha=2.0, window=window)
+    O, _ = observation_operator(setup)
+    O = O.reshape(len(setup.times), -1, setup.basis.J)
+    dense = np.einsum("ikj,ikl->ijl", O, O) / setup.quad_weights[:, None, None]
+    return setup, dense
+
+
+def test_row_grams_match_the_dense_operator(row_gram_case):
+    setup, dense = row_gram_case
+    K = setup.row_grams()
+    assert K.shape == dense.shape and not K.flags.writeable
+    assert np.array_equal(K, K.transpose(0, 2, 1))
+    if not dense.any():
+        assert not K.any()
+    scale = np.linalg.norm(dense, axis=(1, 2))
+    assert np.all(np.linalg.norm(K - dense, axis=(1, 2)) <= 1e-12 * scale)
+
+
+def test_row_grams_give_the_masked_row_norms(row_gram_case):
+    setup, _ = row_gram_case
+    K = setup.row_grams()
+    for seed in range(3):
+        a = np.random.default_rng(seed).standard_normal(setup.basis.J)
+        F = setup.fields(a)
+        r2 = np.einsum("ik,ik->i", setup.masked(F), F)
+        np.testing.assert_allclose(np.einsum("j,ijk,k->i", a, K, a), r2,
+                                   rtol=1e-12, atol=0.0)
+
+
+def test_gram_matches_the_dense_operator_under_time_weights(row_gram_case):
+    """gram(coef) = O^T diag(coef / wt) O for the quadrature weights and for
+    the t^{2 alpha} weights of ``gram_matrix``."""
+    setup, dense = row_gram_case
+    w2 = setup.times ** (2 * setup.alpha) if setup.weighted else np.ones_like(setup.times)
+    for coef, G in ((setup.quad_weights, setup.gram(setup.quad_weights)),
+                    (setup.quad_weights * w2, gram_matrix(setup)[0])):
+        want = np.einsum("i,ijk->jk", coef, dense)
+        assert np.array_equal(G, G.T)
+        assert np.linalg.norm(G - want) <= 1e-12 * np.linalg.norm(want)
+
+
 def test_seminorm_gradient_central_differences(mem_table):
     setup = ObsSetup(mem_table, zigzag_mask(0.2, 1.0, 80, 40), alpha=2.0)
     a = np.random.default_rng(11).standard_normal(4)
@@ -518,8 +580,9 @@ def ref_sphere_ascent(f, u0, n_iter):
 def ref_two_sided(setup, n_restarts=32, n_iter=250, rng=None):
     """(c_lower, c_upper) by the reference ascent from the same start pool."""
     G, D = gram_matrix(setup)
-    starts = observability._restart_pool(setup, G, D, n_restarts, rng)
     half = setup.mass_matrix() ** 0.5
+    V = observability._pencil_eigh(G, D)[1]
+    starts = observability._start_pool(V.T * half, n_restarts, rng)
 
     def upward(u):
         val, grad = _seminorm_and_grad(setup, u / half)

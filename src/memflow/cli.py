@@ -16,6 +16,7 @@ import os
 import sys
 
 import numpy as np
+import scipy.linalg
 
 from . import geometry, kernels
 from .flow import (
@@ -162,6 +163,13 @@ def _validate_ranges(cfg):
             raise ConfigError(f"flow_check.{key} must be >= 1")
     if cfg["mask"].get("kind") == "file" and not os.path.exists(cfg["mask"].get("path", "")):
         raise ConfigError(f"mask.path does not exist: {cfg['mask'].get('path')}")
+    cc = cfg.get("control", {})
+    if cc.get("regime", "l2") not in ("l2", "weighted_linf"):
+        raise ConfigError(f"control.regime must be 'l2' or 'weighted_linf', not {cc['regime']!r}")
+    if cc.get("regime") == "weighted_linf" and cc.get("alpha", 2.0) <= 1:
+        raise ConfigError("control.alpha must be > 1 in the weighted_linf regime")
+    if cc.get("T_hat", 1.0) <= 0 or cfg.get("reconstruct", {}).get("noise", 0.0) < 0:
+        raise ConfigError("control.T_hat must be > 0 and reconstruct.noise >= 0")
 
 
 def config_hash(cfg):
@@ -183,24 +191,27 @@ def build_mask(cfg):
     T = cfg["time"]["T"]
     m.setdefault("n_t", max(64, cfg["time"]["n_t"] // 8))
     m.setdefault("n_x", max(32, cfg["basis"]["n_x"] // 2))
-    if kind == "cylinder":
-        return geometry.cylinder_mask(T, m["n_t"], m["n_x"],
-                                      m.get("x_lo", 0.0), m.get("x_hi", 1.0),
-                                      m.get("S", 0.0))
-    if kind == "zigzag":
-        return geometry.zigzag_mask(m.get("eps", 0.1), T, m["n_t"], m["n_x"])
-    if kind == "cusp":
-        return geometry.cusp_mask(m.get("x0", 0.5), m.get("S", 0.0), T,
-                                  m["n_t"], m["n_x"],
-                                  exponent=m.get("exponent", 1.0 / 3.0))
-    if kind == "random_rects":
-        return geometry.random_rects_mask(m.get("seed", 0), m.get("count", 5),
-                                          T, m["n_t"], m["n_x"])
-    if kind == "ball_complement":
-        return geometry.ball_complement_mask(T, m["n_t"], m["n_x"],
-                                             m.get("x_star", 0.5), m.get("r", 0.2))
-    if kind == "file":
-        return geometry.load_mask(m["path"])
+    try:
+        if kind == "cylinder":
+            return geometry.cylinder_mask(T, m["n_t"], m["n_x"],
+                                          m.get("x_lo", 0.0), m.get("x_hi", 1.0),
+                                          m.get("S", 0.0))
+        if kind == "zigzag":
+            return geometry.zigzag_mask(m.get("eps", 0.1), T, m["n_t"], m["n_x"])
+        if kind == "cusp":
+            return geometry.cusp_mask(m.get("x0", 0.5), m.get("S", 0.0), T,
+                                      m["n_t"], m["n_x"],
+                                      exponent=m.get("exponent", 1.0 / 3.0))
+        if kind == "random_rects":
+            return geometry.random_rects_mask(m.get("seed", 0), m.get("count", 5),
+                                              T, m["n_t"], m["n_x"])
+        if kind == "ball_complement":
+            return geometry.ball_complement_mask(T, m["n_t"], m["n_x"],
+                                                 m.get("x_star", 0.5), m.get("r", 0.2))
+        if kind == "file":
+            return geometry.load_mask(m["path"])
+    except ValueError as e:  # a value the constructor rejects
+        raise ConfigError(f"mask ({kind}): {e}") from None
     raise ConfigError(f"mask.kind: unknown kind {kind!r}")
 
 
@@ -261,14 +272,8 @@ def _fmt(v):
 
 
 def _json_default(v):
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if isinstance(v, (np.floating,)):
-        return float(v)
-    if isinstance(v, np.ndarray):
+    if isinstance(v, (np.generic, np.ndarray)):  # numpy scalars and arrays
         return v.tolist()
-    if isinstance(v, (np.bool_,)):
-        return bool(v)
     raise TypeError(f"not JSON serializable: {type(v)}")
 
 
@@ -309,17 +314,15 @@ def cmd_flow_check(cfg, sink, rng, tol_scale):
                    "diff_vk, diff_vd, tol, ok", rows)
 
     # dt-halving order estimate against the quadrature route
-    orders = []
     records = []
     for j in modes:
         eta = float(etas[j - 1])
         ref = kernel_rep_mode(M, eta, T)
         errs = []
-        for lvl in range(3):
+        for lvl in range(2):
             y = volterra_modes(M, [eta], T, _fine_steps([eta], T, n_t * 2**lvl))
             errs.append(abs(float(y[-1, 0]) - ref))
         order = math.log2(errs[0] / errs[1]) if errs[1] > 0 else float("inf")
-        orders.append(order)
         records.append({"kernel": cfg["kernel"], "mode": j,
                         "method_pair": "volterra/kernel_rep",
                         "max_abs_diff": errs[0], "dt": dt,
@@ -341,7 +344,7 @@ def cmd_flow_check(cfg, sink, rng, tol_scale):
     sink.write_csv("remainder_bound.csv", "N, t, max_abs_R, bound, ok", bound_rows)
     sink.write_json("flow_check.json", {
         "records": records, "failures": failures,
-        "min_order": min(orders), "kernel": cfg["kernel"],
+        "min_order": min(r["order_estimate"] for r in records), "kernel": cfg["kernel"],
     })
     return failures == 0
 
@@ -349,29 +352,22 @@ def cmd_flow_check(cfg, sink, rng, tol_scale):
 def cmd_kernel(cfg, sink, rng, tol_scale):
     M = parse_kernel_checked(cfg["kernel"])
     kc = cfg.get("kernel_cmd", {})
-    l_max = kc.get("l_max", 6)
-    npts = kc.get("grid_points", 100)
-    T = cfg["time"]["T"]
-    ts = np.linspace(0.0, T, npts)
-    rows = []
-    checks = {"h0_zero": True, "h1_plus_M_zero": True, "p0_ok": True,
-              "p1_ok": True, "p_h_origin": True}
-    for l in range(l_max + 1):
-        h = kernels.h_coeff(M, l)
-        p = kernels.p_coeff(M, l)
-        rows.append((l, kernels.format_kernel(h), kernels.format_kernel(p)))
-        if abs(p.eval(0.0) + h.eval(0.0)) > 1e-12 * tol_scale:
-            checks["p_h_origin"] = False
-    checks["h0_zero"] = kernels.h_coeff(M, 0).is_zero()
-    checks["h1_plus_M_zero"] = bool(
-        np.max(np.abs(kernels.h_coeff(M, 1).eval(ts) + M.eval(ts))) <= 1e-12 * tol_scale)
-    checks["p0_ok"] = bool(
-        np.max(np.abs(kernels.p_coeff(M, 0).eval(ts) - M.eval(0.0) * ts)) <= 1e-12 * tol_scale)
-    p1_ref = (M.eval(0.0) - M.derivative(1).eval(0.0) * ts
-              + 0.5 * M.eval(0.0) ** 2 * ts**2)
-    checks["p1_ok"] = bool(
-        np.max(np.abs(kernels.p_coeff(M, 1).eval(ts) - p1_ref)) <= 1e-12 * tol_scale)
-    sink.write_csv("coefficients.csv", "l, h_l, p_l", rows)
+    ts = np.linspace(0.0, cfg["time"]["T"], kc.get("grid_points", 100))
+    hp = [(kernels.h_coeff(M, l), kernels.p_coeff(M, l)) for l in range(kc.get("l_max", 6) + 1)]
+    tol, m0 = 1e-12 * tol_scale, M.eval(0.0)
+
+    def near(f, ref):
+        return bool(np.max(np.abs(f.eval(ts) - ref)) <= tol)
+
+    checks = {"h0_zero": kernels.h_coeff(M, 0).is_zero(),
+              "h1_plus_M_zero": near(kernels.h_coeff(M, 1), -M.eval(ts)),
+              "p0_ok": near(kernels.p_coeff(M, 0), m0 * ts),
+              "p1_ok": near(kernels.p_coeff(M, 1),
+                            m0 - M.derivative(1).eval(0.0) * ts + 0.5 * m0 ** 2 * ts**2),
+              "p_h_origin": all(abs(p.eval(0.0) + h.eval(0.0)) <= tol for h, p in hp)}
+    sink.write_csv("coefficients.csv", "l, h_l, p_l",
+                   [(l, kernels.format_kernel(h), kernels.format_kernel(p))
+                    for l, (h, p) in enumerate(hp)])
     sink.write_json("kernel.json", {"kernel": cfg["kernel"], "checks": checks})
     return all(checks.values())
 
@@ -575,14 +571,13 @@ def cmd_duality(cfg, sink, rng, tol_scale):
         [np.array([1.0, 0.0]), np.array([0.0, 1.0])])
     # observability instance
     setup = _setup_from_cfg(cfg)
-    G, D = gram_matrix(setup)
-    L = np.linalg.cholesky(G + 1e-13 * np.trace(G) * np.eye(len(G)))
+    G = gram_matrix(setup)[0]
+    G = G + 1e-13 * np.trace(G) * np.eye(len(G))
+    L = np.linalg.cholesky(G)
     R = np.diag(setup.mass_matrix() ** 0.5)
     xs = [rng.standard_normal(setup.basis.J) for _ in range(n_xstar)]
     # include the extremal direction of the pencil
-    import scipy.linalg as sla
-    lam, V = sla.eigh(R.T @ R, G + 1e-13 * np.trace(G) * np.eye(len(G)))
-    xs.append(V[:, -1])
+    xs.append(scipy.linalg.eigh(R.T @ R, G)[1][:, -1])
     C2b, _, C1b = duality_range_test(R, L.T, xs)
     rep = two_sided_constants(setup, rng=rng)
     sink.write_json("duality.json", {

@@ -27,6 +27,7 @@ where * is convolution on [0, t].  Routes implemented:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -298,20 +299,26 @@ def volterra_influence(M, etas, T, n_steps):
 # integral representation
 # ---------------------------------------------------------------------------
 
+@functools.cache
+def _unit_gauss_panels(n_levels, n_gauss):
+    """Read-only nodes and weights of ``_gauss_panels`` on [0, 1]."""
+    edges = np.concatenate([[0.0], 2.0 ** -np.arange(n_levels - 1, -1, -1.0)])
+    xg, wg = leggauss(n_gauss)
+    h = 0.5 * np.diff(edges)[:, None]
+    nodes, weights = (edges[:-1, None] + h * (xg + 1.0)).ravel(), (h * wg).ravel()
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def _gauss_panels(t, n_levels=36, n_gauss=12):
-    """Geometrically refined Gauss-Legendre nodes on [0, t].
+    """Geometrically refined Gauss-Legendre nodes on [0, t], the panels on
+    [0, 1] scaled by t.
 
     The geometric refinement toward 0 resolves boundary layers e^{-eta s}
     for eta up to ~2^n_levels / t with a fixed node set shared by all modes.
     """
-    edges = [0.0] + [t * 2.0 ** (-k) for k in range(n_levels - 1, -1, -1)]
-    xg, wg = leggauss(n_gauss)
-    nodes, weights = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        h = 0.5 * (hi - lo)
-        nodes.append(lo + h * (xg + 1.0))
-        weights.append(h * wg)
-    return np.concatenate(nodes), np.concatenate(weights)
+    nodes, weights = _unit_gauss_panels(n_levels, n_gauss)
+    return t * nodes, t * weights
 
 
 def _series_kernel(M, t, J_max, check_tol):
@@ -548,10 +555,9 @@ def control_mode_projection(basis, mask):
     Controls are piecewise constant per raster cell; their spatial profile on
     the basis grid is the cell indicator, projected here once.
     """
-    cols = np.clip((basis.x * mask.n_x).astype(int), 0, mask.n_x - 1)
     B = np.zeros((basis.J, mask.n_x))
     wf = basis.funcs * basis.weights  # (J, n_x_basis)
-    np.add.at(B.T, cols, wf.T)
+    np.add.at(B.T, mask.columns_at(basis.x), wf.T)
     return B
 
 
@@ -559,8 +565,7 @@ def control_forcing(basis, mask, control, tgrid):
     """Mode forcing samples f[i, j] of a raster control (zero outside the mask)."""
     u = np.where(mask.cells, np.asarray(control, dtype=float), 0.0)
     B = control_mode_projection(basis, mask)
-    cell = np.clip((np.asarray(tgrid) / mask.T * mask.n_t).astype(int), 0, mask.n_t - 1)
-    return u[cell] @ B.T
+    return u[mask.rows_at(tgrid)] @ B.T
 
 
 class RouteMismatchError(RuntimeError):
@@ -608,9 +613,7 @@ def _replay(M, basis, y0, control, mask, T, n_steps, phi, checkpoints=16,
     dt = T / nf
     idxs = sorted(set(list(np.linspace(0, nf, checkpoints + 1).astype(int)) + [nf]))
     disc = 0.0
-    for i in idxs:
-        if i == 0:
-            continue
+    for i in idxs[1:]:  # idxs[0] = 0
         w = np.full(i + 1, dt)
         w[0] = w[-1] = 0.5 * dt
         duh = phi[:, i] * a0 + np.einsum("k,jk,kj->j", w, phi[:, i::-1], f[: i + 1])

@@ -74,9 +74,17 @@ class Mask:
     def is_empty(self):
         return not bool(self.cells.any())
 
+    def rows_at(self, t):
+        """Raster row of each time t (an edge opens a row; t = T is in the last)."""
+        return np.clip((np.asarray(t) / self.T * self.n_t).astype(int), 0, self.n_t - 1)
+
+    def columns_at(self, x):
+        """Raster column of each position x (an edge opens a column; x = 1 is in the last)."""
+        return np.clip((np.asarray(x) * self.n_x).astype(int), 0, self.n_x - 1)
+
     def column_at(self, x):
         """Raster column index containing spatial position x."""
-        return int(np.clip(int(x * self.n_x), 0, self.n_x - 1))
+        return int(self.columns_at(x))
 
 
 def _from_predicate(T, n_t, n_x, pred, provenance):

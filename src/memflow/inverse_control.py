@@ -196,9 +196,8 @@ def reachability_matrix(kernel, basis, mask, T_hat, n_steps):
     nf = _fine_steps(etas, T_hat, n_steps)
     g = volterra_influence(kernel, etas, T_hat, nf)       # (nf+1, J)
     tgrid = np.linspace(0.0, T_hat, nf + 1)
-    cell = np.clip((tgrid / mask.T * mask.n_t).astype(int), 0, mask.n_t - 1)
     K = np.zeros((mask.n_t, basis.J))
-    np.add.at(K, cell, g)                                 # sum influence per cell
+    np.add.at(K, mask.rows_at(tgrid), g)                  # sum influence per cell
     B = control_mode_projection(basis, mask)              # (J, n_x_mask)
     it, ix = np.nonzero(mask.cells)
     G = (K[it] * B.T[ix]).T                               # (J, n_dof)

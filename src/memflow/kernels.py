@@ -18,11 +18,14 @@ coefficient doubled) and are sorted by (Re z, Im z); C is real when every
 rate is.  At z = a + ib the cos and sin coefficients of t^m e^{a t} are
 Re C[z, m] and -Im C[z, m].  Sums, derivatives, products and convolutions
 work on these rows; (c, m, a, b, phase) tuples are only what the
-constructors take and what the printer writes.  The series kernel folds its
-pieces into one array C[z, p, m] over s^p (t-s)^m; the stepper's memory
-recurrence reads the rows.  The objects derived from a kernel (convolution
-powers, h_l, p_l, ``km_partial``, the C^N norms) are kept in a memo on the
-kernel and live as long as it does.
+constructors take and what the printer writes.  The series kernel
+K(t, s) = sum_j ((-s)^j / j!) M^{*j}(t-s) folds its terms into one array
+C[z, p, m] over (s^p / p!) (t-s)^m, on which d/ds is exact.  The flow
+decomposition is integration by parts in s: h_l(t) = d^l/ds^l K(t, 0),
+p_l(t) = -d^l/ds^l K(t, t), and R_N integrates d^N/ds^N K.  The stepper's
+memory recurrence reads the rows.  The objects derived from a kernel
+(convolution powers, h_l, p_l, ``km_partial``, the C^N norms) are kept in a
+memo on the kernel and live as long as it does.
 """
 
 from __future__ import annotations
@@ -161,8 +164,6 @@ class ExpPolyFn:
         return self * -1.0
 
     def __sub__(self, other):
-        if isinstance(other, (int, float)):
-            other = ExpPolyFn.const(other)
         return self + (-other)
 
     def __mul__(self, other):
@@ -269,13 +270,14 @@ def _principal_part(a, b, w):
 
 
 def _eval_compiled(rates, C, u, s=0.0):
-    """Re sum_z e^{z u} sum_{p,m} C[z, p, m] s^p u^m, elementwise over the
-    broadcast of u and s; a float for scalar input."""
+    """Re sum_z e^{z u} sum_{p,m} C[z, p, m] (s^p / p!) u^m, elementwise over
+    the broadcast of u and s; a float for scalar input."""
     u, s = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(s, dtype=float))
     shape, u, s = u.shape, u.ravel(), s.ravel()
     n_z, n_p, n_m = C.shape
     poly = (C.reshape(-1, n_m) @ u ** np.arange(n_m)[:, None]).reshape(n_z, n_p, len(u))
-    out = np.einsum("zpn,pn,zn->n", poly, s ** np.arange(n_p)[:, None],
+    p = np.arange(n_p)[:, None]
+    out = np.einsum("zpn,pn,zn->n", poly, s ** p / np.cumprod(np.maximum(p, 1.0), axis=0),
                     np.exp(np.multiply.outer(rates, u))).real
     return out.reshape(shape) if shape else float(out[0])
 
@@ -299,20 +301,23 @@ def conv_power(M, j):
 @_kept_on_kernel
 def h_coeff(M, l):
     """Coefficient of the instantaneous (wave-like) flow part at inverse-Laplacian
-    order l+1.  h_0 is identically zero; h_1 = -M."""
+    order l+1, h_l(t) = d^l/ds^l K(t, 0), where the series terms past the l-th
+    vanish.  h_0 is identically zero; h_1 = -M."""
     if l < 0:
         raise ValueError("l must be >= 0")
-    out = ExpPolyFn.zero()
-    for j in range(l + 1):
-        out = out + conv_power(M, j).derivative(l - j) * math.comb(l, l - j)
-    return out * float((-1) ** l)
+    rates, C = BivariateKernel(M, l, max(l, 1))._form  # K(t, 0) = 0
+    return ExpPolyFn._of_rows(zip(rates, C[:, 0]))
 
 
 @_kept_on_kernel
 def p_coeff(M, l):
-    """Polynomial coefficient of the smoothing (heat-like) flow part at order l+1.
+    """Polynomial coefficient of the smoothing (heat-like) flow part at order l+1,
+    p_l(t) = -d^l/ds^l K(t, s) at s = t.
 
     Its value at 0 is -h_coeff(M, l)(0); all other terms carry t^m with m >= 1.
+    The sum skips the (M^{*j})^(d)(0), d < j - 1, that vanish analytically;
+    read off the folded K at u = 0 they add roundoff (on exp(-t) + t^4 e^{-2t},
+    l <= 7, 1.3e-13 of the top coefficient off an exact reference, not 4.5e-14).
     """
     if l < 0:
         raise ValueError("l must be >= 0")
@@ -321,9 +326,7 @@ def p_coeff(M, l):
     for j in range(1, l + 2):
         Fj = conv_power(M, j)
         for m in range(max(1, 2 * j - l - 1), j + 1):
-            d = l - j + m
-            if d < 0 or d > l:
-                continue  # binomial vanishes outside [0, l]
+            d = l - j + m  # in [0, l]
             val = math.comb(l, d) * Fj.derivative(d).eval(0.0)
             if val != 0.0:
                 out = out + ExpPolyFn.term(
@@ -369,11 +372,12 @@ class BivariateKernel:
     """Partial sums of the series kernel K(t, s) = sum_j ((-s)^j / j!) M^{*j}(t-s)
     differentiated deriv_order times in s, valid on t >= s >= 0.
 
-    Each series term is expanded by the Leibniz rule into powers of s times
-    derivatives of the convolution powers, all exact exponential polynomials,
-    and the pieces are folded into one compiled array C[z, p, m] in the powers
-    s^p (t-s)^m.  A computable tail bound controls the truncation at
-    ``truncation_order``.
+    The J = ``truncation_order`` terms fold into one compiled array C[z, p, m]
+    over (s^p / p!) (t-s)^m, which ``_s_derivative`` differentiates exactly.
+    Read off it are h_l(t) = d^l/ds^l K(t, 0) (``h_coeff``) and the remainder
+    R_N = int eta e^{-eta s} d^N/ds^N K ds; p_l(t) = -d^l/ds^l K(t, t) is
+    summed term by term (``p_coeff``).  A computable tail bound controls the
+    truncation.
     """
 
     def __init__(self, M, deriv_order, truncation_order):
@@ -384,13 +388,9 @@ class BivariateKernel:
         self.M = M
         self.deriv_order = int(deriv_order)
         self.truncation_order = int(truncation_order)
-        N = self.deriv_order
-        # pieces[j-1] = list of (scalar, s_power, ExpPolyFn in (t-s)) of term j
-        self.pieces = [
-            [(math.comb(N, i) * (-1.0) ** j * (-1.0) ** (N - i) / math.factorial(j - i),
-              j - i, conv_power(M, j).derivative(N - i)) for i in range(min(N, j) + 1)]
-            for j in range(1, truncation_order + 1)]
-        self._form = _fold(piece for row in self.pieces for piece in row)
+        # pieces[j-1] = (scalar, s_power, ExpPolyFn in t-s) of term j
+        self.pieces = [((-1.0) ** j, j, conv_power(M, j)) for j in range(1, truncation_order + 1)]
+        self._form = _s_derivative(_fold(self.pieces), self.deriv_order)
 
     def eval(self, t, s):
         """Partial-sum value at (t, s); s may be an array (with scalar t)."""
@@ -400,7 +400,8 @@ class BivariateKernel:
     def term_value(self, j, t, s):
         """Value of the j-th series term alone (1-based j)."""
         s = np.asarray(s, dtype=float)
-        return _eval_compiled(*_fold(self.pieces[j - 1]), t - s, s)
+        form = _s_derivative(_fold([self.pieces[j - 1]]), self.deriv_order)
+        return _eval_compiled(*form, t - s, s)
 
     def _term_bound(self, j, t, s):
         # |term_j| <= 2^N * max_i s^{j-i}/(j-i)! * (cbar (1+t))^j where cbar is
@@ -411,9 +412,7 @@ class BivariateKernel:
         g = cnorm * (1.0 + t)
         if g == 0.0:
             return 0.0
-        best = 0.0
-        for i in range(min(N, j) + 1):
-            best = max(best, s ** (j - i) / math.factorial(j - i))
+        best = max(s ** (j - i) / math.factorial(j - i) for i in range(min(N, j) + 1))
         return 2.0**N * best * g**j
 
     def tail_bound(self, t, s):
@@ -421,16 +420,12 @@ class BivariateKernel:
         s = float(np.max(np.asarray(s, dtype=float)))
         if s == 0.0:
             return 0.0
-        total = 0.0
-        prev = None
+        total, prev = 0.0, None
         for j in range(self.truncation_order + 1, self.truncation_order + 400):
             b = self._term_bound(j, t, s)
             if prev is not None and b < 0.5 * prev:
-                # geometric from here on
-                total += b / (1.0 - b / prev)
-                return total
-            total += b
-            prev = b
+                return total + b / (1.0 - b / prev)  # geometric from here on
+            total, prev = total + b, b
             if b < 1e-300:
                 return total
         raise TruncationError(
@@ -442,25 +437,34 @@ class BivariateKernel:
         """Partial sum, raising TruncationError if the tail bound exceeds tol."""
         bound = self.tail_bound(t, s)
         if bound > tol:
-            raise TruncationError(
-                f"tail bound {bound:.3e} exceeds tolerance {tol:.3e} at "
-                f"(t={t}, s={s}); raise truncation_order"
-            )
+            raise TruncationError(f"tail bound {bound:.3e} exceeds tolerance {tol:.3e} "
+                                  f"at (t={t}, s={s}); raise truncation_order")
         return self.eval(t, s)
 
 
 def _fold(pieces):
-    """Compiled (rates, C[z, p, m]) of sum scal * s^p * f(u) over the pieces
-    (scal, p, f), with u = t - s."""
-    forms = [(scal, p, f.rates, f.C) for scal, p, f in pieces]
-    index = {z: k for k, z in enumerate(dict.fromkeys(
-        z for _, _, rates, _ in forms for z in rates))}
-    out = np.zeros((len(index), 1 + max(p for _, p, _, _ in forms),
-                    max(C.shape[1] for *_, C in forms)),
-                   dtype=np.result_type(*(C for *_, C in forms)))
-    for scal, p, rates, C in forms:
-        out[[index[z] for z in rates], p, :C.shape[1]] += scal * C
+    """Compiled (rates, C[z, p, m]) of sum scal * (s^p / p!) * f(u) over the
+    pieces (scal, p, f), with u = t - s."""
+    index = {z: k for k, z in enumerate(dict.fromkeys(z for *_, f in pieces for z in f.rates))}
+    out = np.zeros((len(index), 1 + max(p for _, p, _ in pieces),
+                    max(f.C.shape[1] for *_, f in pieces)),
+                   dtype=np.result_type(*(f.C for *_, f in pieces)))
+    for scal, p, f in pieces:
+        out[[index[z] for z in f.rates], p, :f.C.shape[1]] += scal * f.C
     return np.array(list(index), dtype=out.dtype), out
+
+
+def _s_derivative(form, n):
+    """n-th d/ds at fixed t of a form (rates, C[z, p, m]) over (s^p / p!) u^m e^{zu},
+    u = t - s: C'[z, p, m] = C[z, p+1, m] - (m+1) C[z, p, m+1] - z C[z, p, m], exact
+    and of the same shape (d/ds shifts p, so the terms keep their exact +-1)."""
+    rates, C = form
+    for _ in range(n):
+        D = -rates[:, None, None] * C
+        D[:, :-1] += C[:, 1:]
+        D[:, :, :-1] -= np.arange(1, C.shape[2]) * C[:, :, 1:]
+        C = D
+    return rates, C
 
 
 @_kept_on_kernel
@@ -560,10 +564,6 @@ def parse_kernel(text):
     return ExpPolyFn(terms)
 
 
-def _fmt_float(x):
-    return repr(float(x))
-
-
 def format_kernel(f):
     """Canonical printer, terms in (power, rate, freq, phase) order; the output
     parses back to an eval-identical function."""
@@ -572,14 +572,14 @@ def format_kernel(f):
                    for phase, coeff in (("cos", c.real), ("sin", -c.imag)) if coeff != 0.0)
     parts = []
     for power, rate, freq, phase, coeff in terms:
-        factors = [_fmt_float(coeff)]
+        factors = [repr(float(coeff))]
         if power == 1:
             factors.append("t")
         elif power > 1:
             factors.append(f"t^{power}")
         if rate != 0.0:
-            factors.append(f"exp({_fmt_float(rate)}*t)")
+            factors.append(f"exp({float(rate)!r}*t)")
         if freq != 0.0:
-            factors.append(f"{phase}({_fmt_float(freq)}*t)")
+            factors.append(f"{phase}({float(freq)!r}*t)")
         parts.append("*".join(factors))
     return " + ".join(parts) or "0"

@@ -105,9 +105,8 @@ class ObsSetup:
         self.time_weight = self.times ** alpha if self.weighted else np.ones(n_used)
 
         basis = table.basis
-        cols = np.clip((basis.x * mask.n_x).astype(int), 0, mask.n_x - 1)
-        rows = np.clip((self.times / mask.T * mask.n_t).astype(int), 0, mask.n_t - 1)
-        self.masked_weights = np.where(mask.cells[np.ix_(rows, cols)],
+        rows = mask.rows_at(self.times)
+        self.masked_weights = np.where(mask.cells[np.ix_(rows, mask.columns_at(basis.x))],
                                        basis.weights[None, :], 0.0)
         self.phi_win = table.phi[:, i0:i1 + 1]
         # first window row of each run of rows that meet one mask row
@@ -395,11 +394,11 @@ def two_sided_constants(setup, n_restarts=32, n_iter=250, rng=None):
     """
     rng = np.random.default_rng(0) if rng is None else rng
     G, D = gram_matrix(setup)
-    lam = scipy.linalg.eigh(G, D, eigvals_only=True)
+    lam, V = scipy.linalg.eigh(G, D)  # surrogate constants and start directions
     sur_lo = math.sqrt(max(lam[0], 0.0))
     sur_up = math.sqrt(max(lam[-1], 0.0))
     half = setup.mass_matrix() ** 0.5
-    U0 = _start_pool(_pencil_eigh(G, D)[1].T * half, n_restarts, rng)
+    U0 = _start_pool(V.T * half, n_restarts, rng)
 
     U_lo, it_lo, cap_lo = _mm_loop(setup, U0, n_iter)
     U_up, it_up, cap_up = _mm_loop(setup, U0, n_iter, ascend=True)
@@ -465,12 +464,11 @@ def null_obs_constant(setup, n_restarts=24, n_iter=200, rng=None):
     """
     rng = np.random.default_rng(0) if rng is None else rng
     G, D = gram_matrix(setup)
-    lamG = scipy.linalg.eigh(G, eigvals_only=True)
+    lamG, VG = scipy.linalg.eigh(G)
     report = {"quotient_unbounded": False, "iterations": 0, "converged": True}
     if lamG[0] <= 1e-14 * max(lamG[-1], 1e-300):
         # direction with (numerically) zero observation
-        _, V = scipy.linalg.eigh(G)
-        w = V[:, 0]
+        w = VG[:, 0]
         if obs_seminorm(setup, w) < 1e-12 * np.linalg.norm(w):
             report["quotient_unbounded"] = True
             return math.inf, SpectralVec(w), report
@@ -564,12 +562,8 @@ def _early_cylinder_depth(setup, x_lo, x_hi):
     cols = (mask.x_mid > x_lo) & (mask.x_mid < x_hi)
     if not cols.any():
         return 0.0
-    sub = mask.cells[:, cols]
-    full = np.all(sub, axis=1)
-    k = 0
-    while k < mask.n_t and full[k]:
-        k += 1
-    return k * mask.dt
+    full = np.all(mask.cells[:, cols], axis=1)
+    return (mask.n_t if full.all() else int(np.argmin(full))) * mask.dt
 
 
 def alpha_probe(setup, k_list, omega=(0.25, 0.75), laplacian_power=2,

@@ -171,6 +171,27 @@ def test_bad_ranges_exit_two(tmp_path, capsys, overrides):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command, overrides", [
+    ("control", {"control": {"regime": "linf"}}),
+    ("control", {"control": {"regime": "weighted_linf", "alpha": 0.5}}),
+    ("control", {"control": {"T_hat": -1.0}}),
+    ("reconstruct", {"reconstruct": {"noise": -0.1}}),
+    ("moc", {"mask": {"kind": "zigzag", "eps": 0.0}}),
+    ("moc", {"mask": {"kind": "zigzag", "eps": -0.2}}),
+    ("moc", {"mask": {"kind": "cylinder", "x_lo": 0.6, "x_hi": 0.6}}),
+    ("moc", {"mask": {"kind": "cusp", "S": 1.5}}),
+    ("moc", {"mask": {"kind": "cusp", "S": -0.1}}),
+    ("obsconst", {"mask": {"kind": "cylinder", "x_lo": 0.7, "x_hi": 0.2}}),
+], ids=["regime-linf", "weighted-alpha-half", "T-hat-negative", "noise-negative",
+        "zigzag-eps-zero", "zigzag-eps-negative", "cylinder-empty-band", "cusp-S-past-T",
+        "cusp-S-negative", "obsconst-cylinder-reversed"])
+def test_bad_values_exit_two(tmp_path, capsys, command, overrides):
+    p = tmp_path / "c.json"
+    write_cfg(p, **overrides)
+    assert run([command, "--config", p, "--out", tmp_path / "o"]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
 def test_csv_fields_are_numbers(tmp_path):
     p = tmp_path / "c.json"
     # the bump probe needs a mask containing an early cylinder

@@ -48,6 +48,16 @@ def test_cylinder_band():
     assert slice_measure(m, m.column_at(0.3)) == pytest.approx(0.8, abs=m.dt)
 
 
+def test_cell_lookup_at_edges_and_horizon():
+    m = cylinder_mask(2.0, 8, 4)  # rows 0.25 wide in t, columns 0.25 wide in x
+    t = np.array([0.0, 0.1, 0.2, 0.25, 0.5, 1.75, 1.999, 2.0])
+    assert m.rows_at(t).tolist() == [0, 0, 0, 1, 2, 7, 7, 7]
+    x = np.array([0.0, 0.2, 0.25, 0.5, 0.75, 0.99, 1.0])
+    assert m.columns_at(x).tolist() == [0, 0, 1, 2, 3, 3, 3]
+    assert [m.column_at(v) for v in x] == m.columns_at(x).tolist()
+    assert isinstance(m.column_at(0.5), int) and m.rows_at(2.0) == 7
+
+
 def test_zigzag_slice_measures(zig):
     # every column is observed for a total time eps once T > 1 + eps
     for x in (0.1, 0.25, 0.4, 0.6, 0.9):

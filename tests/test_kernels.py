@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -449,6 +450,99 @@ def test_derived_objects_kept_on_kernel():
     assert M.derivative(2) is M.derivative(2) and M.derivative(0) is M
     # equal kernels parsed twice are separate objects with separate memos
     assert conv_power(parse_kernel(format_kernel(M)), 3) is not conv_power(M, 3)
+
+
+# ---------------------------------------------------------------------------
+# the Leibniz form the folded series kernel replaced, and exact references
+# ---------------------------------------------------------------------------
+
+def ref_leibniz_eval(M, N, J, t, s):
+    """d^N/ds^N of sum_{j<=J} ((-s)^j / j!) M^{*j}(t - s), each term expanded
+    by the Leibniz rule into s^(j-i) times (M^{*j})^(N-i)(t - s)."""
+    s = np.asarray(s, dtype=float)
+    return sum(math.comb(N, i) * (-1.0) ** j * (-1.0) ** (N - i) / math.factorial(j - i)
+               * s ** (j - i) * conv_power(M, j).derivative(N - i).eval(t - s)
+               for j in range(1, J + 1) for i in range(min(N, j) + 1))
+
+
+# exp(-t) + t^4 exp(-2t) is left out: its convolution powers are cancellation
+# noise from j ~ 10 (the 1e-15 rule of ExpPolyFn._store), in either form
+@pytest.mark.parametrize("text", ["exp(-1*t)", "exp(-0.9321*t)*cos(1.8472*t)",
+                                  "exp(-0.8668*t) + 0.7431*t*exp(-2.2246*t)",
+                                  "t^2*exp(0.5*t)*cos(2*t)"])
+def test_km_partial_matches_leibniz_reference(text):
+    M = parse_kernel(text)
+    for N in range(5):
+        K = km_partial(M, N, 40)
+        got, want = [], []
+        for t in np.linspace(0.25, 3.0, 12):
+            s = np.linspace(0.0, t, 41)
+            got.append(K.eval(t, s))
+            want.append(ref_leibniz_eval(M, N, 40, t, s))
+        got, want = np.array(got), np.array(want)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def _taylor_at_zero(terms, n):
+    """M^(k)(0), k < n, as exact fractions, for real-rate terms (c, m, a)."""
+    out = [Fraction(0)] * n
+    for c, m, a in terms:
+        c, a = Fraction(c), Fraction(a)
+        for k in range(m, n):
+            out[k] += c * (math.factorial(k) // math.factorial(k - m)) * a ** (k - m)
+    return out
+
+
+def _powers_at_zero(terms, j_max, n):
+    """F[j][k] = (M^{*j})^(k)(0), j <= j_max, k < n: M-hat^j = s^-j A(1/s)^j
+    with A(x) = sum_k M^(k)(0) x^k, so F[j][k] is the x^(k+1-j) coefficient
+    of A(x)^j."""
+    A = _taylor_at_zero(terms, n)
+    P, F = [Fraction(1)] + [Fraction(0)] * (n - 1), [None]
+    for j in range(1, j_max + 1):
+        P = [sum(P[i] * A[k - i] for i in range(k + 1)) for k in range(n)]
+        F.append([P[k + 1 - j] if k + 1 >= j else Fraction(0) for k in range(n)])
+    return F
+
+
+_REAL_RATE_KERNELS = {  # text: its terms (c, m, a)
+    "exp(-1*t)": [(1.0, 0, -1.0)],
+    "3": [(3.0, 0, 0.0)],
+    "t*exp(-1.5*t)": [(1.0, 1, -1.5)],
+    "exp(-0.8668*t) + 0.7431*t*exp(-2.2246*t)": [(1.0, 0, -0.8668), (0.7431, 1, -2.2246)],
+}
+
+
+@pytest.mark.parametrize("text", list(_REAL_RATE_KERNELS))
+def test_h_coeff_matches_exact_taylor_series(text):
+    # h_l(t) = (-1)^l sum_j C(l, j) (M^{*j})^(l-j)(t), summed exactly as its
+    # Taylor series at 0; 70 terms put the tail below 1e-20 for t <= 2
+    M, n, ts = parse_kernel(text), 70, (0.0, 0.5, 1.0, 2.0)
+    F = _powers_at_zero(_REAL_RATE_KERNELS[text], 7, n)
+    for l in range(1, 8):
+        taylor = [(-1) ** l * sum(math.comb(l, j) * F[j][l - j + k] for j in range(1, l + 1))
+                  / math.factorial(k) for k in range(n - l)]
+        want = [float(sum(c * Fraction(t) ** k for k, c in enumerate(taylor))) for t in ts]
+        got = h_coeff(M, l).eval(np.array(ts))
+        # relative to the largest |h_l| on the points: h_2 of exp(-t) vanishes at t = 2
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("text", [*_REAL_RATE_KERNELS, "exp(-1*t) + t^4*exp(-2*t)"])
+def test_p_coeff_matches_exact_coefficients(text):
+    # p_l(t) = -d^l/ds^l K(t, s) at s = t: the t^m coefficient collects the
+    # Leibniz pieces with s^(j-i), m = j - i, at u = 0
+    terms = _REAL_RATE_KERNELS.get(text, [(1.0, 0, -1.0), (1.0, 4, -2.0)])
+    M, F = parse_kernel(text), _powers_at_zero(terms, 8, 20)
+    for l in range(8):
+        want = np.array([float(-(-1) ** (l + m) * sum(
+            math.comb(l, j - m) * F[j][l - j + m] for j in range(max(1, m), l + 2))
+            / math.factorial(m)) for m in range(l + 2)])
+        p = p_coeff(M, l)
+        assert p.rates.tolist() in ([], [0.0])
+        got = np.zeros(l + 2)
+        got[:p.C.shape[1]] = p.C.sum(axis=0)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 # ---------------------------------------------------------------------------

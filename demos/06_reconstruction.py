@@ -49,8 +49,7 @@ noisy = synthesize_observation(setup, truth, noise=0.01,
                                rng=np.random.default_rng(7))
 noise_norm = setup.l2_norm(noisy - data)
 lam = discrepancy_lambda(setup, noisy, noise_norm)
-rec2, diag2 = reconstruct_y0(ReconstructionProblem(setup, noisy, lam=lam,
-                                                   noise_level=0.01))
+rec2, diag2 = reconstruct_y0(ReconstructionProblem(setup, noisy, lam=lam))
 rel2 = hs_norm(basis, SpectralVec(rec2.coeffs - truth), -4.0) \
     / hs_norm(basis, SpectralVec(truth), -4.0)
 print(f"\n1% noise, discrepancy-principle regularization "

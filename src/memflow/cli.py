@@ -16,7 +16,6 @@ import os
 import sys
 
 import numpy as np
-import scipy.linalg
 
 from . import geometry, kernels
 from .flow import (
@@ -39,6 +38,7 @@ from .inverse_control import (
     synthesize_observation,
 )
 from .observability import (
+    REF_EXPONENT,
     ObsSetup,
     alpha_probe,
     gram_matrix,
@@ -400,8 +400,8 @@ def cmd_moc(cfg, sink, rng, tol_scale):
     return verified
 
 
-def _setup_from_cfg(cfg, J=None, method="volterra"):
-    M = parse_kernel_checked(cfg["kernel"])
+def _setup_from_cfg(cfg, M, J=None, method="volterra"):
+    """The observation setup of the config for the parsed kernel M."""
     J = cfg["basis"]["J"] if J is None else J
     basis = interval_basis(J, max(cfg["basis"]["n_x"], 4 * J))
     table = build_flow_table(M, basis, cfg["time"]["T"], cfg["time"]["n_t"],
@@ -415,12 +415,13 @@ def _setup_from_cfg(cfg, J=None, method="volterra"):
 def cmd_obsconst(cfg, sink, rng, tol_scale):
     J_list = cfg.get("obsconst", {}).get("J_list", [cfg["basis"]["J"]])
     n_restarts = cfg.get("obsconst", {}).get("n_restarts", 32)
+    M = parse_kernel_checked(cfg["kernel"])
 
     rows, reports = [], {}
     for J in J_list:
         # per-J rng keyed by (seed, J): a row does not depend on the others
         local = np.random.default_rng([cfg["seed"], J])
-        setup = _setup_from_cfg(cfg, J=J)
+        setup = _setup_from_cfg(cfg, M, J=J)
         rep = two_sided_constants(setup, n_restarts=n_restarts, rng=local)
         c_null, _, nd = null_obs_constant(setup, rng=local)
         relC, share = relaxed_inequality_fit(setup, rng=local)
@@ -444,7 +445,8 @@ def cmd_probe_alpha(cfg, sink, rng, tol_scale):
     k_list = pa.get("k_list", [1, 2, 4, 8, 16, 24, 32])
     omega = tuple(pa.get("omega", [0.25, 0.75]))
     q = pa.get("laplacian_power", 2)
-    setup = _setup_from_cfg(cfg, method="decomposition")
+    setup = _setup_from_cfg(cfg, parse_kernel_checked(cfg["kernel"]),
+                            method="decomposition")
     try:
         recs = alpha_probe(setup, k_list, omega=omega, laplacian_power=q)
     except ValueError as e:
@@ -470,7 +472,7 @@ def cmd_probe_ball(cfg, sink, rng, tol_scale):
     cfg["mask"] = {"kind": "ball_complement", "x_star": x_star, "r": r,
                    "n_t": max(64, cfg["time"]["n_t"] // 8),
                    "n_x": max(32, cfg["basis"]["n_x"] // 2)}
-    setup = _setup_from_cfg(cfg, method="decomposition")
+    setup = _setup_from_cfg(cfg, M, method="decomposition")
     J_index = first_nonzero_h_index(M, T)
     recs = missing_ball_probe(setup, x_star, r, J_index, k_list)
     hJ = abs(kernels.h_coeff(M, J_index).eval(T))
@@ -505,7 +507,7 @@ def cmd_probe_heat(cfg, sink, rng, tol_scale):
 
 def cmd_reconstruct(cfg, sink, rng, tol_scale):
     rc = cfg.get("reconstruct", {})
-    setup = _setup_from_cfg(cfg)
+    setup = _setup_from_cfg(cfg, parse_kernel_checked(cfg["kernel"]))
     truth_rng = np.random.default_rng(rc.get("truth_seed", cfg["seed"]))
     truth = truth_rng.standard_normal(setup.basis.J)
     truth /= np.linalg.norm(truth)
@@ -517,10 +519,10 @@ def cmd_reconstruct(cfg, sink, rng, tol_scale):
         lam = rc.get("lambda") or discrepancy_lambda(setup, data, noise_norm)
     else:
         lam = rc.get("lambda", 0.0)
-    rec, diag = reconstruct_y0(ReconstructionProblem(setup, data, lam=lam,
-                                                     noise_level=noise))
+    rec, diag = reconstruct_y0(ReconstructionProblem(setup, data, lam=lam))
     err = SpectralVec(rec.coeffs - truth)
-    rel = hs_norm(setup.basis, err, -4.0) / hs_norm(setup.basis, truth, -4.0)
+    rel = (hs_norm(setup.basis, err, REF_EXPONENT)
+           / hs_norm(setup.basis, truth, REF_EXPONENT))
     sink.write_csv("coefficients.csv", "j, truth, reconstructed",
                    [(j + 1, truth[j], rec.coeffs[j]) for j in range(len(truth))])
     sink.write_json("reconstruct.json", {
@@ -570,14 +572,13 @@ def cmd_duality(cfg, sink, rng, tol_scale):
         np.eye(2), np.diag([1.0, 0.5]),
         [np.array([1.0, 0.0]), np.array([0.0, 1.0])])
     # observability instance
-    setup = _setup_from_cfg(cfg)
+    setup = _setup_from_cfg(cfg, parse_kernel_checked(cfg["kernel"]))
     G = gram_matrix(setup)[0]
-    G = G + 1e-13 * np.trace(G) * np.eye(len(G))
-    L = np.linalg.cholesky(G)
+    L = np.linalg.cholesky(G + 1e-13 * np.trace(G) * np.eye(len(G)))
     R = np.diag(setup.mass_matrix() ** 0.5)
     xs = [rng.standard_normal(setup.basis.J) for _ in range(n_xstar)]
-    # include the extremal direction of the pencil
-    xs.append(scipy.linalg.eigh(R.T @ R, G)[1][:, -1])
+    # include the extremal direction: the least eigenvector of (G, R^T R)
+    xs.append(setup.pencil()[1][:, 0])
     C2b, _, C1b = duality_range_test(R, L.T, xs)
     rep = two_sided_constants(setup, rng=rng)
     sink.write_json("duality.json", {

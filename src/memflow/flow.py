@@ -257,7 +257,7 @@ def volterra_modes(M, etas, T, n_steps, y0=None, forcing=None):
     return _scan(A, x0, n_steps + 1, e, 0.5 * dt * (f[:-1] + f[1:]))
 
 
-def volterra_mode(M, eta, tgrid, forcing=None, y0=1.0):
+def volterra_mode(M, eta, tgrid):
     """Single-mode propagator samples on a uniform grid starting at 0.
 
     ``tgrid`` must be uniform with t_0 = 0; rejects eta*dt > 2.
@@ -266,10 +266,7 @@ def volterra_mode(M, eta, tgrid, forcing=None, y0=1.0):
     dt = tgrid[1] - tgrid[0]
     if tgrid[0] != 0.0 or not np.allclose(np.diff(tgrid), dt):
         raise ValueError("tgrid must be uniform and start at 0")
-    n = len(tgrid) - 1
-    f = None if forcing is None else np.asarray(forcing, dtype=float).reshape(-1, 1)
-    out = volterra_modes(M, [eta], tgrid[-1], n, y0=[y0], forcing=f)
-    return out[:, 0]
+    return volterra_modes(M, [eta], tgrid[-1], len(tgrid) - 1)[:, 0]
 
 
 def volterra_influence(M, etas, T, n_steps):
@@ -300,9 +297,9 @@ def volterra_influence(M, etas, T, n_steps):
 # ---------------------------------------------------------------------------
 
 @functools.cache
-def _unit_gauss_panels(n_levels, n_gauss):
+def _unit_gauss_panels(n_gauss):
     """Read-only nodes and weights of ``_gauss_panels`` on [0, 1]."""
-    edges = np.concatenate([[0.0], 2.0 ** -np.arange(n_levels - 1, -1, -1.0)])
+    edges = np.concatenate([[0.0], 2.0 ** (np.arange(36) - 35.0)])
     xg, wg = leggauss(n_gauss)
     h = 0.5 * np.diff(edges)[:, None]
     nodes, weights = (edges[:-1, None] + h * (xg + 1.0)).ravel(), (h * wg).ravel()
@@ -310,14 +307,14 @@ def _unit_gauss_panels(n_levels, n_gauss):
     return nodes, weights
 
 
-def _gauss_panels(t, n_levels=36, n_gauss=12):
+def _gauss_panels(t, n_gauss=12):
     """Geometrically refined Gauss-Legendre nodes on [0, t], the panels on
     [0, 1] scaled by t.
 
-    The geometric refinement toward 0 resolves boundary layers e^{-eta s}
-    for eta up to ~2^n_levels / t with a fixed node set shared by all modes.
+    The 36 geometric levels toward 0 resolve boundary layers e^{-eta s}
+    for eta up to ~2^36 / t with a fixed node set shared by all modes.
     """
-    nodes, weights = _unit_gauss_panels(n_levels, n_gauss)
+    nodes, weights = _unit_gauss_panels(n_gauss)
     return t * nodes, t * weights
 
 
@@ -368,38 +365,37 @@ def kernel_rep_mode(M, eta, t, J_max=DEFAULT_KM_TRUNCATION, check_tol=None):
 # decomposition route
 # ---------------------------------------------------------------------------
 
-def remainder_profile(M, t, N, etas, J_max=DEFAULT_KM_TRUNCATION, n_gauss=12):
+def remainder_profile(M, t, N, etas, n_gauss=12):
     """Remainder multiplier values R_N(t, eta) for an array of modes.
 
     R_N(t, eta) = int_0^t eta e^{-eta s} (d/ds)^N K(t, s) ds, evaluated with a
-    geometric-panel Gauss rule sharing kernel samples across modes.
+    geometric-panel Gauss rule sharing kernel samples across modes, on the
+    series kernel of DEFAULT_KM_TRUNCATION terms.
     """
     etas = np.atleast_1d(np.asarray(etas, dtype=float))
     if t == 0.0:
         return np.zeros_like(etas)
     s, w = _gauss_panels(t, n_gauss=n_gauss)
-    Kv = km_partial(M, N, J_max).eval(t, s)
+    Kv = km_partial(M, N, DEFAULT_KM_TRUNCATION).eval(t, s)
     return etas * (np.exp(-np.outer(etas, s)) @ (w * Kv))
 
 
-def remainder_RN_mode(M, eta, t, N, J_max=DEFAULT_KM_TRUNCATION, tol=1e-8):
+def remainder_RN_mode(M, eta, t, N):
     """Single-mode remainder value with a convergence check.
 
     Recomputes at a finer Gauss order; if the two answers differ by more than
-    ``tol`` (relative to max(1, |value|)) raise QuadratureError carrying the
+    1e-8 (relative to max(1, |value|)) raise QuadratureError carrying the
     achieved error estimate.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
     if t == 0.0:
         return 0.0
-    coarse = float(remainder_profile(M, t, N, [eta], J_max, n_gauss=12)[0])
-    fine = float(remainder_profile(M, t, N, [eta], J_max, n_gauss=16)[0])
+    coarse = float(remainder_profile(M, t, N, [eta], n_gauss=12)[0])
+    fine = float(remainder_profile(M, t, N, [eta], n_gauss=16)[0])
     err = abs(fine - coarse)
-    if err > tol * max(1.0, abs(fine)):
-        raise QuadratureError(
-            f"remainder quadrature error estimate {err:.3e} exceeds {tol:.3e}"
-        )
+    if err > 1e-8 * max(1.0, abs(fine)):
+        raise QuadratureError(f"remainder quadrature error estimate {err:.3e} exceeds 1e-8")
     return fine
 
 
@@ -425,18 +421,18 @@ class DecompositionParts:
     total: float
 
 
-def _decomposition(M, t, etas, N, J_max):
+def _decomposition(M, t, etas, N):
     """Heat part, wave part, remainder R_N and scaled remainder of the
     order-N decomposition at time t, one entry per mode."""
     inv_powers = etas[:, None] ** -(np.arange(N)[None, :] + 1.0)
     pl = np.array([p_coeff(M, l).eval(t) for l in range(N)])
     hl = np.array([h_coeff(M, l).eval(t) for l in range(N)])
-    R = remainder_profile(M, t, N, etas, J_max)
+    R = remainder_profile(M, t, N, etas)
     return (np.exp(-etas * t) * (1.0 + inv_powers @ pl), inv_powers @ hl,
             R, R * etas ** -(N + 1.0))
 
 
-def decomposition_mode(M, eta, t, N=DEFAULT_DECOMP_ORDER, J_max=DEFAULT_KM_TRUNCATION):
+def decomposition_mode(M, eta, t, N=DEFAULT_DECOMP_ORDER):
     """Order-N decomposition of the mode propagator at time t > 0.
 
     Refuses t = 0 (the remainder quadrature degenerates there); callers probe
@@ -447,22 +443,22 @@ def decomposition_mode(M, eta, t, N=DEFAULT_DECOMP_ORDER, J_max=DEFAULT_KM_TRUNC
     if N < 2:
         raise ValueError("N must be >= 2")
     heat, wave, R, scaled = (float(v[0]) for v in
-                             _decomposition(M, t, np.array([float(eta)]), N, J_max))
+                             _decomposition(M, t, np.array([float(eta)]), N))
     return DecompositionParts(heat=heat, wave=wave, remainder_scaled=scaled,
                               remainder_value=R, order=N, total=heat + wave + scaled)
 
 
-def first_nonzero_h_index(M, T, l_max=10):
-    """Smallest l >= 1 with h_l(T) != 0, zeros judged against a derivative-scale
-    threshold so exact zeros (e.g. M(T) = 0 makes h_1(T) = 0) are not confused
-    with roundoff."""
+def first_nonzero_h_index(M, T):
+    """Smallest l in [1, 10] with h_l(T) != 0, zeros judged against a
+    derivative-scale threshold so exact zeros (e.g. M(T) = 0 makes h_1(T) = 0)
+    are not confused with roundoff."""
     if M.is_zero():
         raise ValueError("kernel is identically zero")
-    for l in range(1, l_max + 1):
+    for l in range(1, 11):
         scale = kernel_c_norm(M, l, T)
         if abs(h_coeff(M, l).eval(T)) > 1e-12 * max(scale, 1e-300):
             return l
-    raise RuntimeError(f"no nonzero h_l(T) found for l <= {l_max}")
+    raise RuntimeError("no nonzero h_l(T) found for l <= 10")
 
 
 # ---------------------------------------------------------------------------
@@ -498,12 +494,13 @@ def _fine_steps(etas, T, n_steps):
     return n_steps * max(1, math.ceil(float(etas[-1]) * (T / n_steps) / 1.9))
 
 
-def build_flow_table(M, basis, T, n_steps, method="volterra",
-                     N=DEFAULT_DECOMP_ORDER, J_max=DEFAULT_KM_TRUNCATION):
+def build_flow_table(M, basis, T, n_steps, method="volterra"):
     """Tabulate all mode propagators on the uniform grid over [0, T].
 
     The time-stepping route automatically substeps so that eta*dt stays under
-    the stability guard for every mode, then keeps the requested grid.
+    the stability guard for every mode, then keeps the requested grid.  The
+    kernel route sums DEFAULT_KM_TRUNCATION series terms; the decomposition
+    route has order DEFAULT_DECOMP_ORDER.
     """
     etas = basis.eigenvalues
     tgrid = np.linspace(0.0, T, n_steps + 1)
@@ -514,14 +511,14 @@ def build_flow_table(M, basis, T, n_steps, method="volterra",
     elif method == "kernel_rep":
         phi = np.ones((basis.J, n_steps + 1))
         for i, t in enumerate(tgrid[1:], start=1):
-            phi[:, i] = kernel_rep_profile(M, t, etas, J_max)
+            phi[:, i] = kernel_rep_profile(M, t, etas)
         tag = "kernel_rep"
     elif method == "decomposition":
         phi = np.ones((basis.J, n_steps + 1))
         for i, t in enumerate(tgrid[1:], start=1):
-            heat, wave, _, scaled = _decomposition(M, t, etas, N, J_max)
+            heat, wave, _, scaled = _decomposition(M, t, etas, DEFAULT_DECOMP_ORDER)
             phi[:, i] = heat + wave + scaled
-        tag = f"decomposition({N})"
+        tag = f"decomposition({DEFAULT_DECOMP_ORDER})"
     else:
         raise ValueError(f"unknown method {method!r}")
     return FlowTable(basis=basis, tgrid=tgrid, phi=phi, method=tag,
@@ -569,19 +566,17 @@ def control_forcing(basis, mask, control, tgrid):
 
 
 class RouteMismatchError(RuntimeError):
-    """The two forced-solution routes disagree beyond the requested tolerance."""
+    """A forced replay misses the final state its moment solve predicts."""
 
 
-def forced_solution(M, basis, y0, control, mask, T, n_steps, checkpoints=16,
-                    discrepancy_tol=None):
+def forced_solution(M, basis, y0, control, mask, T, n_steps):
     """Controlled trajectory, computed twice and cross-checked.
 
     Route (a) is the forced time stepper; route (b) is the superposition sum
     y(t) = phi(t) y0 + sum_k w_k phi(t - s_k) f(s_k) built from the propagator
     table (trapezoid weights).  Returns the route-(a) coefficient trajectory
     on the requested grid together with the max coefficient-space distance
-    between the routes over a checkpoint set; when ``discrepancy_tol`` is
-    given, a larger distance raises RouteMismatchError.
+    between the routes over 16 evenly spaced checkpoints.
 
     Returns
     -------
@@ -590,8 +585,7 @@ def forced_solution(M, basis, y0, control, mask, T, n_steps, checkpoints=16,
     """
     etas = basis.eigenvalues
     phi = volterra_modes(M, etas, T, _fine_steps(etas, T, n_steps))
-    return _replay(M, basis, y0, control, mask, T, n_steps, phi, checkpoints,
-                   discrepancy_tol)
+    return _replay(M, basis, y0, control, mask, T, n_steps, phi)
 
 
 def _forced_run(M, basis, a0, control, mask, T, nf):
@@ -601,8 +595,7 @@ def _forced_run(M, basis, a0, control, mask, T, nf):
     return volterra_modes(M, basis.eigenvalues, T, nf, y0=a0, forcing=f), f
 
 
-def _replay(M, basis, y0, control, mask, T, n_steps, phi, checkpoints=16,
-            discrepancy_tol=None):
+def _replay(M, basis, y0, control, mask, T, n_steps, phi):
     """``forced_solution`` given the unforced table phi (nf+1, J) of its
     substepped grid, for a caller that has already swept it."""
     nf = len(phi) - 1
@@ -611,15 +604,11 @@ def _replay(M, basis, y0, control, mask, T, n_steps, phi, checkpoints=16,
     phi = phi.T  # (J, nf+1)
 
     dt = T / nf
-    idxs = sorted(set(list(np.linspace(0, nf, checkpoints + 1).astype(int)) + [nf]))
+    idxs = np.unique(np.linspace(0, nf, 17).astype(int))
     disc = 0.0
     for i in idxs[1:]:  # idxs[0] = 0
         w = np.full(i + 1, dt)
         w[0] = w[-1] = 0.5 * dt
         duh = phi[:, i] * a0 + np.einsum("k,jk,kj->j", w, phi[:, i::-1], f[: i + 1])
         disc = max(disc, float(np.linalg.norm(fine[i] - duh)))
-    if discrepancy_tol is not None and disc > discrepancy_tol:
-        raise RouteMismatchError(
-            f"forced-solution routes disagree by {disc:.3e} "
-            f"(tolerance {discrepancy_tol:.3e})")
     return fine[::nf // n_steps], disc

@@ -94,15 +94,14 @@ def _from_predicate(T, n_t, n_x, pred, provenance):
     return Mask(T=T, n_t=n_t, n_x=n_x, cells=cells, provenance=provenance)
 
 
-def cylinder_mask(T, n_t, n_x, x_lo=0.0, x_hi=1.0, S=0.0, t_hi=None):
-    """Time slab [S, t_hi] times the spatial band (x_lo, x_hi)."""
+def cylinder_mask(T, n_t, n_x, x_lo=0.0, x_hi=1.0, S=0.0):
+    """Time slab [S, T] times the spatial band (x_lo, x_hi)."""
     if x_hi <= x_lo:
         raise ValueError("empty spatial band")
-    t_hi = T if t_hi is None else t_hi
     return _from_predicate(
         T, n_t, n_x,
-        lambda t, x: (t > S) & (t < t_hi) & (x > x_lo) & (x < x_hi),
-        f"cylinder(x_lo={x_lo},x_hi={x_hi},S={S},t_hi={t_hi})",
+        lambda t, x: (t > S) & (x > x_lo) & (x < x_hi),
+        f"cylinder(x_lo={x_lo},x_hi={x_hi},S={S},t_hi={T})",
     )
 
 
@@ -272,8 +271,9 @@ def ball_average(mask, r, T_hi=None):
     return best
 
 
-def weighted_slice(mask, M, S, T_hi, x_cell, n_gauss=4):
-    """int_S^T' chi(t, x) |M(t)| dt for one column, by per-cell Gauss quadrature."""
+def weighted_slice(mask, M, S, T_hi, x_cell):
+    """int_S^T' chi(t, x) |M(t)| dt for one column, by 4-point Gauss quadrature
+    per cell."""
     w = _window_weights(mask, S, T_hi)
     active = mask.cells[:, x_cell] & (w > 0)
     if not active.any():
@@ -282,7 +282,7 @@ def weighted_slice(mask, M, S, T_hi, x_cell, n_gauss=4):
     dt = mask.dt
     lo = np.maximum(idx * dt, S)
     hi = np.minimum((idx + 1) * dt, T_hi)
-    xg, wg = np.polynomial.legendre.leggauss(n_gauss)
+    xg, wg = np.polynomial.legendre.leggauss(4)
     h = 0.5 * (hi - lo)
     nodes = lo[:, None] + h[:, None] * (xg[None, :] + 1.0)
     vals = np.abs(M.eval(nodes.ravel())).reshape(nodes.shape)
@@ -311,13 +311,14 @@ def _refine_root(f, lo, hi):
     return 0.5 * (lo + hi)
 
 
-def _locate_zeros(f, S, T, samples=4096):
+def _locate_zeros(f, S, T):
     """Zeros of an exponential polynomial on [S, T] with multiplicities.
 
     Sign changes of f give odd-order roots; sign changes of f' where |f| dips
     to the noise floor give even-order roots.  Orders come from the first
     derivative that clears a scale-relative threshold.
     """
+    samples = 4096
     ts = np.linspace(S, T, samples + 1)
     vals = f.eval(ts)
     scale0 = kernel_c_norm(f, 0, max(T, 1e-12))
@@ -364,7 +365,7 @@ def _locate_zeros(f, S, T, samples=4096):
     return out
 
 
-def analytic_lower_bound_check(mask, f, S, T_hi, safety=0.9):
+def analytic_lower_bound_check(mask, f, S, T_hi):
     """Constant and exponent for the slice lower bound through zeros of f.
 
     Finds the zeros of f on [S, T'] with orders, sets beta to the largest
@@ -372,7 +373,8 @@ def analytic_lower_bound_check(mask, f, S, T_hi, safety=0.9):
 
         int chi(t,x) |f(t)| dt  >=  C * (int chi(t,x) dt)^(beta+1)
 
-    holds for every column, then verifies the inequality column by column.
+    holds for every column (C is 0.9 times the derived constant), then
+    verifies the inequality column by column.
 
     Returns (C, beta, verified, per-column margins).
     """
@@ -384,7 +386,7 @@ def analytic_lower_bound_check(mask, f, S, T_hi, safety=0.9):
     Tscale = max(T_hi, 1e-12)
     if not zeros:
         beta = 0
-        C = safety * float(np.min(absf))
+        C = 0.9 * float(np.min(absf))
     else:
         beta = max(d for _, d in zeros)
         # |f(t)| >= C1 * min_j |t - t_j|^{d_j}: take the sampled minimum of the
@@ -399,7 +401,7 @@ def analytic_lower_bound_check(mask, f, S, T_hi, safety=0.9):
             C1 = min(C1, abs(f.derivative(d).eval(t0)) / math.factorial(d))
         C2 = C1 * min(Tscale ** (d - beta) for _, d in zeros)
         m = len(zeros)
-        C = safety * 2.0 * C2 / (beta + 1.0) / (2.0 * m) ** (beta + 1.0)
+        C = 0.9 * 2.0 * C2 / (beta + 1.0) / (2.0 * m) ** (beta + 1.0)
     margins = []
     ok = True
     for ix in range(mask.n_x):

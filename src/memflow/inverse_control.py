@@ -27,8 +27,8 @@ from .flow import (
     volterra_influence,
     volterra_modes,
 )
-from .observability import ObsSetup, unique_continuation_rank
-from .spectral import SpectralVec, hs_norm
+from .observability import REF_EXPONENT, ObsSetup, unique_continuation_rank
+from .spectral import SpectralVec
 
 __all__ = [
     "ReconstructionProblem",
@@ -56,7 +56,7 @@ class SingularSystemError(np.linalg.LinAlgError):
 
 @dataclass(frozen=True)
 class ReconstructionProblem:
-    """Masked observation data with regularization and noise metadata.
+    """Masked observation data with its regularization weight.
 
     ``data`` holds samples d[i, k] on the setup's (window time grid) x (basis
     spatial grid), zero outside the mask.
@@ -65,7 +65,6 @@ class ReconstructionProblem:
     setup: ObsSetup
     data: np.ndarray
     lam: float = 0.0
-    noise_level: float = 0.0
 
     def __post_init__(self):
         d = np.asarray(self.data, dtype=float)
@@ -106,6 +105,15 @@ def synthesize_observation(setup, y0, noise=0.0, rng=None):
     return data
 
 
+def _normal_equations(setup, data):
+    """(A, rhs, Dm): A = O^T O and rhs = O^T d without forming O, and the
+    reference mass Dm, so that ||O a - d||^2 + lam ||a||_ref^2 is least at
+    (A + lam Dm) a = rhs."""
+    A = setup.gram(setup.quad_weights)
+    rhs = setup.adjoint(setup.quad_weights[:, None] * setup.masked(data))
+    return A, rhs, np.diag(setup.mass_matrix())
+
+
 def reconstruct_y0(problem):
     """Regularized least squares for the initial coefficients.
 
@@ -116,9 +124,7 @@ def reconstruct_y0(problem):
     Returns (SpectralVec, diagnostics dict).
     """
     setup = problem.setup
-    A = setup.gram(setup.quad_weights)            # O^T O, without forming O
-    rhs = setup.adjoint(setup.quad_weights[:, None] * setup.masked(problem.data))
-    Dm = np.diag(setup.mass_matrix())
+    A, rhs, Dm = _normal_equations(setup, problem.data)
     if problem.lam == 0.0:
         lam_ev, V = scipy.linalg.eigh(A, Dm)
         if lam_ev[0] <= 1e-14 * max(lam_ev[-1], 1e-300):
@@ -130,7 +136,7 @@ def reconstruct_y0(problem):
     a = scipy.linalg.solve(A + problem.lam * Dm, rhs, assume_a="pos")
     resid = setup.l2_norm(setup.fields(a) - problem.data)
     rank, sigma_min = unique_continuation_rank(setup)
-    return SpectralVec(a, s=setup.ref_exponent), {
+    return SpectralVec(a, s=REF_EXPONENT), {
         "lambda": problem.lam,
         "residual": resid,
         "sigma_min": sigma_min,
@@ -138,17 +144,16 @@ def reconstruct_y0(problem):
     }
 
 
-def discrepancy_lambda(setup, data, noise_norm, lam0=1e-14, factor=10.0):
-    """Grow lam by factors of `factor` until the residual reaches 0.9 x noise."""
-    A = setup.gram(setup.quad_weights)
-    rhs = setup.adjoint(setup.quad_weights[:, None] * setup.masked(data))
-    Dm = np.diag(setup.mass_matrix())
-    lam = lam0 * max(float(np.trace(A)), 1.0)
+def discrepancy_lambda(setup, data, noise_norm):
+    """Grow lam from 1e-14 trace(O^T O) by factors of 10 until the residual
+    reaches 0.9 x noise."""
+    A, rhs, Dm = _normal_equations(setup, data)
+    lam = 1e-14 * max(float(np.trace(A)), 1.0)
     for _ in range(60):
         a = scipy.linalg.solve(A + lam * Dm, rhs, assume_a="pos")
         if setup.l2_norm(setup.fields(a) - data) >= 0.9 * noise_norm:
             return lam
-        lam *= factor
+        lam *= 10.0
     return lam
 
 
@@ -331,11 +336,12 @@ def reachable_difference_check(kernel, basis, y0, u, mask, T_hat, n_steps=1000):
     }
 
 
-def duality_range_test(R, O, xstar_list, tol=1e-9):
+def duality_range_test(R, O, xstar_list):
     """Adjoint-range certificate for the forward inequality ||Rz|| <= C1 ||Oz||.
 
     For each x* solves the least-norm y* with O^T y* = R^T x*, reports the
-    residual and C2 = max ||y*|| / ||x*||; in finite dimensions C2 equals the
+    residual (ValueError above 1e-9 relative to ||R^T x*||) and
+    C2 = max ||y*|| / ||x*||; in finite dimensions C2 equals the
     best forward constant C1 (up to sampling of the x* family), which is also
     returned for comparison.
     """
@@ -351,7 +357,7 @@ def duality_range_test(R, O, xstar_list, tol=1e-9):
         ystar, *_ = np.linalg.lstsq(O.T, rhs, rcond=None)
         res = float(np.linalg.norm(O.T @ ystar - rhs))
         residuals.append(res)
-        if res > tol * max(1.0, float(np.linalg.norm(rhs))):
+        if res > 1e-9 * max(1.0, float(np.linalg.norm(rhs))):
             raise ValueError(
                 f"adjoint range equation inconsistent (residual {res:.3e}); "
                 "the forward inequality fails for this pair"

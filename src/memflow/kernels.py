@@ -312,20 +312,24 @@ def h_coeff(M, l):
 @_kept_on_kernel
 def p_coeff(M, l):
     """Polynomial coefficient of the smoothing (heat-like) flow part at order l+1,
-    p_l(t) = -d^l/ds^l K(t, s) at s = t.
+    p_l(t) = -d^l/ds^l K(t, s) at s = t, summed term by term:
 
-    Its value at 0 is -h_coeff(M, l)(0); all other terms carry t^m with m >= 1.
-    The sum skips the (M^{*j})^(d)(0), d < j - 1, that vanish analytically;
-    read off the folded K at u = 0 they add roundoff (on exp(-t) + t^4 e^{-2t},
-    l <= 7, 1.3e-13 of the top coefficient off an exact reference, not 4.5e-14).
+        p_l(t) = (-1)^(l+1) sum_j sum_m C(l, d) (M^{*j})^(d)(0) (-t)^m / m!,
+
+    d = l - j + m, over 1 <= j <= l+1 and max(0, 2j - l - 1) <= m <= j.  Its
+    constant (m = 0) comes from this sum alone, so p_l(0) = -h_l(0) is a
+    check between two separate computations.  The sum skips the
+    (M^{*j})^(d)(0), d < j - 1, that vanish analytically; read off the folded
+    K at u = 0 they add roundoff (on exp(-t) + t^4 e^{-2t}, l <= 7, 1.3e-13 of
+    the top coefficient off an exact reference, not 4.5e-14).
     """
     if l < 0:
         raise ValueError("l must be >= 0")
-    out = ExpPolyFn.const(-h_coeff(M, l).eval(0.0))
+    out = ExpPolyFn.zero()
     sign = float((-1) ** (l + 1))
     for j in range(1, l + 2):
         Fj = conv_power(M, j)
-        for m in range(max(1, 2 * j - l - 1), j + 1):
+        for m in range(max(0, 2 * j - l - 1), j + 1):
             d = l - j + m  # in [0, l]
             val = math.comb(l, d) * Fj.derivative(d).eval(0.0)
             if val != 0.0:
@@ -339,14 +343,14 @@ def p_coeff(M, l):
 # C^N-type norm: sum over derivative orders of sup |M^(k)| on [0, t]
 # ---------------------------------------------------------------------------
 
-def _max_abs(f, lo, hi, samples=1024):
+def _max_abs(f, lo, hi):
     """sup |f| on [lo, hi] by dense sampling, refined by resampling the
     bracket around the best sample as densely (each pass narrows it by a
-    factor samples/2, so four passes place the maximum to ~1e-11 of the
+    factor samples/2 = 512, so four passes place the maximum to ~1e-11 of the
     interval, and its value, a quadratic there, to roundoff)."""
     if hi <= lo:
         return abs(f.eval(lo))
-    best = 0.0
+    samples, best = 1024, 0.0
     for _ in range(4):
         xs = np.linspace(lo, hi, samples + 1)
         vals = np.abs(f.eval(xs))

@@ -58,6 +58,8 @@ __all__ = [
 
 # coefficient rows per batch of ``time_profiles``; bounds its field scratch
 _PROFILE_CHUNK = 16
+# H^s exponent of the reference norm: weights eta_j^REF_EXPONENT
+REF_EXPONENT = -4.0
 
 
 class ObsInvariantError(RuntimeError):
@@ -73,11 +75,13 @@ class ObsSetup:
     ``force_weight`` overrides.  ``quad_weights`` is the trapezoid rule in
     time, ``masked_weights`` the grid rule restricted to the mask.  Only the
     operator methods combine propagators, eigenfunctions and mask; the row
-    Grams are built once per setup, on first use.
+    Grams and the eigenpairs of the surrogate pencil are built once per
+    setup, on first use.
     """
 
-    def __init__(self, table, mask, alpha=None, window=None, ref_exponent=-4.0,
-                 force_weight=False):
+    ref_exponent = REF_EXPONENT  # read off a setup by perfbench/checks.py
+
+    def __init__(self, table, mask, alpha=None, window=None, force_weight=False):
         self.table = table
         self.mask = mask
         self.alpha = alpha
@@ -85,7 +89,6 @@ class ObsSetup:
         if not (0.0 <= S < T_hi <= table.T + 1e-12):
             raise ValueError("window must satisfy 0 <= S < T' <= table horizon")
         self.window = (float(S), float(T_hi))
-        self.ref_exponent = float(ref_exponent)
         self.weighted = alpha is not None and (S == 0.0 or force_weight)
 
         tg = table.tgrid
@@ -112,14 +115,26 @@ class ObsSetup:
         # first window row of each run of rows that meet one mask row
         self._run_starts = np.flatnonzero(np.diff(rows, prepend=-1))
         self._row_grams = None
+        self._pencil = None
 
     @property
     def basis(self):
         return self.table.basis
 
     def mass_matrix(self):
-        """Diagonal of the reference-norm Gram (weights eta_j^ref_exponent)."""
-        return self.basis.eigenvalues ** self.ref_exponent
+        """Diagonal of the reference-norm Gram (weights eta_j^REF_EXPONENT)."""
+        return self.basis.eigenvalues ** REF_EXPONENT
+
+    def pencil(self):
+        """Eigenpairs (lam, V) of the surrogate pencil (G, D) of ``gram_matrix``,
+        lam ascending and V^T D V = I (D is positive definite).  Built once,
+        read-only."""
+        if self._pencil is None:
+            lam, V = scipy.linalg.eigh(*gram_matrix(self))
+            lam.setflags(write=False)
+            V.setflags(write=False)
+            self._pencil = lam, V
+        return self._pencil
 
     # -- the masked observation operator -------------------------------------
 
@@ -357,15 +372,6 @@ def _mm_loop(setup, U0, n_iter, p=None, ascend=False):
     return U, iterations, active
 
 
-def _pencil_eigh(A, B):
-    """Eigenpairs (lam, V) of the pencil (A, B) in ascending order, or none
-    (empty lam and V) where the solver fails on it."""
-    try:
-        return scipy.linalg.eigh(A, B)
-    except scipy.linalg.LinAlgError:
-        return np.zeros(0), np.zeros((len(A), 0))
-
-
 def _start_pool(leading, n, rng):
     """Starts of a sphere search: the rows of ``leading`` (k, J), then the J
     coordinate axes, then seeded standard normal rows up to n in all."""
@@ -376,7 +382,7 @@ def _start_pool(leading, n, rng):
     return np.array(starts)
 
 
-def two_sided_constants(setup, n_restarts=32, n_iter=250, rng=None):
+def two_sided_constants(setup, n_restarts=32, rng=None):
     """Extremes of the seminorm over the unit reference sphere.
 
     Every start of the pool (surrogate eigendirections, coordinate axes,
@@ -385,7 +391,7 @@ def two_sided_constants(setup, n_restarts=32, n_iter=250, rng=None):
     each step, the upper constant the better of the linearized ascent and a
     saddle-free Newton step.  A step costs one stacked J x J eigensolve and
     one contraction of the row-Gram stack per restart, O(n_times J^2), and
-    each restart takes at most n_iter steps (tens at J=12).  Reports the
+    each restart takes at most 250 steps (tens at J=12).  Reports the
     restart spread as a stagnation proxy and, per constant, the largest step
     count and whether the best restart stopped short of the cap.  Raises
     ObsInvariantError if a constant breaks the Cauchy-Schwarz bridge to the
@@ -393,15 +399,14 @@ def two_sided_constants(setup, n_restarts=32, n_iter=250, rng=None):
     reproduce its constant.
     """
     rng = np.random.default_rng(0) if rng is None else rng
-    G, D = gram_matrix(setup)
-    lam, V = scipy.linalg.eigh(G, D)  # surrogate constants and start directions
+    lam, V = setup.pencil()  # surrogate constants and start directions
     sur_lo = math.sqrt(max(lam[0], 0.0))
     sur_up = math.sqrt(max(lam[-1], 0.0))
     half = setup.mass_matrix() ** 0.5
     U0 = _start_pool(V.T * half, n_restarts, rng)
 
-    U_lo, it_lo, cap_lo = _mm_loop(setup, U0, n_iter)
-    U_up, it_up, cap_up = _mm_loop(setup, U0, n_iter, ascend=True)
+    U_lo, it_lo, cap_lo = _mm_loop(setup, U0, 250)
+    U_up, it_up, cap_up = _mm_loop(setup, U0, 250, ascend=True)
     lo_vals = obs_seminorm_many(setup, U_lo / half)
     up_vals = obs_seminorm_many(setup, U_up / half)
     i_lo, i_up = int(np.argmin(lo_vals)), int(np.argmax(up_vals))
@@ -444,13 +449,13 @@ def two_sided_constants(setup, n_restarts=32, n_iter=250, rng=None):
     )
     # witness reproducibility
     for wit, val in ((lo_wit, lo_val), (up_wit, up_val)):
-        re = obs_seminorm(setup, wit / max(hs_norm(setup.basis, wit, setup.ref_exponent), 1e-300))
+        re = obs_seminorm(setup, wit / max(hs_norm(setup.basis, wit, REF_EXPONENT), 1e-300))
         if abs(re - val) > 1e-9 * max(val, 1.0):
             raise ObsInvariantError(f"witness gives {re!r}, not the reported {val!r}")
     return report
 
 
-def null_obs_constant(setup, n_restarts=24, n_iter=200, rng=None):
+def null_obs_constant(setup, n_restarts=24, rng=None):
     """Largest ratio ||phi(T') y0|| / obs(y0), with an unbounded-quotient flag.
 
     Surrogate: top eigenpair of the final-state form against the seminorm
@@ -459,8 +464,9 @@ def null_obs_constant(setup, n_restarts=24, n_iter=200, rng=None):
     1/c_null = min obs(y0) / ||phi(T') y0||: each step takes the top
     eigenvector of the pencil (diag phi(T')^2, G_w) of the reweighted row
     Gram, which stays defined where phi(T') vanishes; same cost per step as
-    ``two_sided_constants``.  The report carries the surrogate, the largest
-    step count and whether the best restart stopped short of the cap.
+    ``two_sided_constants``, at most 200 steps.  The report carries the
+    surrogate, the largest step count and whether the best restart stopped
+    short of the cap.
     """
     rng = np.random.default_rng(0) if rng is None else rng
     G, D = gram_matrix(setup)
@@ -479,7 +485,7 @@ def null_obs_constant(setup, n_restarts=24, n_iter=200, rng=None):
     lamF, V = scipy.linalg.eigh(np.diag(phiT**2), G + reg)
     starts = _start_pool(V[:, -2:][:, ::-1].T * half, n_restarts, rng)
 
-    U, iterations, capped = _mm_loop(setup, starts, n_iter, p=phiT / half)
+    U, iterations, capped = _mm_loop(setup, starts, 200, p=phiT / half)
     A = U / half
     num = np.linalg.norm(A * phiT, axis=1)
     den = obs_seminorm_many(setup, A)
@@ -491,20 +497,20 @@ def null_obs_constant(setup, n_restarts=24, n_iter=200, rng=None):
     return float(vals[best]), SpectralVec(A[best]), report
 
 
-def relaxed_inequality_fit(setup, n_samples=256, rng=None):
+def relaxed_inequality_fit(setup, rng=None):
     """Largest C with C ||y0||_ref <= obs(y0) + ||y0||_{ref-2} on a sampled sphere.
 
-    Samples: surrogate eigendirections, coordinate directions, seeded random.
+    256 samples: surrogate eigendirections, coordinate directions, seeded
+    random.
     Returns (C, share) where share is the seminorm's fraction of the minimal
     combined value (small share means the compactness term is doing the work).
     """
     rng = np.random.default_rng(0) if rng is None else rng
-    G, D = gram_matrix(setup)
-    A = _start_pool(_pencil_eigh(G, D)[1].T, n_samples, rng)
+    A = _start_pool(setup.pencil()[1].T, 256, rng)
     obs = obs_seminorm_many(setup, A)
     ev = setup.basis.eigenvalues
-    ref = np.sqrt(A**2 @ ev**setup.ref_exponent)
-    low = np.sqrt(A**2 @ ev ** (setup.ref_exponent - 2.0))
+    ref = np.sqrt(A**2 @ ev**REF_EXPONENT)
+    low = np.sqrt(A**2 @ ev ** (REF_EXPONENT - 2.0))
     vals = (obs + low) / ref
     i = int(np.argmin(vals))
     share = float(obs[i] / (obs[i] + low[i])) if obs[i] + low[i] > 0 else 0.0
@@ -566,8 +572,7 @@ def _early_cylinder_depth(setup, x_lo, x_hi):
     return (mask.n_t if full.all() else int(np.argmin(full))) * mask.dt
 
 
-def alpha_probe(setup, k_list, omega=(0.25, 0.75), laplacian_power=2,
-                profile_power=4):
+def alpha_probe(setup, k_list, omega=(0.25, 0.75), laplacian_power=2):
     """Quotient trajectory of concentrating bumps under the time weight.
 
     Bumps of shrinking support in omega (projected to a growing mode count,
@@ -590,16 +595,14 @@ def alpha_probe(setup, k_list, omega=(0.25, 0.75), laplacian_power=2,
         width = 0.5 * (x_hi - x_lo) / k
         n_modes = min(basis.J, n_cap, 4 + 2 * k)
         v = bump_vector(basis, center, width, n_modes=n_modes,
-                        laplacian_power=laplacian_power,
-                        profile_power=profile_power)
-        q = obs_seminorm(setup, v) / hs_norm(basis, v, setup.ref_exponent)
+                        laplacian_power=laplacian_power)
+        q = obs_seminorm(setup, v) / hs_norm(basis, v, REF_EXPONENT)
         records.append({"k": int(k), "width": width, "n_modes": int(n_modes),
                         "quotient": float(q)})
     return records
 
 
-def missing_ball_probe(setup, x_star, r, J_index, k_list, profile_power=8,
-                       zero_mean=True, efoldings=25.0):
+def missing_ball_probe(setup, x_star, r, J_index, k_list):
     """Final-state vs observation quotients for bumps hidden in an unobserved ball.
 
     The mask must exclude the cylinder (0, T') x B(x_star, r).  Probe vectors
@@ -608,27 +611,27 @@ def missing_ball_probe(setup, x_star, r, J_index, k_list, profile_power=8,
     while ||phi(T') z_k|| approaches the absolute value of the first active
     multiplier coefficient at time T'.
 
-    The observation window starts a few e-foldings of the last retained mode
+    The observation window starts 25 e-foldings of the last retained mode
     after the setup window opens: earlier times only see the truncation tail
     of the roughened datum, an artifact with no continuum counterpart (the
-    exact datum vanishes identically on the observed region).  The default
-    bump profile is mean-cancelled: a nonzero-mean profile leaks through its
-    low-mode content at a rate that masks the degeneracy at desk truncations.
+    exact datum vanishes identically on the observed region).  The bump
+    profile (power 8) is mean-cancelled: a nonzero-mean profile leaks through
+    its low-mode content at a rate that masks the degeneracy at desk
+    truncations.
 
     Returns list of records (k, width, quotient, final_norm, obs, aliased).
     """
     basis = setup.basis
     table = setup.table
     S, T_hi = setup.window
-    t_cut = max(S, efoldings / float(basis.eigenvalues[-1]))
-    win = ObsSetup(table, setup.mask, alpha=setup.alpha, window=(t_cut, T_hi),
-                   ref_exponent=setup.ref_exponent)
+    t_cut = max(S, 25.0 / float(basis.eigenvalues[-1]))
+    win = ObsSetup(table, setup.mask, alpha=setup.alpha, window=(t_cut, T_hi))
     records = []
     dx = basis.x[1] - basis.x[0]
     for k in k_list:
         width = min(0.5 * r * (4.0 / (k + 2.0)) ** 0.6, 0.5 * r)
         v = bump_vector(basis, x_star, width, laplacian_power=J_index + 1,
-                        profile_power=profile_power, zero_mean=zero_mean)
+                        profile_power=8, zero_mean=True)
         final = flow_apply(table, win.i1, v)
         fn = float(np.linalg.norm(final.coeffs))
         obs = obs_seminorm(win, v)
@@ -670,15 +673,15 @@ def heat_local_probe(basis, x0, r, s_exponents=(0.0, -2.0, -4.0),
     return out
 
 
-def unique_continuation_rank(setup, rel_tol=1e-12):
+def unique_continuation_rank(setup):
     """Rank and smallest singular value of the discrete observation map.
 
     Full rank of the seminorm Gram against the reference mass certifies that
-    no truncated initial state is invisible on the mask.
+    no truncated initial state is invisible on the mask.  Reads the setup's
+    surrogate pencil (``ObsSetup.pencil``).
     """
-    G, D = gram_matrix(setup)
-    lam = scipy.linalg.eigh(G, D, eigvals_only=True)
+    lam = setup.pencil()[0]
     top = max(lam[-1], 0.0)
-    rank = int(np.sum(lam > rel_tol * max(top, 1e-300)))
+    rank = int(np.sum(lam > 1e-12 * max(top, 1e-300)))
     sigma_min = math.sqrt(max(lam[0], 0.0))
     return rank, sigma_min

@@ -122,10 +122,10 @@ def apply_minus_A_power(basis, v, k):
     return SpectralVec(out, s=(v.s if isinstance(v, SpectralVec) else 0.0))
 
 
-def project_function(basis, samples, s=0.0):
+def project_function(basis, samples):
     """Coefficients a_j = sum_k w_k f(x_k) e_j(x_k) of grid samples."""
     samples = np.asarray(samples, dtype=float)
-    return SpectralVec(basis.funcs @ (basis.weights * samples), s=s)
+    return SpectralVec(basis.funcs @ (basis.weights * samples))
 
 
 def evaluate_on_grid(basis, v):

@@ -388,8 +388,7 @@ def test_criterion_09_reconstruction():
     _, sq = observation_operator(setup)
     noise_norm = float(np.linalg.norm(((noisy - data) * sq).ravel()))
     lam = discrepancy_lambda(setup, noisy, noise_norm)
-    rec2, _ = reconstruct_y0(ReconstructionProblem(setup, noisy, lam=lam,
-                                                   noise_level=0.01))
+    rec2, _ = reconstruct_y0(ReconstructionProblem(setup, noisy, lam=lam))
     rel1 = hs_norm(basis, SpectralVec(rec2.coeffs - truth), -4.0) \
         / hs_norm(basis, SpectralVec(truth), -4.0)
     elapsed = time.perf_counter() - t0

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from memflow.flow import (
     DecompositionParts,
     FlowTable,
+    QuadratureError,
     StepSizeError,
     _memory_recurrence,
     _scan,
@@ -176,6 +177,12 @@ def test_remainder_bound_past_float_range_is_infinite():
 def test_remainder_mode_convergence_check():
     val = remainder_RN_mode(parse_kernel("1"), ETA1, 0.5, 2)
     assert np.isfinite(val)
+
+
+def test_remainder_mode_unconverged_quadrature_raises():
+    # the 12- and 16-point rules differ by about 2.6e-3 on this oscillation
+    with pytest.raises(QuadratureError, match="exceeds"):
+        remainder_RN_mode(parse_kernel("cos(60*t)"), 10.0, 1.0, 2)
 
 
 def test_remainder_profile_matches_quad():

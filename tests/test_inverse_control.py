@@ -63,8 +63,7 @@ def test_noisy_round_trip_discrepancy(setup12, rng):
     _, sq = observation_operator(setup12)
     noise_norm = float(np.linalg.norm(((noisy - clean) * sq).ravel()))
     lam = discrepancy_lambda(setup12, noisy, noise_norm)
-    rec, diag = reconstruct_y0(ReconstructionProblem(setup12, noisy, lam=lam,
-                                                     noise_level=0.01))
+    rec, diag = reconstruct_y0(ReconstructionProblem(setup12, noisy, lam=lam))
     rel = hs_norm(setup12.basis, SpectralVec(rec.coeffs - truth), -4.0) \
         / hs_norm(setup12.basis, SpectralVec(truth), -4.0)
     assert rel <= 0.10

@@ -325,6 +325,25 @@ def test_rank_zigzag_full(mem_table):
     assert rank == 4 and sig > 0
 
 
+def test_surrogate_pencil_solved_once_per_setup(mem_table, full_mask, monkeypatch):
+    solves = []
+    eigh = scipy.linalg.eigh
+
+    def counted(*args, **kwargs):
+        solves.append(len(args))
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", counted)
+    setup = ObsSetup(mem_table, full_mask, alpha=2.0)
+    rep = two_sided_constants(setup, n_restarts=8)
+    relaxed_inequality_fit(setup)
+    rank, sig = unique_continuation_rank(setup)
+    assert solves == [2]
+    lam, V = setup.pencil()
+    assert setup.pencil()[1] is V and not V.flags.writeable
+    assert rep.surrogate_lower == math.sqrt(lam[0]) and sig == rep.surrogate_lower
+
+
 # ---------------------------------------------------------------------------
 # probes
 # ---------------------------------------------------------------------------
@@ -579,9 +598,8 @@ def ref_sphere_ascent(f, u0, n_iter):
 
 def ref_two_sided(setup, n_restarts=32, n_iter=250, rng=None):
     """(c_lower, c_upper) by the reference ascent from the same start pool."""
-    G, D = gram_matrix(setup)
     half = setup.mass_matrix() ** 0.5
-    V = observability._pencil_eigh(G, D)[1]
+    V = setup.pencil()[1]
     starts = observability._start_pool(V.T * half, n_restarts, rng)
 
     def upward(u):
@@ -632,7 +650,8 @@ def _constants_job(tmp_path_factory, index):
     p = tmp_path_factory.mktemp("cfg") / "c.json"
     p.write_text(json.dumps(cfg))
     cfg = cli.load_config(p)
-    return cfg, cli._setup_from_cfg(cfg, J=12)
+    M = cli.parse_kernel_checked(cfg["kernel"])
+    return cfg, cli._setup_from_cfg(cfg, M, J=12)
 
 
 def _job_constants(cfg, setup):

@@ -13,11 +13,12 @@ import hashlib
 import json
 import math
 import os
+import platform
 import sys
 
 import numpy as np
 
-from . import geometry, kernels
+from . import __version__, geometry, kernels
 from .flow import (
     _fine_steps,
     build_flow_table,
@@ -257,6 +258,8 @@ class Sink:
                 "config": self.cfg,
                 "artifacts": sorted(self.artifacts),
                 "status": status,
+                "versions": {"python": platform.python_version(),
+                             "numpy": np.__version__, "memflow": __version__},
             }, fh, indent=2, sort_keys=True)
             fh.write("\n")
 

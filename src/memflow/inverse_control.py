@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .flow import (
     RouteMismatchError,
@@ -27,7 +26,7 @@ from .flow import (
     volterra_influence,
     volterra_modes,
 )
-from .observability import REF_EXPONENT, ObsSetup, unique_continuation_rank
+from .observability import REF_EXPONENT, ObsSetup, _pencil_eigh, unique_continuation_rank
 from .spectral import SpectralVec
 
 __all__ = [
@@ -114,6 +113,13 @@ def _normal_equations(setup, data):
     return A, rhs, np.diag(setup.mass_matrix())
 
 
+def _cholesky_solve(A, b):
+    """Solution of A x = b by the Cholesky factor of A; LinAlgError unless A
+    is positive definite."""
+    L = np.linalg.cholesky(A)
+    return np.linalg.solve(L.T, np.linalg.solve(L, b))
+
+
 def reconstruct_y0(problem):
     """Regularized least squares for the initial coefficients.
 
@@ -126,14 +132,14 @@ def reconstruct_y0(problem):
     setup = problem.setup
     A, rhs, Dm = _normal_equations(setup, problem.data)
     if problem.lam == 0.0:
-        lam_ev, V = scipy.linalg.eigh(A, Dm)
+        lam_ev, V = _pencil_eigh(A, Dm)
         if lam_ev[0] <= 1e-14 * max(lam_ev[-1], 1e-300):
             raise SingularSystemError(
                 "observation map is rank deficient with lam = 0; "
                 f"null direction coefficients {np.round(V[:, 0], 6)}",
                 null_direction=V[:, 0],
             )
-    a = scipy.linalg.solve(A + problem.lam * Dm, rhs, assume_a="pos")
+    a = _cholesky_solve(A + problem.lam * Dm, rhs)
     resid = setup.l2_norm(setup.fields(a) - problem.data)
     rank, sigma_min = unique_continuation_rank(setup)
     return SpectralVec(a, s=REF_EXPONENT), {
@@ -150,7 +156,7 @@ def discrepancy_lambda(setup, data, noise_norm):
     A, rhs, Dm = _normal_equations(setup, data)
     lam = 1e-14 * max(float(np.trace(A)), 1.0)
     for _ in range(60):
-        a = scipy.linalg.solve(A + lam * Dm, rhs, assume_a="pos")
+        a = _cholesky_solve(A + lam * Dm, rhs)
         if setup.l2_norm(setup.fields(a) - data) >= 0.9 * noise_norm:
             return lam
         lam *= 10.0
@@ -238,8 +244,7 @@ def min_norm_control(problem):
     gram = G @ G.T
     jitter = 1e-14 * np.trace(gram)
     if problem.regime == "l2":
-        mu = scipy.linalg.solve(gram + jitter * np.eye(len(gram)), target,
-                                assume_a="pos")
+        mu = _cholesky_solve(gram + jitter * np.eye(len(gram)), target)
         u_dof = G.T @ mu
         objective = float(np.linalg.norm(u_dof))
         n_irls, converged = 0, True
@@ -253,8 +258,7 @@ def min_norm_control(problem):
         for n_irls in range(1, 41):
             w_dof = wfac * omega[cells]
             Gw = G / w_dof[None, :]
-            mu = scipy.linalg.solve(G @ Gw.T + jitter * np.eye(len(gram)),
-                                    target, assume_a="pos")
+            mu = _cholesky_solve(G @ Gw.T + jitter * np.eye(len(gram)), target)
             u_dof = Gw.T @ mu
             # per-cell weighted spatial norms drive the Lawson reweighting
             gamma = np.zeros(mask.n_t)
@@ -343,12 +347,15 @@ def duality_range_test(R, O, xstar_list):
     residual (ValueError above 1e-9 relative to ||R^T x*||) and
     C2 = max ||y*|| / ||x*||; in finite dimensions C2 equals the
     best forward constant C1 (up to sampling of the x* family), which is also
-    returned for comparison.
+    returned for comparison.  C1 is inf when O^T O is singular; the residual
+    check alone then decides each x*.
     """
     R = np.asarray(R, dtype=float)
     O = np.asarray(O, dtype=float)
-    lam = scipy.linalg.eigh(R.T @ R, O.T @ O, eigvals_only=True)
-    C1 = math.sqrt(max(lam[-1], 0.0))
+    try:
+        C1 = math.sqrt(max(_pencil_eigh(R.T @ R, O.T @ O)[0][-1], 0.0))
+    except np.linalg.LinAlgError:  # O^T O singular: no finite forward constant
+        C1 = math.inf
     C2 = 0.0
     residuals = []
     for xs in xstar_list:

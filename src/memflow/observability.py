@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .flow import flow_apply
 from .spectral import SpectralVec, hs_norm
@@ -130,7 +129,7 @@ class ObsSetup:
         lam ascending and V^T D V = I (D is positive definite).  Built once,
         read-only."""
         if self._pencil is None:
-            lam, V = scipy.linalg.eigh(*gram_matrix(self))
+            lam, V = _pencil_eigh(*gram_matrix(self))
             lam.setflags(write=False)
             V.setflags(write=False)
             self._pencil = lam, V
@@ -208,6 +207,16 @@ def obs_seminorm(setup, v):
     full = np.zeros(setup.basis.J)
     full[: len(a)] = a
     return float(obs_seminorm_many(setup, full[None, :])[0])
+
+
+def _pencil_eigh(A, B):
+    """Eigenpairs (lam, V) of the symmetric-definite pencil (A, B): lam
+    ascending and V^T B V = I.  Whitens with the Cholesky factor B = L L^T
+    and solves the standard problem of L^{-1} A L^{-T}, as LAPACK's sygv
+    does; LinAlgError unless B is positive definite."""
+    L = np.linalg.cholesky(B)
+    lam, W = np.linalg.eigh(np.linalg.solve(L, np.linalg.solve(L, A).T))
+    return lam, np.linalg.solve(L.T, W)
 
 
 def gram_matrix(setup):
@@ -470,7 +479,7 @@ def null_obs_constant(setup, n_restarts=24, rng=None):
     """
     rng = np.random.default_rng(0) if rng is None else rng
     G, D = gram_matrix(setup)
-    lamG, VG = scipy.linalg.eigh(G)
+    lamG, VG = np.linalg.eigh(G)
     report = {"quotient_unbounded": False, "iterations": 0, "converged": True}
     if lamG[0] <= 1e-14 * max(lamG[-1], 1e-300):
         # direction with (numerically) zero observation
@@ -482,7 +491,7 @@ def null_obs_constant(setup, n_restarts=24, rng=None):
     phiT = setup.phi_win[:, -1]
 
     reg = 1e-13 * np.trace(G) * np.eye(len(G))
-    lamF, V = scipy.linalg.eigh(np.diag(phiT**2), G + reg)
+    lamF, V = _pencil_eigh(np.diag(phiT**2), G + reg)
     starts = _start_pool(V[:, -2:][:, ::-1].T * half, n_restarts, rng)
 
     U, iterations, capped = _mm_loop(setup, starts, 200, p=phiT / half)

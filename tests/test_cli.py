@@ -2,11 +2,15 @@ import filecmp
 import importlib.util
 import json
 import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import memflow
 from memflow import cli
 from memflow.geometry import save_mask, zigzag_mask
 from memflow.observability import ObsSetup
@@ -87,11 +91,39 @@ def test_kernel_command_artifacts(tmp_path):
     manifest = json.load(open(d / "manifest.json"))
     assert manifest["command"] == "kernel"
     assert "coefficients.csv" in manifest["artifacts"]
+    assert manifest["versions"] == {"python": platform.python_version(),
+                                    "numpy": np.__version__,
+                                    "memflow": memflow.__version__}
     first = open(d / "coefficients.csv").readline()
     assert first.strip() == f"# config {h}"
     payload = json.load(open(d / "kernel.json"))
     assert payload["config_hash"] == h
     assert all(payload["checks"].values())
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="open defect (ROADMAP item 3): h_l(0) of this several-rate kernel "
+           "is ~2e-10 off at l = 6, so the p_h_origin check exceeds its "
+           "1e-12 gate and the command exits 1",
+)
+def test_kernel_command_several_rates(tmp_path):
+    p = tmp_path / "c.json"
+    write_cfg(p, kernel="2 + t^3*exp(-1*t) + -0.5*t*exp(-1*t) + exp(0.3*t)")
+    assert run(["kernel", "--config", p, "--out", tmp_path / "o"]) == 0
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys\n"
+            "def loaded(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "import memflow\n"
+            "print(loaded())\n"
+            "import memflow.cli\n"
+            "print(loaded())\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(memflow.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.split("\n")[:2] == ["[]", "[]"]
 
 
 def test_moc_command_prints_value(tmp_path, capsys):

@@ -94,6 +94,31 @@ def test_kernel_rep_profile_matches_scalar(kernels4):
                                             abs=1e-10)
 
 
+def _kernel_rep_quad(M, eta, t):
+    """Adaptive-quadrature reference for ``kernel_rep_mode``."""
+    from scipy.integrate import quad
+    from memflow.kernels import km_partial
+    K = km_partial(M, 0, 40)
+    val, _ = quad(lambda u: K.eval(t, u) * math.exp(-eta * u), 0.0, t,
+                  epsabs=1e-12, epsrel=1e-11, limit=400)
+    return math.exp(-eta * t) + val
+
+
+def test_kernel_rep_mode_matches_quad(kernels4):
+    etas = interval_basis(8, 32).eigenvalues
+    for M in kernels4.values():
+        for eta in etas:
+            for t in (0.25, 0.5, 1.0):
+                assert abs(kernel_rep_mode(M, float(eta), t)
+                           - _kernel_rep_quad(M, float(eta), t)) <= 1e-12
+
+
+def test_kernel_rep_mode_unconverged_quadrature_raises():
+    # the 12- and 16-point rules differ by about 7e-8 on this oscillation
+    with pytest.raises(QuadratureError, match="exceeds"):
+        kernel_rep_mode(parse_kernel("cos(60*t)"), 10.0, 1.0)
+
+
 def test_volterra_vs_kernel_rep():
     M = parse_kernel("1")
     y = volterra_mode(M, ETA1, tgrid())

@@ -80,6 +80,12 @@ def test_singular_system_names_direction():
     assert err.value.null_direction is not None
 
 
+def test_indefinite_normal_equations_raise(setup12):
+    data = np.zeros((len(setup12.times), len(setup12.basis.x)))
+    with pytest.raises(np.linalg.LinAlgError):
+        reconstruct_y0(ReconstructionProblem(setup12, data, lam=-1e30))
+
+
 def test_data_shape_validation(setup12):
     with pytest.raises(ValueError):
         ReconstructionProblem(setup12, np.zeros((3, 3)))
@@ -279,8 +285,17 @@ def test_duality_inconsistent_system_raises():
     # O has a genuinely smaller column space than R requires
     R = np.eye(2)
     O = np.array([[1.0, 0.0]])  # maps R^2 -> R^1, O^T y* spans only e_1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="adjoint range equation inconsistent"):
         duality_range_test(R, O, [np.array([0.0, 1.0])])
+
+
+def test_duality_singular_observation_consistent_xstar():
+    # O^T O is singular, but x* = e_1 lies in the range of O^T
+    C2, res, C1 = duality_range_test(np.eye(2), np.array([[1.0, 0.0]]),
+                                     [np.array([1.0, 0.0])])
+    assert C1 == math.inf
+    assert res.max() <= 1e-15
+    assert C2 == pytest.approx(1.0, rel=1e-12)
 
 
 def test_duality_observability_instance(rng):

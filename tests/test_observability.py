@@ -327,21 +327,37 @@ def test_rank_zigzag_full(mem_table):
 
 def test_surrogate_pencil_solved_once_per_setup(mem_table, full_mask, monkeypatch):
     solves = []
-    eigh = scipy.linalg.eigh
+    pencil_eigh = observability._pencil_eigh
 
     def counted(*args, **kwargs):
-        solves.append(len(args))
-        return eigh(*args, **kwargs)
+        solves.append(args)
+        return pencil_eigh(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "eigh", counted)
+    monkeypatch.setattr(observability, "_pencil_eigh", counted)
     setup = ObsSetup(mem_table, full_mask, alpha=2.0)
     rep = two_sided_constants(setup, n_restarts=8)
     relaxed_inequality_fit(setup)
     rank, sig = unique_continuation_rank(setup)
-    assert solves == [2]
+    assert len(solves) == 1
+    assert all(np.array_equal(a, b) for a, b in zip(solves[0], gram_matrix(setup)))
     lam, V = setup.pencil()
     assert setup.pencil()[1] is V and not V.flags.writeable
     assert rep.surrogate_lower == math.sqrt(lam[0]) and sig == rep.surrogate_lower
+
+
+def test_pencil_eigh_matches_scipy(mem_table, rng):
+    G, D = gram_matrix(ObsSetup(mem_table, zigzag_mask(0.15, 1.0, 100, 50), alpha=2.0))
+    X = rng.standard_normal((len(G), len(G)))
+    for A, B in ((G, D), (np.diag(X[0] ** 2), G + 1e-13 * np.trace(G) * np.eye(len(G))),
+                 (X + X.T, X @ X.T + np.eye(len(G)))):
+        lam, V = observability._pencil_eigh(A, B)
+        ref = scipy.linalg.eigh(A, B, eigvals_only=True)
+        assert np.all(np.diff(lam) >= 0)
+        assert np.abs(lam - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.abs(V.T @ B @ V - np.eye(len(G))).max() <= 1e-10
+        assert np.abs(A @ V - (B @ V) * lam).max() <= 1e-10 * np.abs(A).max() * np.abs(V).max()
+    with pytest.raises(np.linalg.LinAlgError):
+        observability._pencil_eigh(G, np.diag([1.0, 0.0, 1.0, 1.0]))
 
 
 # ---------------------------------------------------------------------------

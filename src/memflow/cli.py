@@ -20,6 +20,7 @@ import numpy as np
 
 from . import __version__, geometry, kernels
 from .flow import (
+    QuadratureError,
     _fine_steps,
     build_flow_table,
     decomposition_mode,
@@ -650,6 +651,10 @@ def main(argv=None):
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
+    except (QuadratureError, kernels.TruncationError) as e:
+        sink.finalize("failed")
+        print(f"{args.command}: {type(e).__name__}: {e}; see {sink.dir}", file=sys.stderr)
+        return 1
     if not ok:
         print(f"{args.command}: assertion failures; see {sink.dir}",
               file=sys.stderr)

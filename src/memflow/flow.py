@@ -296,9 +296,10 @@ def volterra_influence(M, etas, T, n_steps):
 # ---------------------------------------------------------------------------
 
 @functools.cache
-def _unit_gauss_panels(n_gauss):
+def _unit_gauss_panels(n_gauss, split=1):
     """Read-only nodes and weights of ``_gauss_panels`` on [0, 1]."""
     edges = np.concatenate([[0.0], 2.0 ** (np.arange(36) - 35.0)])
+    edges = np.interp(np.arange(36 * split + 1) / split, np.arange(37), edges)
     xg, wg = leggauss(n_gauss)
     h = 0.5 * np.diff(edges)[:, None]
     nodes, weights = (edges[:-1, None] + h * (xg + 1.0)).ravel(), (h * wg).ravel()
@@ -306,14 +307,14 @@ def _unit_gauss_panels(n_gauss):
     return nodes, weights
 
 
-def _gauss_panels(t, n_gauss=12):
+def _gauss_panels(t, n_gauss=12, split=1):
     """Geometrically refined Gauss-Legendre nodes on [0, t], the panels on
-    [0, 1] scaled by t.
+    [0, 1] scaled by t, each cut into ``split`` equal panels.
 
     The 36 geometric levels toward 0 resolve boundary layers e^{-eta s}
     for eta up to ~2^36 / t with a fixed node set shared by all modes.
     """
-    nodes, weights = _unit_gauss_panels(n_gauss)
+    nodes, weights = _unit_gauss_panels(n_gauss, split)
     return t * nodes, t * weights
 
 
@@ -346,22 +347,30 @@ def kernel_rep_mode(M, eta, t, J_max=DEFAULT_KM_TRUNCATION, check_tol=None):
     convergence check.
 
     Integrates on the geometric Gauss panels of ``kernel_rep_profile`` at 12
-    and at 16 nodes per panel; if the two integrals differ by more than
-    max(1e-12, 1e-11 |integral|) raise QuadratureError carrying the achieved
-    error estimate.  Truncation failures propagate from the series evaluator.
+    and at 16 nodes per panel, cutting every panel in 2, 4, ..., 64 until the
+    two integrals agree to max(1e-12, 1e-11 |integral|) plus the rounding the
+    series kernel itself carries (machine epsilon times the integral of
+    ``K.eval_abs``; no node count removes it).  Past 64 raise QuadratureError
+    carrying the achieved error estimate.  Truncation failures propagate from
+    the series evaluator.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
     if t == 0.0:
         return 1.0
     K = _series_kernel(M, t, J_max, check_tol)
-    coarse, fine = (float(w @ (K.eval(t, s) * np.exp(-eta * s)))
-                    for s, w in (_gauss_panels(t, 12), _gauss_panels(t, 16)))
-    err = abs(fine - coarse)
-    if err > max(1e-12, 1e-11 * abs(fine)):
-        raise QuadratureError(f"kernel-representation quadrature error estimate "
-                              f"{err:.3e} exceeds max(1e-12, 1e-11 |value|)")
-    return math.exp(-eta * t) + fine
+    rounding = None
+    for split in (1, 2, 4, 8, 16, 32, 64):
+        coarse, fine = (float(w @ (K.eval(t, s) * np.exp(-eta * s)))
+                        for s, w in (_gauss_panels(t, 12, split), _gauss_panels(t, 16, split)))
+        err, tol = abs(fine - coarse), max(1e-12, 1e-11 * abs(fine))
+        if err > tol and rounding is None:  # one more kernel pass, only here
+            s, w = _gauss_panels(t, 16)
+            rounding = np.finfo(float).eps * float(w @ (K.eval_abs(t, s) * np.exp(-eta * s)))
+        if err <= tol + (rounding or 0.0):
+            return math.exp(-eta * t) + fine
+    raise QuadratureError(f"kernel-representation quadrature error estimate "
+                          f"{err:.3e} exceeds {tol + rounding:.3e}")
 
 
 # ---------------------------------------------------------------------------

@@ -401,6 +401,13 @@ class BivariateKernel:
         s = np.asarray(s, dtype=float)
         return _eval_compiled(*self._form, t - s, s)
 
+    def eval_abs(self, t, s):
+        """Sum of the moduli of the folded terms at (t, s), the scale of the
+        rounding in ``eval``; s may be an array (with scalar t)."""
+        s = np.asarray(s, dtype=float)
+        rates, C = self._form
+        return _eval_compiled(rates.real, np.abs(C), t - s, s)
+
     def term_value(self, j, t, s):
         """Value of the j-th series term alone (1-based j)."""
         s = np.asarray(s, dtype=float)

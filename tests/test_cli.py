@@ -246,6 +246,33 @@ def test_csv_fields_are_numbers(tmp_path):
                 float(value)
 
 
+@pytest.mark.parametrize("T", [1.0, 1.25])
+def test_flow_check_passes_on_series_rounding(tmp_path, T):
+    # kernel_rep_mode's 12/16-node check sees the series kernel's rounding
+    # here (2.6e-12 at mode 1, t = 1; over 1e-11 at t = 1.25); it must not
+    # fail the command
+    p = tmp_path / "c.json"
+    write_cfg(p, kernel="exp(-1*t) + t^4*exp(-2*t)", time={"T": T, "n_t": 300},
+              flow_check={"modes": [1, 2, 3, 8], "n_t_values": 8,
+                          "remainder_t_values": 3})
+    out = tmp_path / "o"
+    assert run(["flow-check", "--config", p, "--out", out]) == 0
+    d = next((out / "flow-check").iterdir())
+    assert json.loads((d / "flow_check.json").read_text())["failures"] == 0
+
+
+def test_library_numerical_error_exits_one(tmp_path, capsys):
+    # kernel_rep_mode's quadrature does not converge on this oscillation
+    p = tmp_path / "c.json"
+    write_cfg(p, kernel="cos(20000*t)",
+              flow_check={"modes": [1], "n_t_values": 1, "remainder_t_values": 1})
+    out = tmp_path / "o"
+    assert run(["flow-check", "--config", p, "--out", out]) == 1
+    assert "QuadratureError" in capsys.readouterr().err
+    d = next((out / "flow-check").iterdir())
+    assert json.loads((d / "manifest.json").read_text())["status"] == "failed"
+
+
 def test_flow_check_vacuous_remainder_bound(tmp_path):
     p = tmp_path / "c.json"
     write_cfg(p, kernel="exp(-1*t)*cos(3*t)",

@@ -113,10 +113,33 @@ def test_kernel_rep_mode_matches_quad(kernels4):
                            - _kernel_rep_quad(M, float(eta), t)) <= 1e-12
 
 
+def test_kernel_rep_mode_refines_oscillatory_kernels():
+    # on the uncut panels the 12- and 16-point rules differ by up to 1.5e-10
+    # (cos(45t)) and 7e-8 (cos(60t)); cut panels resolve both
+    for text in ("cos(45*t)", "cos(60*t)"):
+        M = parse_kernel(text)
+        for eta in (math.pi**2, 10.0):
+            for t in (1.0, 2.0):
+                assert abs(kernel_rep_mode(M, eta, t)
+                           - _kernel_rep_quad(M, eta, t)) <= 1e-12
+
+
+@pytest.mark.filterwarnings("ignore:The occurrence of roundoff error")
+def test_kernel_rep_mode_check_allows_series_rounding():
+    # the folded series kernel of this kernel carries rounding of ~1e-9 near
+    # s = t, so the 12- and 16-point rules disagree past 1e-12: by 2.6e-12 at
+    # t = 1, and at t = 1.25 by at least 1.7e-11 at every cut; the rounding
+    # floors are 4.7e-11 and 4.4e-9 (quad's reference warns of this roundoff)
+    M = parse_kernel("exp(-1*t) + t^4*exp(-2*t)")
+    for t in (1.0, 1.25):
+        assert abs(kernel_rep_mode(M, math.pi**2, t)
+                   - _kernel_rep_quad(M, math.pi**2, t)) <= 1e-9
+
+
 def test_kernel_rep_mode_unconverged_quadrature_raises():
-    # the 12- and 16-point rules differ by about 7e-8 on this oscillation
+    # 64-fold cut panels still miss this oscillation by about 2.4e-6
     with pytest.raises(QuadratureError, match="exceeds"):
-        kernel_rep_mode(parse_kernel("cos(60*t)"), 10.0, 1.0)
+        kernel_rep_mode(parse_kernel("cos(20000*t)"), 10.0, 1.0)
 
 
 def test_volterra_vs_kernel_rep():

@@ -236,11 +236,13 @@ class Sink:
         return os.path.join(self.dir, name)
 
     def write_csv(self, name, header, rows):
+        """Rows of equal length, each value written as ``_fmt`` writes it,
+        one column at a time."""
+        columns = [_fmt_column(c) for c in zip(*rows, strict=True)]
         with open(self.path(name), "w") as fh:
             fh.write(f"# config {self.hash}\n")
             fh.write(header + "\n")
-            for row in rows:
-                fh.write(", ".join(_fmt(v) for v in row) + "\n")
+            fh.writelines(f"{line}\n" for line in map(", ".join, zip(*columns)))
         self.artifacts.append(name)
 
     def write_json(self, name, payload):
@@ -273,6 +275,17 @@ def _fmt(v):
     if isinstance(v, (float, np.floating)):
         return repr(float(v))
     return str(v)
+
+
+def _fmt_column(column):
+    """``_fmt`` of every value of a column; a column of only floats (numpy
+    float64 included) or only ints takes one C-level map."""
+    kinds = set(map(type, column))
+    if kinds <= {float, np.float64}:
+        return list(map(float.__repr__, column))
+    if kinds == {int}:
+        return list(map(int.__repr__, column))
+    return list(map(_fmt, column))
 
 
 def _json_default(v):
@@ -558,7 +571,7 @@ def cmd_control(cfg, sink, rng, tol_scale):
     res = min_norm_control(prob)
     it, ix = np.nonzero(mask.cells)
     sink.write_csv("control.csv", "t_i, x_cell, u_value",
-                   [(int(i), int(k), float(res.u[i, k])) for i, k in zip(it, ix)])
+                   zip(it.tolist(), ix.tolist(), res.u[it, ix].tolist()))
     sink.write_json("control.json", {
         "final_error": res.final_error,
         "replay_discrepancy": res.replay_discrepancy,

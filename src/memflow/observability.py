@@ -14,16 +14,18 @@ that obs(y0) = sum_i cw_i sqrt(a^T K_i a); every time-weighted Gram (``gram``)
 is a contraction of that stack.  The seminorm itself is evaluated on the
 fields: the quadratic form loses relative accuracy on tiny observations.
 
-Constants over the unit reference-norm sphere start from an exact eigensolve
-of an L2-in-time surrogate and refine the true L1-in-time objective with one
-batched majorize-minimize loop over many restarts (``_mm_loop``).  The lower
-and null constants reweight the row Grams at the iterate and take a
-generalized eigenvector, which decreases the quotient monotonically; the
-upper constant keeps the better of the linearized ascent (monotone, f being
-convex) and a saddle-free Newton step.  Every step advances all restarts
-with one stacked J x J eigensolve and one contraction of the row-Gram stack,
-O(n_restarts n_times J^2), and needs no step size.  The restart spread, the
-step counts and a convergence flag are reported.  Blow-up statements from
+Constants over the unit reference-norm sphere start from an exact eigensolve of
+an L2-in-time surrogate and refine the true L1-in-time objective with one
+batched majorize-minimize loop over many restarts (``_mm_loop``).  Each step
+reweights the row Grams at the iterate and forms the monotone MM candidate: a
+generalized eigenvector for the lower and null constants, the linearized ascent
+(f being convex) for the upper one.  All three loops also form a saddle-free
+Newton candidate on the sphere and keep the better of the two, so the lower and
+null loops take about 7-20 steps per restart at J=12 where the MM step alone
+took 14-142.  Every step advances all restarts with one (upper), two (lower) or
+three (null) stacked J x J eigensolves and a few products with the row-Gram
+stack, O(n_restarts n_times J^2), and needs no step size.  The restart spread,
+the step counts and a convergence flag are reported.  Blow-up statements from
 the theory are rendered as finite trend probes, never as limits.
 """
 
@@ -101,7 +103,7 @@ class ObsSetup:
         wt = np.full(n_used, table.dt)
         wt[0] = wt[-1] = 0.5 * table.dt
         # fractional closing of the window against the grid
-        wt[0] += max(0.0, self.times[0] - S) - 0.0
+        wt[0] += max(0.0, self.times[0] - S)
         wt[-1] += max(0.0, T_hi - self.times[-1])
         self.quad_weights = wt
         self.time_weight = self.times ** alpha if self.weighted else np.ones(n_used)
@@ -289,19 +291,21 @@ def _pencil_top(G, p):
 
 
 def _newton_on_sphere(U, g, H):
-    """Saddle-free Newton step for a maximum of f on the unit sphere from the
-    unit rows U, with gradients g and Hessians H of f there: u + d with
-    d = |P (f I - H) P|^+ P g, P = I - u u^T.  This is the Riemannian Newton
-    step with the Hessian's eigenvalues taken in absolute value, so that d
-    points uphill; eigenvalues are floored at roundoff and d is kept
-    tangent."""
+    """Saddle-free Newton step on the unit sphere from the unit rows U for a
+    function F that vanishes there, with gradients g and Hessians H of F:
+    u - d with d = |P H P|^+ P g, P = I - u u^T.  As F(u) = 0 (so u^T g = 0
+    for F homogeneous of degree one), P H P is the Riemannian Hessian and
+    this is the Riemannian Newton step with the Hessian's eigenvalues taken
+    in absolute value, so that d points downhill; eigenvalues are floored at
+    roundoff and d is kept tangent."""
     J = U.shape[1]
-    f = np.sum(U * g, axis=1)
     P = np.eye(J) - U[:, :, None] * U[:, None, :]
-    lam, Q = np.linalg.eigh(P @ (f[:, None, None] * np.eye(J) - H) @ P)
-    floor = np.finfo(float).eps * f[:, None] + np.finfo(float).tiny
-    c = np.einsum("rjk,rj->rk", Q, g - f[:, None] * U) / np.maximum(np.abs(lam), floor)
-    return U + np.einsum("rjk,rk->rj", P @ Q, c)
+    lam, Q = np.linalg.eigh(P @ H @ P)
+    lam = np.abs(lam)
+    floor = np.finfo(float).eps * lam.max(axis=1, keepdims=True) + np.finfo(float).tiny
+    PQ = P @ Q
+    c = np.einsum("rjk,rj->rk", PQ, g) / np.maximum(lam, floor)
+    return U - np.einsum("rjk,rk->rj", PQ, c)
 
 
 def _mm_loop(setup, U0, n_iter, p=None, ascend=False):
@@ -309,39 +313,43 @@ def _mm_loop(setup, U0, n_iter, p=None, ascend=False):
 
     In reference-normalized coordinates u = D^{1/2} a the seminorm is
     f(u) = sum_i cw_i r_i(u), r_i the masked spatial norm of time row i, with
-    r_i^2 = a^T K_i a for the row Grams K_i of ``ObsSetup.row_grams``.  At
-    the iterate u_k they reweight to G_w = D^{-1/2} (sum_i (cw_i / r_i) K_i)
-    D^{-1/2}, and Cauchy-Schwarz gives f(u)^2 <= f(u_k) u^T G_w u with
-    equality at u_k.
+    r_i^2 = u^T K_i u for the row Grams K_i of ``ObsSetup.row_grams`` (scaled
+    by D^{-1/2} on both sides).  At the iterate u_k they reweight to
+    G_w = sum_i (cw_i / r_i) K_i, and Cauchy-Schwarz gives
+    f(u)^2 <= f(u_k) u^T G_w u with equality at u_k.
 
-    Descent minimizes q(u) = f(u) / ||p u|| (p = None: ||u||) by the top
-    eigenvector of the pencil (diag p^2, G_w), which makes q monotone.
-    Ascent maximizes f on the sphere.  Its monotone step is the linearized
-    one, u <- G_w u / ||G_w u|| (f is convex and positively homogeneous), but
-    that one crawls across flat stretches, so each ascent step also tries
-    the saddle-free Newton step on the sphere and keeps the better of the
-    two.  A step is taken only if q does not get worse, and a restart stops
-    when q stops improving or after n_iter steps.
+    The loop minimizes q(u) = sense f(u) / h(u), h = ||p u|| (p = None:
+    ||u||), sense = -1 for the ascent that maximizes f.  Its monotone step
+    is, for descent, the top eigenvector of the pencil (diag p^2, G_w) and,
+    for ascent, the linearized one u <- G_w u / ||G_w u|| (f is convex and
+    positively homogeneous).  Both gain only a constant factor per step, so
+    every step also tries the saddle-free Newton step on the sphere
+    (``_newton_on_sphere``) for F = sense f - q(u_k) h, which vanishes at
+    u_k and has the minimizers of q as its own; its Hessian is
+    sense (G_w - sum_i (cw_i / r_i) v_i v_i^T) - q(u_k) (diag p^2 -
+    grad h grad h^T) / h, with v_i = K_i u / r_i bounded by Cauchy-Schwarz
+    even where r_i is tiny.  The better of the two candidates is kept.  A
+    step is taken only if q does not get worse, and a restart stops when q
+    stops improving or after n_iter steps.
 
     Returns (U, iterations, capped): the unit iterates, the steps taken by
     each restart and whether it was still improving at the cap.
     """
     K = setup.row_grams()
     n, J = K.shape[0], K.shape[1]
+    half = setup.mass_matrix() ** 0.5
+    K = K / np.outer(half, half)
     K_rows = K.reshape(n * J, J)
     K_flat = K.reshape(n, J * J)
     cw = setup.quad_weights * setup.time_weight
-    half = setup.mass_matrix() ** 0.5
+    p2 = np.ones(J) if p is None else p**2
     sense = -1.0 if ascend else 1.0
 
-    def row_products(U):
-        """K_i u for every row U (m, J) and time row i: (m, n, J)."""
-        KA = (K_rows @ (U / half).T).reshape(n, J, -1)
-        return KA.transpose(2, 0, 1) / half
-
     def evaluate(U):
-        r = np.sqrt(np.maximum(np.einsum("rij,rj->ri", row_products(U), U), 0.0))
-        den = np.linalg.norm(U if p is None else U * p, axis=1)
+        # r_i^2 = vec(u u^T) . vec(K_i): one product with the flat stack
+        r2 = (U[:, :, None] * U[:, None, :]).reshape(len(U), J * J) @ K_flat.T
+        r = np.sqrt(np.maximum(r2, 0.0))
+        den = np.sqrt(U**2 @ p2)
         q = np.divide(sense * (r @ cw), den, out=np.full(len(U), np.inf), where=den > 0)
         return q, r
 
@@ -353,17 +361,24 @@ def _mm_loop(setup, U0, n_iter, p=None, ascend=False):
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
-        m, Ui, ri = idx.size, U[idx], r[idx]
+        m, Ui, ri, qi = idx.size, U[idx], r[idx], q[idx]
         W = np.divide(cw, ri, out=np.zeros((m, n)), where=ri > 0)
-        G = (W @ K_flat).reshape(m, J, J) / np.outer(half, half)
-        if ascend:
-            g = np.einsum("rjk,rk->rj", G, Ui)
-            KU = row_products(Ui)
-            w3 = np.divide(W, ri**2, out=np.zeros_like(W), where=ri > 0)
-            H = G - np.swapaxes(KU * w3[:, :, None], 1, 2) @ KU
-            cands = np.stack([g, _newton_on_sphere(Ui, g, H)])
-        else:
-            cands = _pencil_top(G, p)[None]
+        G = (W @ K_flat).reshape(m, J, J)
+        g = np.einsum("rjk,rk->rj", G, Ui)
+        # Newton candidate, with rows X_i = sqrt(cw_i / r_i) v_i; restarts
+        # with q = inf (h = 0) have none
+        scale = np.divide(np.sqrt(W), ri, out=np.zeros_like(W), where=ri > 0)
+        X = (Ui @ K_rows.T).reshape(m, n, J) * scale[:, :, None]
+        H = G - np.swapaxes(X, 1, 2) @ X
+        ok = np.isfinite(qi)
+        h = np.where(ok, np.sqrt(Ui**2 @ p2), 1.0)
+        qk = np.where(ok, qi, 0.0)
+        dh = p2 * Ui / h[:, None]
+        ddh = (np.diag(p2) - dh[:, :, None] * dh[:, None, :]) / h[:, None, None]
+        newton = _newton_on_sphere(Ui, sense * g - qk[:, None] * dh,
+                                   sense * H - qk[:, None, None] * ddh)
+        newton[~ok] = np.nan
+        cands = np.stack([g if ascend else _pencil_top(G, p), newton])
         norm = np.linalg.norm(cands, axis=2, keepdims=True)
         cands = np.divide(cands, norm, out=np.full_like(cands, np.nan), where=norm > 0)
         cands *= np.where(np.sum(cands * Ui, axis=2) < 0.0, -1.0, 1.0)[..., None]
@@ -373,7 +388,7 @@ def _mm_loop(setup, U0, n_iter, p=None, ascend=False):
         cols = np.arange(m)
         C, qc = cands[pick, cols], qs[pick, cols]
         rc = rs.reshape(len(cands), m, n)[pick, cols]
-        keep, improved = qc <= q[idx], qc < q[idx]
+        keep, improved = qc <= qi, qc < qi
         take = idx[keep]
         U[take], q[take], r[take] = C[keep], qc[keep], rc[keep]
         iterations[take] += 1
@@ -394,17 +409,18 @@ def _start_pool(leading, n, rng):
 def two_sided_constants(setup, n_restarts=32, rng=None):
     """Extremes of the seminorm over the unit reference sphere.
 
-    Every start of the pool (surrogate eigendirections, coordinate axes,
-    seeded random) runs both batched loops of ``_mm_loop``: the lower
-    constant takes the smallest eigenvector of the reweighted row Gram at
-    each step, the upper constant the better of the linearized ascent and a
-    saddle-free Newton step.  A step costs one stacked J x J eigensolve and
-    one contraction of the row-Gram stack per restart, O(n_times J^2), and
-    each restart takes at most 250 steps (tens at J=12).  Reports the
-    restart spread as a stagnation proxy and, per constant, the largest step
-    count and whether the best restart stopped short of the cap.  Raises
-    ObsInvariantError if a constant breaks the Cauchy-Schwarz bridge to the
-    surrogate constants, if c_lower > c_upper, or if a witness does not
+    Every start of the pool (surrogate eigendirections, coordinate axes, seeded
+    random) runs both batched loops of ``_mm_loop``: each step keeps the better
+    of the MM candidate (for the lower constant the smallest eigenvector of the
+    reweighted row Gram, for the upper one the linearized ascent) and a
+    saddle-free Newton step on the sphere.  A step costs two (lower) or one
+    (upper) stacked J x J eigensolves and a few products with the row-Gram
+    stack per restart, O(n_times J^2), and each restart takes at most 250 steps
+    (about 7-15 for the lower constant and 10-90 for the upper one at J=12).
+    Reports the restart spread as a stagnation proxy and, per constant, the
+    largest step count and whether the best restart stopped short of the cap.
+    Raises ObsInvariantError if a constant breaks the Cauchy-Schwarz bridge to
+    the surrogate constants, if c_lower > c_upper, or if a witness does not
     reproduce its constant.
     """
     rng = np.random.default_rng(0) if rng is None else rng
@@ -470,12 +486,14 @@ def null_obs_constant(setup, n_restarts=24, rng=None):
     Surrogate: top eigenpair of the final-state form against the seminorm
     Gram.  Its two top eigendirections, the coordinate axes and seeded random
     fills start the batched majorize-minimize loop of ``_mm_loop`` on
-    1/c_null = min obs(y0) / ||phi(T') y0||: each step takes the top
-    eigenvector of the pencil (diag phi(T')^2, G_w) of the reweighted row
-    Gram, which stays defined where phi(T') vanishes; same cost per step as
-    ``two_sided_constants``, at most 200 steps.  The report carries the
-    surrogate, the largest step count and whether the best restart stopped
-    short of the cap.
+    1/c_null = min obs(y0) / ||phi(T') y0||: each step keeps the better of
+    the top eigenvector of the pencil (diag phi(T')^2, G_w) of the
+    reweighted row Gram, which stays defined where phi(T') vanishes, and a
+    saddle-free Newton step on the sphere.  A step costs three stacked
+    J x J eigensolves (two for the pencil) and a few products with the
+    row-Gram stack per restart; each restart takes at most 200 steps (about
+    7-20 at J=12).  The report carries the surrogate, the largest step count
+    and whether the best restart stopped short of the cap.
     """
     rng = np.random.default_rng(0) if rng is None else rng
     G, D = gram_matrix(setup)

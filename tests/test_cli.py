@@ -1,6 +1,7 @@
 import filecmp
 import importlib.util
 import json
+import math
 import os
 import platform
 import subprocess
@@ -342,3 +343,22 @@ def test_control_json_reports_fine_grid_and_irls_cap(tmp_path):
     rep = json.loads((art / "control.json").read_text())
     assert rep["n_steps_fine"] == 6000  # eta_32 = 1024 pi^2, 6 substeps
     assert rep["irls_iterations"] == 40 and rep["irls_converged"] is False
+
+
+def test_write_csv_matches_the_per_value_formatter(tmp_path):
+    # the column writer must give the bytes of ``_fmt`` applied value by value
+    specials = [math.nan, math.inf, -math.inf, -0.0, 1e-310, 0.1, 1 / 3, 2.0**60]
+    typed = [(bool(i % 2), np.bool_(i % 3 == 0), i - 3, np.int64(-i), np.int32(i),
+              float(v), np.float64(v), np.float32(v), f"s{i}")
+             for i, v in enumerate(specials)]
+    mixed = [(v, w) for v, w in zip([True, np.bool_(False), 7, np.int16(-2), 0.5,
+                                     np.float64(-0.0), np.float32(1e-3), "x"],
+                                    specials)]
+    sink = cli.Sink(str(tmp_path), "test", {"seed": 1})
+    for name, rows in (("typed.csv", typed), ("mixed.csv", mixed), ("empty.csv", [])):
+        sink.write_csv(name, "a, b", iter(rows))
+        reference = (f"# config {sink.hash}\na, b\n"
+                     + "".join(", ".join(cli._fmt(v) for v in row) + "\n" for row in rows))
+        assert Path(sink.path(name)).read_bytes() == reference.encode()
+    with pytest.raises(ValueError):
+        sink.write_csv("ragged.csv", "a, b", [(1, 2), (3,)])

@@ -2,6 +2,10 @@ import dataclasses
 import importlib.util
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -689,6 +693,29 @@ def test_mm_no_worse_than_reference_ascent(tmp_path_factory, index):
     assert null >= ref_c_null * (1 - 1e-10)
 
 
+# c_lower, c_upper and c_null of the first three jobs, as the loop without
+# Newton candidates gave them
+PINNED_CONSTANTS = {
+    0: (0.01563847630986068, 0.14047618875652979, 36.61378540363061),
+    1: (0.0988564381832229, 0.14802249708103904, 3.184687277333617),
+    2: (0.0755974853339813, 0.24058599418107474, 5.286674742748659),
+}
+
+
+@pytest.mark.parametrize("index", [0, 1, 2])
+def test_constants_pinned(tmp_path_factory, index):
+    cfg, setup = _constants_job(tmp_path_factory, index)
+    rng = np.random.default_rng([cfg["seed"], setup.basis.J])
+    rep = two_sided_constants(setup, rng=rng)
+    c_null, _, nd = null_obs_constant(setup, rng=rng)
+    got = np.array([rep.c_lower, rep.c_upper, c_null])
+    np.testing.assert_allclose(got, PINNED_CONSTANTS[index], rtol=1e-12, atol=0.0)
+    if index == 2:
+        # the MM step alone takes 25 and 24 steps here
+        assert rep.diagnostics["iterations_lower"] <= 20
+        assert nd["iterations"] <= 20
+
+
 def test_constants_stable_under_roundoff_in_the_table(tmp_path_factory):
     cfg, setup = _constants_job(tmp_path_factory, 0)
     base = _job_constants(cfg, setup)
@@ -718,3 +745,21 @@ def test_mm_never_worse_than_its_start(mem_table, mask_seed, count, start_seed):
     assert obs_seminorm_many(setup, U / half)[0] <= q0 * (1 + 1e-12)
     U, _, _ = observability._mm_loop(setup, u0, 100, ascend=True)
     assert obs_seminorm_many(setup, U / half)[0] >= q0 * (1 - 1e-12)
+    # the null loop minimizes f(u) / ||phi(T') u|| in the same coordinates
+    p = setup.phi_win[:, -1] / half
+    U, _, _ = observability._mm_loop(setup, u0, 100, p=p)
+    assert (obs_seminorm_many(setup, U / half)[0] / np.linalg.norm(p * U[0])
+            <= q0 / np.linalg.norm(p * u0[0]) * (1 + 1e-12))
+
+
+def test_constants_demo_runs():
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable,
+                           str(root / "demos" / "04_observability_constants.py")],
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert not re.search(r"\b(nan|inf)\b", proc.stdout, re.IGNORECASE), proc.stdout
+    numbers = [float(x) for x in re.findall(r"\d+\.\d+(?:e[-+]\d+)?", proc.stdout)]
+    assert len(numbers) >= 12 and all(math.isfinite(x) for x in numbers)

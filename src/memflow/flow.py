@@ -574,7 +574,7 @@ def control_forcing(basis, mask, control, tgrid):
     """Mode forcing samples f[i, j] of a raster control (zero outside the mask)."""
     u = np.where(mask.cells, np.asarray(control, dtype=float), 0.0)
     B = control_mode_projection(basis, mask)
-    return u[mask.rows_at(tgrid)] @ B.T
+    return (u @ B.T)[mask.rows_at(tgrid)]
 
 
 class RouteMismatchError(RuntimeError):
@@ -613,7 +613,7 @@ def _replay(M, basis, y0, control, mask, T, n_steps, phi):
     nf = len(phi) - 1
     a0 = y0.coeffs if isinstance(y0, SpectralVec) else np.asarray(y0, dtype=float)
     fine, f = _forced_run(M, basis, a0, control, mask, T, nf)
-    phi = phi.T  # (J, nf+1)
+    phi, f = phi.T.copy(), f.T.copy()  # (J, nf+1)
 
     dt = T / nf
     idxs = np.unique(np.linspace(0, nf, 17).astype(int))
@@ -621,6 +621,6 @@ def _replay(M, basis, y0, control, mask, T, n_steps, phi):
     for i in idxs[1:]:  # idxs[0] = 0
         w = np.full(i + 1, dt)
         w[0] = w[-1] = 0.5 * dt
-        duh = phi[:, i] * a0 + np.einsum("k,jk,kj->j", w, phi[:, i::-1], f[: i + 1])
+        duh = phi[:, i] * a0 + np.einsum("k,jk,jk->j", w, phi[:, i::-1], f[:, : i + 1])
         disc = max(disc, float(np.linalg.norm(fine[i] - duh)))
     return fine[::nf // n_steps], disc

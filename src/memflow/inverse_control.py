@@ -4,10 +4,16 @@ Reconstruction solves the regularized normal equations of the discrete
 observation map (justified by the two-sided observability estimate: the
 reference norm of the initial state is equivalent to the masked observation
 norm).  Control solves the discretized moment problem for the forced flow by
-a least-norm solve on the reachability matrix built from exact influence
+a least-norm solve on the reachability matrix G built from exact influence
 coefficients of the time stepper, so a forced replay reproduces the target to
 roundoff.  Controls live on the mask raster (piecewise constant per cell) and
 vanish outside the mask by construction.
+
+Control through the mask is the adjoint of observation on the mask (HUM
+duality), so the reachability Gram G diag(c) G^T has the row structure of the
+observation Grams: a sum over mask rows t of c_t R_t, R_t = (k_t k_t^T) o S_t,
+with S_t from the masked spatial Gram helper that ``ObsSetup`` uses.  The
+control normal matrices are contractions of the R_t (``min_norm_control``).
 """
 
 from __future__ import annotations
@@ -26,7 +32,14 @@ from .flow import (
     volterra_influence,
     volterra_modes,
 )
-from .observability import REF_EXPONENT, ObsSetup, _pencil_eigh, unique_continuation_rank
+from .observability import (
+    REF_EXPONENT,
+    ObsSetup,
+    _pencil_eigh,
+    _row_gram_stack,
+    _spatial_grams,
+    unique_continuation_rank,
+)
 from .spectral import SpectralVec
 
 __all__ = [
@@ -195,6 +208,25 @@ class ControlResult:
     diagnostics: dict = field(default_factory=dict)
 
 
+def _influence_rows(kernel, basis, mask, T_hat, n_steps):
+    """(K, B, nf): K[t, j] the exact stepper influence on mode j summed over
+    the nf fine steps that fall in mask row t, and B the mode projection of
+    the mask columns (``control_mode_projection``)."""
+    etas = basis.eigenvalues
+    nf = _fine_steps(etas, T_hat, n_steps)
+    g = volterra_influence(kernel, etas, T_hat, nf)       # (nf+1, J)
+    rows = mask.rows_at(np.linspace(0.0, T_hat, nf + 1))
+    K = np.stack([np.bincount(rows, weights=g_j, minlength=mask.n_t) for g_j in g.T],
+                 axis=1)
+    return K, control_mode_projection(basis, mask), nf
+
+
+def _dof_columns(K, B, mask):
+    """(G, dof): G[:, d] = K[t_d] * B[:, x_d] for the mask cells (t_d, x_d)."""
+    it, ix = np.nonzero(mask.cells)
+    return (K[it] * B.T[ix]).T, np.stack([it, ix], axis=1)
+
+
 def reachability_matrix(kernel, basis, mask, T_hat, n_steps):
     """Columns map in-mask raster cell values to final-state coefficients.
 
@@ -203,16 +235,8 @@ def reachability_matrix(kernel, basis, mask, T_hat, n_steps):
 
     Returns (G, dof_index) with dof_index the (i_t, i_x) pairs of mask cells.
     """
-    etas = basis.eigenvalues
-    nf = _fine_steps(etas, T_hat, n_steps)
-    g = volterra_influence(kernel, etas, T_hat, nf)       # (nf+1, J)
-    tgrid = np.linspace(0.0, T_hat, nf + 1)
-    K = np.zeros((mask.n_t, basis.J))
-    np.add.at(K, mask.rows_at(tgrid), g)                  # sum influence per cell
-    B = control_mode_projection(basis, mask)              # (J, n_x_mask)
-    it, ix = np.nonzero(mask.cells)
-    G = (K[it] * B.T[ix]).T                               # (J, n_dof)
-    return G, np.stack([it, ix], axis=1)
+    K, B, _ = _influence_rows(kernel, basis, mask, T_hat, n_steps)
+    return _dof_columns(K, B, mask)
 
 
 def min_norm_control(problem):
@@ -221,50 +245,56 @@ def min_norm_control(problem):
     The moment system G u = y1 - phi(T_hat) y0 is solved in the requested
     norm: plain least-norm for "l2"; Lawson-style iteratively reweighted
     least squares against the (T_hat - t)^{-alpha} weight for
-    "weighted_linf" (alpha > 1 enforced).  The result is verified by a
-    forced replay through the time stepper.
+    "weighted_linf" (alpha > 1 enforced).  Both solve the normal matrix
+    G diag(c) G^T + jitter I with c constant on each mask row t (c = 1 for
+    "l2").  It is the contraction sum_t c_t R_t of the per-row reachability
+    Grams R_t = (k_t k_t^T) o S_t, with k_t the influence summed over row t
+    and S_t = B diag(cells_t) B^T, built once per call.  So an IRLS
+    iteration costs O(n_t J^2) plus two products with G, not
+    O(n_dof J^2).  The control u = c G^T mu and the row norms that drive the
+    reweighting are read on the dof columns of G: cond(G G^T) reaches 1e19,
+    and the quadratic forms mu^T R_t mu would cancel.  The result is
+    verified by a forced replay through the time stepper.
     """
     if problem.regime not in ("l2", "weighted_linf"):
         raise ValueError(f"unknown regime {problem.regime!r}")
     if problem.regime == "weighted_linf" and problem.alpha <= 1.0:
         raise ValueError("weighted regime requires alpha > 1")
     basis, mask = problem.basis, problem.mask
-    etas = basis.eigenvalues
-    nf = _fine_steps(etas, problem.T_hat, problem.n_steps)
-    G, dof = reachability_matrix(problem.kernel, basis, mask,
-                                 problem.T_hat, problem.n_steps)
+    K, B, nf = _influence_rows(problem.kernel, basis, mask, problem.T_hat, problem.n_steps)
+    G, dof = _dof_columns(K, B, mask)
+    R = _row_gram_stack(K, *_spatial_grams(B, mask.cells.astype(float)))
     # one unforced sweep: phi(T_hat) for the target, the table for the replay
-    phi = volterra_modes(problem.kernel, etas, problem.T_hat, nf)
+    phi = volterra_modes(problem.kernel, basis.eigenvalues, problem.T_hat, nf)
     a0 = np.zeros(basis.J)
     a0[: len(problem.y0.coeffs)] = problem.y0.coeffs
     a1 = np.zeros(basis.J)
     a1[: len(problem.y1.coeffs)] = problem.y1.coeffs
     target = a1 - phi[-1] * a0
 
-    gram = G @ G.T
-    jitter = 1e-14 * np.trace(gram)
+    cells = dof[:, 0]
+    shift = 1e-14 * np.einsum("tjj->", R) * np.eye(basis.J)  # jitter of G G^T
+
+    def solve(c):
+        gram = np.tensordot(c, R, axes=1)
+        mu = _cholesky_solve(0.5 * (gram + gram.T) + shift, target)
+        return (G.T @ mu) * c[cells]
+
     if problem.regime == "l2":
-        mu = _cholesky_solve(gram + jitter * np.eye(len(gram)), target)
-        u_dof = G.T @ mu
+        u_dof = solve(np.ones(mask.n_t))
         objective = float(np.linalg.norm(u_dof))
         n_irls, converged = 0, True
     else:
-        t_mid = (dof[:, 0] + 0.5) * mask.dt
-        wfac = (problem.T_hat - t_mid) ** (-2.0 * problem.alpha)
-        cells = dof[:, 0]
+        rho = (problem.T_hat - (np.arange(mask.n_t) + 0.5) * mask.dt) ** (-problem.alpha)
         omega = np.ones(mask.n_t)
-        u_dof = None
         converged = True
         for n_irls in range(1, 41):
-            w_dof = wfac * omega[cells]
-            Gw = G / w_dof[None, :]
-            mu = _cholesky_solve(G @ Gw.T + jitter * np.eye(len(gram)), target)
-            u_dof = Gw.T @ mu
-            # per-cell weighted spatial norms drive the Lawson reweighting
-            gamma = np.zeros(mask.n_t)
-            np.add.at(gamma, cells, u_dof**2 * mask.dx)
-            gamma = np.sqrt(gamma) * (problem.T_hat -
-                                      (np.arange(mask.n_t) + 0.5) * mask.dt) ** (-problem.alpha)
+            # weight 1 / (rho^2 omega) per row; a row with omega = 0 carries none
+            w = rho**2 * omega
+            u_dof = solve(np.divide(1.0, w, out=np.zeros_like(w), where=w > 0))
+            # per-row weighted spatial norms drive the Lawson reweighting
+            gamma = np.sqrt(np.bincount(cells, weights=u_dof**2 * mask.dx,
+                                        minlength=mask.n_t)) * rho
             live = gamma > 0
             if not live.any():
                 break
@@ -279,7 +309,7 @@ def min_norm_control(problem):
             omega = new
         else:
             converged = False  # stopped at the iteration cap
-        objective = float(np.max(gamma)) if u_dof is not None else 0.0
+        objective = float(np.max(gamma))
 
     u = np.zeros((mask.n_t, mask.n_x))
     u[dof[:, 0], dof[:, 1]] = u_dof
@@ -302,7 +332,7 @@ def min_norm_control(problem):
         diagnostics={
             "regime": problem.regime,
             "objective": objective,
-            "moment_residual": float(np.linalg.norm(G @ u_dof - target)),
+            "moment_residual": predicted,
             "irls_iterations": n_irls,
             "irls_converged": converged,
             "n_dof": int(len(u_dof)),

@@ -8,11 +8,16 @@ with w(t) = t^alpha on windows starting at 0 and w = 1 otherwise.  Every
 functional here is built on one discrete operator, the masked observation map
 of ``ObsSetup``: ``fields`` takes mode coefficients to the window x grid
 field, ``adjoint`` is its transpose and ``masked`` applies the masked spatial
-quadrature.  ``row_grams`` holds the row Grams K_i = (phi_i phi_i^T) o S_r,
-with one masked spatial Gram S_r per mask row r that the window meets, so
-that obs(y0) = sum_i cw_i sqrt(a^T K_i a); every time-weighted Gram (``gram``)
-is a contraction of that stack.  The seminorm itself is evaluated on the
-fields: the quadratic form loses relative accuracy on tiny observations.
+quadrature.  One masked spatial Gram S_r = E diag(w_r) E^T is formed per run
+r of window rows with equal mask weights (``_spatial_grams``; a cylinder has
+one past its start), and the row Grams are K_i = (phi_i phi_i^T) o S_r(i), so
+that obs(y0) = sum_i cw_i sqrt(a^T K_i a).  A time-weighted Gram (``gram``)
+is contracted run by run, sum_r S_r o (P_r^T diag(coef_r) P_r), in
+O(n_times J^2) without the (n_times, J, J) stack; only the constant
+optimizers build the stack (``row_grams``).  The control Grams of
+``inverse_control`` come from the same two helpers.  The seminorm itself is
+evaluated on the fields: the quadratic form loses relative accuracy on tiny
+observations.
 
 Constants over the unit reference-norm sphere start from an exact eigensolve of
 an L2-in-time surrogate and refine the true L1-in-time objective with one
@@ -75,9 +80,11 @@ class ObsSetup:
     weighted-estimate regime); windows with S > 0 are unweighted unless
     ``force_weight`` overrides.  ``quad_weights`` is the trapezoid rule in
     time, ``masked_weights`` the grid rule restricted to the mask.  Only the
-    operator methods combine propagators, eigenfunctions and mask; the row
-    Grams and the eigenpairs of the surrogate pencil are built once per
-    setup, on first use.
+    operator methods combine propagators, eigenfunctions and mask.  The
+    masked spatial Grams (one per run of rows with equal weights), the
+    eigenpairs of the surrogate pencil and, for the constant optimizers
+    only, the row-Gram stack are built once per setup, on first use;
+    ``gram`` contracts by runs and needs no stack.
     """
 
     ref_exponent = REF_EXPONENT  # read off a setup by perfbench/checks.py
@@ -113,8 +120,7 @@ class ObsSetup:
         self.masked_weights = np.where(mask.cells[np.ix_(rows, mask.columns_at(basis.x))],
                                        basis.weights[None, :], 0.0)
         self.phi_win = table.phi[:, i0:i1 + 1]
-        # first window row of each run of rows that meet one mask row
-        self._run_starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        self._spatial = None
         self._row_grams = None
         self._pencil = None
 
@@ -155,30 +161,40 @@ class ObsSetup:
         masked L2 product per time row)."""
         return F * self.masked_weights
 
+    def spatial_grams(self):
+        """(starts, S) of ``_spatial_grams`` for the masked weights: one
+        masked spatial Gram per run of window rows with equal weights.  Built
+        once, read-only."""
+        if self._spatial is None:
+            starts, S = _spatial_grams(self.basis.funcs, self.masked_weights)
+            S.setflags(write=False)
+            self._spatial = starts, S
+        return self._spatial
+
     def row_grams(self):
         """Stack K (n_times, J, J) of row Grams K_i = (phi_i phi_i^T) o S_r(i):
         a^T K_i a is the squared masked spatial norm of row i of fields(a).
 
-        S_r = E diag(w_r) E^T is the masked spatial Gram of mask row r, built
-        once for each mask row the window meets and symmetrized, so every
-        K_i is exactly symmetric.  Built once, in place, and read-only.
+        Only the constant optimizers (``_mm_loop``) read the stack; ``gram``
+        contracts by runs without it.  Built once, read-only.
         """
         if self._row_grams is None:
-            E, P = self.basis.funcs, self.phi_win.T
-            W = self.masked_weights[self._run_starts]
-            S = (W[:, None, :] * E) @ E.T                       # (R, J, J)
-            S = 0.5 * (S + S.transpose(0, 2, 1))
-            K = P[:, :, None] * P[:, None, :]
-            for run, S_r in zip(np.split(K, self._run_starts[1:]), S):
-                run *= S_r
+            K = _row_gram_stack(self.phi_win.T, *self.spatial_grams())
             K.setflags(write=False)
             self._row_grams = K
         return self._row_grams
 
     def gram(self, coef):
         """Gram sum_i coef_i K_i of the masked map under time weights coef
-        (n_times,): coef contracted with ``row_grams``, symmetrized."""
-        G = np.tensordot(coef, self.row_grams(), axes=1)
+        (n_times,), contracted per run r of rows with one spatial Gram S_r:
+        sum_r S_r o (P_r^T diag(coef_r) P_r), P_r the run's rows of phi_win^T.
+        O(n_times J^2 + n_runs J^2), symmetrized."""
+        starts, S = self.spatial_grams()
+        P = self.phi_win.T
+        Pc = P * coef[:, None]
+        G = np.zeros(S.shape[1:])
+        for lo, hi, S_r in zip(starts.tolist(), [*starts[1:].tolist(), len(P)], S):
+            G += S_r * (Pc[lo:hi].T @ P[lo:hi])
         return 0.5 * (G + G.T)
 
     def l2_norm(self, F):
@@ -195,6 +211,31 @@ class ObsSetup:
             F = self.fields(A[lo:lo + _PROFILE_CHUNK])
             out[lo:lo + len(F)] = np.sqrt(np.einsum("vik,vik->vi", self.masked(F), F))
         return out
+
+
+def _spatial_grams(F, W):
+    """Masked spatial Grams S = F diag(w) F^T of the functions F (J, n_x)
+    under the weight rows w of W (n, n_x), one per run of equal consecutive
+    rows: a cylinder mask needs one past its start.
+
+    Returns (starts, S): the first row of each run and the stack
+    (n_runs, J, J), symmetrized so that every S is exactly symmetric.
+    """
+    new = np.ones(len(W), dtype=bool)
+    new[1:] = np.any(W[1:] != W[:-1], axis=1)
+    starts = np.flatnonzero(new)
+    S = (W[starts][:, None, :] * F) @ F.T
+    return starts, 0.5 * (S + S.transpose(0, 2, 1))
+
+
+def _row_gram_stack(P, starts, S):
+    """Stack (n, J, J) of the row Grams (p_i p_i^T) o S_r of the rows p_i of
+    P (n, J), S_r the Gram of the run of ``_spatial_grams`` that row i is in;
+    each is exactly symmetric."""
+    K = P[:, :, None] * P[:, None, :]
+    for run, S_r in zip(np.split(K, starts[1:]), S):
+        run *= S_r
+    return K
 
 
 def obs_seminorm_many(setup, A):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import memflow
-from memflow import cli
+from memflow import cli, inverse_control, observability
 from memflow.geometry import save_mask, zigzag_mask
 from memflow.observability import ObsSetup
 
@@ -308,13 +308,26 @@ def _benchmark_workloads():
     return mod
 
 
-@pytest.mark.parametrize("workload", ["steer", "constants"])
-def test_one_gram_build_per_job(workload, tmp_path, monkeypatch):
-    """reconstruct and obsconst ask for Grams several times; their one setup
-    builds the row-Gram stack behind them once."""
-    command, _, cfg = _benchmark_workloads().make_job(workload, 701, 0)
+@pytest.mark.parametrize("workload, index", [("steer", 0), ("constants", 0),
+                                             ("steer", 1)],
+                         ids=["steer", "constants", "steer-control"])
+def test_one_gram_build_per_job(workload, index, tmp_path, monkeypatch):
+    """Each job builds its masked spatial Grams once.  reconstruct asks for
+    Grams several times and contracts them by runs of rows, so it never
+    builds the row-Gram stack, and neither does control; obsconst's
+    optimizers read the stack several times and build it once."""
+    command, _, cfg = _benchmark_workloads().make_job(workload, 701, index)
     p = tmp_path / "c.json"
     p.write_text(json.dumps(cfg))
+    spatial = []
+    spatial_grams = observability._spatial_grams
+
+    def counted_spatial(F, W):
+        spatial.append(W.shape)
+        return spatial_grams(F, W)
+
+    monkeypatch.setattr(observability, "_spatial_grams", counted_spatial)
+    monkeypatch.setattr(inverse_control, "_spatial_grams", counted_spatial)
     calls, builds = [], []
     row_grams = ObsSetup.row_grams
 
@@ -326,23 +339,41 @@ def test_one_gram_build_per_job(workload, tmp_path, monkeypatch):
 
     monkeypatch.setattr(ObsSetup, "row_grams", counted)
     assert run([command, "--config", p, "--out", tmp_path / "o"]) == 0
-    assert len(builds) == 1 and len(calls) > 1
+    assert len(spatial) == 1
+    if workload == "constants":
+        assert len(builds) == 1 and len(calls) > 1
+    else:
+        assert not builds
+
+
+# the weighted_linf probe that misses the CLI's 1e-6 gate
+# (perfbench/checks.py: CONTROL_MISS_CONFIG)
+CONTROL_MISS = {"seed": 1350752518, "basis": {"J": 32, "n_x": 128},
+                "time": {"T": 1.0, "n_t": 1000}, "kernel": "exp(-0.5097*t)",
+                "mask": {"kind": "cylinder", "S": 0.042, "x_lo": 0.5018, "x_hi": 0.8888},
+                "control": {"regime": "weighted_linf"}}
 
 
 def test_control_json_reports_fine_grid_and_irls_cap(tmp_path):
     """The weighted_linf probe that misses the 1e-6 gate stops its IRLS at
-    the 40-iteration cap (perfbench/checks.py: CONTROL_MISS_CONFIG)."""
-    cfg = {"seed": 1350752518, "basis": {"J": 32, "n_x": 128},
-           "time": {"T": 1.0, "n_t": 1000}, "kernel": "exp(-0.5097*t)",
-           "mask": {"kind": "cylinder", "S": 0.042, "x_lo": 0.5018, "x_hi": 0.8888},
-           "control": {"regime": "weighted_linf"}}
+    the 40-iteration cap."""
     p = tmp_path / "c.json"
-    p.write_text(json.dumps(cfg))
+    p.write_text(json.dumps(CONTROL_MISS))
     run(["control", "--config", p, "--out", tmp_path / "o"])
     art = tmp_path / "o" / "control" / cli.config_hash(cli.load_config(p))
     rep = json.loads((art / "control.json").read_text())
     assert rep["n_steps_fine"] == 6000  # eta_32 = 1024 pi^2, 6 substeps
     assert rep["irls_iterations"] == 40 and rep["irls_converged"] is False
+
+
+@pytest.mark.xfail(strict=True, reason="weighted_linf IRLS misses the 1e-6 target "
+                   "on this narrow band (final_error 1.65e-6); ROADMAP item 5")
+def test_weighted_linf_control_reaches_the_target(tmp_path):
+    """The weighted_linf probe should steer to within the CLI's 1e-6 gate
+    and exit 0."""
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(CONTROL_MISS))
+    assert run(["control", "--config", p, "--out", tmp_path / "o"]) == 0
 
 
 def test_write_csv_matches_the_per_value_formatter(tmp_path):

@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 
 from memflow.flow import build_flow_table
-from memflow.geometry import Mask, cylinder_mask, zigzag_mask
+from memflow.flow import _fine_steps, volterra_modes
+from memflow.geometry import Mask, cylinder_mask, random_rects_mask, zigzag_mask
 from memflow.inverse_control import (
     ControlProblem,
+    _cholesky_solve,
+    _dof_columns,
+    _influence_rows,
     ReconstructionProblem,
     SingularSystemError,
     discrepancy_lambda,
@@ -19,7 +23,7 @@ from memflow.inverse_control import (
     synthesize_observation,
 )
 from memflow.kernels import ExpPolyFn, parse_kernel
-from memflow.observability import ObsSetup, two_sided_constants
+from memflow.observability import ObsSetup, _row_gram_stack, _spatial_grams, two_sided_constants
 from memflow.spectral import SpectralVec, hs_norm, interval_basis
 
 KERNEL = parse_kernel("exp(-1*t)")
@@ -191,6 +195,85 @@ def test_control_job_sweeps_the_unforced_grid_once(rng, monkeypatch):
     nf = res.diagnostics["n_steps_fine"]
     assert nf == 2000
     assert sorted(runs) == [(nf, False), (nf, True)]
+
+
+CONTROL_MASKS = {
+    # mask rows 0-9 empty, then one band: two runs of equal rows
+    "cylinder-late": lambda: cylinder_mask(1.0, 80, 48, 0.2, 0.7, S=0.125),
+    "zigzag": lambda: zigzag_mask(0.15, 1.0, 80, 48),
+    "rects": lambda: random_rects_mask(3, 6, 1.0, 80, 48),
+}
+
+
+@pytest.mark.parametrize("mask_kind", sorted(CONTROL_MASKS))
+def test_per_row_reachability_grams_match_the_dense_gram(mask_kind):
+    """sum_t c_t R_t = G diag(c) G^T for c = 1 and for Lawson-style row
+    weights, R_t = (k_t k_t^T) o S_t the per-mask-row reachability Grams."""
+    basis = interval_basis(8, 48)
+    mask = CONTROL_MASKS[mask_kind]()
+    K, B, _ = _influence_rows(KERNEL, basis, mask, 1.0, 800)
+    G, dof = _dof_columns(K, B, mask)
+    np.testing.assert_array_equal(G, reachability_matrix(KERNEL, basis, mask, 1.0, 800)[0])
+    R = _row_gram_stack(K, *_spatial_grams(B, mask.cells.astype(float)))
+    assert R.shape == (mask.n_t, 8, 8)
+    assert np.array_equal(R, R.transpose(0, 2, 1))
+    t_mid = (np.arange(mask.n_t) + 0.5) * mask.dt
+    omega = np.random.default_rng(4).random(mask.n_t) + 0.01
+    for c in (np.ones(mask.n_t), (1.0 - t_mid) ** 4 / omega):
+        want = (G * c[dof[:, 0]]) @ G.T
+        got = np.tensordot(c, R, axes=1)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def _dense_control(problem):
+    """Reference moment solve on the dof columns: (u_dof, irls_iterations,
+    converged), with the normal matrices formed as G diag(1/w) G^T."""
+    basis, mask = problem.basis, problem.mask
+    nf = _fine_steps(basis.eigenvalues, problem.T_hat, problem.n_steps)
+    G, dof = reachability_matrix(problem.kernel, basis, mask, problem.T_hat,
+                                 problem.n_steps)
+    phi = volterra_modes(problem.kernel, basis.eigenvalues, problem.T_hat, nf)
+    target = problem.y1.coeffs - phi[-1] * problem.y0.coeffs
+    gram = G @ G.T
+    jitter = 1e-14 * np.trace(gram) * np.eye(len(gram))
+    if problem.regime == "l2":
+        return G.T @ _cholesky_solve(gram + jitter, target), 0, True
+    cells = dof[:, 0]
+    t_mid = (cells + 0.5) * mask.dt
+    wfac = (problem.T_hat - t_mid) ** (-2.0 * problem.alpha)
+    omega = np.ones(mask.n_t)
+    for n_irls in range(1, 41):
+        Gw = G / (wfac * omega[cells])[None, :]
+        u_dof = Gw.T @ _cholesky_solve(G @ Gw.T + jitter, target)
+        gamma = np.zeros(mask.n_t)
+        np.add.at(gamma, cells, u_dof**2 * mask.dx)
+        gamma = np.sqrt(gamma) * (problem.T_hat - (np.arange(mask.n_t) + 0.5)
+                                  * mask.dt) ** (-problem.alpha)
+        new = np.where(gamma > 0, omega * gamma, 0.0)
+        new /= new.sum()
+        done = np.abs(new - omega / omega.sum()).max() < 1e-12
+        omega = new
+        if done:
+            return u_dof, n_irls, True
+    return u_dof, 40, False
+
+
+@pytest.mark.parametrize("regime", ["l2", "weighted_linf"])
+@pytest.mark.parametrize("mask_kind", sorted(CONTROL_MASKS))
+def test_control_matches_the_dense_moment_solve(regime, mask_kind):
+    basis = interval_basis(8, 48)
+    mask = CONTROL_MASKS[mask_kind]()
+    y0 = SpectralVec(np.random.default_rng(12).standard_normal(8))
+    prob = ControlProblem(KERNEL, basis, mask, 1.0, y0,
+                          SpectralVec(basis.eigenvalues**-3.0, s=4.0),
+                          regime=regime, alpha=2.0, n_steps=800)
+    res = min_norm_control(prob)
+    want, n_irls, converged = _dense_control(prob)
+    it, ix = np.nonzero(mask.cells)
+    u = res.u[it, ix]
+    assert np.abs(u - want).max() <= 1e-9 * np.abs(want).max()
+    assert res.diagnostics["irls_iterations"] == n_irls
+    assert res.diagnostics["irls_converged"] is converged
 
 
 def test_weighted_regime_rejects_small_alpha(rng):

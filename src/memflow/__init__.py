@@ -30,9 +30,11 @@ from .flow import (
 )
 from .geometry import (
     Mask,
+    RootIsolationError,
     analytic_lower_bound_check,
     ball_average,
     ball_complement_mask,
+    column_integrals,
     cusp_mask,
     cylinder_mask,
     load_mask,

@@ -396,17 +396,18 @@ def _window(cfg):
 
 def cmd_moc(cfg, sink, rng, tol_scale):
     M = parse_kernel_checked(cfg["kernel"])
+    if M.is_zero():
+        raise ConfigError("kernel: moc needs a kernel that is not identically zero")
     mask = build_mask(cfg)
     S, T_hi = _window(cfg)
     T_hi = min(T_hi, mask.T)
     mval = geometry.moc_functional(mask, S, T_hi)
     radii = cfg.get("moc_cmd", {}).get("radii", [0.05, 0.1, 0.2])
     ball = {repr(r): geometry.ball_average(mask, r, T_hi) for r in radii}
-    slices = [(ix, geometry.slice_measure(mask, ix, S, T_hi),
-               geometry.weighted_slice(mask, M, S, T_hi, ix))
-              for ix in range(mask.n_x)]
+    mu, weighted = geometry.column_integrals(mask, M, S, T_hi)
     C, beta, verified, margins = geometry.analytic_lower_bound_check(mask, M, S, T_hi)
-    sink.write_csv("slices.csv", "x_cell, slice_measure, weighted_slice", slices)
+    sink.write_csv("slices.csv", "x_cell, slice_measure, weighted_slice",
+                   zip(range(mask.n_x), mu.tolist(), weighted.tolist()))
     sink.write_json("moc.json", {
         "moc": mval, "ball_average": ball,
         "analytic_bound": {"C": C, "beta": beta, "verified": verified,
@@ -484,11 +485,10 @@ def cmd_probe_ball(cfg, sink, rng, tol_scale):
     x_star = pb.get("x_star", 0.5)
     r = pb.get("r", 0.2)
     M = parse_kernel_checked(cfg["kernel"])
+    if M.is_zero():
+        raise ConfigError("kernel: probe-ball needs a kernel that is not identically zero")
     T = cfg["time"]["T"]
-    cfg = dict(cfg)
-    cfg["mask"] = {"kind": "ball_complement", "x_star": x_star, "r": r,
-                   "n_t": max(64, cfg["time"]["n_t"] // 8),
-                   "n_x": max(32, cfg["basis"]["n_x"] // 2)}
+    cfg = {**cfg, "mask": {"kind": "ball_complement", "x_star": x_star, "r": r}}
     setup = _setup_from_cfg(cfg, M, method="decomposition")
     J_index = first_nonzero_h_index(M, T)
     recs = missing_ball_probe(setup, x_star, r, J_index, k_list)
@@ -664,7 +664,7 @@ def main(argv=None):
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (QuadratureError, kernels.TruncationError) as e:
+    except (QuadratureError, kernels.TruncationError, geometry.RootIsolationError) as e:
         sink.finalize("failed")
         print(f"{args.command}: {type(e).__name__}: {e}; see {sink.dir}", file=sys.stderr)
         return 1

@@ -22,7 +22,9 @@ constructors take and what the printer writes.  The series kernel
 K(t, s) = sum_j ((-s)^j / j!) M^{*j}(t-s) folds its terms into one array
 C[z, p, m] over (s^p / p!) (t-s)^m, on which d/ds is exact.  The flow
 decomposition is integration by parts in s: h_l(t) = d^l/ds^l K(t, 0),
-p_l(t) = -d^l/ds^l K(t, t), and R_N integrates d^N/ds^N K.  The stepper's
+p_l(t) = -d^l/ds^l K(t, t), and R_N integrates d^N/ds^N K.  h_l and R_N are
+read off the folded array; p_l is a polynomial whose coefficients are
+power-series products of the Taylor data of M at 0.  The stepper's
 memory recurrence reads the rows.  The objects derived from a kernel
 (convolution powers, h_l, p_l, ``km_partial``, the C^N norms) are kept in a
 memo on the kernel and live as long as it does.
@@ -312,31 +314,28 @@ def h_coeff(M, l):
 @_kept_on_kernel
 def p_coeff(M, l):
     """Polynomial coefficient of the smoothing (heat-like) flow part at order l+1,
-    p_l(t) = -d^l/ds^l K(t, s) at s = t, summed term by term:
+    p_l(t) = -d^l/ds^l K(t, s) at s = t:
 
         p_l(t) = (-1)^(l+1) sum_j sum_m C(l, d) (M^{*j})^(d)(0) (-t)^m / m!,
 
-    d = l - j + m, over 1 <= j <= l+1 and max(0, 2j - l - 1) <= m <= j.  Its
-    constant (m = 0) comes from this sum alone, so p_l(0) = -h_l(0) is a
-    check between two separate computations.  The sum skips the
-    (M^{*j})^(d)(0), d < j - 1, that vanish analytically; read off the folded
-    K at u = 0 they add roundoff (on exp(-t) + t^4 e^{-2t}, l <= 7, 1.3e-13 of
-    the top coefficient off an exact reference, not 4.5e-14).
+    d = l - j + m, over 1 <= j <= l+1 and max(0, 2j - l - 1) <= m <= j.
+    Convolution multiplies Laplace transforms, M-hat^j = s^-j A(1/s)^j with
+    A(x) = sum_k M^(k)(0) x^k, so (M^{*j})^(d)(0) is the x^(d-j+1)
+    coefficient of A(x)^j: a truncated power-series product of the Taylor
+    data of M at 0, no convolution power.  So p_l(0) = -h_l(0) is a check
+    between two separate computations.
     """
     if l < 0:
         raise ValueError("l must be >= 0")
-    out = ExpPolyFn.zero()
-    sign = float((-1) ** (l + 1))
+    a = np.array([M.derivative(k).eval(0.0) for k in range(l + 1)])
+    row, power = np.zeros(l + 2), np.ones(1)
+    factorial = np.cumprod(np.maximum(np.arange(l + 2), 1.0))
     for j in range(1, l + 2):
-        Fj = conv_power(M, j)
-        for m in range(max(0, 2 * j - l - 1), j + 1):
-            d = l - j + m  # in [0, l]
-            val = math.comb(l, d) * Fj.derivative(d).eval(0.0)
-            if val != 0.0:
-                out = out + ExpPolyFn.term(
-                    sign * val * (-1.0) ** m / math.factorial(m), power=m
-                )
-    return out
+        power = np.convolve(power, a)[:l + 1]  # A(x)^j up to x^l
+        m = np.arange(max(0, 2 * j - l - 1), j + 1)
+        d = l - j + m  # in [0, l]
+        row[m] += _binomials(l + 1)[l, d] * power[d - j + 1] * (-1.0) ** m / factorial[m]
+    return ExpPolyFn._of_rows([(0.0, (-1.0) ** (l + 1) * row)])
 
 
 # ---------------------------------------------------------------------------
@@ -379,9 +378,9 @@ class BivariateKernel:
     The J = ``truncation_order`` terms fold into one compiled array C[z, p, m]
     over (s^p / p!) (t-s)^m, which ``_s_derivative`` differentiates exactly.
     Read off it are h_l(t) = d^l/ds^l K(t, 0) (``h_coeff``) and the remainder
-    R_N = int eta e^{-eta s} d^N/ds^N K ds; p_l(t) = -d^l/ds^l K(t, t) is
-    summed term by term (``p_coeff``).  A computable tail bound controls the
-    truncation.
+    R_N = int eta e^{-eta s} d^N/ds^N K ds; p_l(t) = -d^l/ds^l K(t, t) comes
+    from the Taylor data of M at 0 (``p_coeff``).  A computable tail bound
+    controls the truncation.
     """
 
     def __init__(self, M, deriv_order, truncation_order):

@@ -3,6 +3,7 @@ import importlib.util
 import json
 import math
 import os
+import pkgutil
 import platform
 import subprocess
 import sys
@@ -272,6 +273,33 @@ def test_library_numerical_error_exits_one(tmp_path, capsys):
     assert "QuadratureError" in capsys.readouterr().err
     d = next((out / "flow-check").iterdir())
     assert json.loads((d / "manifest.json").read_text())["status"] == "failed"
+
+
+@pytest.mark.parametrize("command, kernel, code, message", [
+    ("moc", "0", 2, "config error: kernel"),
+    ("probe-ball", "0", 2, "config error: kernel"),
+    ("moc", "t^13", 1, "RootIsolationError"),  # a root of order 13 > 12 at t = 0
+])
+def test_unusable_kernel_exits_cleanly(tmp_path, capsys, command, kernel, code, message):
+    p = tmp_path / "c.json"
+    write_cfg(p, kernel=kernel)
+    out = tmp_path / "o"
+    assert run([command, "--config", p, "--out", out]) == code
+    assert message in capsys.readouterr().err
+    if code == 1:
+        d = next((out / command).iterdir())
+        assert json.loads((d / "manifest.json").read_text())["status"] == "failed"
+
+
+def test_module_exceptions_importable_from_package():
+    exported = []
+    for info in pkgutil.iter_modules(memflow.__path__):
+        module = importlib.import_module(f"memflow.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            obj = getattr(module, name)
+            if isinstance(obj, type) and issubclass(obj, Exception):
+                exported.append((name, getattr(memflow, name, None) is obj))
+    assert exported and all(ok for _, ok in exported), exported
 
 
 def test_flow_check_vacuous_remainder_bound(tmp_path):

@@ -8,6 +8,7 @@ from memflow.geometry import (
     analytic_lower_bound_check,
     ball_average,
     ball_complement_mask,
+    column_integrals,
     cusp_mask,
     cylinder_mask,
     mask_from_text,
@@ -170,6 +171,33 @@ def test_weighted_slice_quadrature_accuracy():
     M = parse_kernel("exp(-1*t)")
     got = weighted_slice(m, M, 0.0, 1.0, 4)
     assert got == pytest.approx(1.0 - math.exp(-1.0), rel=1e-10)
+
+
+def ref_weighted_slice(mask, M, S, T_hi, x_cell):
+    """One column's int chi |M| dt by 4-point Gauss per active cell, the loop
+    that column_integrals batches over all columns."""
+    dt = mask.dt
+    idx = np.flatnonzero(mask.cells[:, x_cell]
+                         & (np.arange(mask.n_t) * dt < T_hi) & ((np.arange(mask.n_t) + 1) * dt > S))
+    lo, hi = np.maximum(idx * dt, S), np.minimum((idx + 1) * dt, T_hi)
+    xg, wg = np.polynomial.legendre.leggauss(4)
+    h = 0.5 * (hi - lo)
+    return sum(hk * sum(wk * abs(M.eval(lk + hk * (xk + 1.0))) for xk, wk in zip(xg, wg))
+               for lk, hk in zip(lo, h))
+
+
+@pytest.mark.parametrize("mask", [cylinder_mask(1.0, 60, 30), zigzag_mask(0.2, 1.3, 60, 30),
+                                  random_rects_mask(3, 5, 1.0, 64, 32)])
+@pytest.mark.parametrize("window", [(0.0, 1.0), (0.13, 0.65)])
+def test_column_integrals_match_per_column_loop(mask, window):
+    M = parse_kernel("exp(-0.8668*t) + 0.7431*t*exp(-2.2246*t)")
+    mu, weighted = column_integrals(mask, M, *window)
+    want = [ref_weighted_slice(mask, M, *window, ix) for ix in range(mask.n_x)]
+    assert np.max(np.abs(weighted - want)) <= 1e-15 * max(want)
+    # the slice measures are the ones moc_functional takes the minimum of
+    assert mu.min() == moc_functional(mask, *window)
+    assert [slice_measure(mask, ix, *window) for ix in range(mask.n_x)] == mu.tolist()
+    assert [weighted_slice(mask, M, *window, ix) for ix in range(mask.n_x)] == weighted.tolist()
 
 
 def test_cusp_weighted_slice_cube_root_fit():

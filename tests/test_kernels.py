@@ -542,7 +542,15 @@ def test_p_coeff_matches_exact_coefficients(text):
         assert p.rates.tolist() in ([], [0.0])
         got = np.zeros(l + 2)
         got[:p.C.shape[1]] = p.C.sum(axis=0)
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_p_coeff_forms_no_convolution_power():
+    # p_l reads the Taylor data of M at 0, not the closed-form powers M^{*j}
+    M = parse_kernel("exp(-0.8668*t) + 0.7431*t*exp(-2.2246*t)")
+    for l in range(8):
+        p_coeff(M, l)
+    assert not [key for key in M._memo if key[0] == "conv_power"]
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from .flow import (
     forced_solution,
     kernel_rep_mode,
     kernel_rep_profile,
-    remainder_RN_mode,
     remainder_bound,
     remainder_profile,
     volterra_influence,
@@ -56,6 +55,7 @@ from .inverse_control import (
     discrepancy_lambda,
     duality_range_test,
     min_norm_control,
+    observation_operator,
     reachability_matrix,
     reachable_difference_check,
     reconstruct_y0,

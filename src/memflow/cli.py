@@ -63,6 +63,10 @@ class ConfigError(ValueError):
     pass
 
 
+# library errors a command ends on with exit 1 and a ``failed`` manifest
+_RUN_ERRORS = (QuadratureError, kernels.TruncationError, geometry.RootIsolationError)
+
+
 # ---------------------------------------------------------------------------
 # config handling
 # ---------------------------------------------------------------------------
@@ -187,34 +191,25 @@ def parse_kernel_checked(text):
         raise ConfigError(f"kernel: {e}") from None
 
 
+# constructor arguments without a default in ``geometry``, per mask kind
+_MASK_DEFAULTS = {
+    "zigzag": {"eps": 0.1},
+    "cusp": {"x0": 0.5, "S": 0.0},
+    "random_rects": {"seed": 0, "count": 5},
+    "ball_complement": {"x_star": 0.5, "r": 0.2},
+}
+
+
 def build_mask(cfg):
     m = dict(cfg["mask"])
     kind = m.pop("kind", "cylinder")
-    T = cfg["time"]["T"]
-    m.setdefault("n_t", max(64, cfg["time"]["n_t"] // 8))
-    m.setdefault("n_x", max(32, cfg["basis"]["n_x"] // 2))
+    if kind != "file":  # a mask file carries its own sizes
+        m = {"T": cfg["time"]["T"], "n_t": max(64, cfg["time"]["n_t"] // 8),
+             "n_x": max(32, cfg["basis"]["n_x"] // 2), **_MASK_DEFAULTS.get(kind, {}), **m}
     try:
-        if kind == "cylinder":
-            return geometry.cylinder_mask(T, m["n_t"], m["n_x"],
-                                          m.get("x_lo", 0.0), m.get("x_hi", 1.0),
-                                          m.get("S", 0.0))
-        if kind == "zigzag":
-            return geometry.zigzag_mask(m.get("eps", 0.1), T, m["n_t"], m["n_x"])
-        if kind == "cusp":
-            return geometry.cusp_mask(m.get("x0", 0.5), m.get("S", 0.0), T,
-                                      m["n_t"], m["n_x"],
-                                      exponent=m.get("exponent", 1.0 / 3.0))
-        if kind == "random_rects":
-            return geometry.random_rects_mask(m.get("seed", 0), m.get("count", 5),
-                                              T, m["n_t"], m["n_x"])
-        if kind == "ball_complement":
-            return geometry.ball_complement_mask(T, m["n_t"], m["n_x"],
-                                                 m.get("x_star", 0.5), m.get("r", 0.2))
-        if kind == "file":
-            return geometry.load_mask(m["path"])
-    except ValueError as e:  # a value the constructor rejects
+        return geometry.mask_generate(kind, **m)
+    except (TypeError, ValueError) as e:  # a key or value the constructor rejects
         raise ConfigError(f"mask ({kind}): {e}") from None
-    raise ConfigError(f"mask.kind: unknown kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -222,17 +217,19 @@ def build_mask(cfg):
 # ---------------------------------------------------------------------------
 
 class Sink:
-    """Output directory <out>/<command>/<hash> with hash-stamped artifacts."""
+    """Output directory <out>/<command>/<hash> with hash-stamped artifacts;
+    made on the first write, so a command that raises a config error before
+    it writes leaves no directory."""
 
     def __init__(self, out_dir, command, cfg):
         self.hash = config_hash(cfg)
         self.dir = os.path.join(out_dir, command, self.hash)
-        os.makedirs(self.dir, exist_ok=True)
         self.artifacts = []
         self.cfg = cfg
         self.command = command
 
     def path(self, name):
+        os.makedirs(self.dir, exist_ok=True)
         return os.path.join(self.dir, name)
 
     def write_csv(self, name, header, rows):
@@ -330,11 +327,13 @@ def cmd_flow_check(cfg, sink, rng, tol_scale):
                    "j, eta, t, volterra, kernel_rep, decomposition, "
                    "diff_vk, diff_vd, tol, ok", rows)
 
-    # dt-halving order estimate against the quadrature route
+    # dt-halving order estimate against the quadrature route, whose value at
+    # T is the three-way row of the last check time (i = n_t)
+    kr_at_T = {row[0]: row[4] for row in rows}
     records = []
     for j in modes:
         eta = float(etas[j - 1])
-        ref = kernel_rep_mode(M, eta, T)
+        ref = kr_at_T[j]
         errs = []
         for lvl in range(2):
             y = volterra_modes(M, [eta], T, _fine_steps([eta], T, n_t * 2**lvl))
@@ -613,8 +612,12 @@ def cmd_report(cfg, sink, rng, tol_scale, out_dir):
     for name in ("flow-check", "kernel", "moc", "obsconst", "reconstruct",
                  "control", "duality"):
         sub_sink = Sink(out_dir, name, cfg)
-        ok = COMMAND_IMPL[name](cfg, sub_sink, np.random.default_rng(cfg["seed"]),
-                                tol_scale)
+        try:
+            ok = COMMAND_IMPL[name](cfg, sub_sink, np.random.default_rng(cfg["seed"]),
+                                    tol_scale)
+        except _RUN_ERRORS:
+            sub_sink.finalize("failed")
+            raise
         sub_sink.finalize("ok" if ok else "failed")
         summary[name] = {"ok": ok, "dir": f"{name}/{sub_sink.hash}",
                          "artifacts": sorted(sub_sink.artifacts)}
@@ -664,7 +667,7 @@ def main(argv=None):
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (QuadratureError, kernels.TruncationError, geometry.RootIsolationError) as e:
+    except _RUN_ERRORS as e:
         sink.finalize("failed")
         print(f"{args.command}: {type(e).__name__}: {e}; see {sink.dir}", file=sys.stderr)
         return 1

@@ -23,6 +23,16 @@ where * is convolution on [0, t].  Routes implemented:
     with the series kernel K,
   * the order-N decomposition into a smoothing part, an instantaneous
     multiplier part, and a quadrature remainder.
+
+The last two routes share one quadrature, ``_panel_integral`` of
+e^{-eta s} d^N/ds^N K(t, s) on geometric Gauss panels (N = 0 for the kernel
+representation, N for the remainder R_N).  Single-mode values
+(``kernel_rep_mode``, ``decomposition_mode``) carry one convergence check,
+``_checked_integral``, and raise QuadratureError when it fails.  Tables
+(``kernel_rep_profile``, ``remainder_profile`` and the flow tables built on
+them) are not checked: a table build would pay the check's second kernel
+pass at 16 nodes, and its cut panels, at every grid time (measured in
+ROADMAP item 3).
 """
 
 from __future__ import annotations
@@ -37,7 +47,6 @@ from numpy.polynomial.legendre import leggauss
 
 from .kernels import (
     ExpPolyFn,
-    TruncationError,
     format_kernel,
     h_coeff,
     kernel_c_norm,
@@ -55,7 +64,6 @@ __all__ = [
     "volterra_influence",
     "kernel_rep_mode",
     "kernel_rep_profile",
-    "remainder_RN_mode",
     "remainder_profile",
     "remainder_bound",
     "DecompositionParts",
@@ -292,11 +300,11 @@ def volterra_influence(M, etas, T, n_steps):
 
 
 # ---------------------------------------------------------------------------
-# integral representation
+# the series-kernel quadrature and the integral representation
 # ---------------------------------------------------------------------------
 
 @functools.cache
-def _unit_gauss_panels(n_gauss, split=1):
+def _unit_gauss_panels(n_gauss, split):
     """Read-only nodes and weights of ``_gauss_panels`` on [0, 1]."""
     edges = np.concatenate([[0.0], 2.0 ** (np.arange(36) - 35.0)])
     edges = np.interp(np.arange(36 * split + 1) / split, np.arange(37), edges)
@@ -307,7 +315,7 @@ def _unit_gauss_panels(n_gauss, split=1):
     return nodes, weights
 
 
-def _gauss_panels(t, n_gauss=12, split=1):
+def _gauss_panels(t, n_gauss, split=1):
     """Geometrically refined Gauss-Legendre nodes on [0, t], the panels on
     [0, 1] scaled by t, each cut into ``split`` equal panels.
 
@@ -318,97 +326,76 @@ def _gauss_panels(t, n_gauss=12, split=1):
     return t * nodes, t * weights
 
 
-def _series_kernel(M, t, J_max, check_tol):
-    """The series kernel K(t, s) of M; with ``check_tol``, TruncationError
-    unless its tail bound on [0, t] is at most check_tol."""
-    K = km_partial(M, 0, J_max)
-    if check_tol is not None and (bound := K.tail_bound(t, t)) > check_tol:
-        raise TruncationError(f"series tail bound {bound:.3e} exceeds {check_tol:.3e} at t={t}")
-    return K
+def _panel_integral(K, t, etas, n_gauss=12, split=1):
+    """int_0^t e^{-eta s} K(t, s) ds for every mode, on the geometric Gauss
+    panels of ``_gauss_panels`` (one set of kernel samples for all modes)."""
+    s, w = _gauss_panels(t, n_gauss, split)
+    return np.exp(-np.outer(etas, s)) @ (w * K.eval(t, s))
 
 
-def kernel_rep_profile(M, t, etas, J_max=DEFAULT_KM_TRUNCATION, check_tol=None):
-    """phi(t) for an array of modes via the integral representation.
+def _checked_integral(K, t, eta):
+    """``_panel_integral`` for one mode, with a convergence check.
 
-    Shares one set of kernel samples across all modes; the quadrature grid is
-    geometrically refined toward u = 0 so the exponential boundary layer of
-    every mode is resolved.
+    Integrates at 12 and at 16 nodes per panel, cutting every panel in
+    2, 4, ..., 64 until the two integrals agree to max(1e-12, 1e-11 |integral|)
+    plus the rounding the series kernel itself carries (machine epsilon times
+    the integral of ``K.eval_abs``; no node count removes it).  Past 64 raise
+    QuadratureError carrying the achieved error estimate.
     """
-    etas = np.atleast_1d(np.asarray(etas, dtype=float))
-    if t == 0.0:
-        return np.ones_like(etas)
-    s, w = _gauss_panels(t)
-    Kv = _series_kernel(M, t, J_max, check_tol).eval(t, s)
-    return np.exp(-etas * t) + np.exp(-np.outer(etas, s)) @ (w * Kv)
-
-
-def kernel_rep_mode(M, eta, t, J_max=DEFAULT_KM_TRUNCATION, check_tol=None):
-    """Single-mode propagator value via the kernel representation, with a
-    convergence check.
-
-    Integrates on the geometric Gauss panels of ``kernel_rep_profile`` at 12
-    and at 16 nodes per panel, cutting every panel in 2, 4, ..., 64 until the
-    two integrals agree to max(1e-12, 1e-11 |integral|) plus the rounding the
-    series kernel itself carries (machine epsilon times the integral of
-    ``K.eval_abs``; no node count removes it).  Past 64 raise QuadratureError
-    carrying the achieved error estimate.  Truncation failures propagate from
-    the series evaluator.
-    """
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if t == 0.0:
-        return 1.0
-    K = _series_kernel(M, t, J_max, check_tol)
     rounding = None
     for split in (1, 2, 4, 8, 16, 32, 64):
-        coarse, fine = (float(w @ (K.eval(t, s) * np.exp(-eta * s)))
-                        for s, w in (_gauss_panels(t, 12, split), _gauss_panels(t, 16, split)))
+        coarse, fine = (float(_panel_integral(K, t, [eta], n, split)[0]) for n in (12, 16))
         err, tol = abs(fine - coarse), max(1e-12, 1e-11 * abs(fine))
         if err > tol and rounding is None:  # one more kernel pass, only here
             s, w = _gauss_panels(t, 16)
             rounding = np.finfo(float).eps * float(w @ (K.eval_abs(t, s) * np.exp(-eta * s)))
         if err <= tol + (rounding or 0.0):
-            return math.exp(-eta * t) + fine
-    raise QuadratureError(f"kernel-representation quadrature error estimate "
+            return fine
+    raise QuadratureError(f"series-kernel quadrature error estimate "
                           f"{err:.3e} exceeds {tol + rounding:.3e}")
+
+
+def kernel_rep_profile(M, t, etas):
+    """phi(t) for an array of modes via the integral representation.
+
+    Shares one set of kernel samples (DEFAULT_KM_TRUNCATION series terms)
+    across all modes; the quadrature grid is geometrically refined toward
+    u = 0 so the exponential boundary layer of every mode is resolved.
+    Unchecked, for tables; ``kernel_rep_mode`` is the checked value.
+    """
+    etas = np.atleast_1d(np.asarray(etas, dtype=float))
+    if t == 0.0:
+        return np.ones_like(etas)
+    return np.exp(-etas * t) + _panel_integral(km_partial(M, 0, DEFAULT_KM_TRUNCATION), t, etas)
+
+
+def kernel_rep_mode(M, eta, t):
+    """Single-mode propagator value via the kernel representation, with the
+    convergence check of ``_checked_integral`` (QuadratureError when 64-fold
+    cut panels do not converge)."""
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    if t == 0.0:
+        return 1.0
+    return math.exp(-eta * t) + _checked_integral(km_partial(M, 0, DEFAULT_KM_TRUNCATION), t, eta)
 
 
 # ---------------------------------------------------------------------------
 # decomposition route
 # ---------------------------------------------------------------------------
 
-def remainder_profile(M, t, N, etas, n_gauss=12):
+def remainder_profile(M, t, N, etas):
     """Remainder multiplier values R_N(t, eta) for an array of modes.
 
-    R_N(t, eta) = int_0^t eta e^{-eta s} (d/ds)^N K(t, s) ds, evaluated with a
-    geometric-panel Gauss rule sharing kernel samples across modes, on the
-    series kernel of DEFAULT_KM_TRUNCATION terms.
+    R_N(t, eta) = int_0^t eta e^{-eta s} (d/ds)^N K(t, s) ds on the series
+    kernel of DEFAULT_KM_TRUNCATION terms, by the kernel representation's
+    ``_panel_integral``.  Unchecked, for tables; ``decomposition_mode`` is
+    the checked value.
     """
     etas = np.atleast_1d(np.asarray(etas, dtype=float))
     if t == 0.0:
         return np.zeros_like(etas)
-    s, w = _gauss_panels(t, n_gauss=n_gauss)
-    Kv = km_partial(M, N, DEFAULT_KM_TRUNCATION).eval(t, s)
-    return etas * (np.exp(-np.outer(etas, s)) @ (w * Kv))
-
-
-def remainder_RN_mode(M, eta, t, N):
-    """Single-mode remainder value with a convergence check.
-
-    Recomputes at a finer Gauss order; if the two answers differ by more than
-    1e-8 (relative to max(1, |value|)) raise QuadratureError carrying the
-    achieved error estimate.
-    """
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if t == 0.0:
-        return 0.0
-    coarse = float(remainder_profile(M, t, N, [eta], n_gauss=12)[0])
-    fine = float(remainder_profile(M, t, N, [eta], n_gauss=16)[0])
-    err = abs(fine - coarse)
-    if err > 1e-8 * max(1.0, abs(fine)):
-        raise QuadratureError(f"remainder quadrature error estimate {err:.3e} exceeds 1e-8")
-    return fine
+    return etas * _panel_integral(km_partial(M, N, DEFAULT_KM_TRUNCATION), t, etas)
 
 
 def remainder_bound(M, N, t):
@@ -433,29 +420,32 @@ class DecompositionParts:
     total: float
 
 
-def _decomposition(M, t, etas, N):
-    """Heat part, wave part, remainder R_N and scaled remainder of the
-    order-N decomposition at time t, one entry per mode."""
+def _decomposition(M, t, etas, N, R):
+    """Heat part, wave part and scaled remainder of the order-N decomposition
+    at time t, one entry per mode, given the remainder values R."""
     inv_powers = etas[:, None] ** -(np.arange(N)[None, :] + 1.0)
     pl = np.array([p_coeff(M, l).eval(t) for l in range(N)])
     hl = np.array([h_coeff(M, l).eval(t) for l in range(N)])
-    R = remainder_profile(M, t, N, etas)
     return (np.exp(-etas * t) * (1.0 + inv_powers @ pl), inv_powers @ hl,
-            R, R * etas ** -(N + 1.0))
+            R * etas ** -(N + 1.0))
 
 
 def decomposition_mode(M, eta, t, N=DEFAULT_DECOMP_ORDER):
     """Order-N decomposition of the mode propagator at time t > 0.
 
-    Refuses t = 0 (the remainder quadrature degenerates there); callers probe
-    the t -> 0 limit instead.
+    The remainder R_N(t, eta) is checked by ``_checked_integral``
+    (QuadratureError when 64-fold cut panels do not converge); the
+    decomposition table reads the unchecked ``remainder_profile``.  Refuses
+    t = 0 (the remainder quadrature degenerates there); callers probe the
+    t -> 0 limit instead.
     """
     if t <= 0:
         raise ValueError("decomposition_mode requires t > 0")
     if N < 2:
         raise ValueError("N must be >= 2")
-    heat, wave, R, scaled = (float(v[0]) for v in
-                             _decomposition(M, t, np.array([float(eta)]), N))
+    R = float(eta) * _checked_integral(km_partial(M, N, DEFAULT_KM_TRUNCATION), t, eta)
+    heat, wave, scaled = (float(v[0]) for v in
+                          _decomposition(M, t, np.array([float(eta)]), N, R))
     return DecompositionParts(heat=heat, wave=wave, remainder_scaled=scaled,
                               remainder_value=R, order=N, total=heat + wave + scaled)
 
@@ -528,7 +518,8 @@ def build_flow_table(M, basis, T, n_steps, method="volterra"):
     elif method == "decomposition":
         phi = np.ones((basis.J, n_steps + 1))
         for i, t in enumerate(tgrid[1:], start=1):
-            heat, wave, _, scaled = _decomposition(M, t, etas, DEFAULT_DECOMP_ORDER)
+            R = remainder_profile(M, t, DEFAULT_DECOMP_ORDER, etas)
+            heat, wave, scaled = _decomposition(M, t, etas, DEFAULT_DECOMP_ORDER, R)
             phi[:, i] = heat + wave + scaled
         tag = f"decomposition({DEFAULT_DECOMP_ORDER})"
     else:

@@ -175,9 +175,8 @@ def mask_generate(kind, **params):
         "cusp": cusp_mask,
         "random_rects": random_rects_mask,
         "ball_complement": ball_complement_mask,
+        "file": load_mask,
     }
-    if kind == "file":
-        return load_mask(params["path"])
     if kind not in makers:
         raise ValueError(f"unknown mask kind {kind!r}")
     return makers[kind](**params)

@@ -21,7 +21,6 @@ from memflow.flow import (
     forced_solution,
     kernel_rep_mode,
     kernel_rep_profile,
-    remainder_RN_mode,
     remainder_bound,
     remainder_profile,
     volterra_influence,
@@ -223,14 +222,27 @@ def test_remainder_bound_past_float_range_is_infinite():
 
 
 def test_remainder_mode_convergence_check():
-    val = remainder_RN_mode(parse_kernel("1"), ETA1, 0.5, 2)
+    val = decomposition_mode(parse_kernel("1"), ETA1, 0.5, N=2).remainder_value
     assert np.isfinite(val)
 
 
 def test_remainder_mode_unconverged_quadrature_raises():
-    # the 12- and 16-point rules differ by about 2.6e-3 on this oscillation
+    # 64-fold cut panels still miss this oscillation's second s-derivative
     with pytest.raises(QuadratureError, match="exceeds"):
-        remainder_RN_mode(parse_kernel("cos(60*t)"), 10.0, 1.0, 2)
+        decomposition_mode(parse_kernel("cos(20000*t)"), 10.0, 1.0)
+
+
+def test_remainder_mode_matches_quad_on_oscillation():
+    # on the uncut panels the 12- and 16-point rules differ by about 2.6e-3
+    # here, and the 12-point value is -9.747001; cut panels resolve it
+    from scipy.integrate import quad
+    from memflow.kernels import km_partial
+    M = parse_kernel("cos(60*t)")
+    K = km_partial(M, 2, 40)
+    t, eta = 1.0, 10.0
+    ref, _ = quad(lambda s: eta * math.exp(-eta * s) * K.eval(t, s), 0, t,
+                  epsabs=1e-12, epsrel=1e-12, limit=500)
+    assert abs(decomposition_mode(M, eta, t, N=2).remainder_value - ref) <= 1e-10
 
 
 def test_remainder_profile_matches_quad():
@@ -623,15 +635,3 @@ def test_influence_adjoint_identity(M, seed):
     terms = g * f
     scale = np.abs(phiT * y0) + np.abs(terms).sum(axis=0)
     assert np.all(np.abs(yT - (phiT * y0 + terms.sum(axis=0))) <= 1e-12 * scale)
-
-
-@pytest.mark.parametrize("route", [
-    lambda M, J_max, tol: kernel_rep_profile(M, 1.0, [ETA1], J_max, check_tol=tol)[0],
-    lambda M, J_max, tol: kernel_rep_mode(M, ETA1, 1.0, J_max, check_tol=tol),
-], ids=["profile", "mode"])
-def test_kernel_rep_tail_bound_guard(route):
-    from memflow.kernels import TruncationError
-    M = parse_kernel("3")
-    with pytest.raises(TruncationError, match="series tail bound"):
-        route(M, 3, 1e-12)  # tail bound 343 at t = 1
-    assert route(M, 40, 1e-12) == route(M, 40, None)  # tail bound 2.8e-18

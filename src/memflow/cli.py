@@ -160,13 +160,20 @@ def _validate_ranges(cfg):
                                 and win["S"] < cfg["time"]["T"]):
         raise ConfigError("window needs S and T with 0 <= S < T and S < time.T")
     for where, key in (("flow_check", "modes"), ("flow_check", "orders"),
-                       ("obsconst", "J_list")):
+                       ("obsconst", "J_list"), ("probe_alpha", "k_list")):
         vals = cfg.get(where, {}).get(key)
         if vals is not None and not (vals and all(type(v) is int and v >= 1 for v in vals)):
             raise ConfigError(f"{where}.{key} must be a non-empty list of integers >= 1")
-    for key in ("n_t_values", "remainder_t_values"):
-        if cfg.get("flow_check", {}).get(key, 1) < 1:
-            raise ConfigError(f"flow_check.{key} must be >= 1")
+    radii = cfg.get("moc_cmd", {}).get("radii")
+    if radii is not None and not (radii and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) and v > 0 for v in radii)):
+        raise ConfigError("moc_cmd.radii must be a non-empty list of numbers > 0")
+    for where, key, low in (("flow_check", "n_t_values", 1),
+                            ("flow_check", "remainder_t_values", 1),
+                            ("obsconst", "n_restarts", 1), ("kernel_cmd", "grid_points", 1),
+                            ("kernel_cmd", "l_max", 0), ("reconstruct", "lambda", 0)):
+        if cfg.get(where, {}).get(key, low) < low:
+            raise ConfigError(f"{where}.{key} must be >= {low}")
     if cfg["mask"].get("kind") == "file" and not os.path.exists(cfg["mask"].get("path", "")):
         raise ConfigError(f"mask.path does not exist: {cfg['mask'].get('path')}")
     cc = cfg.get("control", {})

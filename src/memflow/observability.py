@@ -22,16 +22,21 @@ observations.
 Constants over the unit reference-norm sphere start from an exact eigensolve of
 an L2-in-time surrogate and refine the true L1-in-time objective with one
 batched majorize-minimize loop over many restarts (``_mm_loop``).  Each step
-reweights the row Grams at the iterate and forms the monotone MM candidate: a
-generalized eigenvector for the lower and null constants, the linearized ascent
-(f being convex) for the upper one.  All three loops also form a saddle-free
-Newton candidate on the sphere and keep the better of the two, so the lower and
-null loops take about 7-20 steps per restart at J=12 where the MM step alone
-took 14-142.  Every step advances all restarts with one (upper), two (lower) or
-three (null) stacked J x J eigensolves and a few products with the row-Gram
-stack, O(n_restarts n_times J^2), and needs no step size.  The restart spread,
-the step counts and a convergence flag are reported.  Blow-up statements from
-the theory are rendered as finite trend probes, never as limits.
+reweights the row Grams at the iterate and scores up to three candidates: the
+monotone MM step (a generalized eigenvector for the lower and null constants,
+the linearized ascent, f being convex, for the upper one), a saddle-free Newton
+step on the sphere and the half step toward it; the best is kept.  The Newton
+eigenproblem is solved on the (J-1)-dimensional tangent space.  The descent
+loops solve for their MM candidate only on restarts whose last step was not a
+Newton or half step, or whose Newton and half steps both fail.  At J=12 a
+restart takes about 4-17 steps in the lower and null loops, where the MM step
+alone took 14-142, and 4-46 in the upper one (median 8-9 in all three).
+A step advances all restarts with one stacked (J-1) x (J-1) eigensolve, plus
+one (lower) or two (null) stacked J x J eigensolves on the restarts that need
+the MM candidate, and a few products with the row-Gram stack,
+O(n_restarts n_times J^2); it needs no step size.  The restart spread, the
+step counts and a convergence flag are reported.  Blow-up statements from the
+theory are rendered as finite trend probes, never as limits.
 """
 
 from __future__ import annotations
@@ -338,15 +343,25 @@ def _newton_on_sphere(U, g, H):
     for F homogeneous of degree one), P H P is the Riemannian Hessian and
     this is the Riemannian Newton step with the Hessian's eigenvalues taken
     in absolute value, so that d points downhill; eigenvalues are floored at
-    roundoff and d is kept tangent."""
+    roundoff.  The eigenproblem is solved on the tangent space u-perp, in
+    the orthonormal basis B of the last J - 1 columns of the Householder
+    reflector that takes u to a multiple of e_1: B^T H B has the eigenpairs
+    of P H P other than (0, u), so d = B |B^T H B|^+ B^T g is tangent by
+    construction.  For J = 1 the tangent space is empty and the step is u.
+    """
     J = U.shape[1]
-    P = np.eye(J) - U[:, :, None] * U[:, None, :]
-    lam, Q = np.linalg.eigh(P @ H @ P)
+    if J == 1:
+        return U.copy()
+    v = U.copy()
+    v[:, 0] += np.where(U[:, 0] < 0.0, -1.0, 1.0)
+    beta = 2.0 / np.sum(v * v, axis=1)
+    B = np.eye(J)[:, 1:] - beta[:, None, None] * v[:, :, None] * v[:, None, 1:]
+    lam, Q = np.linalg.eigh(np.swapaxes(B, 1, 2) @ H @ B)
     lam = np.abs(lam)
     floor = np.finfo(float).eps * lam.max(axis=1, keepdims=True) + np.finfo(float).tiny
-    PQ = P @ Q
-    c = np.einsum("rjk,rj->rk", PQ, g) / np.maximum(lam, floor)
-    return U - np.einsum("rjk,rk->rj", PQ, c)
+    BQ = B @ Q
+    c = np.einsum("rjk,rj->rk", BQ, g) / np.maximum(lam, floor)
+    return U - np.einsum("rjk,rk->rj", BQ, c)
 
 
 def _mm_loop(setup, U0, n_iter, p=None, ascend=False):
@@ -364,14 +379,19 @@ def _mm_loop(setup, U0, n_iter, p=None, ascend=False):
     is, for descent, the top eigenvector of the pencil (diag p^2, G_w) and,
     for ascent, the linearized one u <- G_w u / ||G_w u|| (f is convex and
     positively homogeneous).  Both gain only a constant factor per step, so
-    every step also tries the saddle-free Newton step on the sphere
+    every step also tries the saddle-free Newton step n on the sphere
     (``_newton_on_sphere``) for F = sense f - q(u_k) h, which vanishes at
     u_k and has the minimizers of q as its own; its Hessian is
     sense (G_w - sum_i (cw_i / r_i) v_i v_i^T) - q(u_k) (diag p^2 -
     grad h grad h^T) / h, with v_i = K_i u / r_i bounded by Cauchy-Schwarz
-    even where r_i is tiny.  The better of the two candidates is kept.  A
-    step is taken only if q does not get worse, and a restart stops when q
-    stops improving or after n_iter steps.
+    even where r_i is tiny.  The half step u + (n - u) / 2 is scored with
+    them, at no eigensolve; it leaves ridges where the full Newton step
+    overshoots and the MM step crawls.  The descent's MM candidate costs one
+    (lower) or two (null) eigensolves, so a restart whose last step was a
+    Newton or half step forms it only if both of those fail, in the same
+    step.  The best candidate is kept.  A step is taken only if q does not
+    get worse, and a restart stops when no candidate improves q or after
+    n_iter steps.
 
     Returns (U, iterations, capped): the unit iterates, the steps taken by
     each restart and whether it was still improving at the cap.
@@ -394,10 +414,20 @@ def _mm_loop(setup, U0, n_iter, p=None, ascend=False):
         q = np.divide(sense * (r @ cw), den, out=np.full(len(U), np.inf), where=den > 0)
         return q, r
 
+    def score(C, Ui):
+        # unit candidates C (k, m, J) turned toward the iterates Ui, with
+        # their q (k, m) and r (k, m, n); a zero or NaN row scores q = inf
+        norm = np.linalg.norm(C, axis=2, keepdims=True)
+        C = np.divide(C, norm, out=np.full_like(C, np.nan), where=norm > 0)
+        C *= np.where(np.sum(C * Ui, axis=2) < 0.0, -1.0, 1.0)[..., None]
+        qs, rs = evaluate(C.reshape(-1, J))
+        return C, qs.reshape(C.shape[:2]), rs.reshape(*C.shape[:2], n)
+
     U = U0 / np.linalg.norm(U0, axis=1, keepdims=True)
     q, r = evaluate(U)
     iterations = np.zeros(len(U), dtype=int)
     active = np.ones(len(U), dtype=bool)
+    newton_led = np.zeros(len(U), dtype=bool)  # last step Newton or half
     for _ in range(n_iter):
         idx = np.flatnonzero(active)
         if idx.size == 0:
@@ -419,19 +449,24 @@ def _mm_loop(setup, U0, n_iter, p=None, ascend=False):
         newton = _newton_on_sphere(Ui, sense * g - qk[:, None] * dh,
                                    sense * H - qk[:, None, None] * ddh)
         newton[~ok] = np.nan
-        cands = np.stack([g if ascend else _pencil_top(G, p), newton])
-        norm = np.linalg.norm(cands, axis=2, keepdims=True)
-        cands = np.divide(cands, norm, out=np.full_like(cands, np.nan), where=norm > 0)
-        cands *= np.where(np.sum(cands * Ui, axis=2) < 0.0, -1.0, 1.0)[..., None]
-        qs, rs = evaluate(cands.reshape(-1, J))
-        qs = qs.reshape(len(cands), m)
+        # candidates: MM, Newton and the half step toward Newton; the
+        # descent's MM eigensolve waits until Newton and the half step of a
+        # Newton-led restart both fail
+        cands = np.stack([np.full_like(Ui, np.nan), newton, 0.5 * (Ui + newton)])
+        lazy = np.zeros(m, dtype=bool) if ascend else newton_led[idx]
+        cands[0, ~lazy] = g if ascend else _pencil_top(G[~lazy], p)
+        cands, qs, rs = score(cands, Ui)
+        late = lazy & (qs.min(axis=0) >= qi)
+        if late.any():
+            cands[:1, late], qs[:1, late], rs[:1, late] = score(
+                _pencil_top(G[late], p)[None], Ui[late])
         pick = np.argmin(qs, axis=0)
         cols = np.arange(m)
-        C, qc = cands[pick, cols], qs[pick, cols]
-        rc = rs.reshape(len(cands), m, n)[pick, cols]
+        C, qc, rc = cands[pick, cols], qs[pick, cols], rs[pick, cols]
         keep, improved = qc <= qi, qc < qi
         take = idx[keep]
         U[take], q[take], r[take] = C[keep], qc[keep], rc[keep]
+        newton_led[take] = pick[keep] > 0
         iterations[take] += 1
         active[idx[~improved]] = False
     return U, iterations, active
@@ -451,13 +486,15 @@ def two_sided_constants(setup, n_restarts=32, rng=None):
     """Extremes of the seminorm over the unit reference sphere.
 
     Every start of the pool (surrogate eigendirections, coordinate axes, seeded
-    random) runs both batched loops of ``_mm_loop``: each step keeps the better
+    random) runs both batched loops of ``_mm_loop``: each step keeps the best
     of the MM candidate (for the lower constant the smallest eigenvector of the
-    reweighted row Gram, for the upper one the linearized ascent) and a
-    saddle-free Newton step on the sphere.  A step costs two (lower) or one
-    (upper) stacked J x J eigensolves and a few products with the row-Gram
-    stack per restart, O(n_times J^2), and each restart takes at most 250 steps
-    (about 7-15 for the lower constant and 10-90 for the upper one at J=12).
+    reweighted row Gram, for the upper one the linearized ascent), a
+    saddle-free Newton step on the sphere and the half step toward it.  A step
+    costs one (J-1) x (J-1) eigensolve per restart for the Newton step, one
+    J x J eigensolve for the lower MM candidate where a restart needs it, and
+    a few products with the row-Gram stack, O(n_times J^2); each restart takes
+    at most 250 steps (about 4-16 for the lower constant and 4-46 for the
+    upper one at J=12, median 8 and 9).
     Reports the restart spread as a stagnation proxy and, per constant, the
     largest step count and whether the best restart stopped short of the cap.
     Raises ObsInvariantError if a constant breaks the Cauchy-Schwarz bridge to
@@ -527,14 +564,16 @@ def null_obs_constant(setup, n_restarts=24, rng=None):
     Surrogate: top eigenpair of the final-state form against the seminorm
     Gram.  Its two top eigendirections, the coordinate axes and seeded random
     fills start the batched majorize-minimize loop of ``_mm_loop`` on
-    1/c_null = min obs(y0) / ||phi(T') y0||: each step keeps the better of
+    1/c_null = min obs(y0) / ||phi(T') y0||: each step keeps the best of
     the top eigenvector of the pencil (diag phi(T')^2, G_w) of the
-    reweighted row Gram, which stays defined where phi(T') vanishes, and a
-    saddle-free Newton step on the sphere.  A step costs three stacked
-    J x J eigensolves (two for the pencil) and a few products with the
-    row-Gram stack per restart; each restart takes at most 200 steps (about
-    7-20 at J=12).  The report carries the surrogate, the largest step count
-    and whether the best restart stopped short of the cap.
+    reweighted row Gram, which stays defined where phi(T') vanishes, a
+    saddle-free Newton step on the sphere and the half step toward it.  A
+    step costs one (J-1) x (J-1) eigensolve per restart for the Newton step,
+    two J x J eigensolves for the pencil where a restart needs it (its last
+    step was not a Newton or half step, or both of those fail), and a few
+    products with the row-Gram stack; each restart takes at most 200 steps
+    (about 4-17 at J=12, median 8).  The report carries the surrogate, the
+    largest step count and whether the best restart stopped short of the cap.
     """
     rng = np.random.default_rng(0) if rng is None else rng
     G, D = gram_matrix(setup)

@@ -219,9 +219,20 @@ def test_bad_ranges_exit_two(tmp_path, capsys, overrides):
     ("moc", {"mask": {"kind": "cusp", "S": -0.1}}),
     ("obsconst", {"mask": {"kind": "cylinder", "x_lo": 0.7, "x_hi": 0.2}}),
     ("moc", {"mask": {"kind": "cylinder", "eps": 0.2}}),
+    ("obsconst", {"obsconst": {"n_restarts": -5}}),
+    ("kernel", {"kernel_cmd": {"grid_points": 0}}),
+    ("kernel", {"kernel_cmd": {"l_max": -1}}),
+    # a cylinder mask holds the early cylinder that probe-alpha needs
+    ("probe-alpha", {"probe_alpha": {"k_list": []}, "mask": {"kind": "cylinder"}}),
+    ("probe-alpha", {"probe_alpha": {"k_list": [-1]}, "mask": {"kind": "cylinder"}}),
+    ("moc", {"moc_cmd": {"radii": []}}),
+    ("moc", {"moc_cmd": {"radii": [-0.1]}}),
+    ("reconstruct", {"reconstruct": {"lambda": -1.0}}),
 ], ids=["regime-linf", "weighted-alpha-half", "T-hat-negative", "noise-negative",
         "zigzag-eps-zero", "zigzag-eps-negative", "cylinder-empty-band", "cusp-S-past-T",
-        "cusp-S-negative", "obsconst-cylinder-reversed", "cylinder-takes-no-eps"])
+        "cusp-S-negative", "obsconst-cylinder-reversed", "cylinder-takes-no-eps",
+        "restarts-negative", "grid-points-zero", "l-max-negative", "k-list-empty",
+        "k-list-negative", "radii-empty", "radii-negative", "lambda-negative"])
 def test_bad_values_exit_two(tmp_path, capsys, command, overrides):
     p = tmp_path / "c.json"
     write_cfg(p, **overrides)

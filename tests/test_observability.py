@@ -752,6 +752,89 @@ def test_mm_never_worse_than_its_start(mem_table, mask_seed, count, start_seed):
             <= q0 / np.linalg.norm(p * u0[0]) * (1 + 1e-12))
 
 
+@settings(max_examples=30, deadline=None)
+@given(mask_seed=st.integers(0, 2**31 - 1), count=st.integers(1, 6),
+       start_seed=st.integers(0, 2**31 - 1))
+def test_mm_stops_only_where_no_candidate_improves(mem_table, mask_seed, count, start_seed):
+    # the descent loops form their MM candidate only for restarts whose
+    # Newton and half-step candidates fail; a restart that stops below the
+    # cap must still be one that none of the three candidates improves.  The
+    # loop decides on the row-Gram quadratic form, which loses relative
+    # accuracy on tiny observations (about 1e-11 here); a restart stopped
+    # early leaves gains of 1e-4 and more
+    setup = ObsSetup(mem_table, random_rects_mask(mask_seed, count, 1.0, 40, 20),
+                     alpha=2.0)
+    half = setup.mass_matrix() ** 0.5
+    K = setup.row_grams() / np.outer(half, half)
+    cw = setup.quad_weights * setup.time_weight
+    U0 = np.random.default_rng(start_seed).standard_normal((4, setup.basis.J))
+    for p, ascend in ((None, False), (None, True), (setup.phi_win[:, -1] / half, False)):
+        sense = -1.0 if ascend else 1.0
+
+        def q(U):
+            h = np.linalg.norm(U if p is None else p * U, axis=1)
+            return sense * obs_seminorm_many(setup, U / half) / h
+
+        U, _, capped = observability._mm_loop(setup, U0, 100, p=p, ascend=ascend)
+        stopped = ~capped & np.isfinite(q(U))
+        q_end = q(U)[stopped]
+        # one more step from the end point scores all three candidates
+        U1, _, _ = observability._mm_loop(setup, U, 1, p=p, ascend=ascend)
+        assert np.all(q(U1)[stopped] >= q_end - 1e-9 * np.abs(q_end))
+        if not ascend:
+            r = np.sqrt(np.einsum("vj,ijk,vk->vi", U, K, U))
+            W = np.divide(cw, r, out=np.zeros_like(r), where=r > 0)
+            mm = observability._pencil_top(np.einsum("vi,ijk->vjk", W, K), p)
+            assert np.all(q(mm)[stopped] >= q_end - 1e-9 * np.abs(q_end))
+
+
+def _dense_newton_on_sphere(U, g, H):
+    """Saddle-free Newton step from the eigenpairs of the J x J projected
+    Hessian P H P, P = I - u u^T (the reference for the tangent-space
+    solve)."""
+    J = U.shape[1]
+    P = np.eye(J) - U[:, :, None] * U[:, None, :]
+    lam, Q = np.linalg.eigh(P @ H @ P)
+    lam = np.abs(lam)
+    floor = np.finfo(float).eps * lam.max(axis=1, keepdims=True) + np.finfo(float).tiny
+    PQ = P @ Q
+    c = np.einsum("rjk,rj->rk", PQ, g) / np.maximum(lam, floor)
+    return U - np.einsum("rjk,rk->rj", PQ, c)
+
+
+@pytest.mark.parametrize("J", [1, 2, 12])
+def test_tangent_newton_step_matches_the_dense_reference(J):
+    g_rng = np.random.default_rng(J)
+    U = g_rng.standard_normal((40, J))
+    U[:3] = 0.0
+    U[0, 0], U[1, 0], U[2, -1] = 1.0, -1.0, 1.0  # +-e_1 and a zero first entry
+    U /= np.linalg.norm(U, axis=1, keepdims=True)
+    A = g_rng.standard_normal((40, J, J))
+    H = A + np.swapaxes(A, 1, 2)
+    g = g_rng.standard_normal((40, J))
+    got = observability._newton_on_sphere(U, g, H)
+    want = _dense_newton_on_sphere(U, g, H)
+    if J == 1:
+        assert np.array_equal(got, U)
+    err = np.linalg.norm(got - want, axis=1)
+    assert np.all(err <= 1e-12 * np.maximum(np.linalg.norm(want - U, axis=1), 1.0))
+
+
+def test_ascent_leaves_the_cusp_ridge():
+    # acceptance 07a's J = 4 cusp setup: one c_upper restart crawled along a
+    # ridge to the 250-step cap, gaining about 7e-11 per step, until the
+    # half step toward the Newton point was scored
+    table = build_flow_table(parse_kernel("exp(-1*t)"), interval_basis(4, 64), 1.0, 1000)
+    setup = ObsSetup(table, cusp_mask(0.5, 0.3, 1.0, 200, 101), alpha=None,
+                     window=(0.3, 1.0))
+    rep = two_sided_constants(setup, n_restarts=20, rng=np.random.default_rng(0))
+    assert rep.diagnostics["iterations_upper"] <= 50
+    assert rep.diagnostics["converged_upper"]
+    np.testing.assert_allclose([rep.c_lower, rep.c_upper],
+                               [0.27636226088308397, 0.3740167331827168],
+                               rtol=1e-12, atol=0.0)
+
+
 def test_constants_demo_runs():
     root = Path(__file__).resolve().parents[1]
     path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))

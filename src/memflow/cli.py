@@ -159,15 +159,27 @@ def _validate_ranges(cfg):
     if win is not None and not ("S" in win and "T" in win and 0 <= win["S"] < win["T"]
                                 and win["S"] < cfg["time"]["T"]):
         raise ConfigError("window needs S and T with 0 <= S < T and S < time.T")
+    if cfg["alpha"] is not None and cfg["alpha"] < 0:
+        raise ConfigError("alpha must be >= 0 (the weight t^alpha is infinite at t = 0)")
     for where, key in (("flow_check", "modes"), ("flow_check", "orders"),
-                       ("obsconst", "J_list"), ("probe_alpha", "k_list")):
+                       ("obsconst", "J_list"), ("probe_alpha", "k_list"),
+                       ("probe_ball", "k_list")):
         vals = cfg.get(where, {}).get(key)
         if vals is not None and not (vals and all(type(v) is int and v >= 1 for v in vals)):
             raise ConfigError(f"{where}.{key} must be a non-empty list of integers >= 1")
-    radii = cfg.get("moc_cmd", {}).get("radii")
-    if radii is not None and not (radii and all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) and v > 0 for v in radii)):
-        raise ConfigError("moc_cmd.radii must be a non-empty list of numbers > 0")
+    for where, key, strict in (("moc_cmd", "radii", True), ("probe_heat", "half_widths", True),
+                               ("probe_heat", "t_list", False)):
+        vals = cfg.get(where, {}).get(key)
+        if vals is not None and not (vals and all(
+                isinstance(v, (int, float)) and not isinstance(v, bool)
+                and (v > 0 if strict else v >= 0) for v in vals)):
+            raise ConfigError(f"{where}.{key} must be a non-empty list of numbers "
+                              f"{'>' if strict else '>='} 0")
+    for where in ("probe_ball", "probe_heat"):
+        if cfg.get(where, {}).get("r", 1.0) <= 0:
+            raise ConfigError(f"{where}.r must be > 0")
+    if not 0 < cfg.get("probe_ball", {}).get("x_star", 0.5) < 1:
+        raise ConfigError("probe_ball.x_star must lie in (0, 1)")
     for where, key, low in (("flow_check", "n_t_values", 1),
                             ("flow_check", "remainder_t_values", 1),
                             ("obsconst", "n_restarts", 1), ("kernel_cmd", "grid_points", 1),

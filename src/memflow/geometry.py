@@ -234,10 +234,17 @@ def _window_weights(mask, S, T_hi):
     return np.clip(np.minimum(hi, T_hi) - np.maximum(lo, S), 0.0, dt)
 
 
+def _slice_measures(mask, w):
+    """Per-column sums of the window weights w over the mask cells.  Each
+    column sums its own cells in time order, so equal columns give equal
+    values (a matrix product may sum some columns in another order)."""
+    return np.add.reduce(w[:, None] * mask.cells, axis=0)
+
+
 def slice_measure(mask, x_cell, S=0.0, T_hi=None):
     """Time measure of the column slice within [S, T']."""
     T_hi = mask.T if T_hi is None else T_hi
-    return float((_window_weights(mask, S, T_hi) @ mask.cells)[x_cell])
+    return float(_slice_measures(mask, _window_weights(mask, S, T_hi))[x_cell])
 
 
 def moc_functional(mask, S=0.0, T_hi=None):
@@ -246,8 +253,7 @@ def moc_functional(mask, S=0.0, T_hi=None):
     Positivity is the moving-observation condition at raster resolution.
     """
     T_hi = mask.T if T_hi is None else T_hi
-    w = _window_weights(mask, S, T_hi)
-    return float(np.min(w @ mask.cells))
+    return float(np.min(_slice_measures(mask, _window_weights(mask, S, T_hi))))
 
 
 def ball_average(mask, r, T_hi=None):
@@ -260,8 +266,7 @@ def ball_average(mask, r, T_hi=None):
     if r <= 0:
         raise ValueError("r must be > 0")
     T_hi = mask.T if T_hi is None else T_hi
-    w = _window_weights(mask, 0.0, T_hi)
-    col = w @ mask.cells  # per-column time integrals
+    col = _slice_measures(mask, _window_weights(mask, 0.0, T_hi))
     xm = mask.x_mid
     best = math.inf
     for c in xm:
@@ -291,7 +296,8 @@ def column_integrals(mask, f, S, T_hi):
     cell[live] = h * (np.abs(f.eval(nodes.ravel())).reshape(nodes.shape) @ wg)
     # each column sums its own active cells in time order, as it would alone
     active = mask.cells & (w > 0)[:, None]
-    return w @ mask.cells, np.array([np.sum(cell[active[:, ix]]) for ix in range(mask.n_x)])
+    return (_slice_measures(mask, w),
+            np.array([np.sum(cell[active[:, ix]]) for ix in range(mask.n_x)]))
 
 
 # ---------------------------------------------------------------------------

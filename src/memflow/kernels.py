@@ -25,7 +25,11 @@ decomposition is integration by parts in s: h_l(t) = d^l/ds^l K(t, 0),
 p_l(t) = -d^l/ds^l K(t, t), and R_N integrates d^N/ds^N K.  h_l and R_N are
 read off the folded array; p_l is a polynomial whose coefficients are
 power-series products of the Taylor data of M at 0.  The stepper's
-memory recurrence reads the rows.  The objects derived from a kernel
+memory recurrence reads the rows.  One evaluator, ``_eval_compiled``,
+serves every value of a kernel, of the series kernel and of its terms: it
+forms the powers of t-s and of s by running products and meets them with
+Re C and Im C in real matrix products, so e^{z(t-s)} is its only complex
+arithmetic.  The objects derived from a kernel
 (convolution powers, h_l, p_l, ``km_partial``, the C^N norms) are kept in a
 memo on the kernel and live as long as it does.
 """
@@ -271,16 +275,45 @@ def _principal_part(a, b, w):
     return (_binomials(2 * P)[nk, k] * np.concatenate([a, np.zeros(P)])[nk]) @ h
 
 
+def _powers(x, n):
+    """Rows x^0, ..., x^(n-1) of the 1-D x by running products in doubling
+    blocks, x^(k+j) = x^k x^j for j < k: about log2(n) array products (and
+    roundings per entry), no float pow."""
+    table = np.empty((n, len(x)))
+    table[0] = 1.0
+    k = 1
+    while k < n:
+        np.multiply(table[:min(k, n - k)], table[k - 1] * x, out=table[k:2 * k])
+        k *= 2
+    return table
+
+
+@functools.cache
+def _factorials(n):
+    """Read-only column of 0!, ..., (n-1)!."""
+    column = np.cumprod(np.maximum(np.arange(n), 1.0))[:, None]
+    column.flags.writeable = False
+    return column
+
+
 def _eval_compiled(rates, C, u, s=0.0):
     """Re sum_z e^{z u} sum_{p,m} C[z, p, m] (s^p / p!) u^m, elementwise over
-    the broadcast of u and s; a float for scalar input."""
+    the broadcast of u and s; a float for scalar input.
+
+    All arithmetic but e^{z u} is real: Re C and Im C, stacked and divided
+    by p!, meet the power table of u in one real matrix product and the power
+    table of s in a two-operand contraction over p, and
+    Re(e P) = Re e Re P - Im e Im P.
+    """
     u, s = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(s, dtype=float))
     shape, u, s = u.shape, u.ravel(), s.ravel()
-    n_z, n_p, n_m = C.shape
-    poly = (C.reshape(-1, n_m) @ u ** np.arange(n_m)[:, None]).reshape(n_z, n_p, len(u))
-    p = np.arange(n_p)[:, None]
-    out = np.einsum("zpn,pn,zn->n", poly, s ** p / np.cumprod(np.maximum(p, 1.0), axis=0),
-                    np.exp(np.multiply.outer(rates, u))).real
+    _, n_p, n_m = C.shape
+    C = C / _factorials(n_p)
+    e = np.exp(np.multiply.outer(rates, u))
+    if np.iscomplexobj(C):
+        C, e = np.concatenate([C.real, C.imag]), np.concatenate([e.real, -e.imag])
+    poly = (C.reshape(-1, n_m) @ _powers(u, n_m)).reshape(len(C), n_p, len(u))
+    out = np.einsum("zn,zn->n", e.real, np.einsum("zpn,pn->zn", poly, _powers(s, n_p)))
     return out.reshape(shape) if shape else float(out[0])
 
 
@@ -329,7 +362,7 @@ def p_coeff(M, l):
         raise ValueError("l must be >= 0")
     a = np.array([M.derivative(k).eval(0.0) for k in range(l + 1)])
     row, power = np.zeros(l + 2), np.ones(1)
-    factorial = np.cumprod(np.maximum(np.arange(l + 2), 1.0))
+    factorial = _factorials(l + 2)[:, 0]
     for j in range(1, l + 2):
         power = np.convolve(power, a)[:l + 1]  # A(x)^j up to x^l
         m = np.arange(max(0, 2 * j - l - 1), j + 1)

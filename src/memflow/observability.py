@@ -103,6 +103,8 @@ class ObsSetup:
             raise ValueError("window must satisfy 0 <= S < T' <= table horizon")
         self.window = (float(S), float(T_hi))
         self.weighted = alpha is not None and (S == 0.0 or force_weight)
+        if self.weighted and alpha < 0:
+            raise ValueError("alpha must be >= 0: the weight t^alpha is infinite at t = 0")
 
         tg = table.tgrid
         i0 = int(np.searchsorted(tg, S - 1e-12, side="left"))

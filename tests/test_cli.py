@@ -228,11 +228,22 @@ def test_bad_ranges_exit_two(tmp_path, capsys, overrides):
     ("moc", {"moc_cmd": {"radii": []}}),
     ("moc", {"moc_cmd": {"radii": [-0.1]}}),
     ("reconstruct", {"reconstruct": {"lambda": -1.0}}),
+    ("obsconst", {"alpha": -1.0}),
+    ("reconstruct", {"alpha": -1.0}),
+    ("probe-ball", {"probe_ball": {"k_list": []}}),
+    ("probe-heat", {"probe_heat": {"half_widths": []}}),
+    ("probe-heat", {"probe_heat": {"t_list": []}}),
+    ("probe-ball", {"probe_ball": {"r": -0.1}}),
+    ("probe-ball", {"probe_ball": {"x_star": 1.5}}),
+    ("probe-heat", {"probe_heat": {"r": -1}}),
 ], ids=["regime-linf", "weighted-alpha-half", "T-hat-negative", "noise-negative",
         "zigzag-eps-zero", "zigzag-eps-negative", "cylinder-empty-band", "cusp-S-past-T",
         "cusp-S-negative", "obsconst-cylinder-reversed", "cylinder-takes-no-eps",
         "restarts-negative", "grid-points-zero", "l-max-negative", "k-list-empty",
-        "k-list-negative", "radii-empty", "radii-negative", "lambda-negative"])
+        "k-list-negative", "radii-empty", "radii-negative", "lambda-negative",
+        "obsconst-alpha-negative", "reconstruct-alpha-negative", "ball-k-list-empty",
+        "heat-half-widths-empty", "heat-t-list-empty", "ball-r-negative",
+        "ball-x-star-outside", "heat-r-negative"])
 def test_bad_values_exit_two(tmp_path, capsys, command, overrides):
     p = tmp_path / "c.json"
     write_cfg(p, **overrides)

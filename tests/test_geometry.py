@@ -42,6 +42,16 @@ def test_cylinder_full():
     assert m.cells.all()
 
 
+@pytest.mark.parametrize("window", [(0.0, 1.0), (0.13, 0.65)])
+def test_equal_columns_give_equal_slice_measures(window):
+    # a matrix product summed the last two of these 30 equal columns in
+    # another order (1.0000000000000013 against 0.9999999999999998)
+    m = cylinder_mask(1.0, 60, 30)
+    measures = {slice_measure(m, ix, *window) for ix in range(m.n_x)}
+    assert len(measures) == 1
+    assert moc_functional(m, *window) in measures
+
+
 def test_cylinder_band():
     m = cylinder_mask(1.0, 50, 40, x_lo=0.25, x_hi=0.5, S=0.2)
     assert not m.is_empty()

@@ -15,6 +15,7 @@ from memflow.kernels import (
     BivariateKernel,
     ExpPolyFn,
     KernelParseError,
+    _eval_compiled,
     conv_power,
     format_kernel,
     h_coeff,
@@ -426,6 +427,54 @@ def test_compiled_eval_fixed_kernels(text):
     assert_compiled_eval_matches(terms, f, np.linspace(0.0, 3.0, 31))
     assert np.all(f.rates.imag >= 0.0) and len(set(f.rates.tolist())) == len(f.rates)
     assert np.isrealobj(f.C) == all(b == 0.0 for _, _, _, b, _ in terms)
+
+
+def pow_einsum_eval(rates, C, u, s=0.0):
+    """Re sum_z e^{z u} sum_{p,m} C[z, p, m] (s^p / p!) u^m from float pow
+    tables and one complex three-operand einsum: the reference evaluator."""
+    u, s = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(s, dtype=float))
+    shape, u, s = u.shape, u.ravel(), s.ravel()
+    n_z, n_p, n_m = C.shape
+    poly = (C.reshape(-1, n_m) @ u ** np.arange(n_m)[:, None]).reshape(n_z, n_p, len(u))
+    p = np.arange(n_p)[:, None]
+    out = np.einsum("zpn,pn,zn->n", poly, s ** p / np.cumprod(np.maximum(p, 1.0), axis=0),
+                    np.exp(np.multiply.outer(rates, u))).real
+    return out.reshape(shape) if shape else float(out[0])
+
+
+@st.composite
+def _compiled_forms(draw):
+    n_z, n_p = draw(st.integers(0, 3)), draw(st.sampled_from([1, 2, 5, 8]))
+    n_m = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rates = np.array([draw(_RATES) for _ in range(n_z)])
+    C = rng.uniform(-2.0, 2.0, (n_z, n_p, n_m))
+    if draw(st.booleans()):  # complex rates come with complex coefficients
+        rates = rates + 1j * np.array([draw(_FREQS) for _ in range(n_z)])
+        C = C + 1j * rng.uniform(-2.0, 2.0, C.shape)
+    return rates, C
+
+
+_POINTS = st.sampled_from([
+    (0.7, 1.3),                                                # scalar
+    (np.linspace(0.0, 3.0, 13), 0.0),                          # 1-D u, scalar s
+    (np.linspace(0.0, 3.0, 13), np.linspace(3.0, 0.0, 13)),    # 1-D u and s
+    (np.linspace(0.0, 2.0, 5)[:, None], np.linspace(0.0, 3.0, 7)),  # broadcast
+])
+
+
+@settings(max_examples=80, deadline=None)
+@given(form=_compiled_forms(), points=_POINTS)
+def test_compiled_eval_matches_pow_einsum_reference(form, points):
+    (rates, C), (u, s) = form, points
+    got, want = _eval_compiled(rates, C, u, s), pow_einsum_eval(rates, C, u, s)
+    scale = pow_einsum_eval(rates.real, np.abs(C), u, s)  # eval_abs at each point
+    assert np.shape(got) == np.broadcast_shapes(np.shape(u), np.shape(s))
+    assert np.all(np.abs(got - want) <= 64 * np.finfo(float).eps * scale)
+    if np.ndim(u) == np.ndim(s) == 0:
+        assert type(got) is float
+    if not len(rates):
+        assert np.all(got == 0.0)
 
 
 @pytest.mark.parametrize("N", [0, 1, 2])

@@ -17,7 +17,6 @@ from .flow import (
     decomposition_mode,
     first_nonzero_h_index,
     flow_apply,
-    flow_table_to_csv,
     forced_solution,
     kernel_rep_mode,
     kernel_rep_profile,
@@ -65,7 +64,6 @@ from .kernels import (
     BivariateKernel,
     ExpPolyFn,
     KernelParseError,
-    TruncationError,
     conv_power,
     format_kernel,
     h_coeff,
@@ -93,14 +91,8 @@ from .observability import (
 from .spectral import (
     EigenBasis,
     SpectralVec,
-    apply_A_power,
-    apply_minus_A_power,
-    evaluate_on_grid,
     hs_norm,
     interval_basis,
-    project_function,
-    vec_from_csv_line,
-    vec_to_csv_line,
 )
 
 __version__ = "0.1.0"

@@ -64,7 +64,7 @@ class ConfigError(ValueError):
 
 
 # library errors a command ends on with exit 1 and a ``failed`` manifest
-_RUN_ERRORS = (QuadratureError, kernels.TruncationError, geometry.RootIsolationError)
+_RUN_ERRORS = (QuadratureError, geometry.RootIsolationError)
 
 
 # ---------------------------------------------------------------------------

@@ -45,14 +45,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.legendre import leggauss
 
-from .kernels import (
-    ExpPolyFn,
-    format_kernel,
-    h_coeff,
-    kernel_c_norm,
-    km_partial,
-    p_coeff,
-)
+from .kernels import h_coeff, kernel_c_norm, km_partial, p_coeff
 from .spectral import SpectralVec
 
 __all__ = [
@@ -72,7 +65,6 @@ __all__ = [
     "FlowTable",
     "build_flow_table",
     "flow_apply",
-    "flow_table_to_csv",
     "forced_solution",
 ]
 
@@ -474,8 +466,6 @@ class FlowTable:
     basis: object
     tgrid: np.ndarray
     phi: np.ndarray
-    method: str
-    kernel: str
 
     def __post_init__(self):
         self.tgrid.setflags(write=False)
@@ -509,23 +499,19 @@ def build_flow_table(M, basis, T, n_steps, method="volterra"):
     if method == "volterra":
         nf = _fine_steps(etas, T, n_steps)
         phi = volterra_modes(M, etas, T, nf)[::nf // n_steps].T.copy()
-        tag = "volterra"
     elif method == "kernel_rep":
         phi = np.ones((basis.J, n_steps + 1))
         for i, t in enumerate(tgrid[1:], start=1):
             phi[:, i] = kernel_rep_profile(M, t, etas)
-        tag = "kernel_rep"
     elif method == "decomposition":
         phi = np.ones((basis.J, n_steps + 1))
         for i, t in enumerate(tgrid[1:], start=1):
             R = remainder_profile(M, t, DEFAULT_DECOMP_ORDER, etas)
             heat, wave, scaled = _decomposition(M, t, etas, DEFAULT_DECOMP_ORDER, R)
             phi[:, i] = heat + wave + scaled
-        tag = f"decomposition({DEFAULT_DECOMP_ORDER})"
     else:
         raise ValueError(f"unknown method {method!r}")
-    return FlowTable(basis=basis, tgrid=tgrid, phi=phi, method=tag,
-                     kernel=format_kernel(M))
+    return FlowTable(basis=basis, tgrid=tgrid, phi=phi)
 
 
 def flow_apply(table, t_index, v):
@@ -533,16 +519,6 @@ def flow_apply(table, t_index, v):
     a = v.coeffs if isinstance(v, SpectralVec) else np.asarray(v, dtype=float)
     return SpectralVec(table.phi[: len(a), t_index] * a,
                        s=(v.s if isinstance(v, SpectralVec) else 0.0))
-
-
-def flow_table_to_csv(table):
-    """Render as CSV with header "j, eta_j, t_0...t_n"."""
-    n = len(table.tgrid) - 1
-    lines = ["j, eta_j, " + ", ".join(f"t_{i}" for i in range(n + 1))]
-    for j in range(table.basis.J):
-        vals = ", ".join(repr(float(v)) for v in table.phi[j])
-        lines.append(f"{j + 1}, {float(table.basis.eigenvalues[j])!r}, {vals}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,7 @@ class Mask:
     provenance: str = "custom"
 
     def __post_init__(self):
+        _check_sizes(self.T, self.n_t, self.n_x)
         c = np.asarray(self.cells, dtype=bool)
         if c.shape != (self.n_t, self.n_x):
             raise ValueError(f"cells must have shape ({self.n_t}, {self.n_x})")
@@ -88,9 +89,19 @@ class Mask:
         return int(self.columns_at(x))
 
 
+def _check_sizes(T, n_t, n_x):
+    if not (T > 0 and n_t >= 1 and n_x >= 1):
+        raise ValueError(f"need T > 0, n_t >= 1 and n_x >= 1 (got {T}, {n_t}, {n_x})")
+
+
+def _midpoints(T, n_t, n_x):
+    """Cell midpoints in t and in x of the raster."""
+    _check_sizes(T, n_t, n_x)
+    return (np.arange(n_t) + 0.5) * (T / n_t), (np.arange(n_x) + 0.5) / n_x
+
+
 def _from_predicate(T, n_t, n_x, pred, provenance):
-    tm = (np.arange(n_t) + 0.5) * (T / n_t)
-    xm = (np.arange(n_x) + 0.5) / n_x
+    tm, xm = _midpoints(T, n_t, n_x)
     cells = np.broadcast_to(pred(tm[:, None], xm[None, :]), (n_t, n_x)).copy()
     return Mask(T=T, n_t=n_t, n_x=n_x, cells=cells, provenance=provenance)
 
@@ -130,8 +141,9 @@ def cusp_mask(x0, S, T, n_t, n_x, exponent=1.0 / 3.0):
     x0 is snapped to the nearest cell midpoint so the touching column really
     has zero slice measure at raster resolution.
     """
-    if not (0.0 <= S < T):
-        raise ValueError("need 0 <= S < T")
+    if not (0.0 <= S < T and exponent > 0):
+        raise ValueError("need 0 <= S < T and exponent > 0")
+    _check_sizes(T, n_t, n_x)
     dx = 1.0 / n_x
     x0s = (math.floor(x0 / dx) + 0.5) * dx
     x0s = min(max(x0s, 0.5 * dx), 1.0 - 0.5 * dx)
@@ -153,10 +165,9 @@ def ball_complement_mask(T, n_t, n_x, x_star, r):
 
 def random_rects_mask(seed, count, T, n_t, n_x):
     """Union of `count` axis-aligned random rectangles (seeded, reproducible)."""
+    tm, xm = _midpoints(T, n_t, n_x)
     rng = np.random.default_rng(seed)
     cells = np.zeros((n_t, n_x), dtype=bool)
-    tm = (np.arange(n_t) + 0.5) * (T / n_t)
-    xm = (np.arange(n_x) + 0.5) / n_x
     for _ in range(count):
         t0, t1 = np.sort(rng.uniform(0.0, T, size=2))
         x0, x1 = np.sort(rng.uniform(0.0, 1.0, size=2))

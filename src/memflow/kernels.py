@@ -19,19 +19,20 @@ rate is.  At z = a + ib the cos and sin coefficients of t^m e^{a t} are
 Re C[z, m] and -Im C[z, m].  Sums, derivatives, products and convolutions
 work on these rows; (c, m, a, b, phase) tuples are only what the
 constructors take and what the printer writes.  The series kernel
-K(t, s) = sum_j ((-s)^j / j!) M^{*j}(t-s) folds its terms into one array
+K(t, s) = sum_j ((-s)^j / j!) M^{*j}(t-s), cut at a fixed number of terms
+with no a-priori bound on the rest, folds its terms into one array
 C[z, p, m] over (s^p / p!) (t-s)^m, on which d/ds is exact.  The flow
 decomposition is integration by parts in s: h_l(t) = d^l/ds^l K(t, 0),
 p_l(t) = -d^l/ds^l K(t, t), and R_N integrates d^N/ds^N K.  h_l and R_N are
 read off the folded array; p_l is a polynomial whose coefficients are
 power-series products of the Taylor data of M at 0.  The stepper's
 memory recurrence reads the rows.  One evaluator, ``_eval_compiled``,
-serves every value of a kernel, of the series kernel and of its terms: it
-forms the powers of t-s and of s by running products and meets them with
-Re C and Im C in real matrix products, so e^{z(t-s)} is its only complex
-arithmetic.  The objects derived from a kernel
-(convolution powers, h_l, p_l, ``km_partial``, the C^N norms) are kept in a
-memo on the kernel and live as long as it does.
+serves every value of a kernel and of the series kernel: it forms the
+powers of t-s and of s by running products and meets them with Re C and
+Im C in real matrix products, so e^{z(t-s)} is its only complex
+arithmetic.  The objects derived from a kernel (convolution powers, h_l,
+p_l, ``km_partial``, the C^N norms) are kept in a memo on the kernel and
+live as long as it does.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ import numpy as np
 __all__ = [
     "ExpPolyFn",
     "KernelParseError",
-    "TruncationError",
     "conv_power",
     "h_coeff",
     "p_coeff",
@@ -58,10 +58,6 @@ __all__ = [
 
 # Relative magnitude below which a coefficient is treated as cancellation noise.
 CANCEL_TOL = 1e-15
-
-
-class TruncationError(Exception):
-    """Partial-sum tail bound exceeds the caller tolerance."""
 
 
 def _kept_on_kernel(fn):
@@ -412,8 +408,8 @@ class BivariateKernel:
     over (s^p / p!) (t-s)^m, which ``_s_derivative`` differentiates exactly.
     Read off it are h_l(t) = d^l/ds^l K(t, 0) (``h_coeff``) and the remainder
     R_N = int eta e^{-eta s} d^N/ds^N K ds; p_l(t) = -d^l/ds^l K(t, t) comes
-    from the Taylor data of M at 0 (``p_coeff``).  A computable tail bound
-    controls the truncation.
+    from the Taylor data of M at 0 (``p_coeff``).  Nothing bounds the
+    omitted terms; the flow routes sum 40 of them.
     """
 
     def __init__(self, M, deriv_order, truncation_order):
@@ -421,12 +417,8 @@ class BivariateKernel:
             raise ValueError("truncation_order must be >= 1")
         if deriv_order < 0:
             raise ValueError("deriv_order must be >= 0")
-        self.M = M
-        self.deriv_order = int(deriv_order)
-        self.truncation_order = int(truncation_order)
-        # pieces[j-1] = (scalar, s_power, ExpPolyFn in t-s) of term j
-        self.pieces = [((-1.0) ** j, j, conv_power(M, j)) for j in range(1, truncation_order + 1)]
-        self._form = _s_derivative(_fold(self.pieces), self.deriv_order)
+        pieces = [((-1.0) ** j, j, conv_power(M, j)) for j in range(1, truncation_order + 1)]
+        self._form = _s_derivative(_fold(pieces), int(deriv_order))
 
     def eval(self, t, s):
         """Partial-sum value at (t, s); s may be an array (with scalar t)."""
@@ -439,50 +431,6 @@ class BivariateKernel:
         s = np.asarray(s, dtype=float)
         rates, C = self._form
         return _eval_compiled(rates.real, np.abs(C), t - s, s)
-
-    def term_value(self, j, t, s):
-        """Value of the j-th series term alone (1-based j)."""
-        s = np.asarray(s, dtype=float)
-        form = _s_derivative(_fold([self.pieces[j - 1]]), self.deriv_order)
-        return _eval_compiled(*form, t - s, s)
-
-    def _term_bound(self, j, t, s):
-        # |term_j| <= 2^N * max_i s^{j-i}/(j-i)! * (cbar (1+t))^j where cbar is
-        # the C^N-type norm of M on [0, t]; the growth factor follows from the
-        # recursion max-norm(M * g) <= cbar (1+t) max-norm(g).
-        N = self.deriv_order
-        cnorm = kernel_c_norm(self.M, N, t) if t > 0 else abs(self.M.eval(0.0))
-        g = cnorm * (1.0 + t)
-        if g == 0.0:
-            return 0.0
-        best = max(s ** (j - i) / math.factorial(j - i) for i in range(min(N, j) + 1))
-        return 2.0**N * best * g**j
-
-    def tail_bound(self, t, s):
-        """Upper bound on the absolute truncation error at (t, s)."""
-        s = float(np.max(np.asarray(s, dtype=float)))
-        if s == 0.0:
-            return 0.0
-        total, prev = 0.0, None
-        for j in range(self.truncation_order + 1, self.truncation_order + 400):
-            b = self._term_bound(j, t, s)
-            if prev is not None and b < 0.5 * prev:
-                return total + b / (1.0 - b / prev)  # geometric from here on
-            total, prev = total + b, b
-            if b < 1e-300:
-                return total
-        raise TruncationError(
-            f"series tail not summable at (t={t}, s={s}) "
-            f"with truncation_order={self.truncation_order}"
-        )
-
-    def eval_checked(self, t, s, tol):
-        """Partial sum, raising TruncationError if the tail bound exceeds tol."""
-        bound = self.tail_bound(t, s)
-        if bound > tol:
-            raise TruncationError(f"tail bound {bound:.3e} exceeds tolerance {tol:.3e} "
-                                  f"at (t={t}, s={s}); raise truncation_order")
-        return self.eval(t, s)
 
 
 def _fold(pieces):

@@ -82,19 +82,18 @@ class ObsSetup:
     operator on (window rows of the time grid) x (basis grid).
 
     The weight t^alpha is applied only when the window starts at 0 (the
-    weighted-estimate regime); windows with S > 0 are unweighted unless
-    ``force_weight`` overrides.  ``quad_weights`` is the trapezoid rule in
-    time, ``masked_weights`` the grid rule restricted to the mask.  Only the
-    operator methods combine propagators, eigenfunctions and mask.  The
-    masked spatial Grams (one per run of rows with equal weights), the
-    eigenpairs of the surrogate pencil and, for the constant optimizers
-    only, the row-Gram stack are built once per setup, on first use;
-    ``gram`` contracts by runs and needs no stack.
+    weighted-estimate regime); windows with S > 0 are unweighted.
+    ``quad_weights`` is the trapezoid rule in time, ``masked_weights`` the
+    grid rule restricted to the mask.  Only the operator methods combine
+    propagators, eigenfunctions and mask.  The masked spatial Grams (one per
+    run of rows with equal weights), the eigenpairs of the surrogate pencil
+    and, for the constant optimizers only, the row-Gram stack are built once
+    per setup, on first use; ``gram`` contracts by runs and needs no stack.
     """
 
     ref_exponent = REF_EXPONENT  # read off a setup by perfbench/checks.py
 
-    def __init__(self, table, mask, alpha=None, window=None, force_weight=False):
+    def __init__(self, table, mask, alpha=None, window=None):
         self.table = table
         self.mask = mask
         self.alpha = alpha
@@ -102,7 +101,7 @@ class ObsSetup:
         if not (0.0 <= S < T_hi <= table.T + 1e-12):
             raise ValueError("window must satisfy 0 <= S < T' <= table horizon")
         self.window = (float(S), float(T_hi))
-        self.weighted = alpha is not None and (S == 0.0 or force_weight)
+        self.weighted = alpha is not None and S == 0.0
         if self.weighted and alpha < 0:
             raise ValueError("alpha must be >= 0: the weight t^alpha is infinite at t = 0")
 

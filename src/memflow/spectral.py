@@ -7,7 +7,7 @@ eta_j^s.  All values immutable, all operations pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,12 +16,6 @@ __all__ = [
     "SpectralVec",
     "interval_basis",
     "hs_norm",
-    "apply_A_power",
-    "apply_minus_A_power",
-    "project_function",
-    "evaluate_on_grid",
-    "vec_to_csv_line",
-    "vec_from_csv_line",
 ]
 
 
@@ -102,46 +96,3 @@ def hs_norm(basis, v, s):
     """(sum_j a_j^2 eta_j^s)^(1/2)."""
     a = _coeffs(v)
     return float(np.sqrt(np.sum(a**2 * basis.eigenvalues[: len(a)] ** s)))
-
-
-def apply_A_power(basis, v, k):
-    """Integer power of the generator: a_j -> (-eta_j)^k a_j."""
-    if int(k) != k:
-        raise ValueError("apply_A_power needs an integer exponent; use "
-                         "apply_minus_A_power for fractional powers")
-    a = _coeffs(v)
-    out = (-basis.eigenvalues[: len(a)]) ** int(k) * a
-    return SpectralVec(out, s=(v.s if isinstance(v, SpectralVec) else 0.0))
-
-
-def apply_minus_A_power(basis, v, k):
-    """Real (possibly half-integer) power of the positive operator:
-    a_j -> eta_j^k a_j."""
-    a = _coeffs(v)
-    out = basis.eigenvalues[: len(a)] ** float(k) * a
-    return SpectralVec(out, s=(v.s if isinstance(v, SpectralVec) else 0.0))
-
-
-def project_function(basis, samples):
-    """Coefficients a_j = sum_k w_k f(x_k) e_j(x_k) of grid samples."""
-    samples = np.asarray(samples, dtype=float)
-    return SpectralVec(basis.funcs @ (basis.weights * samples))
-
-
-def evaluate_on_grid(basis, v):
-    """Grid samples sum_j a_j e_j(x_k) of a coefficient vector."""
-    a = _coeffs(v)
-    return a @ basis.funcs[: len(a)]
-
-
-def vec_to_csv_line(v):
-    """Serialize as "s, a_1, a_2, ..., a_J"."""
-    parts = [repr(float(v.s))] + [repr(float(a)) for a in v.coeffs]
-    return ", ".join(parts)
-
-
-def vec_from_csv_line(line):
-    parts = [p.strip() for p in line.strip().split(",")]
-    if len(parts) < 2:
-        raise ValueError("expected 's, a_1, ...'")
-    return SpectralVec(np.array([float(p) for p in parts[1:]]), s=float(parts[0]))

@@ -6,7 +6,6 @@ docstrings of the corresponding tests and in the project notes); they run as
 strict expected failures so a change in behaviour is flagged.
 """
 
-import filecmp
 import json
 import math
 import os
@@ -34,7 +33,6 @@ from memflow.geometry import (
     cylinder_mask,
     moc_functional,
     random_rects_mask,
-    slice_measure,
     zigzag_mask,
 )
 from memflow.inverse_control import (
@@ -48,7 +46,7 @@ from memflow.inverse_control import (
     reconstruct_y0,
     synthesize_observation,
 )
-from memflow.kernels import h_coeff, kernel_c_norm, p_coeff, parse_kernel
+from memflow.kernels import h_coeff, p_coeff, parse_kernel
 from memflow.observability import (
     ObsSetup,
     alpha_probe,

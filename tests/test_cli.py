@@ -236,6 +236,13 @@ def test_bad_ranges_exit_two(tmp_path, capsys, overrides):
     ("probe-ball", {"probe_ball": {"r": -0.1}}),
     ("probe-ball", {"probe_ball": {"x_star": 1.5}}),
     ("probe-heat", {"probe_heat": {"r": -1}}),
+    ("moc", {"mask": {"kind": "zigzag", "n_t": 0}}),
+    ("obsconst", {"mask": {"kind": "zigzag", "n_t": 0}}),
+    ("moc", {"mask": {"kind": "cylinder", "n_x": 0}}),
+    ("obsconst", {"mask": {"kind": "random_rects", "n_x": 0}}),
+    ("moc", {"mask": {"kind": "cusp", "n_x": 0}}),
+    ("moc", {"mask": {"kind": "cusp", "exponent": -1}}),
+    ("moc", {"mask": {"kind": "cusp", "exponent": 0}}),
 ], ids=["regime-linf", "weighted-alpha-half", "T-hat-negative", "noise-negative",
         "zigzag-eps-zero", "zigzag-eps-negative", "cylinder-empty-band", "cusp-S-past-T",
         "cusp-S-negative", "obsconst-cylinder-reversed", "cylinder-takes-no-eps",
@@ -243,7 +250,9 @@ def test_bad_ranges_exit_two(tmp_path, capsys, overrides):
         "k-list-negative", "radii-empty", "radii-negative", "lambda-negative",
         "obsconst-alpha-negative", "reconstruct-alpha-negative", "ball-k-list-empty",
         "heat-half-widths-empty", "heat-t-list-empty", "ball-r-negative",
-        "ball-x-star-outside", "heat-r-negative"])
+        "ball-x-star-outside", "heat-r-negative", "mask-n-t-zero", "obsconst-mask-n-t-zero",
+        "mask-n-x-zero", "obsconst-rects-n-x-zero", "cusp-n-x-zero",
+        "cusp-exponent-negative", "cusp-exponent-zero"])
 def test_bad_values_exit_two(tmp_path, capsys, command, overrides):
     p = tmp_path / "c.json"
     write_cfg(p, **overrides)

@@ -6,8 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memflow.flow import (
-    DecompositionParts,
-    FlowTable,
     QuadratureError,
     StepSizeError,
     _memory_recurrence,
@@ -17,7 +15,6 @@ from memflow.flow import (
     decomposition_mode,
     first_nonzero_h_index,
     flow_apply,
-    flow_table_to_csv,
     forced_solution,
     kernel_rep_mode,
     kernel_rep_profile,
@@ -330,16 +327,6 @@ def test_flow_self_adjoint(table, rng):
     phi = table.phi[:, 77]
     assert float(np.dot(phi * u, v)) == pytest.approx(float(np.dot(u, phi * v)),
                                                       rel=1e-14)
-
-
-def test_table_csv_export(table):
-    text = flow_table_to_csv(table)
-    lines = text.strip().split("\n")
-    assert lines[0].startswith("j, eta_j, t_0")
-    assert len(lines) == 7
-    first = lines[1].split(", ")
-    assert float(first[1]) == pytest.approx(ETA1, rel=1e-12)
-    assert float(first[2]) == 1.0
 
 
 # ---------------------------------------------------------------------------

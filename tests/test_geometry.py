@@ -297,6 +297,22 @@ def test_text_errors():
         mask_from_text("\n".join(broken))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: cylinder_mask(1.0, 0, 8),
+    lambda: zigzag_mask(0.2, 1.0, 8, 0),
+    lambda: cusp_mask(0.5, 0.0, 1.0, 8, 0),
+    lambda: random_rects_mask(0, 3, 1.0, 0, 8),
+    lambda: cylinder_mask(0.0, 8, 8),
+    lambda: Mask(T=1.0, n_t=0, n_x=2, cells=np.zeros((0, 2), dtype=bool)),
+    lambda: mask_from_text("MEMFLOW-MASK v1 4 1 0.0\n0000\n"),
+    lambda: cusp_mask(0.5, 0.0, 1.0, 8, 8, exponent=-1.0),
+], ids=["n_t-zero", "n_x-zero", "cusp-n_x-zero", "rects-n_t-zero", "T-zero", "mask-n_t-zero",
+        "file-T-zero", "cusp-exponent-negative"])
+def test_degenerate_sizes_rejected(make):
+    with pytest.raises(ValueError):
+        make()
+
+
 def test_save_load(tmp_path, zig):
     from memflow.geometry import load_mask, save_mask
     p = tmp_path / "m.mask"

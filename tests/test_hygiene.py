@@ -1,0 +1,49 @@
+"""Static hygiene of the library modules: no unused module-level import, and
+every name in ``__all__`` defined in the module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "memflow"
+MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported(tree):
+    """Names bound by the module-level imports (``from __future__`` aside)."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(a.asname or a.name for a in node.names)
+    return names
+
+
+def _exported(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return ast.literal_eval(node.value)
+    return []
+
+
+def _defined(tree):
+    names = _imported(tree)
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_imports_used_and_exports_defined(name):
+    tree = ast.parse((SRC / name).read_text(), filename=name)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    exported = set(_exported(tree))
+    assert sorted(_imported(tree) - used - exported) == []
+    assert sorted(exported - _defined(tree)) == []

@@ -16,6 +16,8 @@ from memflow.kernels import (
     ExpPolyFn,
     KernelParseError,
     _eval_compiled,
+    _fold,
+    _s_derivative,
     conv_power,
     format_kernel,
     h_coeff,
@@ -216,7 +218,7 @@ def test_h2_matches_definition_numerically():
 
 def test_km_first_term_constant_kernel():
     K = km_partial(parse_kernel("3"), 0, 1)
-    assert K.term_value(1, 1.0, 0.5) == pytest.approx(-0.5 * 3.0, rel=1e-14)
+    assert K.eval(1.0, 0.5) == pytest.approx(-0.5 * 3.0, rel=1e-14)
 
 
 def test_km_vanishes_at_s_zero(kernels4):
@@ -226,29 +228,14 @@ def test_km_vanishes_at_s_zero(kernels4):
 
 
 def test_km_truncation_consistency(kernels4):
-    for M in kernels4.values():
-        K30 = BivariateKernel(M, 0, 30)
-        K60 = BivariateKernel(M, 0, 60)
-        for (t, s) in ((1.0, 0.5), (2.0, 1.7), (0.5, 0.1)):
-            diff = abs(K30.eval(t, s) - K60.eval(t, s))
-            assert diff <= K30.tail_bound(t, s) + 1e-300
-
-
-def test_km_tail_dominates_term_magnitudes(kernels4):
-    # successive-truncation differences are controlled by the tail bound
-    for M in kernels4.values():
-        K = BivariateKernel(M, 2, 25)
-        for j in range(18, 25):
-            v = abs(K.term_value(j + 1, 1.5, 1.0))
-            low = BivariateKernel(M, 2, j)
-            assert v <= low.tail_bound(1.5, 1.0)
-
-
-def test_km_checked_eval_raises_when_truncated_too_short():
-    from memflow.kernels import TruncationError
-    K = BivariateKernel(parse_kernel("3"), 0, 2)
-    with pytest.raises(TruncationError):
-        K.eval_checked(2.0, 1.9, 1e-12)
+    # the routes sum 40 terms; 20 more change the value only at rounding level
+    extra = ("exp(-0.8668*t) + 0.7431*t*exp(-2.2246*t)", "exp(-1*t) + t^4*exp(-2*t)")
+    for M in list(kernels4.values()) + [parse_kernel(text) for text in extra]:
+        for N in (0, 4):
+            K40, K60 = BivariateKernel(M, N, 40), BivariateKernel(M, N, 60)
+            for t, s in ((1.0, 0.5), (2.0, 1.7), (0.5, 0.1), (2.0, 2.0)):
+                diff = abs(K40.eval(t, s) - K60.eval(t, s))
+                assert diff <= 128 * np.finfo(float).eps * K60.eval_abs(t, s)
 
 
 def test_km_derivative_consistent_with_finite_difference():
@@ -477,6 +464,12 @@ def test_compiled_eval_matches_pow_einsum_reference(form, points):
         assert np.all(got == 0.0)
 
 
+def _term_value(M, N, j, t, s):
+    """N-th s-derivative of the j-th series term ((-s)^j / j!) M^{*j}(t-s) alone."""
+    form = _s_derivative(_fold([((-1.0) ** j, j, conv_power(M, j))]), N)
+    return _eval_compiled(*form, t - s, s)
+
+
 @pytest.mark.parametrize("N", [0, 1, 2])
 def test_series_kernel_eval_is_sum_of_terms(kernels4, N):
     extra = ("exp(-1*t)*cos(2*t)", "exp(-0.7*t) + 0.5*t*exp(-2*t)")
@@ -484,7 +477,7 @@ def test_series_kernel_eval_is_sum_of_terms(kernels4, N):
         K = BivariateKernel(M, N, 12)
         for t in (0.5, 1.0, 2.0):
             s = np.linspace(0.0, t, 9)
-            terms = [K.term_value(j, t, s) for j in range(1, 13)]
+            terms = [_term_value(M, N, j, t, s) for j in range(1, 13)]
             scale = np.sum(np.abs(terms), axis=0)
             assert np.all(np.abs(K.eval(t, s) - np.sum(terms, axis=0)) <= 1e-13 * scale)
             assert abs(K.eval(t, float(s[3])) - K.eval(t, s)[3]) <= 1e-13 * scale[3]

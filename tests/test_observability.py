@@ -114,17 +114,12 @@ def test_weight_only_applied_from_time_zero(mem_table, full_mask):
     weighted = ObsSetup(mem_table, full_mask, alpha=2.0, window=(0.0, 1.0))
     unweighted = ObsSetup(mem_table, full_mask, alpha=2.0, window=(0.3, 1.0))
     assert weighted.weighted and not unweighted.weighted
-    forced = ObsSetup(mem_table, full_mask, alpha=2.0, window=(0.3, 1.0),
-                      force_weight=True)
-    assert forced.weighted
 
 
 def test_negative_alpha_rejected_only_where_weighted(mem_table, full_mask):
     # t^alpha with alpha < 0 is infinite at t = 0
     with pytest.raises(ValueError, match="alpha"):
         ObsSetup(mem_table, full_mask, alpha=-1.0)
-    with pytest.raises(ValueError, match="alpha"):
-        ObsSetup(mem_table, full_mask, alpha=-1.0, window=(0.3, 1.0), force_weight=True)
     assert not ObsSetup(mem_table, full_mask, alpha=-1.0, window=(0.3, 1.0)).weighted
 
 

@@ -3,17 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from memflow.spectral import (
-    SpectralVec,
-    apply_A_power,
-    apply_minus_A_power,
-    evaluate_on_grid,
-    hs_norm,
-    interval_basis,
-    project_function,
-    vec_from_csv_line,
-    vec_to_csv_line,
-)
+from memflow.spectral import SpectralVec, hs_norm, interval_basis
 
 
 @pytest.fixture(scope="module")
@@ -56,95 +46,25 @@ def test_hs_norm_monotone_in_s(basis, rng):
     assert hs_norm(basis, v, -2.0) <= hs_norm(basis, v, 0.0) <= hs_norm(basis, v, 2.0)
 
 
-def test_apply_A_identity(basis, rng):
-    v = SpectralVec(rng.standard_normal(8))
-    assert np.allclose(apply_A_power(basis, v, 0).coeffs, v.coeffs)
-
-
-def test_apply_A_inverse_sign(basis):
-    v = SpectralVec(np.array([1.0] + [0.0] * 7))
-    out = apply_A_power(basis, v, -1)
-    assert out.coeffs[0] == pytest.approx(-1.0 / math.pi**2, rel=1e-14)
-
-
 def test_norm_shift_identity(basis, rng):
+    # a_j -> a_j / eta_j shifts the norm exponent by +2
     v = SpectralVec(rng.standard_normal(8))
     for s in (-6.0, -4.0, 0.0, 4.0):
-        lhs = hs_norm(basis, apply_A_power(basis, v, -1), s + 2.0)
+        lhs = hs_norm(basis, SpectralVec(v.coeffs / basis.eigenvalues), s + 2.0)
         rhs = hs_norm(basis, v, s)
         assert abs(lhs - rhs) <= 1e-12 * rhs
 
 
-def test_minus_A_weight_shift(basis, rng):
-    # (-A)^{-2} shifts the norm exponent by +4
-    v = SpectralVec(rng.standard_normal(8))
-    for s in (-4.0, 0.0, 2.0):
-        lhs = hs_norm(basis, apply_minus_A_power(basis, v, -2), s + 4.0)
-        assert abs(lhs - hs_norm(basis, v, s)) <= 1e-12 * hs_norm(basis, v, s)
-
-
-def test_apply_A_power_rejects_fractional(basis):
-    with pytest.raises(ValueError):
-        apply_A_power(basis, SpectralVec(np.zeros(8)), 0.5)
-
-
-def test_half_integer_minus_A(basis, rng):
-    v = SpectralVec(np.abs(rng.standard_normal(8)))
-    out = apply_minus_A_power(basis, v, 0.5)
-    assert np.allclose(out.coeffs, v.coeffs * basis.eigenvalues**0.5)
-
-
-def test_projection_of_eigenfunction(basis):
-    p = project_function(basis, basis.funcs[1])
-    want = np.zeros(8)
-    want[1] = 1.0
-    assert np.abs(p.coeffs - want).max() < 1e-8
-
-
-def test_projection_of_zero(basis):
-    assert np.all(project_function(basis, np.zeros_like(basis.x)).coeffs == 0.0)
-
-
-def test_round_trip(basis, rng):
-    v = SpectralVec(rng.standard_normal(8))
-    back = project_function(basis, evaluate_on_grid(basis, v))
-    assert np.abs(back.coeffs - v.coeffs).max() < 1e-8
-
-
 def test_evaluate_single_mode(basis):
-    v = SpectralVec(np.array([1.0] + [0.0] * 7))
-    f = evaluate_on_grid(basis, v)
+    f = np.array([1.0] + [0.0] * 7) @ basis.funcs
     assert np.allclose(f, math.sqrt(2) * np.sin(math.pi * basis.x))
-
-
-def test_evaluate_linearity(basis, rng):
-    u = rng.standard_normal(8)
-    v = rng.standard_normal(8)
-    lhs = evaluate_on_grid(basis, SpectralVec(2.0 * u - 3.0 * v))
-    rhs = 2.0 * evaluate_on_grid(basis, SpectralVec(u)) - 3.0 * evaluate_on_grid(basis, SpectralVec(v))
-    assert np.allclose(lhs, rhs)
 
 
 def test_parseval(basis, rng):
     v = SpectralVec(rng.standard_normal(8))
-    f = evaluate_on_grid(basis, v)
+    f = v.coeffs @ basis.funcs
     grid_norm = math.sqrt(float(np.sum(basis.weights * f**2)))
     assert grid_norm == pytest.approx(hs_norm(basis, v, 0.0), abs=1e-8)
-
-
-def test_projection_adjointness(basis, rng):
-    v = SpectralVec(rng.standard_normal(8))
-    f = rng.standard_normal(len(basis.x))
-    lhs = float(np.sum(basis.weights * evaluate_on_grid(basis, v) * f))
-    rhs = float(np.dot(v.coeffs, project_function(basis, f).coeffs))
-    assert abs(lhs - rhs) < 1e-8
-
-
-def test_csv_round_trip(rng):
-    v = SpectralVec(rng.standard_normal(5), s=-4.0)
-    w = vec_from_csv_line(vec_to_csv_line(v))
-    assert w.s == v.s
-    assert np.array_equal(w.coeffs, v.coeffs)
 
 
 def test_basis_validation():

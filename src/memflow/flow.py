@@ -43,10 +43,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from numpy.polynomial.legendre import leggauss
 
-from .kernels import h_coeff, kernel_c_norm, km_partial, p_coeff
-from .spectral import SpectralVec
+from .kernels import SERIES_TERMS, h_coeff, kernel_c_norm, km_partial, p_coeff
+from .spectral import SpectralVec, gauss_legendre
 
 __all__ = [
     "StepSizeError",
@@ -68,7 +67,6 @@ __all__ = [
     "forced_solution",
 ]
 
-DEFAULT_KM_TRUNCATION = 40
 DEFAULT_DECOMP_ORDER = 4
 
 
@@ -300,7 +298,7 @@ def _unit_gauss_panels(n_gauss, split):
     """Read-only nodes and weights of ``_gauss_panels`` on [0, 1]."""
     edges = np.concatenate([[0.0], 2.0 ** (np.arange(36) - 35.0)])
     edges = np.interp(np.arange(36 * split + 1) / split, np.arange(37), edges)
-    xg, wg = leggauss(n_gauss)
+    xg, wg = gauss_legendre(n_gauss)
     h = 0.5 * np.diff(edges)[:, None]
     nodes, weights = (edges[:-1, None] + h * (xg + 1.0)).ravel(), (h * wg).ravel()
     nodes.flags.writeable = weights.flags.writeable = False
@@ -332,11 +330,15 @@ def _checked_integral(K, t, eta):
     2, 4, ..., 64 until the two integrals agree to max(1e-12, 1e-11 |integral|)
     plus the rounding the series kernel itself carries (machine epsilon times
     the integral of ``K.eval_abs``; no node count removes it).  Past 64 raise
-    QuadratureError carrying the achieved error estimate.
+    QuadratureError carrying the achieved error estimate, and at once when
+    either integral is not finite.
     """
     rounding = None
     for split in (1, 2, 4, 8, 16, 32, 64):
         coarse, fine = (float(_panel_integral(K, t, [eta], n, split)[0]) for n in (12, 16))
+        if not (math.isfinite(coarse) and math.isfinite(fine)):
+            raise QuadratureError(f"series-kernel integral is not finite: {coarse!r} at 12 "
+                                  f"nodes, {fine!r} at 16 nodes per panel")
         err, tol = abs(fine - coarse), max(1e-12, 1e-11 * abs(fine))
         if err > tol and rounding is None:  # one more kernel pass, only here
             s, w = _gauss_panels(t, 16)
@@ -350,7 +352,7 @@ def _checked_integral(K, t, eta):
 def kernel_rep_profile(M, t, etas):
     """phi(t) for an array of modes via the integral representation.
 
-    Shares one set of kernel samples (DEFAULT_KM_TRUNCATION series terms)
+    Shares one set of kernel samples (SERIES_TERMS series terms)
     across all modes; the quadrature grid is geometrically refined toward
     u = 0 so the exponential boundary layer of every mode is resolved.
     Unchecked, for tables; ``kernel_rep_mode`` is the checked value.
@@ -358,7 +360,7 @@ def kernel_rep_profile(M, t, etas):
     etas = np.atleast_1d(np.asarray(etas, dtype=float))
     if t == 0.0:
         return np.ones_like(etas)
-    return np.exp(-etas * t) + _panel_integral(km_partial(M, 0, DEFAULT_KM_TRUNCATION), t, etas)
+    return np.exp(-etas * t) + _panel_integral(km_partial(M, 0, SERIES_TERMS), t, etas)
 
 
 def kernel_rep_mode(M, eta, t):
@@ -369,7 +371,7 @@ def kernel_rep_mode(M, eta, t):
         raise ValueError("t must be >= 0")
     if t == 0.0:
         return 1.0
-    return math.exp(-eta * t) + _checked_integral(km_partial(M, 0, DEFAULT_KM_TRUNCATION), t, eta)
+    return math.exp(-eta * t) + _checked_integral(km_partial(M, 0, SERIES_TERMS), t, eta)
 
 
 # ---------------------------------------------------------------------------
@@ -380,14 +382,14 @@ def remainder_profile(M, t, N, etas):
     """Remainder multiplier values R_N(t, eta) for an array of modes.
 
     R_N(t, eta) = int_0^t eta e^{-eta s} (d/ds)^N K(t, s) ds on the series
-    kernel of DEFAULT_KM_TRUNCATION terms, by the kernel representation's
+    kernel of SERIES_TERMS terms, by the kernel representation's
     ``_panel_integral``.  Unchecked, for tables; ``decomposition_mode`` is
     the checked value.
     """
     etas = np.atleast_1d(np.asarray(etas, dtype=float))
     if t == 0.0:
         return np.zeros_like(etas)
-    return etas * _panel_integral(km_partial(M, N, DEFAULT_KM_TRUNCATION), t, etas)
+    return etas * _panel_integral(km_partial(M, N, SERIES_TERMS), t, etas)
 
 
 def remainder_bound(M, N, t):
@@ -412,12 +414,18 @@ class DecompositionParts:
     total: float
 
 
-def _decomposition(M, t, etas, N, R):
+def _coefficients(M, N, t):
+    """p_l(t) and h_l(t), l < N, each an array of shape (N, *shape of t)."""
+    return (np.array([p_coeff(M, l).eval(t) for l in range(N)]),
+            np.array([h_coeff(M, l).eval(t) for l in range(N)]))
+
+
+def _decomposition(t, etas, pl, hl, R):
     """Heat part, wave part and scaled remainder of the order-N decomposition
-    at time t, one entry per mode, given the remainder values R."""
+    at time t, one entry per mode, given p_l(t) and h_l(t) for l < N and the
+    remainder values R."""
+    N = len(pl)
     inv_powers = etas[:, None] ** -(np.arange(N)[None, :] + 1.0)
-    pl = np.array([p_coeff(M, l).eval(t) for l in range(N)])
-    hl = np.array([h_coeff(M, l).eval(t) for l in range(N)])
     return (np.exp(-etas * t) * (1.0 + inv_powers @ pl), inv_powers @ hl,
             R * etas ** -(N + 1.0))
 
@@ -435,9 +443,9 @@ def decomposition_mode(M, eta, t, N=DEFAULT_DECOMP_ORDER):
         raise ValueError("decomposition_mode requires t > 0")
     if N < 2:
         raise ValueError("N must be >= 2")
-    R = float(eta) * _checked_integral(km_partial(M, N, DEFAULT_KM_TRUNCATION), t, eta)
+    R = float(eta) * _checked_integral(km_partial(M, N, SERIES_TERMS), t, eta)
     heat, wave, scaled = (float(v[0]) for v in
-                          _decomposition(M, t, np.array([float(eta)]), N, R))
+                          _decomposition(t, np.array([float(eta)]), *_coefficients(M, N, t), R))
     return DecompositionParts(heat=heat, wave=wave, remainder_scaled=scaled,
                               remainder_value=R, order=N, total=heat + wave + scaled)
 
@@ -491,8 +499,9 @@ def build_flow_table(M, basis, T, n_steps, method="volterra"):
 
     The time-stepping route automatically substeps so that eta*dt stays under
     the stability guard for every mode, then keeps the requested grid.  The
-    kernel route sums DEFAULT_KM_TRUNCATION series terms; the decomposition
-    route has order DEFAULT_DECOMP_ORDER.
+    kernel route sums SERIES_TERMS series terms; the decomposition
+    route has order DEFAULT_DECOMP_ORDER and evaluates each p_l and h_l once
+    on the whole grid.
     """
     etas = basis.eigenvalues
     tgrid = np.linspace(0.0, T, n_steps + 1)
@@ -505,9 +514,10 @@ def build_flow_table(M, basis, T, n_steps, method="volterra"):
             phi[:, i] = kernel_rep_profile(M, t, etas)
     elif method == "decomposition":
         phi = np.ones((basis.J, n_steps + 1))
+        pl, hl = _coefficients(M, DEFAULT_DECOMP_ORDER, tgrid)
         for i, t in enumerate(tgrid[1:], start=1):
             R = remainder_profile(M, t, DEFAULT_DECOMP_ORDER, etas)
-            heat, wave, scaled = _decomposition(M, t, etas, DEFAULT_DECOMP_ORDER, R)
+            heat, wave, scaled = _decomposition(t, etas, pl[:, i], hl[:, i], R)
             phi[:, i] = heat + wave + scaled
     else:
         raise ValueError(f"unknown method {method!r}")

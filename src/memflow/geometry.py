@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import kernel_c_norm
+from .spectral import gauss_legendre
 
 __all__ = [
     "Mask",
@@ -300,7 +301,7 @@ def column_integrals(mask, f, S, T_hi):
     live = np.flatnonzero(w > 0)
     lo = np.maximum(live * mask.dt, S)
     hi = np.minimum((live + 1) * mask.dt, T_hi)
-    xg, wg = np.polynomial.legendre.leggauss(4)
+    xg, wg = gauss_legendre(4)
     h = 0.5 * (hi - lo)
     nodes = lo[:, None] + h[:, None] * (xg[None, :] + 1.0)
     cell = np.zeros(mask.n_t)

@@ -18,21 +18,26 @@ coefficient doubled) and are sorted by (Re z, Im z); C is real when every
 rate is.  At z = a + ib the cos and sin coefficients of t^m e^{a t} are
 Re C[z, m] and -Im C[z, m].  Sums, derivatives, products and convolutions
 work on these rows; (c, m, a, b, phase) tuples are only what the
-constructors take and what the printer writes.  The series kernel
+constructors take and what the printer writes.  Convolution with g is one
+linear map on the rows (``_conv_map``, from the partial-fraction principal
+parts), so the convolution powers M^{*j} come from one precomputed step
+per kernel: ``_power_table`` applies M's map to each power in turn, one
+real matrix-vector product per power, and holds the first 40 powers (the
+terms the flow routes sum) in one array T[j-1, z, m].  The series kernel
 K(t, s) = sum_j ((-s)^j / j!) M^{*j}(t-s), cut at a fixed number of terms
-with no a-priori bound on the rest, folds its terms into one array
-C[z, p, m] over (s^p / p!) (t-s)^m, on which d/ds is exact.  The flow
-decomposition is integration by parts in s: h_l(t) = d^l/ds^l K(t, 0),
-p_l(t) = -d^l/ds^l K(t, t), and R_N integrates d^N/ds^N K.  h_l and R_N are
-read off the folded array; p_l is a polynomial whose coefficients are
-power-series products of the Taylor data of M at 0.  The stepper's
-memory recurrence reads the rows.  One evaluator, ``_eval_compiled``,
-serves every value of a kernel and of the series kernel: it forms the
-powers of t-s and of s by running products and meets them with Re C and
-Im C in real matrix products, so e^{z(t-s)} is its only complex
-arithmetic.  The objects derived from a kernel (convolution powers, h_l,
-p_l, ``km_partial``, the C^N norms) are kept in a memo on the kernel and
-live as long as it does.
+with no a-priori bound on the rest, reads that table as one array
+C[z, p, m] = (-1)^p T[p-1, z, m] over (s^p / p!) (t-s)^m, on which d/ds is
+exact.  The flow decomposition is integration by parts in s:
+h_l(t) = d^l/ds^l K(t, 0), p_l(t) = -d^l/ds^l K(t, t), and R_N integrates
+d^N/ds^N K.  h_l and R_N are read off that array; p_l is a polynomial
+whose coefficients are power-series products of the Taylor data of M at
+0.  The stepper's memory recurrence reads the rows.  One evaluator,
+``_eval_compiled``, serves every value of a kernel and of the series
+kernel: it forms the powers of t-s and of s by running products and meets
+them with Re C and Im C in real matrix products, so e^{z(t-s)} is its only
+complex arithmetic.  The objects derived from a kernel (the power table,
+convolution powers, h_l, p_l, ``km_partial``, the sups behind the C^N
+norms) are kept in a memo on the kernel and live as long as it does.
 """
 
 from __future__ import annotations
@@ -58,6 +63,8 @@ __all__ = [
 
 # Relative magnitude below which a coefficient is treated as cancellation noise.
 CANCEL_TOL = 1e-15
+# Series terms the flow routes sum; the power table holds at least this many.
+SERIES_TERMS = 40
 
 
 def _kept_on_kernel(fn):
@@ -196,16 +203,12 @@ class ExpPolyFn:
         return ExpPolyFn._of_rows(zip(f.rates, C))
 
     def convolve(self, other):
-        """Exact convolution (f*g)(t) = int_0^t f(t-u) g(u) du.
-
-        Closed in the family: Re(F) * g = Re(F * g) for real g, so each row
-        of f meets each row of g and its conjugate once.  Coinciding rates
-        (resonance) raise the power of t instead of dividing by a vanishing
-        rate gap.
-        """
-        return ExpPolyFn._of_rows(row for z, a in zip(self.rates, self.C)
-                                  for w, b in _unfolded(other)
-                                  for row in _conv_rows(z, a, w, b))
+        """Exact convolution (f*g)(t) = int_0^t f(t-u) g(u) du: g's linear
+        step (``_conv_map``) applied once to the rows of f."""
+        rates, G = _conv_map(self.rates, other, self.C.shape[1])
+        y = G @ _to_layout(self.rates, self.C).ravel()
+        width = self.C.shape[1] + other.C.shape[1]
+        return ExpPolyFn._of_rows(zip(rates, _from_layout(rates, y.reshape(width, -1))))
 
 
 def _unfolded(g):
@@ -234,41 +237,102 @@ def _binomials(n):
     return _pascal(max(64, 1 << (n - 1).bit_length()))
 
 
-def _conv_rows(z1, a, z2, b):
-    """Rows of (e^{z1 t} a(t)) * (e^{z2 t} b(t)) with the polynomials
-    a(t) = sum_p a[p] t^p and b(t) = sum_q b[q] t^q.
-
-    Rates closer than 1e-12 (relative) are resonant: t^p * t^q under e^{z1 t}
-    is p! q! / (p+q+1)! t^(p+q+1).  Otherwise the result is the partial-fraction
-    principal parts at z1 and z2.  Rate gaps that are tiny but above that
-    threshold are inherently ill-conditioned in this representation (the
-    closed form divides by powers of the gap).
-    """
-    if abs(z2 - z1) <= 1e-12 * max(1.0, abs(z1), abs(z2)):
-        p, q = np.arange(len(a))[:, None], np.arange(len(b))
-        r = np.zeros(len(a) + len(b), dtype=np.result_type(a, b))
-        np.add.at(r, p + q + 1, np.outer(a, b) / (
-            (p + q + 1) * _binomials(len(a) + len(b))[p + q, p]))
-        return [(z1, r)]
-    return [(z1, _principal_part(a, b, z1 - z2)), (z2, _principal_part(b, a, z2 - z1))]
+def _im_slots(rates):
+    """The real layout x[m, slot] of rows C[z, m] on ``rates``: slot k holds
+    Re C[k], and the slots after them hold Im C of the complex rates in
+    order; the slot of Im C[k] (-1 for a real rate)."""
+    cplx = np.asarray(rates).imag != 0.0
+    return np.where(cplx, len(cplx) + np.cumsum(cplx) - 1, -1)
 
 
-def _principal_part(a, b, w):
-    """Row at z1 of the convolution of _conv_rows, w = z1 - z2 != 0:
+def _to_layout(rates, C):
+    """Rows C[z, m] on ``rates`` as their real layout x[m, slot]."""
+    return np.concatenate([C.real, C.imag[_im_slots(rates) >= 0]]).T
 
-        r[n] = sum_k C(n+k, k) a[n+k] (-1)^k sum_q b[q] (q+k)! / w^(q+k+1),
 
-    the Laplace principal part of the two factors at z1 (the second one
-    expanded in powers of s - z1).
-    """
-    P, Q = len(a), len(b)
-    ratios = np.arange(P + Q - 1) / w
+def _from_layout(rates, x):
+    """Rows C[..., z, m] on ``rates`` of the real layout x[..., m, slot]; real
+    when every rate is."""
+    cplx = _im_slots(rates) >= 0
+    C = np.swapaxes(x[..., :len(cplx)], -1, -2)
+    if cplx.any():
+        C = C + 0j
+        C[..., cplx, :] += 1j * np.swapaxes(x[..., len(cplx):], -1, -2)
+    return C
+
+
+def _falling(w, n):
+    """v[i] = i! / w^(i+1), i < n, by running products (never forming i! alone)."""
+    ratios = np.arange(n) / w
     ratios[0] = 1.0 / w
-    v = np.cumprod(ratios)  # v[i] = i! / w^(i+1), never forming i! alone
-    k = np.arange(P)
-    h = (-1.0) ** k * (v[k[:, None] + np.arange(Q)] @ b)
-    nk = k[:, None] + k
-    return (_binomials(2 * P)[nk, k] * np.concatenate([a, np.zeros(P)])[nk]) @ h
+    return np.cumprod(ratios)
+
+
+def _conv_map(zs, g, width):
+    """The linear step a -> a * g on coefficient rows a of the given width
+    on the rates zs.  Returns the rates of the result (zs and g's rates) and
+    the step as a real matrix from the real layout (``_im_slots``) of rows of
+    that width to the real layout of rows of width + Q, Q being g's row
+    width: it maps the flattened x[i, slot] to the flattened y[n, slot], so
+    rows of a width P < ``width`` take its leading block of P columns of x
+    and P + Q rows of y.
+
+    Re(F) * g = Re(F * g) for real g, so each row (z, a) meets each row
+    (w, b) of g and of its conjugate (``_unfolded``) once.  Rates closer
+    than 1e-12 (relative) are resonant: t^p * t^q under e^{z t} is
+    p! q! / (p+q+1)! t^(p+q+1).  Otherwise the result is the partial-fraction
+    principal parts at z and at w; at z
+
+        r[n] = sum_k C(n+k, k) a[n+k] (-1)^k sum_q b[q] (q+k)! / (z-w)^(q+k+1),
+
+    the Laplace principal part of the two factors (the second one expanded in
+    powers of s - z), and at w the same with (z, a) and (w, b) swapped; a
+    row at Im w < 0 is conjugated onto conj(w).  Rate gaps that are tiny but
+    above the threshold are inherently ill-conditioned in this representation
+    (the closed form divides by powers of the gap).  The entries read by rows
+    narrower than ``width`` are exactly those of a map built for them; past
+    them, the i! / w^(i+1) factors may overflow.
+    """
+    Q = g.C.shape[1]
+    rates = np.unique(np.concatenate([zs, g.rates]))
+    where = {z: k for k, z in enumerate(rates.tolist())}
+    im_out, im_in = _im_slots(rates), _im_slots(zs)
+    n_out, n_in = len(rates) + np.sum(im_out >= 0), len(zs) + np.sum(im_in >= 0)
+    G = np.zeros((width + Q, n_out, width, n_in))
+
+    def put(X, t, z, sign=1.0):
+        """Add the complex block X (rows at rate t, columns at input rate z),
+        conjugated when sign is -1."""
+        block, ti, zi = G[:X.shape[0], :, :X.shape[1]], im_out[t], im_in[z]
+        block[:, t, :, z] += X.real
+        if zi >= 0:
+            block[:, t, :, zi] -= X.imag
+        if ti >= 0:
+            block[:, ti, :, z] += sign * X.imag
+            if zi >= 0:
+                block[:, ti, :, zi] += sign * X.real
+
+    binom = _binomials(max(width, Q) + Q)
+    i, q = np.arange(width), np.arange(Q)
+    alt = (-1.0) ** np.arange(max(width, Q))
+    for zi, z in enumerate(zs.tolist()):
+        h = np.zeros(width, dtype=complex)  # the principal part at z, summed over w
+        for w, b in _unfolded(g):
+            if abs(w - z) <= 1e-12 * max(1.0, abs(z), abs(w)):
+                X = np.zeros((width + Q, width), dtype=complex)
+                p = i[:, None]
+                X[p + q + 1, p] = b / ((p + q + 1) * binom[p + q, p])
+                put(X, where[z], zi)
+                continue
+            h += alt[:width] * (_falling(z - w, width + Q - 1)[i[:, None] + q] @ b)
+            nk, b_ext = q[:, None] + q, np.concatenate([b, np.zeros(Q)])
+            X = (binom[nk, q] * b_ext[nk]) @ (
+                alt[:Q, None] * _falling(w - z, width + Q - 1)[q[:, None] + i])
+            low = w.imag < 0
+            put(X, where[w.conjugate() if low else w], zi, -1.0 if low else 1.0)
+        d = np.abs(i - i[:, None])  # r[n] = sum_i C(i, i-n) h[i-n] a[i]
+        put(np.triu(binom[i, d] * h[d]), where[z], zi)
+    return rates, G.reshape((width + Q) * n_out, width * n_in)
 
 
 def _powers(x, n):
@@ -318,15 +382,59 @@ def _eval_compiled(rates, C, u, s=0.0):
 # ---------------------------------------------------------------------------
 
 @_kept_on_kernel
+def _power_table(M, n):
+    """Read-only T[j-1, z, m] = C[z, m] of M^{*j}, 1 <= j <= n, on the rates
+    of M (a power's rates are among them).
+
+    The step a -> a * M is one linear map (``_conv_map``).  Step j applies
+    its leading block for the current row width P, one real matrix-vector
+    product, and then the 1e-15 cancellation rule of ``ExpPolyFn._store``,
+    so the rows are those of repeated ``convolve`` calls up to the order of
+    summation.  The map is built as wide as the binomial table that step j
+    reads allows (``_binomials(P + Q)``, P + Q rounded up to a power of two)
+    and rebuilt wider only when the rows outgrow it: cancellation and
+    underflow keep the rows far narrower than the bound (n-1) Q, and at that
+    bound the binomials and the i! / w^(i+1) factors can overflow (t^13).
+    """
+    Q, rates, x = M.C.shape[1], M.rates, _to_layout(M.rates, M.C)
+    n_slots = x.shape[1]
+    X = np.zeros((n, n * Q, n_slots))
+    X[0, :Q] = x
+    P, width, top = Q, 0, Q
+    for j in range(1, n):
+        if P > width:
+            width = min((n - 1) * Q, len(_binomials(P + Q)) - Q)
+            with np.errstate(over="ignore", invalid="ignore"):  # past the block read
+                G = _conv_map(rates, M, width)[1]
+        y = G[:(P + Q) * n_slots, :P * n_slots] @ X[j - 1, :P].ravel()
+        y[np.abs(y) <= CANCEL_TOL * np.abs(y).max(initial=0.0)] = 0.0
+        live = np.flatnonzero(y)
+        P = int(live[-1]) // n_slots + 1 if live.size else 1
+        X[j, :P] = y[:P * n_slots].reshape(P, n_slots)
+        top = max(top, P)
+    T = _from_layout(rates, X[:, :top])
+    T.flags.writeable = False
+    return T
+
+
+def _powers_up_to(M, n):
+    """The first n rows of the power table, their trailing zero columns cut;
+    every n up to SERIES_TERMS reads one table."""
+    T = _power_table(M, max(n, SERIES_TERMS))[:n]
+    cols = np.flatnonzero(T.any(axis=(0, 1)))
+    return T[:, :, :cols[-1] + 1 if cols.size else 1]
+
+
+@_kept_on_kernel
 def conv_power(M, j):
-    """j-fold convolution M * ... * M; the zero function for j = 0."""
+    """j-fold convolution M * ... * M, read off row j of M's power table
+    (``_power_table``, shared with the series kernel); the zero function for
+    j = 0."""
     if j < 0:
         raise ValueError("j must be >= 0")
     if j == 0:
         return ExpPolyFn.zero()
-    if j == 1:
-        return M
-    return conv_power(M, j - 1).convolve(M)
+    return ExpPolyFn._of_rows(zip(M.rates, _powers_up_to(M, j)[j - 1]))
 
 
 @_kept_on_kernel
@@ -389,11 +497,17 @@ def _max_abs(f, lo, hi):
 
 
 @_kept_on_kernel
+def _sup_abs(M, k, t):
+    """sup_{[0,t]} |M^(k)|, kept on M per (k, t)."""
+    return _max_abs(M.derivative(k), 0.0, t)
+
+
+@_kept_on_kernel
 def kernel_c_norm(M, N, t):
     """sum_{k<=N} sup_{[0,t]} |M^(k)|, each sup found numerically."""
     if t <= 0:
         raise ValueError("t must be > 0")
-    return float(sum(_max_abs(M.derivative(k), 0.0, t) for k in range(N + 1)))
+    return float(sum(_sup_abs(M, k, t) for k in range(N + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +518,10 @@ class BivariateKernel:
     """Partial sums of the series kernel K(t, s) = sum_j ((-s)^j / j!) M^{*j}(t-s)
     differentiated deriv_order times in s, valid on t >= s >= 0.
 
-    The J = ``truncation_order`` terms fold into one compiled array C[z, p, m]
-    over (s^p / p!) (t-s)^m, which ``_s_derivative`` differentiates exactly.
+    The J = ``truncation_order`` terms are the first J rows of M's power
+    table (``_power_table``; J <= 40 reads the one table the routes use),
+    set into one compiled array C[z, p, m] = (-1)^p T[p-1, z, m] over
+    (s^p / p!) (t-s)^m, which ``_s_derivative`` differentiates exactly.
     Read off it are h_l(t) = d^l/ds^l K(t, 0) (``h_coeff``) and the remainder
     R_N = int eta e^{-eta s} d^N/ds^N K ds; p_l(t) = -d^l/ds^l K(t, t) comes
     from the Taylor data of M at 0 (``p_coeff``).  Nothing bounds the
@@ -417,8 +533,10 @@ class BivariateKernel:
             raise ValueError("truncation_order must be >= 1")
         if deriv_order < 0:
             raise ValueError("deriv_order must be >= 0")
-        pieces = [((-1.0) ** j, j, conv_power(M, j)) for j in range(1, truncation_order + 1)]
-        self._form = _s_derivative(_fold(pieces), int(deriv_order))
+        T = _powers_up_to(M, truncation_order)
+        C = np.zeros((len(M.rates), truncation_order + 1, T.shape[2]), dtype=T.dtype)
+        C[:, 1:] = np.moveaxis(T, 0, 1) * (-1.0) ** np.arange(1, truncation_order + 1)[:, None]
+        self._form = _s_derivative((M.rates, C), int(deriv_order))
 
     def eval(self, t, s):
         """Partial-sum value at (t, s); s may be an array (with scalar t)."""
@@ -431,18 +549,6 @@ class BivariateKernel:
         s = np.asarray(s, dtype=float)
         rates, C = self._form
         return _eval_compiled(rates.real, np.abs(C), t - s, s)
-
-
-def _fold(pieces):
-    """Compiled (rates, C[z, p, m]) of sum scal * (s^p / p!) * f(u) over the
-    pieces (scal, p, f), with u = t - s."""
-    index = {z: k for k, z in enumerate(dict.fromkeys(z for *_, f in pieces for z in f.rates))}
-    out = np.zeros((len(index), 1 + max(p for _, p, _ in pieces),
-                    max(f.C.shape[1] for *_, f in pieces)),
-                   dtype=np.result_type(*(f.C for *_, f in pieces)))
-    for scal, p, f in pieces:
-        out[[index[z] for z in f.rates], p, :f.C.shape[1]] += scal * f.C
-    return np.array(list(index), dtype=out.dtype), out
 
 
 def _s_derivative(form, n):

@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .flow import flow_apply
-from .spectral import SpectralVec, hs_norm
+from .spectral import SpectralVec, gauss_legendre, hs_norm
 
 __all__ = [
     "ObsSetup",
@@ -645,7 +645,7 @@ def bump_vector(basis, center, half_width, n_modes=None, laplacian_power=0,
     """
     lo = max(center - half_width, 0.0)
     hi = min(center + half_width, 1.0)
-    xg, wg = np.polynomial.legendre.leggauss(8)
+    xg, wg = gauss_legendre(8)
     n_panels = 128
     edges = np.linspace(lo, hi, n_panels + 1)
     h = 0.5 * (edges[1:] - edges[:-1])

@@ -7,6 +7,7 @@ eta_j^s.  All values immutable, all operations pure.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,6 +87,14 @@ def interval_basis(J, n_x):
         weights=w,
         funcs=funcs,
     )
+
+
+@functools.cache
+def gauss_legendre(n):
+    """Read-only n-point Gauss-Legendre nodes and weights on [-1, 1]."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def _coeffs(v):

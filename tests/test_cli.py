@@ -322,6 +322,17 @@ def test_library_numerical_error_exits_one(tmp_path, capsys):
     assert json.loads((d / "manifest.json").read_text())["status"] == "failed"
 
 
+def test_nonfinite_series_integral_exits_one(tmp_path, capsys):
+    p = tmp_path / "c.json"
+    write_cfg(p, kernel="exp(800*t)", time={"T": 1.0, "n_t": 200},
+              flow_check={"modes": [1]})
+    out = tmp_path / "o"
+    assert run(["flow-check", "--config", p, "--out", out]) == 1
+    assert "not finite" in capsys.readouterr().err
+    d = next((out / "flow-check").iterdir())
+    assert json.loads((d / "manifest.json").read_text())["status"] == "failed"
+
+
 @pytest.mark.parametrize("command, kernel, code, message", [
     ("moc", "0", 2, "config error: kernel"),
     ("probe-ball", "0", 2, "config error: kernel"),

@@ -138,6 +138,12 @@ def test_kernel_rep_mode_unconverged_quadrature_raises():
         kernel_rep_mode(parse_kernel("cos(20000*t)"), 10.0, 1.0)
 
 
+def test_nonfinite_series_integral_raises():
+    # the series kernel of exp(800 t) overflows: both integrals read NaN
+    with pytest.raises(QuadratureError, match="not finite"):
+        kernel_rep_mode(parse_kernel("exp(800*t)"), 10.0, 1.0)
+
+
 def test_volterra_vs_kernel_rep():
     M = parse_kernel("1")
     y = volterra_mode(M, ETA1, tgrid())

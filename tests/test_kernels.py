@@ -16,7 +16,6 @@ from memflow.kernels import (
     ExpPolyFn,
     KernelParseError,
     _eval_compiled,
-    _fold,
     _s_derivative,
     conv_power,
     format_kernel,
@@ -466,8 +465,10 @@ def test_compiled_eval_matches_pow_einsum_reference(form, points):
 
 def _term_value(M, N, j, t, s):
     """N-th s-derivative of the j-th series term ((-s)^j / j!) M^{*j}(t-s) alone."""
-    form = _s_derivative(_fold([((-1.0) ** j, j, conv_power(M, j))]), N)
-    return _eval_compiled(*form, t - s, s)
+    f = conv_power(M, j)
+    C = np.zeros((len(f.rates), j + 1, f.C.shape[1]), dtype=f.C.dtype)
+    C[:, j] = (-1.0) ** j * f.C
+    return _eval_compiled(*_s_derivative((f.rates, C), N), t - s, s)
 
 
 @pytest.mark.parametrize("N", [0, 1, 2])
@@ -711,6 +712,45 @@ def test_parse_format_round_trip_random_terms(terms):
     g = parse_kernel(format_kernel(f))
     ts = np.linspace(0.0, 3.0, 31)
     assert np.all(np.abs(f.eval(ts) - g.eval(ts)) <= 1e-14 * (1.0 + per_term_scale(terms, ts)))
+
+
+# a cos kernel, an exp-poly kernel, a resonant one and a single high power
+_POWER_KERNELS = {
+    "exp(-0.9321*t)*cos(1.8472*t)": [(1.0, 0, -0.9321, 1.8472, "cos")],
+    "exp(-0.8668*t) + 0.7431*t*exp(-2.2246*t)": [(1.0, 0, -0.8668, 0.0, "cos"),
+                                                 (0.7431, 1, -2.2246, 0.0, "cos")],
+    "t*exp(-1*t) + exp(-1*t)": [(1.0, 1, -1.0, 0.0, "cos"), (1.0, 0, -1.0, 0.0, "cos")],
+    "t^13": [(1.0, 13, 0.0, 0.0, "cos")],
+}
+
+
+@pytest.mark.parametrize("text", list(_POWER_KERNELS))
+def test_conv_power_matches_repeated_tuple_convolution(text):
+    M, terms, ts = parse_kernel(text), _POWER_KERNELS[text], np.linspace(0.0, 3.0, 31)
+    power = terms
+    for j in range(1, 13):
+        if j > 1:
+            power = ref_convolve(power, terms)
+        got = conv_power(M, j).eval(ts)
+        assert np.all(np.abs(got - per_term_eval(power, ts)) <= 1e-12 * per_term_scale(power, ts))
+
+
+@pytest.mark.parametrize("text", ["exp(-1*t) + t^4*exp(-2*t)", "t^13",
+                                  "2 + t^3*exp(-1*t) + -0.5*t*exp(-1*t) + exp(0.3*t)"])
+def test_series_kernel_form_is_finite(text):
+    M = parse_kernel(text)
+    for N in (0, 4):
+        assert np.all(np.isfinite(km_partial(M, N, 40)._form[1]))
+
+
+def test_power_table_built_once_per_kernel():
+    M = parse_kernel("exp(-0.7*t) + 0.5*t*exp(-2*t)")
+    km_partial(M, 0, 40)
+    tables = [key for key in M._memo if key[0] == "_power_table"]
+    km_partial(M, 4, 40)
+    conv_power(M, 17)
+    h_coeff(M, 3)
+    assert len(tables) == 1 and [key for key in M._memo if key[0] == "_power_table"] == tables
 
 
 def _trapezoid_powers(M, T, n, j_max):

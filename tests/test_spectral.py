@@ -22,8 +22,11 @@ def test_eigenfunction_midpoint():
     # midpoint grid has no node exactly at 1/2 for even n_x; check the value there
     assert math.sqrt(2) * math.sin(math.pi * b.x[k]) == pytest.approx(
         b.funcs[0, k], rel=1e-14)
-    xs = np.array([0.5])
-    assert math.sqrt(2) * math.sin(math.pi * 0.5) == pytest.approx(math.sqrt(2))
+    # for odd n_x node 16 of 33 sits at x = 1/2 exactly
+    b = interval_basis(4, 33)
+    assert b.x[16] == 0.5
+    assert b.funcs[0, 16] == pytest.approx(math.sqrt(2), rel=1e-15)
+    assert abs(b.funcs[1, 16]) <= 1e-15
 
 
 def test_discrete_orthonormality(basis):

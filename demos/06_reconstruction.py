@@ -12,7 +12,6 @@ import numpy as np
 from memflow import (
     ObsSetup,
     ReconstructionProblem,
-    SpectralVec,
     build_flow_table,
     discrepancy_lambda,
     hs_norm,
@@ -39,8 +38,7 @@ print("observation set: zigzag strip of thickness 0.1 "
 
 data = synthesize_observation(setup, truth)
 rec, diag = reconstruct_y0(ReconstructionProblem(setup, data))
-rel = hs_norm(basis, SpectralVec(rec.coeffs - truth), -4.0) \
-    / hs_norm(basis, SpectralVec(truth), -4.0)
+rel = hs_norm(basis, rec - truth, -4.0) / hs_norm(basis, truth, -4.0)
 print(f"\nnoiseless data: relative reference-norm error {rel:.2e}")
 print(f"  observation map rank {diag['rank']}, smallest singular value "
       f"{diag['sigma_min']:.3e}")
@@ -50,12 +48,10 @@ noisy = synthesize_observation(setup, truth, noise=0.01,
 noise_norm = setup.l2_norm(noisy - data)
 lam = discrepancy_lambda(setup, noisy, noise_norm)
 rec2, diag2 = reconstruct_y0(ReconstructionProblem(setup, noisy, lam=lam))
-rel2 = hs_norm(basis, SpectralVec(rec2.coeffs - truth), -4.0) \
-    / hs_norm(basis, SpectralVec(truth), -4.0)
+rel2 = hs_norm(basis, rec2 - truth, -4.0) / hs_norm(basis, truth, -4.0)
 print(f"\n1% noise, discrepancy-principle regularization "
       f"(lambda = {lam:.2e}):")
 print(f"  relative reference-norm error {rel2:.2%}")
 print(f"\n{'mode':>5} {'truth':>9} {'noiseless':>10} {'noisy':>9}")
 for j in range(12):
-    print(f"{j + 1:5d} {truth[j]:9.4f} {rec.coeffs[j]:10.4f} "
-          f"{rec2.coeffs[j]:9.4f}")
+    print(f"{j + 1:5d} {truth[j]:9.4f} {rec[j]:10.4f} {rec2[j]:9.4f}")

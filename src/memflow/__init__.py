@@ -16,7 +16,6 @@ from .flow import (
     build_flow_table,
     decomposition_mode,
     first_nonzero_h_index,
-    flow_apply,
     forced_solution,
     kernel_rep_mode,
     kernel_rep_profile,
@@ -90,7 +89,6 @@ from .observability import (
 )
 from .spectral import (
     EigenBasis,
-    SpectralVec,
     hs_norm,
     interval_basis,
 )

@@ -51,7 +51,7 @@ from .observability import (
     two_sided_constants,
     unique_continuation_rank,
 )
-from .spectral import SpectralVec, hs_norm, interval_basis
+from .spectral import hs_norm, interval_basis
 
 COMMANDS = (
     "flow-check", "kernel", "moc", "obsconst", "probe-alpha", "probe-ball",
@@ -98,6 +98,10 @@ _SCHEMA = {
 }
 
 
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _check_keys(cfg, schema, path=""):
     for key, val in cfg.items():
         where = f"{path}.{key}" if path else key
@@ -109,7 +113,7 @@ def _check_keys(cfg, schema, path=""):
                 raise ConfigError(f"{where} must be an object")
             _check_keys(val, spec, where)
         elif spec is float:
-            if not isinstance(val, (int, float)) or isinstance(val, bool):
+            if not _is_number(val):
                 raise ConfigError(f"{where} must be a number")
         elif spec is int:
             if not isinstance(val, int) or isinstance(val, bool):
@@ -161,25 +165,35 @@ def _validate_ranges(cfg):
         raise ConfigError("window needs S and T with 0 <= S < T and S < time.T")
     if cfg["alpha"] is not None and cfg["alpha"] < 0:
         raise ConfigError("alpha must be >= 0 (the weight t^alpha is infinite at t = 0)")
+    seeds = {"seed": cfg["seed"],
+             "control.y0_seed": cfg.get("control", {}).get("y0_seed", 0),
+             "reconstruct.truth_seed": cfg.get("reconstruct", {}).get("truth_seed", 0)}
+    for where, seed in seeds.items():
+        if seed < 0:
+            raise ConfigError(f"{where} must be >= 0")
     for where, key in (("flow_check", "modes"), ("flow_check", "orders"),
                        ("obsconst", "J_list"), ("probe_alpha", "k_list"),
                        ("probe_ball", "k_list")):
         vals = cfg.get(where, {}).get(key)
         if vals is not None and not (vals and all(type(v) is int and v >= 1 for v in vals)):
             raise ConfigError(f"{where}.{key} must be a non-empty list of integers >= 1")
-    for where, key, strict in (("moc_cmd", "radii", True), ("probe_heat", "half_widths", True),
-                               ("probe_heat", "t_list", False)):
+    for where, key, ok, what in (("moc_cmd", "radii", lambda v: v > 0, "numbers > 0"),
+                                 ("probe_heat", "half_widths", lambda v: v > 0, "numbers > 0"),
+                                 ("probe_heat", "t_list", lambda v: v >= 0, "numbers >= 0"),
+                                 ("probe_heat", "s_list", lambda v: True, "numbers")):
         vals = cfg.get(where, {}).get(key)
-        if vals is not None and not (vals and all(
-                isinstance(v, (int, float)) and not isinstance(v, bool)
-                and (v > 0 if strict else v >= 0) for v in vals)):
-            raise ConfigError(f"{where}.{key} must be a non-empty list of numbers "
-                              f"{'>' if strict else '>='} 0")
+        if vals is not None and not (vals and all(_is_number(v) and ok(v) for v in vals)):
+            raise ConfigError(f"{where}.{key} must be a non-empty list of {what}")
+    omega = cfg.get("probe_alpha", {}).get("omega")
+    if omega is not None and not (len(omega) == 2 and all(
+            _is_number(v) and 0 <= v <= 1 for v in omega)):
+        raise ConfigError("probe_alpha.omega must be two numbers in [0, 1]")
     for where in ("probe_ball", "probe_heat"):
         if cfg.get(where, {}).get("r", 1.0) <= 0:
             raise ConfigError(f"{where}.r must be > 0")
-    if not 0 < cfg.get("probe_ball", {}).get("x_star", 0.5) < 1:
-        raise ConfigError("probe_ball.x_star must lie in (0, 1)")
+    for where, key in (("probe_ball", "x_star"), ("probe_heat", "x0")):
+        if not 0 < cfg.get(where, {}).get(key, 0.5) < 1:
+            raise ConfigError(f"{where}.{key} must lie in (0, 1)")
     for where, key, low in (("flow_check", "n_t_values", 1),
                             ("flow_check", "remainder_t_values", 1),
                             ("obsconst", "n_restarts", 1), ("kernel_cmd", "grid_points", 1),
@@ -444,8 +458,11 @@ def _setup_from_cfg(cfg, M, J=None, method="volterra"):
                              method=method)
     mask = build_mask(cfg)
     S, T_hi = _window(cfg)
-    return ObsSetup(table, mask, alpha=cfg.get("alpha"),
-                    window=(S, min(T_hi, cfg["time"]["T"])))
+    try:
+        return ObsSetup(table, mask, alpha=cfg.get("alpha"),
+                        window=(S, min(T_hi, cfg["time"]["T"])))
+    except ValueError as e:  # a window or alpha the observation setup rejects
+        raise ConfigError(f"window: {e}") from None
 
 
 def cmd_obsconst(cfg, sink, rng, tol_scale):
@@ -555,11 +572,10 @@ def cmd_reconstruct(cfg, sink, rng, tol_scale):
     else:
         lam = rc.get("lambda", 0.0)
     rec, diag = reconstruct_y0(ReconstructionProblem(setup, data, lam=lam))
-    err = SpectralVec(rec.coeffs - truth)
-    rel = (hs_norm(setup.basis, err, REF_EXPONENT)
+    rel = (hs_norm(setup.basis, rec - truth, REF_EXPONENT)
            / hs_norm(setup.basis, truth, REF_EXPONENT))
     sink.write_csv("coefficients.csv", "j, truth, reconstructed",
-                   [(j + 1, truth[j], rec.coeffs[j]) for j in range(len(truth))])
+                   [(j + 1, truth[j], rec[j]) for j in range(len(truth))])
     sink.write_json("reconstruct.json", {
         "lambda": diag["lambda"], "residual": diag["residual"],
         "rel_error_if_truth_known": rel, "sigma_min": diag["sigma_min"],
@@ -574,12 +590,12 @@ def cmd_control(cfg, sink, rng, tol_scale):
     mask = build_mask(cfg)
     T_hat = cc.get("T_hat", cfg["time"]["T"])
     y0_rng = np.random.default_rng(cc.get("y0_seed", cfg["seed"]))
-    y0 = SpectralVec(y0_rng.standard_normal(basis.J))
+    y0 = y0_rng.standard_normal(basis.J)
     target = cc.get("target", "eta^-3")
     if target == "eta^-3":
-        y1 = SpectralVec(basis.eigenvalues**-3.0, s=4.0)
+        y1 = basis.eigenvalues**-3.0
     elif target == "zero":
-        y1 = SpectralVec(np.zeros(basis.J), s=4.0)
+        y1 = np.zeros(basis.J)
     else:
         raise ConfigError(f"control.target: unknown target {target!r}")
     prob = ControlProblem(M, basis, mask, T_hat, y0, y1,
@@ -675,6 +691,8 @@ def main(argv=None):
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
+            if args.seed < 0:
+                raise ConfigError("--seed must be >= 0")
             cfg["seed"] = args.seed
         rng = np.random.default_rng(cfg["seed"])
         sink = Sink(args.out, args.command, cfg)

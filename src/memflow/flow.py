@@ -45,7 +45,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .kernels import SERIES_TERMS, h_coeff, kernel_c_norm, km_partial, p_coeff
-from .spectral import SpectralVec, gauss_legendre
+from .spectral import gauss_legendre
 
 __all__ = [
     "StepSizeError",
@@ -63,7 +63,6 @@ __all__ = [
     "first_nonzero_h_index",
     "FlowTable",
     "build_flow_table",
-    "flow_apply",
     "forced_solution",
 ]
 
@@ -410,7 +409,6 @@ class DecompositionParts:
     wave: float             # sum_l h_l(t) eta^{-l-1}
     remainder_scaled: float  # R_N(t, eta) * eta^{-N-1}
     remainder_value: float   # R_N(t, eta)
-    order: int
     total: float
 
 
@@ -447,7 +445,7 @@ def decomposition_mode(M, eta, t, N=DEFAULT_DECOMP_ORDER):
     heat, wave, scaled = (float(v[0]) for v in
                           _decomposition(t, np.array([float(eta)]), *_coefficients(M, N, t), R))
     return DecompositionParts(heat=heat, wave=wave, remainder_scaled=scaled,
-                              remainder_value=R, order=N, total=heat + wave + scaled)
+                              remainder_value=R, total=heat + wave + scaled)
 
 
 def first_nonzero_h_index(M, T):
@@ -524,13 +522,6 @@ def build_flow_table(M, basis, T, n_steps, method="volterra"):
     return FlowTable(basis=basis, tgrid=tgrid, phi=phi)
 
 
-def flow_apply(table, t_index, v):
-    """Diagonal action of the propagator at grid time index on coefficients."""
-    a = v.coeffs if isinstance(v, SpectralVec) else np.asarray(v, dtype=float)
-    return SpectralVec(table.phi[: len(a), t_index] * a,
-                       s=(v.s if isinstance(v, SpectralVec) else 0.0))
-
-
 # ---------------------------------------------------------------------------
 # forced evolution
 # ---------------------------------------------------------------------------
@@ -588,7 +579,7 @@ def _replay(M, basis, y0, control, mask, T, n_steps, phi):
     """``forced_solution`` given the unforced table phi (nf+1, J) of its
     substepped grid, for a caller that has already swept it."""
     nf = len(phi) - 1
-    a0 = y0.coeffs if isinstance(y0, SpectralVec) else np.asarray(y0, dtype=float)
+    a0 = np.asarray(y0, dtype=float)
     fine, f = _forced_run(M, basis, a0, control, mask, T, nf)
     phi, f = phi.T.copy(), f.T.copy()  # (J, nf+1)
 

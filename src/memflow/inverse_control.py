@@ -33,14 +33,12 @@ from .flow import (
     volterra_modes,
 )
 from .observability import (
-    REF_EXPONENT,
     ObsSetup,
     _pencil_eigh,
     _row_gram_stack,
     _spatial_grams,
     unique_continuation_rank,
 )
-from .spectral import SpectralVec
 
 __all__ = [
     "ReconstructionProblem",
@@ -107,7 +105,7 @@ def synthesize_observation(setup, y0, noise=0.0, rng=None):
     Noise is relative: gaussian with std = noise * rms(signal) added on the
     in-mask samples.
     """
-    a = y0.coeffs if isinstance(y0, SpectralVec) else np.asarray(y0, dtype=float)
+    a = np.asarray(y0, dtype=float)
     live = setup.masked_weights > 0
     data = np.where(live, setup.fields(a), 0.0)
     if noise > 0.0:
@@ -140,7 +138,8 @@ def reconstruct_y0(problem):
     With lam = 0 a rank-deficient system raises SingularSystemError naming
     the invisible direction.
 
-    Returns (SpectralVec, diagnostics dict).
+    Returns (coefficients, diagnostics): the length-J coefficient array and a
+    dict of lambda, the data residual, sigma_min and the rank.
     """
     setup = problem.setup
     A, rhs, Dm = _normal_equations(setup, problem.data)
@@ -155,7 +154,7 @@ def reconstruct_y0(problem):
     a = _cholesky_solve(A + problem.lam * Dm, rhs)
     resid = setup.l2_norm(setup.fields(a) - problem.data)
     rank, sigma_min = unique_continuation_rank(setup)
-    return SpectralVec(a, s=REF_EXPONENT), {
+    return a, {
         "lambda": problem.lam,
         "residual": resid,
         "sigma_min": sigma_min,
@@ -184,16 +183,18 @@ def discrepancy_lambda(setup, data, noise_norm):
 class ControlProblem:
     """Steering task: reach `y1` from `y0` at time T_hat through the mask.
 
-    regime "l2" minimizes the L2(raster) norm; "weighted_linf" minimizes the
-    worst (T_hat - t)^{-alpha}-weighted spatial norm (alpha > 1 required).
+    y0 and y1 are coefficient arrays; one shorter than basis.J is padded
+    with zeros.  regime "l2" minimizes the L2(raster) norm; "weighted_linf"
+    minimizes the worst (T_hat - t)^{-alpha}-weighted spatial norm (alpha > 1
+    required).
     """
 
     kernel: object
     basis: object
     mask: object
     T_hat: float
-    y0: SpectralVec
-    y1: SpectralVec
+    y0: np.ndarray
+    y1: np.ndarray
     regime: str = "l2"
     alpha: float = 2.0
     n_steps: int = 1000
@@ -267,9 +268,9 @@ def min_norm_control(problem):
     # one unforced sweep: phi(T_hat) for the target, the table for the replay
     phi = volterra_modes(problem.kernel, basis.eigenvalues, problem.T_hat, nf)
     a0 = np.zeros(basis.J)
-    a0[: len(problem.y0.coeffs)] = problem.y0.coeffs
+    a0[: len(problem.y0)] = problem.y0
     a1 = np.zeros(basis.J)
-    a1[: len(problem.y1.coeffs)] = problem.y1.coeffs
+    a1[: len(problem.y1)] = problem.y1
     target = a1 - phi[-1] * a0
 
     cells = dof[:, 0]
@@ -351,7 +352,7 @@ def reachable_difference_check(kernel, basis, y0, u, mask, T_hat, n_steps=1000):
     """
     from .kernels import ExpPolyFn
 
-    a0 = y0.coeffs if isinstance(y0, SpectralVec) else np.asarray(y0, dtype=float)
+    a0 = np.asarray(y0, dtype=float)
     nf = _fine_steps(basis.eigenvalues, T_hat, n_steps)
     # the forced runs alone: the gap needs no superposition cross-check
     gap = (_forced_run(kernel, basis, a0, u, mask, T_hat, nf)[0][-1]

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import re
 
 import numpy as np
@@ -224,9 +225,13 @@ def _unfolded(g):
 
 @functools.cache
 def _pascal(size):
-    """Read-only table of the binomials C(i, j), i, j < size, as floats."""
-    table = np.array([[math.comb(i, j) for j in range(size)] for i in range(size)],
-                     dtype=float)
+    """Read-only table of the binomials C(i, j), i, j < size, as floats: rows
+    of Pascal's rule on Python integers, rounded once."""
+    rows, row = [], [1]
+    for _ in range(size):
+        rows.append(row + [0] * (size - len(row)))
+        row = [1, *map(operator.add, row, row[1:]), 1]
+    table = np.array(rows, dtype=float)
     table.flags.writeable = False
     return table
 

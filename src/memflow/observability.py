@@ -46,8 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flow import flow_apply
-from .spectral import SpectralVec, gauss_legendre, hs_norm
+from .spectral import gauss_legendre, hs_norm
 
 __all__ = [
     "ObsSetup",
@@ -252,7 +251,7 @@ def obs_seminorm_many(setup, A):
 
 def obs_seminorm(setup, v):
     """Weighted time integral of the masked spatial norm along the flow of v."""
-    a = v.coeffs if isinstance(v, SpectralVec) else np.asarray(v, dtype=float)
+    a = np.asarray(v, dtype=float)
     full = np.zeros(setup.basis.J)
     full[: len(a)] = a
     return float(obs_seminorm_many(setup, full[None, :])[0])
@@ -573,8 +572,11 @@ def null_obs_constant(setup, n_restarts=24, rng=None):
     two J x J eigensolves for the pencil where a restart needs it (its last
     step was not a Newton or half step, or both of those fail), and a few
     products with the row-Gram stack; each restart takes at most 200 steps
-    (about 4-17 at J=12, median 8).  The report carries the surrogate, the
-    largest step count and whether the best restart stopped short of the cap.
+    (about 4-17 at J=12, median 8).  Returns (c_null, witness, report): the
+    witness is the coefficient array of the best restart (a zero-observation
+    direction when the quotient is unbounded), and the report carries the
+    surrogate, the largest step count and whether the best restart stopped
+    short of the cap.
     """
     rng = np.random.default_rng(0) if rng is None else rng
     G, D = gram_matrix(setup)
@@ -585,7 +587,7 @@ def null_obs_constant(setup, n_restarts=24, rng=None):
         w = VG[:, 0]
         if obs_seminorm(setup, w) < 1e-12 * np.linalg.norm(w):
             report["quotient_unbounded"] = True
-            return math.inf, SpectralVec(w), report
+            return math.inf, w, report
     half = setup.mass_matrix() ** 0.5
     phiT = setup.phi_win[:, -1]
 
@@ -602,7 +604,7 @@ def null_obs_constant(setup, n_restarts=24, rng=None):
     report["surrogate"] = float(math.sqrt(max(lamF[-1], 0.0)))
     report["iterations"] = int(iterations.max())
     report["converged"] = not bool(capped[best])
-    return float(vals[best]), SpectralVec(A[best]), report
+    return float(vals[best]), A[best], report
 
 
 def relaxed_inequality_fit(setup, rng=None):
@@ -636,7 +638,7 @@ def bump_vector(basis, center, half_width, n_modes=None, laplacian_power=0,
     Profile (1 - u^2)^profile_power on |x - center| <= half_width (times a
     mean-cancelling quadratic factor when zero_mean is set), projected to the
     first n_modes coefficients, normalized to unit L2, then multiplied by the
-    diagonal (-eta)^laplacian_power.
+    diagonal (-eta)^laplacian_power.  Returns the basis.J coefficients.
 
     Projection uses a dedicated panel quadrature over the support (the basis
     grid rule is far too noisy for high modes, and generator powers amplify
@@ -667,7 +669,7 @@ def bump_vector(basis, center, half_width, n_modes=None, laplacian_power=0,
     a /= nrm
     if laplacian_power:
         a = (-basis.eigenvalues) ** laplacian_power * a
-    return SpectralVec(a)
+    return a
 
 
 def _early_cylinder_depth(setup, x_lo, x_hi):
@@ -740,8 +742,7 @@ def missing_ball_probe(setup, x_star, r, J_index, k_list):
         width = min(0.5 * r * (4.0 / (k + 2.0)) ** 0.6, 0.5 * r)
         v = bump_vector(basis, x_star, width, laplacian_power=J_index + 1,
                         profile_power=8, zero_mean=True)
-        final = flow_apply(table, win.i1, v)
-        fn = float(np.linalg.norm(final.coeffs))
+        fn = float(np.linalg.norm(table.phi[:, win.i1] * v))
         obs = obs_seminorm(win, v)
         records.append({
             "k": int(k),
@@ -772,7 +773,7 @@ def heat_local_probe(basis, x0, r, s_exponents=(0.0, -2.0, -4.0),
             denom = hs_norm(basis, z, s)
             worst = 0.0
             for t in t_list:
-                a = np.exp(-basis.eigenvalues * t) * z.coeffs
+                a = np.exp(-basis.eigenvalues * t) * z
                 fld = a @ basis.funcs
                 outside = math.sqrt(float(np.sum(basis.weights[keep] * fld[keep]**2)))
                 worst = max(worst, outside / denom)

@@ -14,7 +14,6 @@ import numpy as np
 
 __all__ = [
     "EigenBasis",
-    "SpectralVec",
     "interval_basis",
     "hs_norm",
 ]
@@ -29,7 +28,6 @@ class EigenBasis:
     quadrature weights that make the sampled family discretely orthonormal.
     """
 
-    domain_id: str
     J: int
     eigenvalues: np.ndarray
     x: np.ndarray
@@ -44,25 +42,6 @@ class EigenBasis:
             raise ValueError("eigenvalues must be positive and strictly increasing")
         for name in ("eigenvalues", "x", "weights", "funcs"):
             getattr(self, name).setflags(write=False)
-
-
-@dataclass(frozen=True)
-class SpectralVec:
-    """Coefficient sequence with a declared smoothness exponent.
-
-    The exponent tags intent only; truncation makes every H^s norm finite.
-    """
-
-    coeffs: np.ndarray
-    s: float = 0.0
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
-        object.__setattr__(self, "coeffs", c)
-        c.setflags(write=False)
-
-    def __len__(self):
-        return len(self.coeffs)
 
 
 def interval_basis(J, n_x):
@@ -80,7 +59,6 @@ def interval_basis(J, n_x):
     w = np.full(n_x, 1.0 / n_x)
     funcs = np.sqrt(2.0) * np.sin(np.outer(j, np.pi * x))
     return EigenBasis(
-        domain_id="interval(0,1)",
         J=J,
         eigenvalues=(j * np.pi) ** 2,
         x=x,
@@ -97,11 +75,7 @@ def gauss_legendre(n):
     return nodes, weights
 
 
-def _coeffs(v):
-    return v.coeffs if isinstance(v, SpectralVec) else np.asarray(v, dtype=float)
-
-
 def hs_norm(basis, v, s):
     """(sum_j a_j^2 eta_j^s)^(1/2)."""
-    a = _coeffs(v)
+    a = np.asarray(v, dtype=float)
     return float(np.sqrt(np.sum(a**2 * basis.eigenvalues[: len(a)] ** s)))

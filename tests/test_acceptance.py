@@ -56,7 +56,7 @@ from memflow.observability import (
     obs_seminorm_many,
     two_sided_constants,
 )
-from memflow.spectral import SpectralVec, hs_norm, interval_basis
+from memflow.spectral import hs_norm, interval_basis
 
 KERNELS = ["1", "exp(-1*t)", "sin(1*t)", "t*exp(-0.5*t)"]
 
@@ -378,8 +378,7 @@ def test_criterion_09_reconstruction():
 
     data = synthesize_observation(setup, truth)
     rec, _ = reconstruct_y0(ReconstructionProblem(setup, data))
-    rel0 = hs_norm(basis, SpectralVec(rec.coeffs - truth), -4.0) \
-        / hs_norm(basis, SpectralVec(truth), -4.0)
+    rel0 = hs_norm(basis, rec - truth, -4.0) / hs_norm(basis, truth, -4.0)
 
     noisy = synthesize_observation(setup, truth, noise=0.01,
                                    rng=np.random.default_rng(7))
@@ -387,8 +386,7 @@ def test_criterion_09_reconstruction():
     noise_norm = float(np.linalg.norm(((noisy - data) * sq).ravel()))
     lam = discrepancy_lambda(setup, noisy, noise_norm)
     rec2, _ = reconstruct_y0(ReconstructionProblem(setup, noisy, lam=lam))
-    rel1 = hs_norm(basis, SpectralVec(rec2.coeffs - truth), -4.0) \
-        / hs_norm(basis, SpectralVec(truth), -4.0)
+    rel1 = hs_norm(basis, rec2 - truth, -4.0) / hs_norm(basis, truth, -4.0)
     elapsed = time.perf_counter() - t0
     ok = rel0 <= 1e-6 and rel1 <= 0.10 and elapsed < 30.0
     report(9, ok, f"zigzag J=12: noiseless rel err {rel0:.2e} <= 1e-6, "
@@ -403,8 +401,8 @@ def test_criterion_10_control():
     basis = interval_basis(12, 64)
     M = parse_kernel("exp(-1*t)")
     rng = np.random.default_rng(3)
-    y0 = SpectralVec(rng.standard_normal(12))
-    y1 = SpectralVec(basis.eigenvalues**-3.0, s=4.0)
+    y0 = rng.standard_normal(12)
+    y1 = basis.eigenvalues**-3.0
     ok = True
     detail = []
     for mask, name in ((cylinder_mask(1.0, 100, 64), "full"),

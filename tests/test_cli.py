@@ -243,6 +243,18 @@ def test_bad_ranges_exit_two(tmp_path, capsys, overrides):
     ("moc", {"mask": {"kind": "cusp", "n_x": 0}}),
     ("moc", {"mask": {"kind": "cusp", "exponent": -1}}),
     ("moc", {"mask": {"kind": "cusp", "exponent": 0}}),
+    ("reconstruct", {"seed": -1}),
+    ("reconstruct --seed -1", {}),
+    ("control", {"control": {"y0_seed": -1}}),
+    ("reconstruct", {"reconstruct": {"truth_seed": -1}}),
+    ("obsconst", {"window": {"S": 0.5, "T": 0.51}, "time": {"T": 1.0, "n_t": 40}}),
+    ("probe-heat", {"probe_heat": {"x0": 5}}),
+    ("probe-heat", {"probe_heat": {"x0": 0}}),
+    ("probe-heat", {"probe_heat": {"s_list": ["x"]}}),
+    ("probe-heat", {"probe_heat": {"s_list": []}}),
+    ("probe-alpha", {"probe_alpha": {"omega": ["a", 1]}, "mask": {"kind": "cylinder"}}),
+    ("probe-alpha", {"probe_alpha": {"omega": [0.25]}, "mask": {"kind": "cylinder"}}),
+    ("probe-alpha", {"probe_alpha": {"omega": [0.25, 1.5]}, "mask": {"kind": "cylinder"}}),
 ], ids=["regime-linf", "weighted-alpha-half", "T-hat-negative", "noise-negative",
         "zigzag-eps-zero", "zigzag-eps-negative", "cylinder-empty-band", "cusp-S-past-T",
         "cusp-S-negative", "obsconst-cylinder-reversed", "cylinder-takes-no-eps",
@@ -252,11 +264,15 @@ def test_bad_ranges_exit_two(tmp_path, capsys, overrides):
         "heat-half-widths-empty", "heat-t-list-empty", "ball-r-negative",
         "ball-x-star-outside", "heat-r-negative", "mask-n-t-zero", "obsconst-mask-n-t-zero",
         "mask-n-x-zero", "obsconst-rects-n-x-zero", "cusp-n-x-zero",
-        "cusp-exponent-negative", "cusp-exponent-zero"])
+        "cusp-exponent-negative", "cusp-exponent-zero", "seed-negative",
+        "seed-flag-negative", "y0-seed-negative", "truth-seed-negative",
+        "window-too-narrow", "heat-x0-outside", "heat-x0-zero", "heat-s-list-text",
+        "heat-s-list-empty", "omega-text", "omega-one-number", "omega-outside"])
 def test_bad_values_exit_two(tmp_path, capsys, command, overrides):
+    # a command may carry flags: "reconstruct --seed -1"
     p = tmp_path / "c.json"
     write_cfg(p, **overrides)
-    assert run([command, "--config", p, "--out", tmp_path / "o"]) == 2
+    assert run([*command.split(), "--config", p, "--out", tmp_path / "o"]) == 2
     assert capsys.readouterr().err.startswith("config error:")
     assert not (tmp_path / "o").exists()
 

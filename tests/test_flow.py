@@ -14,7 +14,6 @@ from memflow.flow import (
     build_flow_table,
     decomposition_mode,
     first_nonzero_h_index,
-    flow_apply,
     forced_solution,
     kernel_rep_mode,
     kernel_rep_profile,
@@ -26,7 +25,7 @@ from memflow.flow import (
 )
 from memflow.geometry import cylinder_mask, zigzag_mask
 from memflow.kernels import ExpPolyFn, h_coeff, parse_kernel
-from memflow.spectral import SpectralVec, interval_basis
+from memflow.spectral import interval_basis
 
 ETA1 = math.pi**2
 
@@ -315,16 +314,6 @@ def test_table_substeps_high_modes():
     t = build_flow_table(parse_kernel("1"), b, 1.0, 100)  # eta_16 dt >> 2
     assert t.phi.shape == (16, 101)
     assert abs(t.phi[15, 1]) < 1.0
-
-
-def test_flow_apply_identity_and_linearity(table, rng):
-    u = rng.standard_normal(6)
-    v = rng.standard_normal(6)
-    assert np.allclose(flow_apply(table, 0, SpectralVec(u)).coeffs, u)
-    lhs = flow_apply(table, 50, SpectralVec(2 * u + v)).coeffs
-    rhs = 2 * flow_apply(table, 50, SpectralVec(u)).coeffs \
-        + flow_apply(table, 50, SpectralVec(v)).coeffs
-    assert np.allclose(lhs, rhs)
 
 
 def test_flow_self_adjoint(table, rng):

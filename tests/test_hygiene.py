@@ -1,5 +1,6 @@
-"""Static hygiene of the library modules: no unused module-level import, and
-every name in ``__all__`` defined in the module."""
+"""Static hygiene of the library modules: no unused module-level import,
+every name in ``__all__`` defined in the module, and the package re-exporting
+exactly the modules' ``__all__``."""
 
 import ast
 from pathlib import Path
@@ -47,3 +48,13 @@ def test_module_imports_used_and_exports_defined(name):
     exported = set(_exported(tree))
     assert sorted(_imported(tree) - used - exported) == []
     assert sorted(exported - _defined(tree)) == []
+
+
+def test_package_reexports_exactly_the_module_exports():
+    tree = ast.parse((SRC / "__init__.py").read_text(), filename="__init__.py")
+    reexported = {(node.module, a.asname or a.name) for node in tree.body
+                  if isinstance(node, ast.ImportFrom) and node.level == 1 for a in node.names}
+    public = {(name[:-3], n) for name in MODULES
+              for n in _exported(ast.parse((SRC / name).read_text(), filename=name))}
+    assert sorted(reexported - public) == []
+    assert sorted(public - reexported) == []

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from memflow.flow import build_flow_table
-from memflow.flow import _fine_steps, volterra_modes
+from memflow.flow import _fine_steps, build_flow_table, forced_solution, volterra_modes
 from memflow.geometry import Mask, cylinder_mask, random_rects_mask, zigzag_mask
 from memflow.inverse_control import (
     ControlProblem,
@@ -24,7 +23,7 @@ from memflow.inverse_control import (
 )
 from memflow.kernels import ExpPolyFn, parse_kernel
 from memflow.observability import ObsSetup, _row_gram_stack, _spatial_grams, two_sided_constants
-from memflow.spectral import SpectralVec, hs_norm, interval_basis
+from memflow.spectral import hs_norm, interval_basis
 
 KERNEL = parse_kernel("exp(-1*t)")
 
@@ -46,8 +45,8 @@ def test_noiseless_round_trip(setup12, rng):
     truth /= np.linalg.norm(truth)
     data = synthesize_observation(setup12, truth)
     rec, diag = reconstruct_y0(ReconstructionProblem(setup12, data))
-    rel = hs_norm(setup12.basis, SpectralVec(rec.coeffs - truth), -4.0) \
-        / hs_norm(setup12.basis, SpectralVec(truth), -4.0)
+    assert isinstance(rec, np.ndarray) and rec.shape == (12,)
+    rel = hs_norm(setup12.basis, rec - truth, -4.0) / hs_norm(setup12.basis, truth, -4.0)
     assert rel <= 1e-6
     assert diag["rank"] == 12
 
@@ -55,7 +54,7 @@ def test_noiseless_round_trip(setup12, rng):
 def test_zero_data_with_regularization(setup12):
     data = np.zeros((len(setup12.times), len(setup12.basis.x)))
     rec, _ = reconstruct_y0(ReconstructionProblem(setup12, data, lam=1e-3))
-    assert np.allclose(rec.coeffs, 0.0)
+    assert np.allclose(rec, 0.0)
 
 
 def test_noisy_round_trip_discrepancy(setup12, rng):
@@ -68,8 +67,7 @@ def test_noisy_round_trip_discrepancy(setup12, rng):
     noise_norm = float(np.linalg.norm(((noisy - clean) * sq).ravel()))
     lam = discrepancy_lambda(setup12, noisy, noise_norm)
     rec, diag = reconstruct_y0(ReconstructionProblem(setup12, noisy, lam=lam))
-    rel = hs_norm(setup12.basis, SpectralVec(rec.coeffs - truth), -4.0) \
-        / hs_norm(setup12.basis, SpectralVec(truth), -4.0)
+    rel = hs_norm(setup12.basis, rec - truth, -4.0) / hs_norm(setup12.basis, truth, -4.0)
     assert rel <= 0.10
 
 
@@ -103,23 +101,29 @@ def test_zero_to_zero_control():
     basis = interval_basis(6, 32)
     mask = cylinder_mask(1.0, 50, 32)
     prob = ControlProblem(KERNEL, basis, mask, 1.0,
-                          SpectralVec(np.zeros(6)), SpectralVec(np.zeros(6)),
+                          np.zeros(6), np.zeros(6),
                           n_steps=500)
     res = min_norm_control(prob)
     assert np.allclose(res.u, 0.0)
     assert res.final_error < 1e-12
 
 
-@pytest.mark.parametrize("mask_kind", ["full", "zigzag"])
-def test_control_round_trip(mask_kind, rng):
+@pytest.mark.parametrize("mask_kind, n_y0", [
+    pytest.param("full", 12, id="full"),
+    pytest.param("zigzag", 12, id="zigzag"),
+    pytest.param("zigzag", 8, id="zigzag-short-y0"),  # padded with zeros to J = 12
+])
+def test_control_round_trip(mask_kind, n_y0, rng):
     basis = interval_basis(12, 64)
     mask = (cylinder_mask(1.0, 100, 64) if mask_kind == "full"
             else zigzag_mask(0.1, 1.0, 100, 64))
-    y0 = SpectralVec(rng.standard_normal(12))
-    y1 = SpectralVec(basis.eigenvalues**-3.0, s=4.0)
+    y0 = rng.standard_normal(n_y0)
+    y1 = basis.eigenvalues**-3.0
     res = min_norm_control(ControlProblem(KERNEL, basis, mask, 1.0, y0, y1,
                                           n_steps=1000))
     assert res.final_error <= 1e-6
+    traj, _ = forced_solution(KERNEL, basis, np.pad(y0, (0, 12 - n_y0)), res.u, mask, 1.0, 1000)
+    assert np.abs(traj[-1] - y1).max() <= 1e-6
     # support honoured bit-exactly
     assert np.all(res.u[~mask.cells] == 0.0)
 
@@ -127,8 +131,8 @@ def test_control_round_trip(mask_kind, rng):
 def test_control_first_order_optimality(rng):
     basis = interval_basis(8, 48)
     mask = zigzag_mask(0.15, 1.0, 80, 48)
-    y0 = SpectralVec(rng.standard_normal(8))
-    y1 = SpectralVec(basis.eigenvalues**-3.0, s=4.0)
+    y0 = rng.standard_normal(8)
+    y1 = basis.eigenvalues**-3.0
     res = min_norm_control(ControlProblem(KERNEL, basis, mask, 1.0, y0, y1,
                                           n_steps=800))
     G, dof = reachability_matrix(KERNEL, basis, mask, 1.0, 800)
@@ -147,8 +151,8 @@ def test_control_first_order_optimality(rng):
 def test_weighted_regime(rng):
     basis = interval_basis(8, 48)
     mask = cylinder_mask(1.0, 80, 48)
-    y0 = SpectralVec(rng.standard_normal(8))
-    y1 = SpectralVec(basis.eigenvalues**-3.0, s=4.0)
+    y0 = rng.standard_normal(8)
+    y1 = basis.eigenvalues**-3.0
     prob = ControlProblem(KERNEL, basis, mask, 1.0, y0, y1,
                           regime="weighted_linf", alpha=2.0, n_steps=800)
     res = min_norm_control(prob)
@@ -163,10 +167,10 @@ def test_weighted_regime(rng):
 
 def test_weighted_regime_reports_convergence():
     basis = interval_basis(8, 48)
-    y0 = SpectralVec(np.random.default_rng(20240811).standard_normal(8))
+    y0 = np.random.default_rng(20240811).standard_normal(8)
     res = min_norm_control(ControlProblem(
         KERNEL, basis, cylinder_mask(1.0, 80, 48), 1.0, y0,
-        SpectralVec(basis.eigenvalues**-3.0, s=4.0),
+        basis.eigenvalues**-3.0,
         regime="weighted_linf", alpha=2.0, n_steps=800))
     assert res.diagnostics["irls_converged"] is True
     assert res.diagnostics["irls_iterations"] < 40
@@ -190,8 +194,8 @@ def test_control_job_sweeps_the_unforced_grid_once(rng, monkeypatch):
     basis = interval_basis(16, 64)  # substeps: eta_16 dt = 2.5 at n_steps = 1000
     mask = zigzag_mask(0.15, 1.0, 80, 64)
     res = min_norm_control(ControlProblem(
-        KERNEL, basis, mask, 1.0, SpectralVec(rng.standard_normal(16)),
-        SpectralVec(basis.eigenvalues**-3.0, s=4.0), n_steps=1000))
+        KERNEL, basis, mask, 1.0, rng.standard_normal(16),
+        basis.eigenvalues**-3.0, n_steps=1000))
     nf = res.diagnostics["n_steps_fine"]
     assert nf == 2000
     assert sorted(runs) == [(nf, False), (nf, True)]
@@ -233,7 +237,7 @@ def _dense_control(problem):
     G, dof = reachability_matrix(problem.kernel, basis, mask, problem.T_hat,
                                  problem.n_steps)
     phi = volterra_modes(problem.kernel, basis.eigenvalues, problem.T_hat, nf)
-    target = problem.y1.coeffs - phi[-1] * problem.y0.coeffs
+    target = problem.y1 - phi[-1] * problem.y0
     gram = G @ G.T
     jitter = 1e-14 * np.trace(gram) * np.eye(len(gram))
     if problem.regime == "l2":
@@ -263,9 +267,9 @@ def _dense_control(problem):
 def test_control_matches_the_dense_moment_solve(regime, mask_kind):
     basis = interval_basis(8, 48)
     mask = CONTROL_MASKS[mask_kind]()
-    y0 = SpectralVec(np.random.default_rng(12).standard_normal(8))
+    y0 = np.random.default_rng(12).standard_normal(8)
     prob = ControlProblem(KERNEL, basis, mask, 1.0, y0,
-                          SpectralVec(basis.eigenvalues**-3.0, s=4.0),
+                          basis.eigenvalues**-3.0,
                           regime=regime, alpha=2.0, n_steps=800)
     res = min_norm_control(prob)
     want, n_irls, converged = _dense_control(prob)
@@ -280,14 +284,14 @@ def test_weighted_regime_rejects_small_alpha(rng):
     basis = interval_basis(4, 16)
     mask = cylinder_mask(1.0, 40, 16)
     prob = ControlProblem(KERNEL, basis, mask, 1.0,
-                          SpectralVec(np.zeros(4)), SpectralVec(np.zeros(4)),
+                          np.zeros(4), np.zeros(4),
                           regime="weighted_linf", alpha=1.0)
     with pytest.raises(ValueError):
         min_norm_control(prob)
     with pytest.raises(ValueError):
         min_norm_control(ControlProblem(KERNEL, basis, mask, 1.0,
-                                        SpectralVec(np.zeros(4)),
-                                        SpectralVec(np.zeros(4)),
+                                        np.zeros(4),
+                                        np.zeros(4),
                                         regime="bogus"))
 
 
@@ -296,17 +300,16 @@ def test_reachable_set_shift_identity(rng):
     # system, lands on target + (memory gap of that same control)
     basis = interval_basis(8, 48)
     mask = cylinder_mask(1.0, 80, 48)
-    y0 = SpectralVec(rng.standard_normal(8))
-    y1 = SpectralVec(basis.eigenvalues**-3.0, s=4.0)
+    y0 = rng.standard_normal(8)
+    y1 = basis.eigenvalues**-3.0
     res0 = min_norm_control(ControlProblem(ExpPolyFn.zero(), basis, mask, 1.0,
                                            y0, y1, n_steps=800))
     assert res0.final_error <= 1e-9
-    from memflow.flow import forced_solution
-    traj_m, _ = forced_solution(KERNEL, basis, y0.coeffs, res0.u, mask, 1.0, 800)
-    traj_0, _ = forced_solution(ExpPolyFn.zero(), basis, y0.coeffs, res0.u,
+    traj_m, _ = forced_solution(KERNEL, basis, y0, res0.u, mask, 1.0, 800)
+    traj_0, _ = forced_solution(ExpPolyFn.zero(), basis, y0, res0.u,
                                 mask, 1.0, 800)
     gap = traj_m[-1] - traj_0[-1]
-    assert np.abs(traj_m[-1] - (y1.coeffs + gap)).max() <= 1e-9
+    assert np.abs(traj_m[-1] - (y1 + gap)).max() <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +319,7 @@ def test_reachable_set_shift_identity(rng):
 def test_gap_single_mode(rng):
     basis = interval_basis(8, 48)
     mask = cylinder_mask(1.0, 40, 48)
-    y0 = SpectralVec(np.array([1.0] + [0.0] * 7))
+    y0 = np.array([1.0] + [0.0] * 7)
     out = reachable_difference_check(KERNEL, basis, y0,
                                      np.zeros((40, 48)), mask, 1.0, n_steps=400)
     assert np.abs(out["gap_coeffs"][1:]).max() < 1e-12
@@ -328,7 +331,7 @@ def test_gap_vanishes_without_memory(rng):
     mask = cylinder_mask(1.0, 40, 32)
     u = rng.standard_normal((40, 32))
     out = reachable_difference_check(ExpPolyFn.zero(), basis,
-                                     SpectralVec(rng.standard_normal(6)), u,
+                                     rng.standard_normal(6), u,
                                      mask, 1.0, n_steps=400)
     assert out["smooth_norm"] == 0.0
 
@@ -337,7 +340,7 @@ def test_gap_partial_sums_flatten(rng):
     basis = interval_basis(32, 128)
     mask = cylinder_mask(1.0, 80, 64)
     u = rng.standard_normal((80, 64))
-    y0 = SpectralVec(1.0 / np.arange(1, 33))
+    y0 = 1.0 / np.arange(1, 33)
     out = reachable_difference_check(KERNEL, basis, y0, u, mask, 1.0,
                                      n_steps=1000)
     assert out["tail_quartile_growth"] < 0.05

@@ -16,6 +16,7 @@ from memflow.kernels import (
     ExpPolyFn,
     KernelParseError,
     _eval_compiled,
+    _pascal,
     _s_derivative,
     conv_power,
     format_kernel,
@@ -751,6 +752,12 @@ def test_power_table_built_once_per_kernel():
     conv_power(M, 17)
     h_coeff(M, 3)
     assert len(tables) == 1 and [key for key in M._memo if key[0] == "_power_table"] == tables
+
+
+def test_pascal_table_is_the_binomials():
+    table = _pascal(200)
+    want = np.array([[math.comb(i, j) for j in range(200)] for i in range(200)], dtype=float)
+    assert np.array_equal(table, want) and not table.flags.writeable
 
 
 def _trapezoid_powers(M, T, n, j_max):

@@ -43,7 +43,7 @@ from memflow.observability import (
     two_sided_constants,
     unique_continuation_rank,
 )
-from memflow.spectral import SpectralVec, hs_norm, interval_basis
+from memflow.spectral import hs_norm, interval_basis
 
 ETA1 = math.pi**2
 
@@ -85,7 +85,7 @@ def _seminorm_and_grad(setup, a):
 def e1(J=4):
     a = np.zeros(J)
     a[0] = 1.0
-    return SpectralVec(a)
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -106,8 +106,8 @@ def test_seminorm_closed_form(heat_table, full_mask):
 def test_seminorm_homogeneity(mem_table, full_mask, rng):
     setup = ObsSetup(mem_table, full_mask, alpha=2.0)
     v = rng.standard_normal(4)
-    assert obs_seminorm(setup, SpectralVec(-2.5 * v)) == pytest.approx(
-        2.5 * obs_seminorm(setup, SpectralVec(v)), rel=1e-12)
+    assert obs_seminorm(setup, -2.5 * v) == pytest.approx(
+        2.5 * obs_seminorm(setup, v), rel=1e-12)
 
 
 def test_weight_only_applied_from_time_zero(mem_table, full_mask):
@@ -174,8 +174,8 @@ def test_single_mode_constants(full_mask):
     table = build_flow_table(ExpPolyFn.zero(), interval_basis(1, 8), 1.0, 1000)
     setup = ObsSetup(table, full_mask, alpha=0.0)
     rep = two_sided_constants(setup, n_restarts=4)
-    unit = e1(1).coeffs / ETA1**-2.0
-    want = obs_seminorm(setup, SpectralVec(unit))
+    unit = e1(1) / ETA1**-2.0
+    want = obs_seminorm(setup, unit)
     assert rep.c_lower == pytest.approx(want, rel=1e-9)
     assert rep.c_upper == pytest.approx(want, rel=1e-9)
 
@@ -187,16 +187,15 @@ def test_constants_ordering_and_witnesses(mem_table, rng):
     assert 0 < rep.c_lower <= rep.c_upper
     for wit, val in ((rep.witness_lower, rep.c_lower),
                      (rep.witness_upper, rep.c_upper)):
-        unit = wit / hs_norm(setup.basis, SpectralVec(wit), -4.0)
-        assert obs_seminorm(setup, SpectralVec(unit)) == pytest.approx(val, abs=1e-9 * max(1, val))
+        unit = wit / hs_norm(setup.basis, wit, -4.0)
+        assert obs_seminorm(setup, unit) == pytest.approx(val, abs=1e-9 * max(1, val))
 
 
 def test_quotient_scale_invariance(mem_table, full_mask, rng):
     setup = ObsSetup(mem_table, full_mask, alpha=2.0)
     v = rng.standard_normal(4)
-    q1 = obs_seminorm(setup, SpectralVec(v)) / hs_norm(setup.basis, SpectralVec(v), -4.0)
-    q2 = obs_seminorm(setup, SpectralVec(777.0 * v)) / hs_norm(
-        setup.basis, SpectralVec(777.0 * v), -4.0)
+    q1 = obs_seminorm(setup, v) / hs_norm(setup.basis, v, -4.0)
+    q2 = obs_seminorm(setup, 777.0 * v) / hs_norm(setup.basis, 777.0 * v, -4.0)
     assert q1 == pytest.approx(q2, rel=1e-12)
 
 
@@ -237,11 +236,12 @@ def test_null_constant_where_the_final_state_vanishes():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         val, wit, diag = null_obs_constant(setup)
-    assert np.all(np.isfinite(wit.coeffs)) and diag["converged"]
+    assert isinstance(wit, np.ndarray) and wit.shape == (12,)
+    assert np.all(np.isfinite(wit)) and diag["converged"]
     axes = max(abs(phiT[j]) / obs_seminorm(setup, e)
                for j, e in enumerate(np.eye(12)))
     assert axes <= val < math.inf
-    assert val == pytest.approx(np.linalg.norm(phiT * wit.coeffs)
+    assert val == pytest.approx(np.linalg.norm(phiT * wit)
                                 / obs_seminorm(setup, wit), rel=1e-12)
 
 
@@ -249,6 +249,7 @@ def test_null_constant_unbounded_flag(mem_table, empty_mask):
     setup = ObsSetup(mem_table, empty_mask, alpha=0.0)
     val, wit, diag = null_obs_constant(setup)
     assert math.isinf(val) and diag["quotient_unbounded"]
+    assert isinstance(wit, np.ndarray) and wit.shape == (setup.basis.J,)
 
 
 def test_monotone_mask_lower_constant(mem_table, rng):
@@ -276,7 +277,7 @@ def test_window_reduction_sandwich(mem_table):
     wtd = ObsSetup(mem_table, restricted, alpha=2.0, window=(0.0, T))
     rng_ = np.random.default_rng(1)
     for _ in range(6):
-        v = SpectralVec(rng_.standard_normal(4))
+        v = rng_.standard_normal(4)
         plain = obs_seminorm(win, v)
         weighted = obs_seminorm(wtd, v)
         assert S**2 * plain <= weighted * (1 + 1e-6) + 1e-12
@@ -309,7 +310,7 @@ def test_relaxed_fit_valid_on_fresh_samples(mem_table, rng):
     for _ in range(64):
         a = rng.standard_normal(4)
         lhs = C * math.sqrt(float(a**2 @ ev**-4.0))
-        rhs = obs_seminorm(setup, SpectralVec(a)) + math.sqrt(float(a**2 @ ev**-6.0))
+        rhs = obs_seminorm(setup, a) + math.sqrt(float(a**2 @ ev**-6.0))
         assert lhs <= rhs * (1 + 1e-9)
 
 
@@ -375,7 +376,8 @@ def test_pencil_eigh_matches_scipy(mem_table, rng):
 def test_bump_vector_basic():
     b = interval_basis(16, 128)
     v = bump_vector(b, 0.5, 0.1)
-    assert np.linalg.norm(v.coeffs) == pytest.approx(1.0, rel=1e-12)
+    assert isinstance(v, np.ndarray) and v.shape == (16,)
+    assert np.linalg.norm(v) == pytest.approx(1.0, rel=1e-12)
     with pytest.raises(ValueError):
         bump_vector(b, 0.5, 0.1, n_modes=0)
 
@@ -384,7 +386,7 @@ def test_bump_zero_mean_kills_low_mode():
     b = interval_basis(16, 128)
     plain = bump_vector(b, 0.5, 0.05)
     killed = bump_vector(b, 0.5, 0.05, zero_mean=True)
-    assert abs(killed.coeffs[0]) < abs(plain.coeffs[0]) * 0.02
+    assert abs(killed[0]) < abs(plain[0]) * 0.02
 
 
 def test_alpha_probe_requires_early_cylinder(mem_table):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from memflow.spectral import SpectralVec, hs_norm, interval_basis
+from memflow.spectral import hs_norm, interval_basis
 
 
 @pytest.fixture(scope="module")
@@ -35,25 +35,25 @@ def test_discrete_orthonormality(basis):
 
 
 def test_hs_norm_single_mode(basis):
-    v = SpectralVec(np.array([1.0] + [0.0] * 7))
+    v = np.array([1.0] + [0.0] * 7)
     assert hs_norm(basis, v, -4.0) == pytest.approx(math.pi**-4, rel=1e-13)
 
 
 def test_hs_norm_zero(basis):
-    assert hs_norm(basis, SpectralVec(np.zeros(8)), 2.0) == 0.0
+    assert hs_norm(basis, np.zeros(8), 2.0) == 0.0
 
 
 def test_hs_norm_monotone_in_s(basis, rng):
-    v = SpectralVec(rng.standard_normal(8))
+    v = rng.standard_normal(8)
     # all eigenvalues exceed 1, so the norm grows with s
     assert hs_norm(basis, v, -2.0) <= hs_norm(basis, v, 0.0) <= hs_norm(basis, v, 2.0)
 
 
 def test_norm_shift_identity(basis, rng):
     # a_j -> a_j / eta_j shifts the norm exponent by +2
-    v = SpectralVec(rng.standard_normal(8))
+    v = rng.standard_normal(8)
     for s in (-6.0, -4.0, 0.0, 4.0):
-        lhs = hs_norm(basis, SpectralVec(v.coeffs / basis.eigenvalues), s + 2.0)
+        lhs = hs_norm(basis, v / basis.eigenvalues, s + 2.0)
         rhs = hs_norm(basis, v, s)
         assert abs(lhs - rhs) <= 1e-12 * rhs
 
@@ -64,8 +64,8 @@ def test_evaluate_single_mode(basis):
 
 
 def test_parseval(basis, rng):
-    v = SpectralVec(rng.standard_normal(8))
-    f = v.coeffs @ basis.funcs
+    v = rng.standard_normal(8)
+    f = v @ basis.funcs
     grid_norm = math.sqrt(float(np.sum(basis.weights * f**2)))
     assert grid_norm == pytest.approx(hs_norm(basis, v, 0.0), abs=1e-8)
 

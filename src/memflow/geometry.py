@@ -166,6 +166,8 @@ def ball_complement_mask(T, n_t, n_x, x_star, r):
 
 def random_rects_mask(seed, count, T, n_t, n_x):
     """Union of `count` axis-aligned random rectangles (seeded, reproducible)."""
+    if count < 1:
+        raise ValueError("count must be >= 1")
     tm, xm = _midpoints(T, n_t, n_x)
     rng = np.random.default_rng(seed)
     cells = np.zeros((n_t, n_x), dtype=bool)

@@ -83,6 +83,66 @@ def test_range_validation(tmp_path):
     assert run(["kernel", "--config", p, "--out", tmp_path / "o"]) == 2
 
 
+# every key of the config table at its default, written out
+ALL_DEFAULTS = {
+    "kernel": "exp(-1*t)", "seed": 0,
+    "basis": {"J": 8, "n_x": 64}, "time": {"T": 1.0, "n_t": 1000},
+    "mask": {"kind": "cylinder"},
+    "flow_check": {"modes": [1, 2, 3, 8], "n_t_values": 8, "orders": [2, 3, 4],
+                   "remainder_t_values": 10},
+    "kernel_cmd": {"l_max": 6, "grid_points": 100},
+    "moc_cmd": {"radii": [0.05, 0.1, 0.2]},
+    "obsconst": {"J_list": [8], "n_restarts": 32},
+    "probe_alpha": {"k_list": [1, 2, 4, 8, 16, 24, 32], "omega": [0.25, 0.75]},
+    "probe_ball": {"k_list": [2, 4, 8, 16, 24, 32], "x_star": 0.5, "r": 0.2},
+    "probe_heat": {"x0": 0.5, "r": 0.2, "half_widths": [0.08, 0.04, 0.02, 0.01],
+                   "t_list": [0.0, 1e-3, 1e-2, 0.1, 0.5, 1.0], "s_list": [0.0, -2.0, -4.0]},
+    "reconstruct": {"noise": 0.0},
+    "control": {"T_hat": 1.0, "regime": "l2", "alpha": 2.0, "target": "eta^-3"},
+}
+
+
+def test_defaults_written_out_resolve_like_an_empty_config(tmp_path):
+    empty, full = tmp_path / "empty.json", tmp_path / "full.json"
+    empty.write_text("{}")
+    full.write_text(json.dumps(ALL_DEFAULTS))
+    cfg = cli.load_config(empty)
+    assert cfg == cli.load_config(full)
+    assert cli.config_hash(cfg) == cli.config_hash(cli.load_config(full))
+    # the keys no command sets unless written: no window, no weight, lambda by rule
+    assert (cfg["window"], cfg["alpha"], cfg["reconstruct"]["lambda"]) == (None, None, None)
+    # derived defaults follow the written basis and time
+    empty.write_text(json.dumps({"basis": {"J": 5, "n_x": 32}, "time": {"T": 2.0}}))
+    cfg = cli.load_config(empty)
+    assert (cfg["obsconst"]["J_list"], cfg["control"]["T_hat"]) == ([5], 2.0)
+
+
+def test_manifest_records_the_resolved_config(tmp_path):
+    p = tmp_path / "c.json"
+    write_cfg(p)
+    out = tmp_path / "out"
+    assert run(["kernel", "--config", p, "--out", out]) == 0
+    cfg = cli.load_config(p)
+    manifest = json.loads((out / "kernel" / cli.config_hash(cfg) / "manifest.json").read_text())
+    assert manifest["config"] == cfg
+    assert manifest["config"]["kernel_cmd"] == {"l_max": 6, "grid_points": 100}
+
+
+def test_explicit_zero_lambda_is_honoured(tmp_path):
+    p = tmp_path / "c.json"
+    write_cfg(p, reconstruct={"noise": 0.01, "lambda": 0})
+    out = tmp_path / "o"
+    assert run(["reconstruct", "--config", p, "--out", out]) == 0
+    d = next((out / "reconstruct").iterdir())
+    assert json.loads((d / "reconstruct.json").read_text())["lambda"] == 0
+    # without lambda the discrepancy principle picks a positive one
+    write_cfg(p, reconstruct={"noise": 0.01})
+    assert run(["reconstruct", "--config", p, "--out", out]) == 0
+    lams = [json.loads((d / "reconstruct.json").read_text())["lambda"]
+            for d in (out / "reconstruct").iterdir()]
+    assert sorted(lams)[0] == 0 and sorted(lams)[1] > 0
+
+
 def test_kernel_command_artifacts(tmp_path):
     p = tmp_path / "c.json"
     cfg = write_cfg(p)
@@ -245,8 +305,6 @@ def test_bad_ranges_exit_two(tmp_path, capsys, overrides):
     ("moc", {"mask": {"kind": "cusp", "exponent": 0}}),
     ("reconstruct", {"seed": -1}),
     ("reconstruct --seed -1", {}),
-    ("control", {"control": {"y0_seed": -1}}),
-    ("reconstruct", {"reconstruct": {"truth_seed": -1}}),
     ("obsconst", {"window": {"S": 0.5, "T": 0.51}, "time": {"T": 1.0, "n_t": 40}}),
     ("probe-heat", {"probe_heat": {"x0": 5}}),
     ("probe-heat", {"probe_heat": {"x0": 0}}),
@@ -255,6 +313,12 @@ def test_bad_ranges_exit_two(tmp_path, capsys, overrides):
     ("probe-alpha", {"probe_alpha": {"omega": ["a", 1]}, "mask": {"kind": "cylinder"}}),
     ("probe-alpha", {"probe_alpha": {"omega": [0.25]}, "mask": {"kind": "cylinder"}}),
     ("probe-alpha", {"probe_alpha": {"omega": [0.25, 1.5]}, "mask": {"kind": "cylinder"}}),
+    ("control", {"control": {"target": "one"}}),
+    # empty observation sets: the ball covers the domain, or no rectangle is drawn
+    ("probe-ball", {"probe_ball": {"r": 5.0}}),
+    ("obsconst", {"mask": {"kind": "random_rects", "count": -1}}),
+    ("obsconst", {"mask": {"kind": "random_rects", "count": 0}}),
+    ("control", {"mask": {"kind": "ball_complement", "r": 5.0}}),
 ], ids=["regime-linf", "weighted-alpha-half", "T-hat-negative", "noise-negative",
         "zigzag-eps-zero", "zigzag-eps-negative", "cylinder-empty-band", "cusp-S-past-T",
         "cusp-S-negative", "obsconst-cylinder-reversed", "cylinder-takes-no-eps",
@@ -265,9 +329,10 @@ def test_bad_ranges_exit_two(tmp_path, capsys, overrides):
         "ball-x-star-outside", "heat-r-negative", "mask-n-t-zero", "obsconst-mask-n-t-zero",
         "mask-n-x-zero", "obsconst-rects-n-x-zero", "cusp-n-x-zero",
         "cusp-exponent-negative", "cusp-exponent-zero", "seed-negative",
-        "seed-flag-negative", "y0-seed-negative", "truth-seed-negative",
-        "window-too-narrow", "heat-x0-outside", "heat-x0-zero", "heat-s-list-text",
-        "heat-s-list-empty", "omega-text", "omega-one-number", "omega-outside"])
+        "seed-flag-negative", "window-too-narrow", "heat-x0-outside", "heat-x0-zero",
+        "heat-s-list-text", "heat-s-list-empty", "omega-text", "omega-one-number",
+        "omega-outside", "control-target-unknown", "ball-covers-domain",
+        "rects-count-negative", "rects-count-zero", "control-mask-empty"])
 def test_bad_values_exit_two(tmp_path, capsys, command, overrides):
     # a command may carry flags: "reconstruct --seed -1"
     p = tmp_path / "c.json"
@@ -346,6 +411,19 @@ def test_nonfinite_series_integral_exits_one(tmp_path, capsys):
     assert run(["flow-check", "--config", p, "--out", out]) == 1
     assert "not finite" in capsys.readouterr().err
     d = next((out / "flow-check").iterdir())
+    assert json.loads((d / "manifest.json").read_text())["status"] == "failed"
+
+
+def test_singular_reconstruction_exits_one(tmp_path, capsys):
+    # a band observed only over t in (0.99, 1) hides most of the 32 modes
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({"basis": {"J": 32, "n_x": 128},
+                             "mask": {"kind": "cylinder", "S": 0.99,
+                                      "x_lo": 0.4, "x_hi": 0.45}}))
+    out = tmp_path / "o"
+    assert run(["reconstruct", "--config", p, "--out", out]) == 1
+    assert "SingularSystemError" in capsys.readouterr().err
+    d = next((out / "reconstruct").iterdir())
     assert json.loads((d / "manifest.json").read_text())["status"] == "failed"
 
 

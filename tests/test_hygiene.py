@@ -1,13 +1,18 @@
 """Static hygiene of the library modules: no unused module-level import,
-every name in ``__all__`` defined in the module, and the package re-exporting
-exactly the modules' ``__all__``."""
+every name in ``__all__`` defined in the module, the package re-exporting
+exactly the modules' ``__all__``, and the README's config table naming
+exactly the keys of ``cli.CONFIG``."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "memflow"
+from memflow import cli
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "memflow"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -58,3 +63,13 @@ def test_package_reexports_exactly_the_module_exports():
               for n in _exported(ast.parse((SRC / name).read_text(), filename=name))}
     assert sorted(reexported - public) == []
     assert sorted(public - reexported) == []
+
+
+def test_readme_config_table_names_the_config_keys():
+    readme = (ROOT / "README.md").read_text()
+    documented = re.findall(r"^\| `([\w.]+)` \|", readme, flags=re.MULTILINE)
+    keys = [f"{name}.{key}" if isinstance(spec, dict) else name
+            for name, spec in cli.CONFIG.items()
+            for key in (spec if isinstance(spec, dict) else [None])]
+    assert len(documented) == len(set(documented))
+    assert sorted(documented) == sorted(keys)

@@ -11,12 +11,10 @@ from .flow import (
     DecompositionParts,
     FlowTable,
     QuadratureError,
-    RouteMismatchError,
     StepSizeError,
     build_flow_table,
     decomposition_mode,
     first_nonzero_h_index,
-    forced_solution,
     kernel_rep_mode,
     kernel_rep_profile,
     remainder_bound,
@@ -49,9 +47,11 @@ from .inverse_control import (
     ControlProblem,
     ControlResult,
     ReconstructionProblem,
+    RouteMismatchError,
     SingularSystemError,
     discrepancy_lambda,
     duality_range_test,
+    forced_solution,
     min_norm_control,
     observation_operator,
     reachability_matrix,

@@ -111,7 +111,7 @@ CONFIG = {
     "basis": {"J": (int, 8, _at_least(1)), "n_x": (int, 64, None)},
     "time": {"T": (float, 1.0, _above(0)), "n_t": (int, 1000, _at_least(8))},
     "window": {"S": (float, _ABSENT, None), "T": (float, _ABSENT, None)},
-    "mask": {"kind": (str, "cylinder", None),
+    "mask": {"kind": (str, "cylinder", _one_of(*geometry.MASK_KINDS)),
              **{key: (typ, _ABSENT, None) for key, typ in (
                  ("eps", float), ("x0", float), ("S", float), ("seed", int),
                  ("count", int), ("path", str), ("x_lo", float), ("x_hi", float),
@@ -195,6 +195,8 @@ def load_config(path, seed=None):
             raw = json.load(fh)
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}") from None
+    except OSError as e:
+        raise ConfigError(f"cannot read the config: {e}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     if seed is not None:

@@ -50,7 +50,6 @@ from .spectral import gauss_legendre
 __all__ = [
     "StepSizeError",
     "QuadratureError",
-    "RouteMismatchError",
     "volterra_mode",
     "volterra_modes",
     "volterra_influence",
@@ -63,7 +62,6 @@ __all__ = [
     "first_nonzero_h_index",
     "FlowTable",
     "build_flow_table",
-    "forced_solution",
 ]
 
 DEFAULT_DECOMP_ORDER = 4
@@ -521,74 +519,3 @@ def build_flow_table(M, basis, T, n_steps, method="volterra"):
         raise ValueError(f"unknown method {method!r}")
     return FlowTable(basis=basis, tgrid=tgrid, phi=phi)
 
-
-# ---------------------------------------------------------------------------
-# forced evolution
-# ---------------------------------------------------------------------------
-
-def control_mode_projection(basis, mask):
-    """Matrix B[j, ix]: coefficients of the indicator of mask column ix.
-
-    Controls are piecewise constant per raster cell; their spatial profile on
-    the basis grid is the cell indicator, projected here once.
-    """
-    B = np.zeros((basis.J, mask.n_x))
-    wf = basis.funcs * basis.weights  # (J, n_x_basis)
-    np.add.at(B.T, mask.columns_at(basis.x), wf.T)
-    return B
-
-
-def control_forcing(basis, mask, control, tgrid):
-    """Mode forcing samples f[i, j] of a raster control (zero outside the mask)."""
-    u = np.where(mask.cells, np.asarray(control, dtype=float), 0.0)
-    B = control_mode_projection(basis, mask)
-    return (u @ B.T)[mask.rows_at(tgrid)]
-
-
-class RouteMismatchError(RuntimeError):
-    """A forced replay misses the final state its moment solve predicts."""
-
-
-def forced_solution(M, basis, y0, control, mask, T, n_steps):
-    """Controlled trajectory, computed twice and cross-checked.
-
-    Route (a) is the forced time stepper; route (b) is the superposition sum
-    y(t) = phi(t) y0 + sum_k w_k phi(t - s_k) f(s_k) built from the propagator
-    table (trapezoid weights).  Returns the route-(a) coefficient trajectory
-    on the requested grid together with the max coefficient-space distance
-    between the routes over 16 evenly spaced checkpoints.
-
-    Returns
-    -------
-    traj : array (n_steps+1, J)
-    discrepancy : float
-    """
-    etas = basis.eigenvalues
-    phi = volterra_modes(M, etas, T, _fine_steps(etas, T, n_steps))
-    return _replay(M, basis, y0, control, mask, T, n_steps, phi)
-
-
-def _forced_run(M, basis, a0, control, mask, T, nf):
-    """The forced stepper from coefficients a0 under a raster control on the
-    grid of nf steps; returns the trajectory and the forcing, both (nf+1, J)."""
-    f = control_forcing(basis, mask, control, np.linspace(0.0, T, nf + 1))
-    return volterra_modes(M, basis.eigenvalues, T, nf, y0=a0, forcing=f), f
-
-
-def _replay(M, basis, y0, control, mask, T, n_steps, phi):
-    """``forced_solution`` given the unforced table phi (nf+1, J) of its
-    substepped grid, for a caller that has already swept it."""
-    nf = len(phi) - 1
-    a0 = np.asarray(y0, dtype=float)
-    fine, f = _forced_run(M, basis, a0, control, mask, T, nf)
-    phi, f = phi.T.copy(), f.T.copy()  # (J, nf+1)
-
-    dt = T / nf
-    idxs = np.unique(np.linspace(0, nf, 17).astype(int))
-    disc = 0.0
-    for i in idxs[1:]:  # idxs[0] = 0
-        w = np.full(i + 1, dt)
-        w[0] = w[-1] = 0.5 * dt
-        duh = phi[:, i] * a0 + np.einsum("k,jk,jk->j", w, phi[:, i::-1], f[:, : i + 1])
-        disc = max(disc, float(np.linalg.norm(fine[i] - duh)))
-    return fine[::nf // n_steps], disc

@@ -180,20 +180,16 @@ def random_rects_mask(seed, count, T, n_t, n_x):
                 provenance=f"random_rects(seed={seed},count={count})")
 
 
+MASK_KINDS = ("cylinder", "zigzag", "cusp", "random_rects", "ball_complement", "file")
+
+
 def mask_generate(kind, **params):
-    """Dispatch constructor: cylinder | zigzag | cusp | random_rects |
-    ball_complement | file."""
-    makers = {
-        "cylinder": cylinder_mask,
-        "zigzag": zigzag_mask,
-        "cusp": cusp_mask,
-        "random_rects": random_rects_mask,
-        "ball_complement": ball_complement_mask,
-        "file": load_mask,
-    }
-    if kind not in makers:
+    """Dispatch constructor: ``kind`` is one of MASK_KINDS."""
+    if kind not in MASK_KINDS:
         raise ValueError(f"unknown mask kind {kind!r}")
-    return makers[kind](**params)
+    makers = (cylinder_mask, zigzag_mask, cusp_mask, random_rects_mask,
+              ball_complement_mask, load_mask)  # in the order of MASK_KINDS
+    return makers[MASK_KINDS.index(kind)](**params)
 
 
 # ---------------------------------------------------------------------------

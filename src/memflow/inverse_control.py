@@ -3,11 +3,12 @@
 Reconstruction solves the regularized normal equations of the discrete
 observation map (justified by the two-sided observability estimate: the
 reference norm of the initial state is equivalent to the masked observation
-norm).  Control solves the discretized moment problem for the forced flow by
-a least-norm solve on the reachability matrix G built from exact influence
-coefficients of the time stepper, so a forced replay reproduces the target to
+norm).  Control solves the discretized moment problem G u = target for the
+forced flow, with G built from exact influence coefficients of the time
+stepper, so a forced replay (``forced_solution``) reproduces the target to
 roundoff.  Controls live on the mask raster (piecewise constant per cell) and
-vanish outside the mask by construction.
+vanish outside the mask by construction; one raster (``_raster``) serves the
+influence rows, the replay's forcing and the moment residual.
 
 Control through the mask is the adjoint of observation on the mask (HUM
 duality), so the reachability Gram G diag(c) G^T has the row structure of the
@@ -23,15 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flow import (
-    RouteMismatchError,
-    _fine_steps,
-    _forced_run,
-    _replay,
-    control_mode_projection,
-    volterra_influence,
-    volterra_modes,
-)
+from .flow import _fine_steps, volterra_influence, volterra_modes
 from .observability import (
     ObsSetup,
     _pencil_eigh,
@@ -49,6 +42,8 @@ __all__ = [
     "discrepancy_lambda",
     "ControlProblem",
     "ControlResult",
+    "RouteMismatchError",
+    "forced_solution",
     "reachability_matrix",
     "min_norm_control",
     "reachable_difference_check",
@@ -209,35 +204,88 @@ class ControlResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _influence_rows(kernel, basis, mask, T_hat, n_steps):
-    """(K, B, nf): K[t, j] the exact stepper influence on mode j summed over
-    the nf fine steps that fall in mask row t, and B the mode projection of
-    the mask columns (``control_mode_projection``)."""
+class RouteMismatchError(RuntimeError):
+    """A forced replay misses the final state its moment solve predicts."""
+
+
+def _raster(basis, mask, T, n_steps):
+    """(rows, B) of raster controls on the substepped grid (``_fine_steps``)
+    over [0, T]: rows[i] the mask row of fine time t_i, and B[j, ix] the mode
+    coefficients of the indicator of mask column ix (a control is piecewise
+    constant per cell, so its mode forcing on row t is F_t = B u_t)."""
+    nf = _fine_steps(basis.eigenvalues, T, n_steps)
+    B = np.zeros((basis.J, mask.n_x))
+    np.add.at(B.T, mask.columns_at(basis.x), (basis.funcs * basis.weights).T)
+    return mask.rows_at(np.linspace(0.0, T, nf + 1)), B
+
+
+def _replay(M, etas, a0, f, T, phi):
+    """The forced stepper from coefficients a0 under the fine-grid forcing f
+    (nf+1, J), and the largest coefficient-space distance, over 16 evenly
+    spaced checkpoints, from the superposition sum
+    y(t) = phi(t) a0 + sum_k w_k phi(t - s_k) f(s_k) (trapezoid weights) on
+    the unforced table phi (nf+1, J).  Returns (trajectory (nf+1, J), distance)."""
+    nf = len(f) - 1
+    fine = volterra_modes(M, etas, T, nf, y0=a0, forcing=f)
+    phi, f = phi.T.copy(), f.T.copy()  # (J, nf+1)
+    dt = T / nf
+    idxs = np.unique(np.linspace(0, nf, 17).astype(int))
+    disc = 0.0
+    for i in idxs[1:]:  # idxs[0] = 0
+        w = np.full(i + 1, dt)
+        w[0] = w[-1] = 0.5 * dt
+        duh = phi[:, i] * a0 + np.einsum("k,jk,jk->j", w, phi[:, i::-1], f[:, : i + 1])
+        disc = max(disc, float(np.linalg.norm(fine[i] - duh)))
+    return fine, disc
+
+
+def forced_solution(M, basis, y0, control, mask, T, n_steps):
+    """Controlled trajectory of a raster control (zero outside the mask),
+    computed twice and cross-checked.
+
+    Route (a) is the forced time stepper on the substepped grid; route (b) is
+    the superposition sum of ``_replay`` on the propagator table.  Returns the
+    route-(a) coefficient trajectory on the requested grid together with the
+    max coefficient-space distance between the routes.
+
+    Returns
+    -------
+    traj : array (n_steps+1, J)
+    discrepancy : float
+    """
     etas = basis.eigenvalues
-    nf = _fine_steps(etas, T_hat, n_steps)
-    g = volterra_influence(kernel, etas, T_hat, nf)       # (nf+1, J)
-    rows = mask.rows_at(np.linspace(0.0, T_hat, nf + 1))
+    rows, B = _raster(basis, mask, T, n_steps)
+    nf = len(rows) - 1
+    f = (np.where(mask.cells, control, 0.0) @ B.T)[rows]
+    fine, disc = _replay(M, etas, np.asarray(y0, dtype=float), f, T,
+                         volterra_modes(M, etas, T, nf))
+    return fine[::nf // n_steps], disc
+
+
+def _influence_rows(kernel, basis, mask, T_hat, n_steps):
+    """(K, B, rows): K[t, j] the exact stepper influence on mode j summed over
+    the fine steps that fall in mask row t, with the raster (rows, B) of
+    ``_raster``, built once for the whole solve."""
+    rows, B = _raster(basis, mask, T_hat, n_steps)
+    g = volterra_influence(kernel, basis.eigenvalues, T_hat, len(rows) - 1)  # (nf+1, J)
     K = np.stack([np.bincount(rows, weights=g_j, minlength=mask.n_t) for g_j in g.T],
                  axis=1)
-    return K, control_mode_projection(basis, mask), nf
-
-
-def _dof_columns(K, B, mask):
-    """(G, dof): G[:, d] = K[t_d] * B[:, x_d] for the mask cells (t_d, x_d)."""
-    it, ix = np.nonzero(mask.cells)
-    return (K[it] * B.T[ix]).T, np.stack([it, ix], axis=1)
+    return K, B, rows
 
 
 def reachability_matrix(kernel, basis, mask, T_hat, n_steps):
     """Columns map in-mask raster cell values to final-state coefficients.
 
     Built from the exact influence coefficients of the discrete stepper, so
-    G @ u equals the forced replay's final coefficients to roundoff.
+    G @ u equals the forced replay's final coefficients to roundoff:
+    G[:, d] = K[t_d] * B[:, x_d] for the mask cell (t_d, x_d).  The dense
+    reference of the raster solve in ``min_norm_control``.
 
     Returns (G, dof_index) with dof_index the (i_t, i_x) pairs of mask cells.
     """
     K, B, _ = _influence_rows(kernel, basis, mask, T_hat, n_steps)
-    return _dof_columns(K, B, mask)
+    it, ix = np.nonzero(mask.cells)
+    return (K[it] * B.T[ix]).T, np.stack([it, ix], axis=1)
 
 
 def min_norm_control(problem):
@@ -250,20 +298,22 @@ def min_norm_control(problem):
     G diag(c) G^T + jitter I with c constant on each mask row t (c = 1 for
     "l2").  It is the contraction sum_t c_t R_t of the per-row reachability
     Grams R_t = (k_t k_t^T) o S_t, with k_t the influence summed over row t
-    and S_t = B diag(cells_t) B^T, built once per call.  So an IRLS
-    iteration costs O(n_t J^2) plus two products with G, not
-    O(n_dof J^2).  The control u = c G^T mu and the row norms that drive the
-    reweighting are read on the dof columns of G: cond(G G^T) reaches 1e19,
-    and the quadratic forms mu^T R_t mu would cancel.  The result is
-    verified by a forced replay through the time stepper.
+    and S_t = B diag(cells_t) B^T, built once per call.  G itself is never
+    formed: the control is read on the raster, u_t = c_t ((k_t o mu)^T B) on
+    the mask cells of row t, and so are the row norms that drive the
+    reweighting (cond(G G^T) reaches 1e19, and the quadratic forms
+    mu^T R_t mu would cancel).  An IRLS iteration costs O(n_t J^2) plus two
+    raster products.  The result is verified by a forced replay through the
+    time stepper, whose row forcing F_t = B u_t also gives the moment
+    residual G u = sum_t k_t o F_t.
     """
     if problem.regime not in ("l2", "weighted_linf"):
         raise ValueError(f"unknown regime {problem.regime!r}")
     if problem.regime == "weighted_linf" and problem.alpha <= 1.0:
         raise ValueError("weighted regime requires alpha > 1")
     basis, mask = problem.basis, problem.mask
-    K, B, nf = _influence_rows(problem.kernel, basis, mask, problem.T_hat, problem.n_steps)
-    G, dof = _dof_columns(K, B, mask)
+    K, B, rows = _influence_rows(problem.kernel, basis, mask, problem.T_hat, problem.n_steps)
+    nf = len(rows) - 1
     R = _row_gram_stack(K, *_spatial_grams(B, mask.cells.astype(float)))
     # one unforced sweep: phi(T_hat) for the target, the table for the replay
     phi = volterra_modes(problem.kernel, basis.eigenvalues, problem.T_hat, nf)
@@ -273,17 +323,16 @@ def min_norm_control(problem):
     a1[: len(problem.y1)] = problem.y1
     target = a1 - phi[-1] * a0
 
-    cells = dof[:, 0]
     shift = 1e-14 * np.einsum("tjj->", R) * np.eye(basis.J)  # jitter of G G^T
 
     def solve(c):
         gram = np.tensordot(c, R, axes=1)
         mu = _cholesky_solve(0.5 * (gram + gram.T) + shift, target)
-        return (G.T @ mu) * c[cells]
+        return np.where(mask.cells, c[:, None] * ((K * mu) @ B), 0.0)
 
     if problem.regime == "l2":
-        u_dof = solve(np.ones(mask.n_t))
-        objective = float(np.linalg.norm(u_dof))
+        u = solve(np.ones(mask.n_t))
+        objective = float(np.linalg.norm(u))
         n_irls, converged = 0, True
     else:
         rho = (problem.T_hat - (np.arange(mask.n_t) + 0.5) * mask.dt) ** (-problem.alpha)
@@ -292,10 +341,9 @@ def min_norm_control(problem):
         for n_irls in range(1, 41):
             # weight 1 / (rho^2 omega) per row; a row with omega = 0 carries none
             w = rho**2 * omega
-            u_dof = solve(np.divide(1.0, w, out=np.zeros_like(w), where=w > 0))
+            u = solve(np.divide(1.0, w, out=np.zeros_like(w), where=w > 0))
             # per-row weighted spatial norms drive the Lawson reweighting
-            gamma = np.sqrt(np.bincount(cells, weights=u_dof**2 * mask.dx,
-                                        minlength=mask.n_t)) * rho
+            gamma = np.sqrt((u**2 * mask.dx).sum(axis=1)) * rho
             live = gamma > 0
             if not live.any():
                 break
@@ -312,15 +360,12 @@ def min_norm_control(problem):
             converged = False  # stopped at the iteration cap
         objective = float(np.max(gamma))
 
-    u = np.zeros((mask.n_t, mask.n_x))
-    u[dof[:, 0], dof[:, 1]] = u_dof
-
-    traj, disc = _replay(problem.kernel, basis, a0, u, mask, problem.T_hat,
-                         problem.n_steps, phi)
-    final_error = float(np.linalg.norm(traj[-1] - a1))
+    F = u @ B.T  # the mode forcing of each mask row
+    fine, disc = _replay(problem.kernel, basis.eigenvalues, a0, F[rows], problem.T_hat, phi)
+    final_error = float(np.linalg.norm(fine[-1] - a1))
     # the replay must land on the moment-solve prediction to roundoff;
     # anything larger signals a broken discretization pairing
-    predicted = float(np.linalg.norm(G @ u_dof - target))
+    predicted = float(np.linalg.norm((K * F).sum(axis=0) - target))
     if abs(final_error - predicted) > 1e-8 * max(1.0, float(np.linalg.norm(a1))):
         raise RouteMismatchError(
             f"forced replay misses the moment-solve prediction: "
@@ -329,14 +374,14 @@ def min_norm_control(problem):
         u=u,
         final_error=final_error,
         replay_discrepancy=disc,
-        control_norm=float(np.linalg.norm(u_dof) * math.sqrt(mask.dt * mask.dx)),
+        control_norm=float(np.linalg.norm(u) * math.sqrt(mask.dt * mask.dx)),
         diagnostics={
             "regime": problem.regime,
             "objective": objective,
             "moment_residual": predicted,
             "irls_iterations": n_irls,
             "irls_converged": converged,
-            "n_dof": int(len(u_dof)),
+            "n_dof": int(np.count_nonzero(mask.cells)),
             "n_steps_fine": nf,
         },
     )
@@ -352,11 +397,13 @@ def reachable_difference_check(kernel, basis, y0, u, mask, T_hat, n_steps=1000):
     """
     from .kernels import ExpPolyFn
 
-    a0 = np.asarray(y0, dtype=float)
-    nf = _fine_steps(basis.eigenvalues, T_hat, n_steps)
+    a0, etas = np.asarray(y0, dtype=float), basis.eigenvalues
+    rows, B = _raster(basis, mask, T_hat, n_steps)
+    nf = len(rows) - 1
+    f = (np.where(mask.cells, u, 0.0) @ B.T)[rows]
     # the forced runs alone: the gap needs no superposition cross-check
-    gap = (_forced_run(kernel, basis, a0, u, mask, T_hat, nf)[0][-1]
-           - _forced_run(ExpPolyFn.zero(), basis, a0, u, mask, T_hat, nf)[0][-1])
+    gap = (volterra_modes(kernel, etas, T_hat, nf, y0=a0, forcing=f)[-1]
+           - volterra_modes(ExpPolyFn.zero(), etas, T_hat, nf, y0=a0, forcing=f)[-1])
     terms = gap**2 * basis.eigenvalues**4
     partial = np.cumsum(terms)
     J = basis.J

@@ -682,11 +682,11 @@ def _early_cylinder_depth(setup, x_lo, x_hi):
     return (mask.n_t if full.all() else int(np.argmin(full))) * mask.dt
 
 
-def alpha_probe(setup, k_list, omega=(0.25, 0.75), laplacian_power=2):
+def alpha_probe(setup, k_list, omega=(0.25, 0.75)):
     """Quotient trajectory of concentrating bumps under the time weight.
 
     Bumps of shrinking support in omega (projected to a growing mode count,
-    capped at a quarter of the grid) are roughened by an integer power of the
+    capped at a quarter of the grid) are roughened by the square of the
     generator and scored by obs / reference-norm.  Under the critical weight
     exponent the trajectory degrades as concentration sharpens; at exponent 2
     it stays controlled.
@@ -704,8 +704,7 @@ def alpha_probe(setup, k_list, omega=(0.25, 0.75), laplacian_power=2):
     for k in k_list:
         width = 0.5 * (x_hi - x_lo) / k
         n_modes = min(basis.J, n_cap, 4 + 2 * k)
-        v = bump_vector(basis, center, width, n_modes=n_modes,
-                        laplacian_power=laplacian_power)
+        v = bump_vector(basis, center, width, n_modes=n_modes, laplacian_power=2)
         q = obs_seminorm(setup, v) / hs_norm(basis, v, REF_EXPONENT)
         records.append({"k": int(k), "width": width, "n_modes": int(n_modes),
                         "quotient": float(q)})

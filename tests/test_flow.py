@@ -14,7 +14,6 @@ from memflow.flow import (
     build_flow_table,
     decomposition_mode,
     first_nonzero_h_index,
-    forced_solution,
     kernel_rep_mode,
     kernel_rep_profile,
     remainder_bound,
@@ -24,6 +23,7 @@ from memflow.flow import (
     volterra_modes,
 )
 from memflow.geometry import cylinder_mask, zigzag_mask
+from memflow.inverse_control import forced_solution
 from memflow.kernels import ExpPolyFn, h_coeff, parse_kernel
 from memflow.spectral import interval_basis
 

@@ -3,17 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from memflow.flow import _fine_steps, build_flow_table, forced_solution, volterra_modes
+from memflow.flow import _fine_steps, build_flow_table, volterra_modes
 from memflow.geometry import Mask, cylinder_mask, random_rects_mask, zigzag_mask
 from memflow.inverse_control import (
     ControlProblem,
     _cholesky_solve,
-    _dof_columns,
     _influence_rows,
     ReconstructionProblem,
     SingularSystemError,
     discrepancy_lambda,
     duality_range_test,
+    forced_solution,
     min_norm_control,
     observation_operator,
     reachability_matrix,
@@ -216,8 +216,7 @@ def test_per_row_reachability_grams_match_the_dense_gram(mask_kind):
     basis = interval_basis(8, 48)
     mask = CONTROL_MASKS[mask_kind]()
     K, B, _ = _influence_rows(KERNEL, basis, mask, 1.0, 800)
-    G, dof = _dof_columns(K, B, mask)
-    np.testing.assert_array_equal(G, reachability_matrix(KERNEL, basis, mask, 1.0, 800)[0])
+    G, dof = reachability_matrix(KERNEL, basis, mask, 1.0, 800)
     R = _row_gram_stack(K, *_spatial_grams(B, mask.cells.astype(float)))
     assert R.shape == (mask.n_t, 8, 8)
     assert np.array_equal(R, R.transpose(0, 2, 1))
@@ -278,6 +277,19 @@ def test_control_matches_the_dense_moment_solve(regime, mask_kind):
     assert np.abs(u - want).max() <= 1e-9 * np.abs(want).max()
     assert res.diagnostics["irls_iterations"] == n_irls
     assert res.diagnostics["irls_converged"] is converged
+
+
+def test_control_builds_its_raster_once(monkeypatch):
+    """One min_norm_control indexes the fine grid by mask row once: the
+    influence rows, the replay's forcing and the moment residual share it."""
+    calls = []
+    rows_at = Mask.rows_at
+    monkeypatch.setattr(Mask, "rows_at", lambda self, t: calls.append(1) or rows_at(self, t))
+    basis = interval_basis(8, 48)
+    mask = CONTROL_MASKS["zigzag"]()
+    min_norm_control(ControlProblem(KERNEL, basis, mask, 1.0, np.ones(8),
+                                    basis.eigenvalues**-3.0, n_steps=800))
+    assert len(calls) == 1
 
 
 def test_weighted_regime_rejects_small_alpha(rng):

@@ -1,9 +1,5 @@
 import math
-import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -783,12 +779,3 @@ def test_conv_power_matches_trapezoid_quadrature(text):
         # the two-rate kernel drifts to 1.1e-9, because the 1e-15 cancellation
         # rule drops the top powers of its convolution powers
         assert err <= 2e-9
-
-
-def test_kernel_demo_runs():
-    root = Path(__file__).resolve().parents[1]
-    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(root / "demos" / "01_kernel_algebra.py")],
-                          capture_output=True, text=True, timeout=300,
-                          env={**os.environ, "PYTHONPATH": path})
-    assert proc.returncode == 0, proc.stderr

@@ -2,10 +2,6 @@ import dataclasses
 import importlib.util
 import json
 import math
-import os
-import re
-import subprocess
-import sys
 import warnings
 from pathlib import Path
 
@@ -794,6 +790,15 @@ def test_mm_stops_only_where_no_candidate_improves(mem_table, mask_seed, count, 
             assert np.all(q(mm)[stopped] >= q_end - 1e-9 * np.abs(q_end))
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="open defect (ROADMAP item 4): the null loop "
+                   "stops on the row-Gram quadratic form, and its MM candidate beats "
+                   "this stopped restart by 1.4e-9 relative, over the 1e-9 bound")
+def test_mm_stop_rule_on_the_known_failing_example(mem_table):
+    test_mm_stops_only_where_no_candidate_improves.hypothesis.inner_test(
+        mem_table, mask_seed=7460, count=1, start_seed=1)
+
+
 def _dense_newton_on_sphere(U, g, H):
     """Saddle-free Newton step from the eigenpairs of the J x J projected
     Hessian P H P, P = I - u u^T (the reference for the tangent-space
@@ -839,16 +844,3 @@ def test_ascent_leaves_the_cusp_ridge():
     np.testing.assert_allclose([rep.c_lower, rep.c_upper],
                                [0.27636226088308397, 0.3740167331827168],
                                rtol=1e-12, atol=0.0)
-
-
-def test_constants_demo_runs():
-    root = Path(__file__).resolve().parents[1]
-    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable,
-                           str(root / "demos" / "04_observability_constants.py")],
-                          capture_output=True, text=True, timeout=300,
-                          env={**os.environ, "PYTHONPATH": path})
-    assert proc.returncode == 0, proc.stderr
-    assert not re.search(r"\b(nan|inf)\b", proc.stdout, re.IGNORECASE), proc.stdout
-    numbers = [float(x) for x in re.findall(r"\d+\.\d+(?:e[-+]\d+)?", proc.stdout)]
-    assert len(numbers) >= 12 and all(math.isfinite(x) for x in numbers)

@@ -31,21 +31,21 @@ for t in (0.1, 0.25, 0.5, 0.75, 1.0):
     i = int(round(t / 0.001))
     kr = kernel_rep_mode(M, eta, t)
     dec = decomposition_mode(M, eta, t, N=4)
-    print(f"{t:6.2f} {y[i]:14.8e} {kr:14.8e} {dec.total:14.8e}")
+    print(f"{t:6.2f} {y[i]:14.8e} {kr:14.8e} {dec['total']:14.8e}")
 
 print("\nthe decomposition at t = 0.5, order N = 2:")
 d = decomposition_mode(M, eta, 0.5, N=2)
-print(f"  smoothing part  {d.heat:+.6e}")
-print(f"  multiplier part {d.wave:+.6e}   (leading term -M(t)/eta^2 = "
+print(f"  smoothing part  {d['heat']:+.6e}")
+print(f"  multiplier part {d['wave']:+.6e}   (leading term -M(t)/eta^2 = "
       f"{-M.eval(0.5) / eta**2:+.6e})")
-print(f"  remainder part  {d.remainder_scaled:+.6e}")
-print(f"  remainder multiplier R = {d.remainder_value:+.4f}, a priori bound "
+print(f"  remainder part  {d['remainder_scaled']:+.6e}")
+print(f"  remainder multiplier R = {d['remainder_value']:+.4f}, a priori bound "
       f"{remainder_bound(M, 2, 0.5):.3e}")
 
 flow = kernel_rep_mode(M, eta, 0.5)
-resid = (flow - d.heat - d.wave) * eta**3
+resid = (flow - d['heat'] - d['wave']) * eta**3
 print(f"  residual identity: (flow - smoothing - multiplier) * eta^3 = "
-      f"{resid:.6f} vs R = {d.remainder_value:.6f}")
+      f"{resid:.6f} vs R = {d['remainder_value']:.6f}")
 
 print("\nwave-like leading term across modes (t = 0.5):")
 for j in (4, 8, 16, 32):

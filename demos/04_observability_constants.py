@@ -35,9 +35,9 @@ th = np.deg2rad(np.arange(360))
 from memflow import obs_seminorm_many
 A = np.stack([np.cos(th), np.sin(th)], axis=1) / setup.mass_matrix() ** 0.5
 vals = obs_seminorm_many(setup, A)
-print(f"  optimizer: lower {rep.c_lower:.6f}, upper {rep.c_upper:.6f}")
+print(f"  optimizer: lower {rep['c_lower']:.6f}, upper {rep['c_upper']:.6f}")
 print(f"  1-degree sphere sweep: min {vals.min():.6f}, max {vals.max():.6f}")
-print(f"  restart spread (reliability proxy): {rep.spread_lower:.2%}")
+print(f"  restart spread (reliability proxy): {rep['spread_lower']:.2%}")
 
 print("\nhealthy vs degenerate masks, lower constant vs truncation:")
 for make, name in ((lambda: zigzag_mask(0.15, 1.0, 100, 64), "zigzag strip"),
@@ -48,7 +48,7 @@ for make, name in ((lambda: zigzag_mask(0.15, 1.0, 100, 64), "zigzag strip"),
         table = build_flow_table(M, interval_basis(J, max(64, 4 * J)), 1.0, 1000)
         st = ObsSetup(table, mask, alpha=None, window=(0.3, 1.0))
         vals.append(two_sided_constants(st, n_restarts=12,
-                                        rng=np.random.default_rng(1)).c_lower)
+                                        rng=np.random.default_rng(1))['c_lower'])
     trend = " -> ".join(f"{v:.4f}" for v in vals)
     print(f"  {name:13s}: c_lower at J = 4, 8, 16:  {trend}")
 

@@ -11,7 +11,6 @@ import numpy as np
 
 from memflow import (
     ObsSetup,
-    ReconstructionProblem,
     build_flow_table,
     discrepancy_lambda,
     hs_norm,
@@ -37,7 +36,7 @@ print("observation set: zigzag strip of thickness 0.1 "
       f"({mask.cells.mean():.1%} of the raster)")
 
 data = synthesize_observation(setup, truth)
-rec, diag = reconstruct_y0(ReconstructionProblem(setup, data))
+rec, diag = reconstruct_y0(setup, data)
 rel = hs_norm(basis, rec - truth, -4.0) / hs_norm(basis, truth, -4.0)
 print(f"\nnoiseless data: relative reference-norm error {rel:.2e}")
 print(f"  observation map rank {diag['rank']}, smallest singular value "
@@ -47,7 +46,7 @@ noisy = synthesize_observation(setup, truth, noise=0.01,
                                rng=np.random.default_rng(7))
 noise_norm = setup.l2_norm(noisy - data)
 lam = discrepancy_lambda(setup, noisy, noise_norm)
-rec2, diag2 = reconstruct_y0(ReconstructionProblem(setup, noisy, lam=lam))
+rec2, _ = reconstruct_y0(setup, noisy, lam=lam)
 rel2 = hs_norm(basis, rec2 - truth, -4.0) / hs_norm(basis, truth, -4.0)
 print(f"\n1% noise, discrepancy-principle regularization "
       f"(lambda = {lam:.2e}):")

@@ -12,7 +12,6 @@ is what confines reachable targets.
 import numpy as np
 
 from memflow import (
-    ControlProblem,
     interval_basis,
     min_norm_control,
     parse_kernel,
@@ -29,30 +28,27 @@ y1 = basis.eigenvalues**-3.0
 
 print("steering a random state to the smooth target (coefficients "
       "eta_j^-3) at time 1 through the zigzag strip")
-res = min_norm_control(ControlProblem(M, basis, mask, 1.0, y0, y1,
-                                      n_steps=1000))
-print(f"  final-state error by forced replay : {res.final_error:.3e}")
-print(f"  stepper-vs-superposition discrepancy: {res.replay_discrepancy:.3e}")
-print(f"  control norm                        : {res.control_norm:.4f}")
+u, rep = min_norm_control(M, basis, mask, 1.0, y0, y1, n_steps=1000)
+print(f"  final-state error by forced replay : {rep['final_error']:.3e}")
+print(f"  stepper-vs-superposition discrepancy: {rep['replay_discrepancy']:.3e}")
+print(f"  control norm                        : {rep['control_norm']:.4f}")
 print(f"  values outside the mask             : "
-      f"{np.abs(res.u[~mask.cells]).max():.1f} (bit-exact zero)")
+      f"{np.abs(u[~mask.cells]).max():.1f} (bit-exact zero)")
 
-resw = min_norm_control(ControlProblem(M, basis, mask, 1.0, y0, y1,
-                                       regime="weighted_linf", alpha=2.0,
-                                       n_steps=1000))
+uw, repw = min_norm_control(M, basis, mask, 1.0, y0, y1,
+                            regime="weighted_linf", alpha=2.0, n_steps=1000)
 tm = (np.arange(mask.n_t) + 0.5) * mask.dt
-prof = np.sqrt((resw.u**2).sum(axis=1) * mask.dx) * (1.0 - tm) ** -2.0
+prof = np.sqrt((uw**2).sum(axis=1) * mask.dx) * (1.0 - tm) ** -2.0
 print("\nweighted minimax regime (controls forced to die quadratically "
       "toward the horizon):")
-print(f"  final-state error : {resw.final_error:.3e}")
+print(f"  final-state error : {repw['final_error']:.3e}")
 print(f"  worst weighted amplitude: {prof.max():.4f} "
-      f"(solver objective {resw.diagnostics['objective']:.4f})")
+      f"(solver objective {repw['objective']:.4f})")
 
 print("\nendpoint gap between the memory and memoryless systems "
       "(same control):")
 out = reachable_difference_check(M, interval_basis(32, 128),
-                                 1.0 / np.arange(1, 33),
-                                 np.pad(res.u, ((0, 0), (0, 0))), mask, 1.0)
+                                 1.0 / np.arange(1, 33), u, mask, 1.0)
 print(f"  smooth-norm of the gap: {out['smooth_norm']:.4e}")
 print(f"  tail-quartile share of the fourth-power mode sums: "
       f"{out['tail_quartile_growth']:.2%}  (flat tail = smooth gap)")

@@ -8,7 +8,6 @@ minimal-norm controls.
 """
 
 from .flow import (
-    DecompositionParts,
     FlowTable,
     QuadratureError,
     StepSizeError,
@@ -44,9 +43,6 @@ from .geometry import (
     zigzag_mask,
 )
 from .inverse_control import (
-    ControlProblem,
-    ControlResult,
-    ReconstructionProblem,
     RouteMismatchError,
     SingularSystemError,
     discrepancy_lambda,
@@ -73,7 +69,6 @@ from .kernels import (
 )
 from .observability import (
     ObsInvariantError,
-    ObsReport,
     ObsSetup,
     alpha_probe,
     bump_vector,

@@ -32,8 +32,6 @@ from .flow import (
     volterra_modes,
 )
 from .inverse_control import (
-    ControlProblem,
-    ReconstructionProblem,
     SingularSystemError,
     discrepancy_lambda,
     duality_range_test,
@@ -354,12 +352,12 @@ def cmd_flow_check(cfg, sink, rng):
             t = i * dt
             v = float(phi[j - 1, i])
             kr = kernel_rep_mode(M, eta, float(t))
-            dec = decomposition_mode(M, eta, float(t), N=4)
+            dec = decomposition_mode(M, eta, float(t), N=4)["total"]
             tol = max(1e-6, eta**2 * dt**2 / 20.0)
-            ok = abs(v - kr) <= tol and abs(v - dec.total) <= tol
+            ok = abs(v - kr) <= tol and abs(v - dec) <= tol
             failures += not ok
-            rows.append((j, eta, float(t), v, kr, dec.total,
-                         abs(v - kr), abs(v - dec.total), tol, ok))
+            rows.append((j, eta, float(t), v, kr, dec,
+                         abs(v - kr), abs(v - dec), tol, ok))
     sink.write_csv("three_way.csv",
                    "j, eta, t, volterra, kernel_rep, decomposition, "
                    "diff_vk, diff_vd, tol, ok", rows)
@@ -481,16 +479,17 @@ def cmd_obsconst(cfg, sink, rng):
         local = np.random.default_rng([cfg["seed"], J])
         setup = _setup_from_cfg(cfg, M, J=J)
         rep = two_sided_constants(setup, n_restarts=n_restarts, rng=local)
-        c_null, _, nd = null_obs_constant(setup, rng=local)
+        c_null, w_null, nd = null_obs_constant(setup, rng=local)
         relC, share = relaxed_inequality_fit(setup, rng=local)
         rank, sig = unique_continuation_rank(setup)
-        reports[str(J)] = {**rep.to_dict(), "c_null": c_null, "relaxed_C": relC,
-                           "relaxed_share": share, "uc_rank": rank, "uc_sigma_min": sig,
+        reports[str(J)] = {**rep, "c_null": c_null, "witness_null": w_null,
+                           "relaxed_C": relC, "relaxed_share": share,
+                           "uc_rank": rank, "uc_sigma_min": sig,
                            "null_unbounded": nd["quotient_unbounded"],
                            "iterations_null": nd["iterations"],
                            "converged_null": nd["converged"]}
-        rows.append((J, rep.c_lower, rep.c_upper, c_null, relC,
-                     rep.spread_lower, rep.spread_upper, rank, sig))
+        rows.append((J, rep["c_lower"], rep["c_upper"], c_null, relC,
+                     rep["spread_lower"], rep["spread_upper"], rank, sig))
     sink.write_csv("constants.csv",
                    "J, c_lower, c_upper, c_null, relaxed_C, spread_lower, "
                    "spread_upper, uc_rank, uc_sigma_min", rows)
@@ -560,14 +559,14 @@ def cmd_reconstruct(cfg, sink, rng):
     data = synthesize_observation(setup, truth, noise=noise, rng=rng) if noise else clean
     if lam is None:
         lam = discrepancy_lambda(setup, data, setup.l2_norm(data - clean)) if noise else 0.0
-    rec, diag = reconstruct_y0(ReconstructionProblem(setup, data, lam=lam))
+    rec, rep = reconstruct_y0(setup, data, lam=lam)
     rel = (hs_norm(setup.basis, rec - truth, REF_EXPONENT)
            / hs_norm(setup.basis, truth, REF_EXPONENT))
     sink.write_csv("coefficients.csv", "j, truth, reconstructed",
                    [(j + 1, truth[j], rec[j]) for j in range(len(truth))])
     sink.write_json("reconstruct.json", {
-        "lambda": diag["lambda"], "residual": diag["residual"],
-        "rel_error_if_truth_known": rel, "sigma_min": diag["sigma_min"],
+        "lambda": rep["lambda"], "residual": rep["residual"],
+        "rel_error_if_truth_known": rel, "sigma_min": rep["sigma_min"],
     })
     return True
 
@@ -581,20 +580,13 @@ def cmd_control(cfg, sink, rng):
         raise ConfigError("observation set is empty: the mask has no cell")
     y0 = np.random.default_rng(cfg["seed"]).standard_normal(basis.J)
     y1 = basis.eigenvalues**-3.0 if cc["target"] == "eta^-3" else np.zeros(basis.J)
-    prob = ControlProblem(M, basis, mask, cc["T_hat"], y0, y1, regime=cc["regime"],
-                          alpha=cc["alpha"], n_steps=cfg["time"]["n_t"])
-    res = min_norm_control(prob)
+    u, rep = min_norm_control(M, basis, mask, cc["T_hat"], y0, y1, regime=cc["regime"],
+                              alpha=cc["alpha"], n_steps=cfg["time"]["n_t"])
     it, ix = np.nonzero(mask.cells)
     sink.write_csv("control.csv", "t_i, x_cell, u_value",
-                   zip(it.tolist(), ix.tolist(), res.u[it, ix].tolist()))
-    sink.write_json("control.json", {
-        "final_error": res.final_error,
-        "replay_discrepancy": res.replay_discrepancy,
-        "control_norm": res.control_norm,
-        "moc_of_mask": geometry.moc_functional(mask),
-        **res.diagnostics,
-    })
-    return res.final_error <= 1e-6
+                   zip(it.tolist(), ix.tolist(), u[it, ix].tolist()))
+    sink.write_json("control.json", {**rep, "moc_of_mask": geometry.moc_functional(mask)})
+    return rep["final_error"] <= 1e-6
 
 
 def cmd_duality(cfg, sink, rng):
@@ -615,9 +607,9 @@ def cmd_duality(cfg, sink, rng):
     sink.write_json("duality.json", {
         "closed_form": {"C1": C1a, "C2": C2a},
         "observability": {"C1": C1b, "C2": C2b,
-                          "one_over_c_lower": 1.0 / rep.c_lower},
+                          "one_over_c_lower": 1.0 / rep["c_lower"]},
     })
-    ok = abs(C2a - 2.0) < 1e-9 and 0.5 <= C2b * rep.c_lower <= 2.0
+    ok = abs(C2a - 2.0) < 1e-9 and 0.5 <= C2b * rep["c_lower"] <= 2.0
     return ok
 
 

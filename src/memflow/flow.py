@@ -57,7 +57,6 @@ __all__ = [
     "kernel_rep_profile",
     "remainder_profile",
     "remainder_bound",
-    "DecompositionParts",
     "decomposition_mode",
     "first_nonzero_h_index",
     "FlowTable",
@@ -399,17 +398,6 @@ def remainder_bound(M, N, t):
     return math.exp(t) * (growth - 1.0)
 
 
-@dataclass(frozen=True)
-class DecompositionParts:
-    """Per-mode split of the propagator into smoothing + multiplier + remainder."""
-
-    heat: float             # e^{-eta t} (1 + sum_l p_l(t) eta^{-l-1})
-    wave: float             # sum_l h_l(t) eta^{-l-1}
-    remainder_scaled: float  # R_N(t, eta) * eta^{-N-1}
-    remainder_value: float   # R_N(t, eta)
-    total: float
-
-
 def _coefficients(M, N, t):
     """p_l(t) and h_l(t), l < N, each an array of shape (N, *shape of t)."""
     return (np.array([p_coeff(M, l).eval(t) for l in range(N)]),
@@ -429,6 +417,12 @@ def _decomposition(t, etas, pl, hl, R):
 def decomposition_mode(M, eta, t, N=DEFAULT_DECOMP_ORDER):
     """Order-N decomposition of the mode propagator at time t > 0.
 
+    Returns a dict of its five parts: "heat", the smoothing part
+    e^{-eta t} (1 + sum_l p_l(t) eta^{-l-1}); "wave", the multiplier part
+    sum_l h_l(t) eta^{-l-1}; "remainder_value", R_N(t, eta);
+    "remainder_scaled", R_N(t, eta) eta^{-N-1}; and "total",
+    heat + wave + remainder_scaled.
+
     The remainder R_N(t, eta) is checked by ``_checked_integral``
     (QuadratureError when 64-fold cut panels do not converge); the
     decomposition table reads the unchecked ``remainder_profile``.  Refuses
@@ -442,8 +436,8 @@ def decomposition_mode(M, eta, t, N=DEFAULT_DECOMP_ORDER):
     R = float(eta) * _checked_integral(km_partial(M, N, SERIES_TERMS), t, eta)
     heat, wave, scaled = (float(v[0]) for v in
                           _decomposition(t, np.array([float(eta)]), *_coefficients(M, N, t), R))
-    return DecompositionParts(heat=heat, wave=wave, remainder_scaled=scaled,
-                              remainder_value=R, total=heat + wave + scaled)
+    return {"heat": heat, "wave": wave, "remainder_scaled": scaled,
+            "remainder_value": R, "total": heat + wave + scaled}
 
 
 def first_nonzero_h_index(M, T):

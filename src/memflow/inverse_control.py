@@ -20,28 +20,22 @@ control normal matrices are contractions of the R_t (``min_norm_control``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .flow import _fine_steps, volterra_influence, volterra_modes
 from .observability import (
-    ObsSetup,
     _pencil_eigh,
     _row_gram_stack,
     _spatial_grams,
-    unique_continuation_rank,
 )
 
 __all__ = [
-    "ReconstructionProblem",
     "SingularSystemError",
     "observation_operator",
     "synthesize_observation",
     "reconstruct_y0",
     "discrepancy_lambda",
-    "ControlProblem",
-    "ControlResult",
     "RouteMismatchError",
     "forced_solution",
     "reachability_matrix",
@@ -57,27 +51,6 @@ class SingularSystemError(np.linalg.LinAlgError):
     def __init__(self, msg, null_direction=None):
         super().__init__(msg)
         self.null_direction = null_direction
-
-
-@dataclass(frozen=True)
-class ReconstructionProblem:
-    """Masked observation data with its regularization weight.
-
-    ``data`` holds samples d[i, k] on the setup's (window time grid) x (basis
-    spatial grid), zero outside the mask.
-    """
-
-    setup: ObsSetup
-    data: np.ndarray
-    lam: float = 0.0
-
-    def __post_init__(self):
-        d = np.asarray(self.data, dtype=float)
-        expected = (len(self.setup.times), len(self.setup.basis.x))
-        if d.shape != expected:
-            raise ValueError(f"data must have shape {expected}")
-        object.__setattr__(self, "data", d)
-        d.setflags(write=False)
 
 
 def observation_operator(setup):
@@ -126,34 +99,38 @@ def _cholesky_solve(A, b):
     return np.linalg.solve(L.T, np.linalg.solve(L, b))
 
 
-def reconstruct_y0(problem):
+def reconstruct_y0(setup, data, lam=0.0):
     """Regularized least squares for the initial coefficients.
 
+    ``data`` holds samples d[i, k] on the setup's (window time grid) x (basis
+    spatial grid), zero outside the mask; it is read, never written.
     Minimizes ||O a - d||^2 + lam ||a||_ref^2 by direct normal equations.
     With lam = 0 a rank-deficient system raises SingularSystemError naming
     the invisible direction.
 
-    Returns (coefficients, diagnostics): the length-J coefficient array and a
-    dict of lambda, the data residual, sigma_min and the rank.
+    Returns (coefficients, report): the length-J coefficient array and a
+    dict of lambda, the data residual, and sigma_min and rank of the map
+    being inverted, read off the pencil (O^T O, reference mass).
     """
-    setup = problem.setup
-    A, rhs, Dm = _normal_equations(setup, problem.data)
-    if problem.lam == 0.0:
-        lam_ev, V = _pencil_eigh(A, Dm)
-        if lam_ev[0] <= 1e-14 * max(lam_ev[-1], 1e-300):
-            raise SingularSystemError(
-                "observation map is rank deficient with lam = 0; "
-                f"null direction coefficients {np.round(V[:, 0], 6)}",
-                null_direction=V[:, 0],
-            )
-    a = _cholesky_solve(A + problem.lam * Dm, rhs)
-    resid = setup.l2_norm(setup.fields(a) - problem.data)
-    rank, sigma_min = unique_continuation_rank(setup)
+    data = np.asarray(data, dtype=float)
+    expected = (len(setup.times), len(setup.basis.x))
+    if data.shape != expected:
+        raise ValueError(f"data must have shape {expected}")
+    A, rhs, Dm = _normal_equations(setup, data)
+    lam_ev, V = _pencil_eigh(A, Dm)
+    top = max(lam_ev[-1], 0.0)
+    if lam == 0.0 and lam_ev[0] <= 1e-14 * max(top, 1e-300):
+        raise SingularSystemError(
+            "observation map is rank deficient with lam = 0; "
+            f"null direction coefficients {np.round(V[:, 0], 6)}",
+            null_direction=V[:, 0],
+        )
+    a = _cholesky_solve(A + lam * Dm, rhs)
     return a, {
-        "lambda": problem.lam,
-        "residual": resid,
-        "sigma_min": sigma_min,
-        "rank": rank,
+        "lambda": lam,
+        "residual": setup.l2_norm(setup.fields(a) - data),
+        "sigma_min": math.sqrt(max(lam_ev[0], 0.0)),
+        "rank": int(np.sum(lam_ev > 1e-12 * max(top, 1e-300))),
     }
 
 
@@ -173,36 +150,6 @@ def discrepancy_lambda(setup, data, noise_norm):
 # ---------------------------------------------------------------------------
 # minimal-norm control
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ControlProblem:
-    """Steering task: reach `y1` from `y0` at time T_hat through the mask.
-
-    y0 and y1 are coefficient arrays; one shorter than basis.J is padded
-    with zeros.  regime "l2" minimizes the L2(raster) norm; "weighted_linf"
-    minimizes the worst (T_hat - t)^{-alpha}-weighted spatial norm (alpha > 1
-    required).
-    """
-
-    kernel: object
-    basis: object
-    mask: object
-    T_hat: float
-    y0: np.ndarray
-    y1: np.ndarray
-    regime: str = "l2"
-    alpha: float = 2.0
-    n_steps: int = 1000
-
-
-@dataclass
-class ControlResult:
-    u: np.ndarray                   # raster control values, zero outside mask
-    final_error: float              # ||replayed final state - target||_L2
-    replay_discrepancy: float       # route (a) vs (b) distance from the replay
-    control_norm: float             # discrete L2(Q) norm of u
-    diagnostics: dict = field(default_factory=dict)
-
 
 class RouteMismatchError(RuntimeError):
     """A forced replay misses the final state its moment solve predicts."""
@@ -288,13 +235,16 @@ def reachability_matrix(kernel, basis, mask, T_hat, n_steps):
     return (K[it] * B.T[ix]).T, np.stack([it, ix], axis=1)
 
 
-def min_norm_control(problem):
-    """Least-norm discrete control steering y0 to y1 at T_hat.
+def min_norm_control(kernel, basis, mask, T_hat, y0, y1, regime="l2", alpha=2.0,
+                     n_steps=1000):
+    """Least-norm discrete control steering y0 to y1 at T_hat through the mask.
 
-    The moment system G u = y1 - phi(T_hat) y0 is solved in the requested
-    norm: plain least-norm for "l2"; Lawson-style iteratively reweighted
-    least squares against the (T_hat - t)^{-alpha} weight for
-    "weighted_linf" (alpha > 1 enforced).  Both solve the normal matrix
+    y0 and y1 are coefficient arrays; one shorter than basis.J is padded
+    with zeros.  The moment system G u = y1 - phi(T_hat) y0 is solved in the
+    requested norm: plain least-norm for "l2" (the L2(raster) norm);
+    Lawson-style iteratively reweighted least squares for "weighted_linf",
+    which minimizes the worst (T_hat - t)^{-alpha}-weighted spatial norm
+    (alpha > 1 required).  Both solve the normal matrix
     G diag(c) G^T + jitter I with c constant on each mask row t (c = 1 for
     "l2").  It is the contraction sum_t c_t R_t of the per-row reachability
     Grams R_t = (k_t k_t^T) o S_t, with k_t the influence summed over row t
@@ -306,21 +256,24 @@ def min_norm_control(problem):
     raster products.  The result is verified by a forced replay through the
     time stepper, whose row forcing F_t = B u_t also gives the moment
     residual G u = sum_t k_t o F_t.
+
+    Returns (u, report): the raster control values (zero outside the mask)
+    and a dict of the replayed final error, the route (a) vs (b) replay
+    discrepancy, the discrete L2(Q) control norm and the solver diagnostics.
     """
-    if problem.regime not in ("l2", "weighted_linf"):
-        raise ValueError(f"unknown regime {problem.regime!r}")
-    if problem.regime == "weighted_linf" and problem.alpha <= 1.0:
+    if regime not in ("l2", "weighted_linf"):
+        raise ValueError(f"unknown regime {regime!r}")
+    if regime == "weighted_linf" and alpha <= 1.0:
         raise ValueError("weighted regime requires alpha > 1")
-    basis, mask = problem.basis, problem.mask
-    K, B, rows = _influence_rows(problem.kernel, basis, mask, problem.T_hat, problem.n_steps)
+    K, B, rows = _influence_rows(kernel, basis, mask, T_hat, n_steps)
     nf = len(rows) - 1
     R = _row_gram_stack(K, *_spatial_grams(B, mask.cells.astype(float)))
     # one unforced sweep: phi(T_hat) for the target, the table for the replay
-    phi = volterra_modes(problem.kernel, basis.eigenvalues, problem.T_hat, nf)
+    phi = volterra_modes(kernel, basis.eigenvalues, T_hat, nf)
     a0 = np.zeros(basis.J)
-    a0[: len(problem.y0)] = problem.y0
+    a0[: len(y0)] = y0
     a1 = np.zeros(basis.J)
-    a1[: len(problem.y1)] = problem.y1
+    a1[: len(y1)] = y1
     target = a1 - phi[-1] * a0
 
     shift = 1e-14 * np.einsum("tjj->", R) * np.eye(basis.J)  # jitter of G G^T
@@ -330,12 +283,12 @@ def min_norm_control(problem):
         mu = _cholesky_solve(0.5 * (gram + gram.T) + shift, target)
         return np.where(mask.cells, c[:, None] * ((K * mu) @ B), 0.0)
 
-    if problem.regime == "l2":
+    if regime == "l2":
         u = solve(np.ones(mask.n_t))
         objective = float(np.linalg.norm(u))
         n_irls, converged = 0, True
     else:
-        rho = (problem.T_hat - (np.arange(mask.n_t) + 0.5) * mask.dt) ** (-problem.alpha)
+        rho = (T_hat - (np.arange(mask.n_t) + 0.5) * mask.dt) ** (-alpha)
         omega = np.ones(mask.n_t)
         converged = True
         for n_irls in range(1, 41):
@@ -361,7 +314,7 @@ def min_norm_control(problem):
         objective = float(np.max(gamma))
 
     F = u @ B.T  # the mode forcing of each mask row
-    fine, disc = _replay(problem.kernel, basis.eigenvalues, a0, F[rows], problem.T_hat, phi)
+    fine, disc = _replay(kernel, basis.eigenvalues, a0, F[rows], T_hat, phi)
     final_error = float(np.linalg.norm(fine[-1] - a1))
     # the replay must land on the moment-solve prediction to roundoff;
     # anything larger signals a broken discretization pairing
@@ -370,21 +323,18 @@ def min_norm_control(problem):
         raise RouteMismatchError(
             f"forced replay misses the moment-solve prediction: "
             f"replay error {final_error:.3e} vs residual {predicted:.3e}")
-    return ControlResult(
-        u=u,
-        final_error=final_error,
-        replay_discrepancy=disc,
-        control_norm=float(np.linalg.norm(u) * math.sqrt(mask.dt * mask.dx)),
-        diagnostics={
-            "regime": problem.regime,
-            "objective": objective,
-            "moment_residual": predicted,
-            "irls_iterations": n_irls,
-            "irls_converged": converged,
-            "n_dof": int(np.count_nonzero(mask.cells)),
-            "n_steps_fine": nf,
-        },
-    )
+    return u, {
+        "final_error": final_error,
+        "replay_discrepancy": disc,
+        "control_norm": float(np.linalg.norm(u) * math.sqrt(mask.dt * mask.dx)),
+        "regime": regime,
+        "objective": objective,
+        "moment_residual": predicted,
+        "irls_iterations": n_irls,
+        "irls_converged": converged,
+        "n_dof": int(np.count_nonzero(mask.cells)),
+        "n_steps_fine": nf,
+    }
 
 
 def reachable_difference_check(kernel, basis, y0, u, mask, T_hat, n_steps=1000):

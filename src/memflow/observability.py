@@ -42,7 +42,6 @@ theory are rendered as finite trend probes, never as limits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,7 +49,6 @@ from .spectral import gauss_legendre, hs_norm
 
 __all__ = [
     "ObsSetup",
-    "ObsReport",
     "ObsInvariantError",
     "obs_seminorm",
     "obs_seminorm_many",
@@ -283,39 +281,6 @@ def gram_matrix(setup):
 # constants over the unit reference sphere
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ObsReport:
-    """Constants, witnesses and optimizer diagnostics of one estimation run."""
-
-    c_lower: float
-    c_upper: float
-    c_null: float | None = None
-    witness_lower: np.ndarray | None = None
-    witness_upper: np.ndarray | None = None
-    witness_null: np.ndarray | None = None
-    surrogate_lower: float = math.nan
-    surrogate_upper: float = math.nan
-    spread_lower: float = math.nan
-    spread_upper: float = math.nan
-    diagnostics: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        out = {
-            "c_lower": self.c_lower,
-            "c_upper": self.c_upper,
-            "c_null": self.c_null,
-            "surrogate_lower": self.surrogate_lower,
-            "surrogate_upper": self.surrogate_upper,
-            "spread_lower": self.spread_lower,
-            "spread_upper": self.spread_upper,
-        }
-        for key in ("witness_lower", "witness_upper", "witness_null"):
-            w = getattr(self, key)
-            out[key] = None if w is None else [float(x) for x in w]
-        out.update(self.diagnostics)
-        return out
-
-
 def _pencil_top(G, p):
     """Top eigenvectors of the pencils (diag(p)^2, G[r]) for a stack G of
     positive semidefinite matrices; p = None is the identity pencil, whose
@@ -495,8 +460,10 @@ def two_sided_constants(setup, n_restarts=32, rng=None):
     a few products with the row-Gram stack, O(n_times J^2); each restart takes
     at most 250 steps (about 4-16 for the lower constant and 4-46 for the
     upper one at J=12, median 8 and 9).
-    Reports the restart spread as a stagnation proxy and, per constant, the
-    largest step count and whether the best restart stopped short of the cap.
+    Returns one report dict: the constants c_lower and c_upper with their
+    witnesses (coefficient arrays), the surrogate constants, the restart
+    spread as a stagnation proxy and, per constant, the largest step count
+    and whether the best restart stopped short of the cap.
     Raises ObsInvariantError if a constant breaks the Cauchy-Schwarz bridge to
     the surrogate constants, if c_lower > c_upper, or if a witness does not
     reproduce its constant.
@@ -535,27 +502,20 @@ def two_sided_constants(setup, n_restarts=32, rng=None):
     if lo_val > up_val + tol:
         raise ObsInvariantError(f"c_lower {lo_val!r} exceeds c_upper {up_val!r}")
 
-    report = ObsReport(
-        c_lower=lo_val,
-        c_upper=up_val,
-        witness_lower=lo_wit,
-        witness_upper=up_wit,
-        surrogate_lower=sur_lo,
-        surrogate_upper=sur_up,
-        spread_lower=spread_lo,
-        spread_upper=spread_up,
-        diagnostics={"n_restarts": len(U0), "window_length": L,
-                     "iterations_lower": int(it_lo.max()),
-                     "converged_lower": not bool(cap_lo[i_lo]),
-                     "iterations_upper": int(it_up.max()),
-                     "converged_upper": not bool(cap_up[i_up])},
-    )
     # witness reproducibility
     for wit, val in ((lo_wit, lo_val), (up_wit, up_val)):
         re = obs_seminorm(setup, wit / max(hs_norm(setup.basis, wit, REF_EXPONENT), 1e-300))
         if abs(re - val) > 1e-9 * max(val, 1.0):
             raise ObsInvariantError(f"witness gives {re!r}, not the reported {val!r}")
-    return report
+    return {"c_lower": lo_val, "c_upper": up_val,
+            "witness_lower": lo_wit, "witness_upper": up_wit,
+            "surrogate_lower": sur_lo, "surrogate_upper": sur_up,
+            "spread_lower": spread_lo, "spread_upper": spread_up,
+            "n_restarts": len(U0), "window_length": L,
+            "iterations_lower": int(it_lo.max()),
+            "converged_lower": not bool(cap_lo[i_lo]),
+            "iterations_upper": int(it_up.max()),
+            "converged_upper": not bool(cap_up[i_up])}
 
 
 def null_obs_constant(setup, n_restarts=24, rng=None):
@@ -786,7 +746,9 @@ def unique_continuation_rank(setup):
 
     Full rank of the seminorm Gram against the reference mass certifies that
     no truncated initial state is invisible on the mask.  Reads the setup's
-    surrogate pencil (``ObsSetup.pencil``).
+    surrogate pencil (``ObsSetup.pencil``), whose Gram is t^{2 alpha}-weighted
+    in the weighted regime: there it is not the plain L2 map that
+    ``reconstruct_y0`` inverts (that function reports its own pencil).
     """
     lam = setup.pencil()[0]
     top = max(lam[-1], 0.0)

@@ -36,8 +36,6 @@ from memflow.geometry import (
     zigzag_mask,
 )
 from memflow.inverse_control import (
-    ControlProblem,
-    ReconstructionProblem,
     discrepancy_lambda,
     duality_range_test,
     min_norm_control,
@@ -116,7 +114,7 @@ def test_criterion_02_three_way_agreement():
                 tol = max(1e-6, eta**2 * dt**2 / 20.0)
                 d = decomposition_mode(M, eta, float(t), N=4)
                 dv = abs(y[i, j - 1] - kr[j - 1])
-                dd = abs(y[i, j - 1] - d.total)
+                dd = abs(y[i, j - 1] - d["total"])
                 worst = max(worst, dv / tol, dd / tol)
                 ok &= dv <= tol and dd <= tol
         # halving study at the stiffest requested mode; the error is taken as
@@ -228,8 +226,8 @@ def test_criterion_06_two_sided_brute_force():
         vals = obs_seminorm_many(setup, A)
         rep = two_sided_constants(setup, n_restarts=32,
                                   rng=np.random.default_rng(0))
-        dlo = abs(rep.c_lower - vals.min()) / vals.min()
-        dup = abs(rep.c_upper - vals.max()) / vals.max()
+        dlo = abs(rep["c_lower"] - vals.min()) / vals.min()
+        dup = abs(rep["c_upper"] - vals.max()) / vals.max()
         ok &= dlo < 5e-3 and dup < 5e-3
         detail.append(f"{name}: rel diffs {dlo:.1e}/{dup:.1e}")
     report(6, ok, "; ".join(detail))
@@ -264,7 +262,7 @@ def test_criterion_07a_cusp_lower_constant_drop():
         table = build_flow_table(M, basis, 1.0, 1000)
         setup = ObsSetup(table, mask, alpha=None, window=(0.3, 1.0))
         vals[J] = two_sided_constants(setup, n_restarts=20,
-                                      rng=np.random.default_rng(0)).c_lower
+                                      rng=np.random.default_rng(0))["c_lower"]
     drop = vals[4] / vals[16]
     elapsed = time.perf_counter() - t0
     report("7a", drop >= 10.0 and elapsed < 120.0,
@@ -377,7 +375,7 @@ def test_criterion_09_reconstruction():
     truth /= np.linalg.norm(truth)
 
     data = synthesize_observation(setup, truth)
-    rec, _ = reconstruct_y0(ReconstructionProblem(setup, data))
+    rec, _ = reconstruct_y0(setup, data)
     rel0 = hs_norm(basis, rec - truth, -4.0) / hs_norm(basis, truth, -4.0)
 
     noisy = synthesize_observation(setup, truth, noise=0.01,
@@ -385,7 +383,7 @@ def test_criterion_09_reconstruction():
     _, sq = observation_operator(setup)
     noise_norm = float(np.linalg.norm(((noisy - data) * sq).ravel()))
     lam = discrepancy_lambda(setup, noisy, noise_norm)
-    rec2, _ = reconstruct_y0(ReconstructionProblem(setup, noisy, lam=lam))
+    rec2, _ = reconstruct_y0(setup, noisy, lam=lam)
     rel1 = hs_norm(basis, rec2 - truth, -4.0) / hs_norm(basis, truth, -4.0)
     elapsed = time.perf_counter() - t0
     ok = rel0 <= 1e-6 and rel1 <= 0.10 and elapsed < 30.0
@@ -407,19 +405,18 @@ def test_criterion_10_control():
     detail = []
     for mask, name in ((cylinder_mask(1.0, 100, 64), "full"),
                        (zigzag_mask(0.1, 1.0, 100, 64), "zigzag")):
-        res = min_norm_control(ControlProblem(M, basis, mask, 1.0, y0, y1,
-                                              n_steps=1000))
-        ok &= res.final_error <= 1e-6
-        ok &= bool(np.all(res.u[~mask.cells] == 0.0))
+        u, rep = min_norm_control(M, basis, mask, 1.0, y0, y1, n_steps=1000)
+        ok &= rep["final_error"] <= 1e-6
+        ok &= bool(np.all(u[~mask.cells] == 0.0))
         G, dof = reachability_matrix(M, basis, mask, 1.0, 1000)
-        u_dof = res.u[dof[:, 0], dof[:, 1]]
+        u_dof = u[dof[:, 0], dof[:, 1]]
         _, _, Vt = np.linalg.svd(G, full_matrices=True)
         null = Vt[12:]
         prng = np.random.default_rng(17)
         for _ in range(10):
             z = prng.standard_normal(null.shape[0]) @ null
             ok &= np.linalg.norm(u_dof + z) >= np.linalg.norm(u_dof) - 1e-8
-        detail.append(f"{name}: final err {res.final_error:.1e}")
+        detail.append(f"{name}: final err {rep['final_error']:.1e}")
     report(10, ok, "; ".join(detail) + "; support bit-exact; "
                    "null-space perturbations never shrink the norm")
 
@@ -447,7 +444,7 @@ def test_criterion_11_duality():
     C2b, _, _ = duality_range_test(R, L.T, xs)
     rep = two_sided_constants(setup, n_restarts=12,
                               rng=np.random.default_rng(0))
-    prod = C2b * rep.c_lower
+    prod = C2b * rep["c_lower"]
     ok &= 0.5 <= prod <= 2.0
     report(11, ok, f"2x2 closed form C2 = C1 = 2 exactly; observability "
                    f"instance C2 * c_lower = {prod:.3f} in [0.5, 2]")

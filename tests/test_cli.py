@@ -545,6 +545,23 @@ def test_one_gram_build_per_job(workload, index, tmp_path, monkeypatch):
         assert not builds
 
 
+def test_obsconst_json_carries_the_null_witness(tmp_path):
+    """witness_null reproduces c_null: ||phi(T') o w|| / obs(w) = c_null."""
+    p = tmp_path / "c.json"
+    write_cfg(p, kernel="exp(-1*t)", obsconst={"J_list": [4, 6]})
+    assert run(["obsconst", "--config", p, "--out", tmp_path / "o"]) == 0
+    cfg = cli.load_config(p)
+    art = tmp_path / "o" / "obsconst" / cli.config_hash(cfg)
+    M = memflow.parse_kernel(cfg["kernel"])
+    for J, rep in json.loads((art / "obsconst.json").read_text())["by_J"].items():
+        assert not rep["null_unbounded"]
+        assert rep["witness_null"] is not None and len(rep["witness_null"]) == int(J)
+        setup = cli._setup_from_cfg(cfg, M, J=int(J))
+        w = np.array(rep["witness_null"])
+        got = np.linalg.norm(setup.phi_win[:, -1] * w) / observability.obs_seminorm(setup, w)
+        assert abs(got - rep["c_null"]) <= 1e-9 * rep["c_null"]
+
+
 # the weighted_linf probe that misses the CLI's 1e-6 gate
 # (perfbench/checks.py: CONTROL_MISS_CONFIG)
 CONTROL_MISS = {"seed": 1350752518, "basis": {"J": 32, "n_x": 128},

@@ -171,15 +171,15 @@ def test_decomposition_refuses_t_zero():
 def test_decomposition_wave_part_order_two():
     M = parse_kernel("1")
     d = decomposition_mode(M, ETA1, 0.5, N=2)
-    assert d.wave == pytest.approx(-M.eval(0.5) / ETA1**2, rel=1e-12)
+    assert d["wave"] == pytest.approx(-M.eval(0.5) / ETA1**2, rel=1e-12)
 
 
 def test_decomposition_small_time_limit(kernels4):
     for M in kernels4.values():
         d = decomposition_mode(M, ETA1, 1e-5, N=4)
-        assert d.total == pytest.approx(1.0, abs=1e-4)
+        assert d["total"] == pytest.approx(1.0, abs=1e-4)
         d2 = decomposition_mode(M, ETA1, 1e-7, N=4)
-        assert d2.total == pytest.approx(1.0, abs=1e-6)
+        assert d2["total"] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_decomposition_vs_volterra_sin():
@@ -189,7 +189,7 @@ def test_decomposition_vs_volterra_sin():
     y = volterra_mode(M, eta, tgrid(n=n))
     d = decomposition_mode(M, eta, 0.75, N=4)
     i = int(round(0.75 * n))
-    assert abs(y[i] - d.total) <= max(1e-6, eta**2 * (1.0 / n) ** 2 / 20.0)
+    assert abs(y[i] - d["total"]) <= max(1e-6, eta**2 * (1.0 / n) ** 2 / 20.0)
 
 
 def test_residual_identity(kernels4):
@@ -197,8 +197,8 @@ def test_residual_identity(kernels4):
     for M in kernels4.values():
         d = decomposition_mode(M, ETA1, 0.5, N=2)
         flow = kernel_rep_mode(M, ETA1, 0.5)
-        resid = (flow - d.heat - d.wave) * ETA1**3
-        assert resid == pytest.approx(d.remainder_value, rel=1e-6, abs=1e-8)
+        resid = (flow - d["heat"] - d["wave"]) * ETA1**3
+        assert resid == pytest.approx(d["remainder_value"], rel=1e-6, abs=1e-8)
 
 
 def test_remainder_t_zero(kernels4):
@@ -224,7 +224,7 @@ def test_remainder_bound_past_float_range_is_infinite():
 
 
 def test_remainder_mode_convergence_check():
-    val = decomposition_mode(parse_kernel("1"), ETA1, 0.5, N=2).remainder_value
+    val = decomposition_mode(parse_kernel("1"), ETA1, 0.5, N=2)["remainder_value"]
     assert np.isfinite(val)
 
 
@@ -244,7 +244,7 @@ def test_remainder_mode_matches_quad_on_oscillation():
     t, eta = 1.0, 10.0
     ref, _ = quad(lambda s: eta * math.exp(-eta * s) * K.eval(t, s), 0, t,
                   epsabs=1e-12, epsrel=1e-12, limit=500)
-    assert abs(decomposition_mode(M, eta, t, N=2).remainder_value - ref) <= 1e-10
+    assert abs(decomposition_mode(M, eta, t, N=2)["remainder_value"] - ref) <= 1e-10
 
 
 def test_remainder_profile_matches_quad():

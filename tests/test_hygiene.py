@@ -1,7 +1,7 @@
-"""Static hygiene of the library modules: no unused module-level import,
-every name in ``__all__`` defined in the module, the package re-exporting
-exactly the modules' ``__all__``, and the README's config table naming
-exactly the keys of ``cli.CONFIG``."""
+"""Static hygiene of the library modules: no unused module-level import
+(in the tests and demos too), every name in ``__all__`` defined in the
+module, the package re-exporting exactly the modules' ``__all__``, and the
+README's config table naming exactly the keys of ``cli.CONFIG``."""
 
 import ast
 import re
@@ -14,6 +14,7 @@ from memflow import cli
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "memflow"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted(f"{d}/{p.name}" for d in ("tests", "demos") for p in (ROOT / d).glob("*.py"))
 
 
 def _imported(tree):
@@ -25,6 +26,13 @@ def _imported(tree):
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             names.update(a.asname or a.name for a in node.names)
     return names
+
+
+def _unused_imports(tree):
+    """Module-level imports that no name in the module reads nor ``__all__``
+    exports."""
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(_imported(tree) - used - set(_exported(tree)))
 
 
 def _exported(tree):
@@ -49,10 +57,13 @@ def _defined(tree):
 @pytest.mark.parametrize("name", MODULES)
 def test_module_imports_used_and_exports_defined(name):
     tree = ast.parse((SRC / name).read_text(), filename=name)
-    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    exported = set(_exported(tree))
-    assert sorted(_imported(tree) - used - exported) == []
-    assert sorted(exported - _defined(tree)) == []
+    assert _unused_imports(tree) == []
+    assert sorted(set(_exported(tree)) - _defined(tree)) == []
+
+
+@pytest.mark.parametrize("name", SCRIPTS)
+def test_script_imports_used(name):
+    assert _unused_imports(ast.parse((ROOT / name).read_text(), filename=name)) == []
 
 
 def test_package_reexports_exactly_the_module_exports():

@@ -6,10 +6,8 @@ import pytest
 from memflow.flow import _fine_steps, build_flow_table, volterra_modes
 from memflow.geometry import Mask, cylinder_mask, random_rects_mask, zigzag_mask
 from memflow.inverse_control import (
-    ControlProblem,
     _cholesky_solve,
     _influence_rows,
-    ReconstructionProblem,
     SingularSystemError,
     discrepancy_lambda,
     duality_range_test,
@@ -44,7 +42,7 @@ def test_noiseless_round_trip(setup12, rng):
     truth = rng.standard_normal(12)
     truth /= np.linalg.norm(truth)
     data = synthesize_observation(setup12, truth)
-    rec, diag = reconstruct_y0(ReconstructionProblem(setup12, data))
+    rec, diag = reconstruct_y0(setup12, data)
     assert isinstance(rec, np.ndarray) and rec.shape == (12,)
     rel = hs_norm(setup12.basis, rec - truth, -4.0) / hs_norm(setup12.basis, truth, -4.0)
     assert rel <= 1e-6
@@ -53,7 +51,7 @@ def test_noiseless_round_trip(setup12, rng):
 
 def test_zero_data_with_regularization(setup12):
     data = np.zeros((len(setup12.times), len(setup12.basis.x)))
-    rec, _ = reconstruct_y0(ReconstructionProblem(setup12, data, lam=1e-3))
+    rec, _ = reconstruct_y0(setup12, data, lam=1e-3)
     assert np.allclose(rec, 0.0)
 
 
@@ -66,7 +64,7 @@ def test_noisy_round_trip_discrepancy(setup12, rng):
     _, sq = observation_operator(setup12)
     noise_norm = float(np.linalg.norm(((noisy - clean) * sq).ravel()))
     lam = discrepancy_lambda(setup12, noisy, noise_norm)
-    rec, diag = reconstruct_y0(ReconstructionProblem(setup12, noisy, lam=lam))
+    rec, diag = reconstruct_y0(setup12, noisy, lam=lam)
     rel = hs_norm(setup12.basis, rec - truth, -4.0) / hs_norm(setup12.basis, truth, -4.0)
     assert rel <= 0.10
 
@@ -78,19 +76,41 @@ def test_singular_system_names_direction():
     setup = ObsSetup(table, empty, alpha=None)
     data = np.zeros((len(setup.times), 32))
     with pytest.raises(SingularSystemError) as err:
-        reconstruct_y0(ReconstructionProblem(setup, data, lam=0.0))
+        reconstruct_y0(setup, data, lam=0.0)
     assert err.value.null_direction is not None
 
 
 def test_indefinite_normal_equations_raise(setup12):
     data = np.zeros((len(setup12.times), len(setup12.basis.x)))
     with pytest.raises(np.linalg.LinAlgError):
-        reconstruct_y0(ReconstructionProblem(setup12, data, lam=-1e30))
+        reconstruct_y0(setup12, data, lam=-1e30)
 
 
 def test_data_shape_validation(setup12):
     with pytest.raises(ValueError):
-        ReconstructionProblem(setup12, np.zeros((3, 3)))
+        reconstruct_y0(setup12, np.zeros((3, 3)))
+
+
+def test_reconstruction_leaves_the_data_writable(setup12):
+    data = synthesize_observation(setup12, np.ones(12))
+    reconstruct_y0(setup12, data)
+    assert data.flags.writeable
+
+
+def test_reconstruction_reports_the_pencil_it_inverts():
+    """sigma_min and rank describe the pencil (O^T O, reference mass) of the
+    map being inverted, also where the setup's surrogate pencil is
+    t^{2 alpha}-weighted (alpha set, window from 0)."""
+    import scipy.linalg as sla
+
+    basis = interval_basis(8, 64)
+    table = build_flow_table(KERNEL, basis, 1.0, 800)
+    setup = ObsSetup(table, cylinder_mask(1.0, 80, 64, 0.2, 0.7), alpha=2.0)
+    _, rep = reconstruct_y0(setup, synthesize_observation(setup, np.ones(8)))
+    O, _ = observation_operator(setup)
+    lam = sla.eigh(O.T @ O, np.diag(setup.mass_matrix()), eigvals_only=True)
+    assert rep["sigma_min"] == pytest.approx(math.sqrt(lam[0]), rel=1e-8)
+    assert rep["rank"] == np.sum(lam > 1e-12 * lam[-1]) == 8
 
 
 # ---------------------------------------------------------------------------
@@ -100,12 +120,10 @@ def test_data_shape_validation(setup12):
 def test_zero_to_zero_control():
     basis = interval_basis(6, 32)
     mask = cylinder_mask(1.0, 50, 32)
-    prob = ControlProblem(KERNEL, basis, mask, 1.0,
-                          np.zeros(6), np.zeros(6),
-                          n_steps=500)
-    res = min_norm_control(prob)
-    assert np.allclose(res.u, 0.0)
-    assert res.final_error < 1e-12
+    u, rep = min_norm_control(KERNEL, basis, mask, 1.0, np.zeros(6), np.zeros(6),
+                              n_steps=500)
+    assert np.allclose(u, 0.0)
+    assert rep["final_error"] < 1e-12
 
 
 @pytest.mark.parametrize("mask_kind, n_y0", [
@@ -119,13 +137,12 @@ def test_control_round_trip(mask_kind, n_y0, rng):
             else zigzag_mask(0.1, 1.0, 100, 64))
     y0 = rng.standard_normal(n_y0)
     y1 = basis.eigenvalues**-3.0
-    res = min_norm_control(ControlProblem(KERNEL, basis, mask, 1.0, y0, y1,
-                                          n_steps=1000))
-    assert res.final_error <= 1e-6
-    traj, _ = forced_solution(KERNEL, basis, np.pad(y0, (0, 12 - n_y0)), res.u, mask, 1.0, 1000)
+    u, rep = min_norm_control(KERNEL, basis, mask, 1.0, y0, y1, n_steps=1000)
+    assert rep["final_error"] <= 1e-6
+    traj, _ = forced_solution(KERNEL, basis, np.pad(y0, (0, 12 - n_y0)), u, mask, 1.0, 1000)
     assert np.abs(traj[-1] - y1).max() <= 1e-6
     # support honoured bit-exactly
-    assert np.all(res.u[~mask.cells] == 0.0)
+    assert np.all(u[~mask.cells] == 0.0)
 
 
 def test_control_first_order_optimality(rng):
@@ -133,10 +150,9 @@ def test_control_first_order_optimality(rng):
     mask = zigzag_mask(0.15, 1.0, 80, 48)
     y0 = rng.standard_normal(8)
     y1 = basis.eigenvalues**-3.0
-    res = min_norm_control(ControlProblem(KERNEL, basis, mask, 1.0, y0, y1,
-                                          n_steps=800))
+    u, _ = min_norm_control(KERNEL, basis, mask, 1.0, y0, y1, n_steps=800)
     G, dof = reachability_matrix(KERNEL, basis, mask, 1.0, 800)
-    u_dof = res.u[dof[:, 0], dof[:, 1]]
+    u_dof = u[dof[:, 0], dof[:, 1]]
     _, _, Vt = np.linalg.svd(G, full_matrices=True)
     null = Vt[8:]
     rng2 = np.random.default_rng(9)
@@ -153,27 +169,26 @@ def test_weighted_regime(rng):
     mask = cylinder_mask(1.0, 80, 48)
     y0 = rng.standard_normal(8)
     y1 = basis.eigenvalues**-3.0
-    prob = ControlProblem(KERNEL, basis, mask, 1.0, y0, y1,
-                          regime="weighted_linf", alpha=2.0, n_steps=800)
-    res = min_norm_control(prob)
-    assert res.final_error <= 1e-6
+    u, rep = min_norm_control(KERNEL, basis, mask, 1.0, y0, y1,
+                              regime="weighted_linf", alpha=2.0, n_steps=800)
+    assert rep["final_error"] <= 1e-6
     tm = (np.arange(mask.n_t) + 0.5) * mask.dt
-    prof = np.sqrt((res.u**2).sum(axis=1) * mask.dx) * (1.0 - tm) ** -2.0
+    prof = np.sqrt((u**2).sum(axis=1) * mask.dx) * (1.0 - tm) ** -2.0
     ess_sup = prof.max()
     assert np.isfinite(ess_sup)
-    assert ess_sup <= 10.0 * res.diagnostics["objective"]
-    assert res.diagnostics["objective"] <= 10.0 * ess_sup
+    assert ess_sup <= 10.0 * rep["objective"]
+    assert rep["objective"] <= 10.0 * ess_sup
 
 
 def test_weighted_regime_reports_convergence():
     basis = interval_basis(8, 48)
     y0 = np.random.default_rng(20240811).standard_normal(8)
-    res = min_norm_control(ControlProblem(
+    _, rep = min_norm_control(
         KERNEL, basis, cylinder_mask(1.0, 80, 48), 1.0, y0,
         basis.eigenvalues**-3.0,
-        regime="weighted_linf", alpha=2.0, n_steps=800))
-    assert res.diagnostics["irls_converged"] is True
-    assert res.diagnostics["irls_iterations"] < 40
+        regime="weighted_linf", alpha=2.0, n_steps=800)
+    assert rep["irls_converged"] is True
+    assert rep["irls_iterations"] < 40
 
 
 def test_control_job_sweeps_the_unforced_grid_once(rng, monkeypatch):
@@ -193,10 +208,10 @@ def test_control_job_sweeps_the_unforced_grid_once(rng, monkeypatch):
     monkeypatch.setattr(ic, "volterra_modes", counted)
     basis = interval_basis(16, 64)  # substeps: eta_16 dt = 2.5 at n_steps = 1000
     mask = zigzag_mask(0.15, 1.0, 80, 64)
-    res = min_norm_control(ControlProblem(
+    _, rep = min_norm_control(
         KERNEL, basis, mask, 1.0, rng.standard_normal(16),
-        basis.eigenvalues**-3.0, n_steps=1000))
-    nf = res.diagnostics["n_steps_fine"]
+        basis.eigenvalues**-3.0, n_steps=1000)
+    nf = rep["n_steps_fine"]
     assert nf == 2000
     assert sorted(runs) == [(nf, False), (nf, True)]
 
@@ -228,30 +243,28 @@ def test_per_row_reachability_grams_match_the_dense_gram(mask_kind):
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
-def _dense_control(problem):
+def _dense_control(kernel, basis, mask, T_hat, y0, y1, regime, alpha, n_steps):
     """Reference moment solve on the dof columns: (u_dof, irls_iterations,
     converged), with the normal matrices formed as G diag(1/w) G^T."""
-    basis, mask = problem.basis, problem.mask
-    nf = _fine_steps(basis.eigenvalues, problem.T_hat, problem.n_steps)
-    G, dof = reachability_matrix(problem.kernel, basis, mask, problem.T_hat,
-                                 problem.n_steps)
-    phi = volterra_modes(problem.kernel, basis.eigenvalues, problem.T_hat, nf)
-    target = problem.y1 - phi[-1] * problem.y0
+    nf = _fine_steps(basis.eigenvalues, T_hat, n_steps)
+    G, dof = reachability_matrix(kernel, basis, mask, T_hat, n_steps)
+    phi = volterra_modes(kernel, basis.eigenvalues, T_hat, nf)
+    target = y1 - phi[-1] * y0
     gram = G @ G.T
     jitter = 1e-14 * np.trace(gram) * np.eye(len(gram))
-    if problem.regime == "l2":
+    if regime == "l2":
         return G.T @ _cholesky_solve(gram + jitter, target), 0, True
     cells = dof[:, 0]
     t_mid = (cells + 0.5) * mask.dt
-    wfac = (problem.T_hat - t_mid) ** (-2.0 * problem.alpha)
+    wfac = (T_hat - t_mid) ** (-2.0 * alpha)
     omega = np.ones(mask.n_t)
     for n_irls in range(1, 41):
         Gw = G / (wfac * omega[cells])[None, :]
         u_dof = Gw.T @ _cholesky_solve(G @ Gw.T + jitter, target)
         gamma = np.zeros(mask.n_t)
         np.add.at(gamma, cells, u_dof**2 * mask.dx)
-        gamma = np.sqrt(gamma) * (problem.T_hat - (np.arange(mask.n_t) + 0.5)
-                                  * mask.dt) ** (-problem.alpha)
+        gamma = np.sqrt(gamma) * (T_hat - (np.arange(mask.n_t) + 0.5)
+                                  * mask.dt) ** (-alpha)
         new = np.where(gamma > 0, omega * gamma, 0.0)
         new /= new.sum()
         done = np.abs(new - omega / omega.sum()).max() < 1e-12
@@ -267,16 +280,14 @@ def test_control_matches_the_dense_moment_solve(regime, mask_kind):
     basis = interval_basis(8, 48)
     mask = CONTROL_MASKS[mask_kind]()
     y0 = np.random.default_rng(12).standard_normal(8)
-    prob = ControlProblem(KERNEL, basis, mask, 1.0, y0,
-                          basis.eigenvalues**-3.0,
-                          regime=regime, alpha=2.0, n_steps=800)
-    res = min_norm_control(prob)
-    want, n_irls, converged = _dense_control(prob)
+    args = (KERNEL, basis, mask, 1.0, y0, basis.eigenvalues**-3.0, regime, 2.0, 800)
+    u, rep = min_norm_control(*args)
+    want, n_irls, converged = _dense_control(*args)
     it, ix = np.nonzero(mask.cells)
-    u = res.u[it, ix]
+    u = u[it, ix]
     assert np.abs(u - want).max() <= 1e-9 * np.abs(want).max()
-    assert res.diagnostics["irls_iterations"] == n_irls
-    assert res.diagnostics["irls_converged"] is converged
+    assert rep["irls_iterations"] == n_irls
+    assert rep["irls_converged"] is converged
 
 
 def test_control_builds_its_raster_once(monkeypatch):
@@ -287,24 +298,20 @@ def test_control_builds_its_raster_once(monkeypatch):
     monkeypatch.setattr(Mask, "rows_at", lambda self, t: calls.append(1) or rows_at(self, t))
     basis = interval_basis(8, 48)
     mask = CONTROL_MASKS["zigzag"]()
-    min_norm_control(ControlProblem(KERNEL, basis, mask, 1.0, np.ones(8),
-                                    basis.eigenvalues**-3.0, n_steps=800))
+    min_norm_control(KERNEL, basis, mask, 1.0, np.ones(8), basis.eigenvalues**-3.0,
+                     n_steps=800)
     assert len(calls) == 1
 
 
 def test_weighted_regime_rejects_small_alpha(rng):
     basis = interval_basis(4, 16)
     mask = cylinder_mask(1.0, 40, 16)
-    prob = ControlProblem(KERNEL, basis, mask, 1.0,
-                          np.zeros(4), np.zeros(4),
-                          regime="weighted_linf", alpha=1.0)
     with pytest.raises(ValueError):
-        min_norm_control(prob)
+        min_norm_control(KERNEL, basis, mask, 1.0, np.zeros(4), np.zeros(4),
+                         regime="weighted_linf", alpha=1.0)
     with pytest.raises(ValueError):
-        min_norm_control(ControlProblem(KERNEL, basis, mask, 1.0,
-                                        np.zeros(4),
-                                        np.zeros(4),
-                                        regime="bogus"))
+        min_norm_control(KERNEL, basis, mask, 1.0, np.zeros(4), np.zeros(4),
+                         regime="bogus")
 
 
 def test_reachable_set_shift_identity(rng):
@@ -314,12 +321,10 @@ def test_reachable_set_shift_identity(rng):
     mask = cylinder_mask(1.0, 80, 48)
     y0 = rng.standard_normal(8)
     y1 = basis.eigenvalues**-3.0
-    res0 = min_norm_control(ControlProblem(ExpPolyFn.zero(), basis, mask, 1.0,
-                                           y0, y1, n_steps=800))
-    assert res0.final_error <= 1e-9
-    traj_m, _ = forced_solution(KERNEL, basis, y0, res0.u, mask, 1.0, 800)
-    traj_0, _ = forced_solution(ExpPolyFn.zero(), basis, y0, res0.u,
-                                mask, 1.0, 800)
+    u0, rep0 = min_norm_control(ExpPolyFn.zero(), basis, mask, 1.0, y0, y1, n_steps=800)
+    assert rep0["final_error"] <= 1e-9
+    traj_m, _ = forced_solution(KERNEL, basis, y0, u0, mask, 1.0, 800)
+    traj_0, _ = forced_solution(ExpPolyFn.zero(), basis, y0, u0, mask, 1.0, 800)
     gap = traj_m[-1] - traj_0[-1]
     assert np.abs(traj_m[-1] - (y1 + gap)).max() <= 1e-9
 
@@ -410,4 +415,4 @@ def test_duality_observability_instance(rng):
     C2, _, C1 = duality_range_test(R, L.T, xs)
     assert C2 == pytest.approx(C1, rel=1e-6)
     rep = two_sided_constants(setup, n_restarts=12, rng=rng)
-    assert 0.5 <= C2 * rep.c_lower <= 2.0
+    assert 0.5 <= C2 * rep["c_lower"] <= 2.0

@@ -172,17 +172,17 @@ def test_single_mode_constants(full_mask):
     rep = two_sided_constants(setup, n_restarts=4)
     unit = e1(1) / ETA1**-2.0
     want = obs_seminorm(setup, unit)
-    assert rep.c_lower == pytest.approx(want, rel=1e-9)
-    assert rep.c_upper == pytest.approx(want, rel=1e-9)
+    assert rep["c_lower"] == pytest.approx(want, rel=1e-9)
+    assert rep["c_upper"] == pytest.approx(want, rel=1e-9)
 
 
 def test_constants_ordering_and_witnesses(mem_table, rng):
     mask = zigzag_mask(0.2, 1.0, 80, 40)
     setup = ObsSetup(mem_table, mask, alpha=2.0)
     rep = two_sided_constants(setup, n_restarts=16, rng=rng)
-    assert 0 < rep.c_lower <= rep.c_upper
-    for wit, val in ((rep.witness_lower, rep.c_lower),
-                     (rep.witness_upper, rep.c_upper)):
+    assert 0 < rep["c_lower"] <= rep["c_upper"]
+    for wit, val in ((rep["witness_lower"], rep["c_lower"]),
+                     (rep["witness_upper"], rep["c_upper"])):
         unit = wit / hs_norm(setup.basis, wit, -4.0)
         assert obs_seminorm(setup, unit) == pytest.approx(val, abs=1e-9 * max(1, val))
 
@@ -204,9 +204,9 @@ def test_brute_force_sphere_two_modes(rng):
     A = U / setup.mass_matrix()[None, :] ** 0.5
     vals = obs_seminorm_many(setup, A)
     rep = two_sided_constants(setup, n_restarts=16, rng=rng)
-    assert rep.c_lower == pytest.approx(vals.min(), rel=5e-3)
-    assert rep.c_upper == pytest.approx(vals.max(), rel=5e-3)
-    assert rep.spread_lower < 0.05
+    assert rep["c_lower"] == pytest.approx(vals.min(), rel=5e-3)
+    assert rep["c_upper"] == pytest.approx(vals.max(), rel=5e-3)
+    assert rep["spread_lower"] < 0.05
 
 
 def test_null_constant_single_mode(full_mask):
@@ -254,7 +254,7 @@ def test_monotone_mask_lower_constant(mem_table, rng):
     lo = []
     for m in (small, big):
         setup = ObsSetup(mem_table, m, alpha=2.0)
-        lo.append(two_sided_constants(setup, n_restarts=12, rng=rng).c_lower)
+        lo.append(two_sided_constants(setup, n_restarts=12, rng=rng)["c_lower"])
         _, sig = unique_continuation_rank(setup)
     assert lo[1] >= lo[0] - 1e-12
     sig_small = unique_continuation_rank(ObsSetup(mem_table, small, alpha=2.0))[1]
@@ -295,7 +295,7 @@ def test_relaxed_fit_dominates_lower_constant(mem_table, full_mask, rng):
     setup = ObsSetup(mem_table, full_mask, alpha=2.0)
     C, _ = relaxed_inequality_fit(setup, rng=rng)
     rep = two_sided_constants(setup, n_restarts=8, rng=rng)
-    assert C >= rep.c_lower - 1e-12
+    assert C >= rep["c_lower"] - 1e-12
 
 
 def test_relaxed_fit_valid_on_fresh_samples(mem_table, rng):
@@ -347,7 +347,7 @@ def test_surrogate_pencil_solved_once_per_setup(mem_table, full_mask, monkeypatc
     assert all(np.array_equal(a, b) for a, b in zip(solves[0], gram_matrix(setup)))
     lam, V = setup.pencil()
     assert setup.pencil()[1] is V and not V.flags.writeable
-    assert rep.surrogate_lower == math.sqrt(lam[0]) and sig == rep.surrogate_lower
+    assert rep["surrogate_lower"] == math.sqrt(lam[0]) and sig == rep["surrogate_lower"]
 
 
 def test_pencil_eigh_matches_scipy(mem_table, rng):
@@ -680,7 +680,7 @@ def _job_constants(cfg, setup):
     """c_lower, c_upper and c_null with the rng use of ``memflow obsconst``."""
     rng = np.random.default_rng([cfg["seed"], setup.basis.J])
     rep = two_sided_constants(setup, rng=rng)
-    return np.array([rep.c_lower, rep.c_upper, null_obs_constant(setup, rng=rng)[0]])
+    return np.array([rep["c_lower"], rep["c_upper"], null_obs_constant(setup, rng=rng)[0]])
 
 
 @pytest.mark.parametrize("index", [0, 1, 2])
@@ -710,11 +710,11 @@ def test_constants_pinned(tmp_path_factory, index):
     rng = np.random.default_rng([cfg["seed"], setup.basis.J])
     rep = two_sided_constants(setup, rng=rng)
     c_null, _, nd = null_obs_constant(setup, rng=rng)
-    got = np.array([rep.c_lower, rep.c_upper, c_null])
+    got = np.array([rep["c_lower"], rep["c_upper"], c_null])
     np.testing.assert_allclose(got, PINNED_CONSTANTS[index], rtol=1e-12, atol=0.0)
     if index == 2:
         # the MM step alone takes 25 and 24 steps here
-        assert rep.diagnostics["iterations_lower"] <= 20
+        assert rep["iterations_lower"] <= 20
         assert nd["iterations"] <= 20
 
 
@@ -839,8 +839,8 @@ def test_ascent_leaves_the_cusp_ridge():
     setup = ObsSetup(table, cusp_mask(0.5, 0.3, 1.0, 200, 101), alpha=None,
                      window=(0.3, 1.0))
     rep = two_sided_constants(setup, n_restarts=20, rng=np.random.default_rng(0))
-    assert rep.diagnostics["iterations_upper"] <= 50
-    assert rep.diagnostics["converged_upper"]
-    np.testing.assert_allclose([rep.c_lower, rep.c_upper],
+    assert rep["iterations_upper"] <= 50
+    assert rep["converged_upper"]
+    np.testing.assert_allclose([rep["c_lower"], rep["c_upper"]],
                                [0.27636226088308397, 0.3740167331827168],
                                rtol=1e-12, atol=0.0)

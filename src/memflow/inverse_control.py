@@ -110,7 +110,10 @@ def reconstruct_y0(setup, data, lam=0.0):
 
     Returns (coefficients, report): the length-J coefficient array and a
     dict of lambda, the data residual, and sigma_min and rank of the map
-    being inverted, read off the pencil (O^T O, reference mass).
+    being inverted.  Both come from the pencil (O^T O, reference mass): rank
+    counts its eigenvalues, and sigma_min = ||O v|| is the norm of the map on
+    the bottom eigenvector v (||v||_ref = 1), which keeps the digits that the
+    square root of the smallest eigenvalue loses.
     """
     data = np.asarray(data, dtype=float)
     expected = (len(setup.times), len(setup.basis.x))
@@ -129,7 +132,7 @@ def reconstruct_y0(setup, data, lam=0.0):
     return a, {
         "lambda": lam,
         "residual": setup.l2_norm(setup.fields(a) - data),
-        "sigma_min": math.sqrt(max(lam_ev[0], 0.0)),
+        "sigma_min": setup.l2_norm(setup.fields(V[:, 0])),
         "rank": int(np.sum(lam_ev > 1e-12 * max(top, 1e-300))),
     }
 

@@ -8,16 +8,16 @@ with w(t) = t^alpha on windows starting at 0 and w = 1 otherwise.  Every
 functional here is built on one discrete operator, the masked observation map
 of ``ObsSetup``: ``fields`` takes mode coefficients to the window x grid
 field, ``adjoint`` is its transpose and ``masked`` applies the masked spatial
-quadrature.  One masked spatial Gram S_r = E diag(w_r) E^T is formed per run
-r of window rows with equal mask weights (``_spatial_grams``; a cylinder has
-one past its start), and the row Grams are K_i = (phi_i phi_i^T) o S_r(i), so
-that obs(y0) = sum_i cw_i sqrt(a^T K_i a).  A time-weighted Gram (``gram``)
-is contracted run by run, sum_r S_r o (P_r^T diag(coef_r) P_r), in
-O(n_times J^2) without the (n_times, J, J) stack; only the constant
-optimizers build the stack (``row_grams``).  The control Grams of
-``inverse_control`` come from the same two helpers.  The seminorm itself is
-evaluated on the fields: the quadratic form loses relative accuracy on tiny
-observations.
+quadrature.  Each run r of window rows with equal mask weights (a cylinder has
+one past its start) has one masked spatial Gram S_r = E diag(w_r) E^T
+(``_spatial_grams``) and one triangular factor R_r with R_r^T R_r = S_r
+(``_spatial_factors``).  The row factors L_i = R_r(i) diag(phi_i) give the
+masked spatial norm of time row i as r_i(a) = ||L_i a||, so that
+obs(y0) = sum_i cw_i ||L_i a||; ``time_profiles`` evaluates it, for the
+reported seminorm and the constant optimizers alike.  A time-weighted Gram
+(``gram``) is contracted run by run, sum_r S_r o (P_r^T diag(coef_r) P_r), in
+O(n_times J^2) without a per-row stack.  The control Grams of
+``inverse_control`` come from the same Gram helpers.
 
 Constants over the unit reference-norm sphere start from an exact eigensolve of
 an L2-in-time surrogate and refine the true L1-in-time objective with one
@@ -33,10 +33,11 @@ restart takes about 4-17 steps in the lower and null loops, where the MM step
 alone took 14-142, and 4-46 in the upper one (median 8-9 in all three).
 A step advances all restarts with one stacked (J-1) x (J-1) eigensolve, plus
 one (lower) or two (null) stacked J x J eigensolves on the restarts that need
-the MM candidate, and a few products with the row-Gram stack,
-O(n_restarts n_times J^2); it needs no step size.  The restart spread, the
-step counts and a convergence flag are reported.  Blow-up statements from the
-theory are rendered as finite trend probes, never as limits.
+the MM candidate, and a few products with the row-factor and row-Gram
+stacks, O(n_restarts n_times J^2); it needs no step size.  The restart
+spread, the step counts and a convergence flag are reported.  Blow-up
+statements from the theory are rendered as finite trend probes, never as
+limits.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ __all__ = [
 ]
 
 
-# coefficient rows per batch of ``time_profiles``; bounds its field scratch
+# coefficient rows per batch of ``time_profiles``; bounds its product scratch
 _PROFILE_CHUNK = 16
 # H^s exponent of the reference norm: weights eta_j^REF_EXPONENT
 REF_EXPONENT = -4.0
@@ -83,9 +84,9 @@ class ObsSetup:
     ``quad_weights`` is the trapezoid rule in time, ``masked_weights`` the
     grid rule restricted to the mask.  Only the operator methods combine
     propagators, eigenfunctions and mask.  The masked spatial Grams (one per
-    run of rows with equal weights), the eigenpairs of the surrogate pencil
-    and, for the constant optimizers only, the row-Gram stack are built once
-    per setup, on first use; ``gram`` contracts by runs and needs no stack.
+    run of rows with equal weights), the surrogate Gram pair and its pencil's
+    eigenpairs, and the row-factor stack of the seminorm are built once per
+    setup, on first use; ``gram`` contracts by runs and needs no stack.
     """
 
     ref_exponent = REF_EXPONENT  # read off a setup by perfbench/checks.py
@@ -124,7 +125,8 @@ class ObsSetup:
                                        basis.weights[None, :], 0.0)
         self.phi_win = table.phi[:, i0:i1 + 1]
         self._spatial = None
-        self._row_grams = None
+        self._row_factors = None
+        self._surrogate = None
         self._pencil = None
 
     @property
@@ -154,10 +156,9 @@ class ObsSetup:
         A = np.asarray(A, dtype=float)
         return (A[..., None, :] * self.phi_win.T) @ self.basis.funcs
 
-    def adjoint(self, W, rows=slice(None)):
-        """Transpose of ``fields`` on the window rows ``rows``:
-        sum(fields(a)[rows] * W) = a @ adjoint(W, rows)."""
-        return np.einsum("ij,ij->j", W @ self.basis.funcs.T, self.phi_win.T[rows])
+    def adjoint(self, W):
+        """Transpose of ``fields``: sum(fields(a) * W) = a @ adjoint(W)."""
+        return np.einsum("ij,ij->j", W @ self.basis.funcs.T, self.phi_win.T)
 
     def masked(self, F):
         """F times the masked grid weights (sum over x of masked(F) * G is the
@@ -174,24 +175,25 @@ class ObsSetup:
             self._spatial = starts, S
         return self._spatial
 
-    def row_grams(self):
-        """Stack K (n_times, J, J) of row Grams K_i = (phi_i phi_i^T) o S_r(i):
-        a^T K_i a is the squared masked spatial norm of row i of fields(a).
-
-        Only the constant optimizers (``_mm_loop``) read the stack; ``gram``
-        contracts by runs without it.  Built once, read-only.
-        """
-        if self._row_grams is None:
-            K = _row_gram_stack(self.phi_win.T, *self.spatial_grams())
-            K.setflags(write=False)
-            self._row_grams = K
-        return self._row_grams
+    def row_factors(self):
+        """Stack L (n_times, J, J) of row factors L_i = R_r(i) diag(phi_i),
+        R_r the factor of ``_spatial_factors`` of the run that row i is in:
+        ||L_i a|| is the masked spatial norm of row i of fields(a), and
+        L_i^T L_i = (phi_i phi_i^T) o S_r(i) is its row Gram.  Built once,
+        read-only."""
+        if self._row_factors is None:
+            starts, R = _spatial_factors(self.basis.funcs, self.masked_weights)
+            counts = np.diff([*starts.tolist(), len(self.times)])
+            L = np.repeat(R, counts, axis=0) * self.phi_win.T[:, None, :]
+            L.setflags(write=False)
+            self._row_factors = L
+        return self._row_factors
 
     def gram(self, coef):
-        """Gram sum_i coef_i K_i of the masked map under time weights coef
-        (n_times,), contracted per run r of rows with one spatial Gram S_r:
-        sum_r S_r o (P_r^T diag(coef_r) P_r), P_r the run's rows of phi_win^T.
-        O(n_times J^2 + n_runs J^2), symmetrized."""
+        """Gram sum_i coef_i L_i^T L_i of the masked map under time weights
+        coef (n_times,), contracted per run r of rows with one spatial Gram
+        S_r: sum_r S_r o (P_r^T diag(coef_r) P_r), P_r the run's rows of
+        phi_win^T.  O(n_times J^2 + n_runs J^2), symmetrized."""
         starts, S = self.spatial_grams()
         P = self.phi_win.T
         Pc = P * coef[:, None]
@@ -207,13 +209,24 @@ class ObsSetup:
                                @ np.einsum("ik,ik->i", self.masked(F), F)))
 
     def time_profiles(self, A):
-        """Masked spatial norms r[v, i] for coefficient rows A (n_vec, J)."""
+        """Masked spatial norms r[v, i] = ||L_i a_v|| of the coefficient rows
+        a_v of A (n_vec, J), L_i the row factors: one product with the
+        stacked factors per chunk of rows."""
         A = np.atleast_2d(np.asarray(A, dtype=float))
-        out = np.empty((A.shape[0], len(self.times)))
+        L = self.row_factors()
+        L_rows = L.reshape(-1, L.shape[2])
+        out = np.empty((A.shape[0], len(L)))
         for lo in range(0, A.shape[0], _PROFILE_CHUNK):
-            F = self.fields(A[lo:lo + _PROFILE_CHUNK])
-            out[lo:lo + len(F)] = np.sqrt(np.einsum("vik,vik->vi", self.masked(F), F))
+            Y = (A[lo:lo + _PROFILE_CHUNK] @ L_rows.T).reshape(-1, *L.shape[:2])
+            out[lo:lo + len(Y)] = np.sqrt(np.einsum("vij,vij->vi", Y, Y))
         return out
+
+
+def _run_starts(W):
+    """First row of each run of equal consecutive rows of W (n, n_x)."""
+    new = np.ones(len(W), dtype=bool)
+    new[1:] = np.any(W[1:] != W[:-1], axis=1)
+    return np.flatnonzero(new)
 
 
 def _spatial_grams(F, W):
@@ -224,11 +237,22 @@ def _spatial_grams(F, W):
     Returns (starts, S): the first row of each run and the stack
     (n_runs, J, J), symmetrized so that every S is exactly symmetric.
     """
-    new = np.ones(len(W), dtype=bool)
-    new[1:] = np.any(W[1:] != W[:-1], axis=1)
-    starts = np.flatnonzero(new)
+    starts = _run_starts(W)
     S = (W[starts][:, None, :] * F) @ F.T
     return starts, 0.5 * (S + S.transpose(0, 2, 1))
+
+
+def _spatial_factors(F, W):
+    """Triangular factors of the Grams of ``_spatial_grams``, one per run of
+    equal consecutive rows of the nonnegative weights W (n, n_x): R_r (J, J)
+    with R_r^T R_r = F diag(w_r) F^T, the R of the QR of sqrt(w_r) F^T.
+
+    Returns (starts, R): the first row of each run and the stack
+    (n_runs, J, J).
+    """
+    starts = _run_starts(W)
+    Y = np.sqrt(W[starts])[:, :, None] * F.T
+    return starts, np.linalg.qr(Y, mode="r")
 
 
 def _row_gram_stack(P, starts, S):
@@ -271,10 +295,16 @@ def gram_matrix(setup):
     G[j,k] = int w2(t) phi_j phi_k <chi e_j, chi e_k>_grid dt with w2 = t^{2a}
     (or 1 in the unweighted regime); D is the diagonal reference-norm mass.
     Every raster cell contributes a positive-semidefinite rank-one update, so
-    enlarging the mask never shrinks G.
+    enlarging the mask never shrinks G.  Built once per setup and kept on it,
+    read-only.
     """
-    w2 = setup.times ** (2 * setup.alpha) if setup.weighted else np.ones_like(setup.times)
-    return setup.gram(setup.quad_weights * w2), np.diag(setup.mass_matrix())
+    if setup._surrogate is None:
+        w2 = setup.times ** (2 * setup.alpha) if setup.weighted else np.ones_like(setup.times)
+        pair = setup.gram(setup.quad_weights * w2), np.diag(setup.mass_matrix())
+        for M in pair:
+            M.setflags(write=False)
+        setup._surrogate = pair
+    return setup._surrogate
 
 
 # ---------------------------------------------------------------------------
@@ -333,9 +363,12 @@ def _mm_loop(setup, U0, n_iter, p=None, ascend=False):
     """Batched majorize-minimize on the reference sphere, every restart at once.
 
     In reference-normalized coordinates u = D^{1/2} a the seminorm is
-    f(u) = sum_i cw_i r_i(u), r_i the masked spatial norm of time row i, with
-    r_i^2 = u^T K_i u for the row Grams K_i of ``ObsSetup.row_grams`` (scaled
-    by D^{-1/2} on both sides).  At the iterate u_k they reweight to
+    f(u) = sum_i cw_i r_i(u), r_i(u) = ||L_i D^{-1/2} u|| the masked spatial
+    norm of time row i for the row factors L_i of ``ObsSetup.row_factors``.
+    Every candidate is scored by ``ObsSetup.time_profiles``, the evaluator of
+    ``obs_seminorm_many``, so the loop accepts and stops on the values it
+    reports.  The row Grams K_i = D^{-1/2} L_i^T L_i D^{-1/2}, formed once per
+    call, serve only the squared maths: at the iterate u_k they reweight to
     G_w = sum_i (cw_i / r_i) K_i, and Cauchy-Schwarz gives
     f(u)^2 <= f(u_k) u^T G_w u with equality at u_k.
 
@@ -361,10 +394,10 @@ def _mm_loop(setup, U0, n_iter, p=None, ascend=False):
     Returns (U, iterations, capped): the unit iterates, the steps taken by
     each restart and whether it was still improving at the cap.
     """
-    K = setup.row_grams()
-    n, J = K.shape[0], K.shape[1]
+    L = setup.row_factors()
+    n, J = len(L), L.shape[2]
     half = setup.mass_matrix() ** 0.5
-    K = K / np.outer(half, half)
+    K = np.einsum("ikj,ikl->ijl", L, L) / np.outer(half, half)
     K_rows = K.reshape(n * J, J)
     K_flat = K.reshape(n, J * J)
     cw = setup.quad_weights * setup.time_weight
@@ -372,9 +405,7 @@ def _mm_loop(setup, U0, n_iter, p=None, ascend=False):
     sense = -1.0 if ascend else 1.0
 
     def evaluate(U):
-        # r_i^2 = vec(u u^T) . vec(K_i): one product with the flat stack
-        r2 = (U[:, :, None] * U[:, None, :]).reshape(len(U), J * J) @ K_flat.T
-        r = np.sqrt(np.maximum(r2, 0.0))
+        r = setup.time_profiles(U / half)
         den = np.sqrt(U**2 @ p2)
         q = np.divide(sense * (r @ cw), den, out=np.full(len(U), np.inf), where=den > 0)
         return q, r

@@ -513,8 +513,8 @@ def _benchmark_workloads():
 def test_one_gram_build_per_job(workload, index, tmp_path, monkeypatch):
     """Each job builds its masked spatial Grams once.  reconstruct asks for
     Grams several times and contracts them by runs of rows, so it never
-    builds the row-Gram stack, and neither does control; obsconst's
-    optimizers read the stack several times and build it once."""
+    builds the row factors of the seminorm, and neither does control;
+    obsconst's seminorm reads the factors many times and builds them once."""
     command, _, cfg = _benchmark_workloads().make_job(workload, 701, index)
     p = tmp_path / "c.json"
     p.write_text(json.dumps(cfg))
@@ -528,21 +528,50 @@ def test_one_gram_build_per_job(workload, index, tmp_path, monkeypatch):
     monkeypatch.setattr(observability, "_spatial_grams", counted_spatial)
     monkeypatch.setattr(inverse_control, "_spatial_grams", counted_spatial)
     calls, builds = [], []
-    row_grams = ObsSetup.row_grams
+    row_factors = ObsSetup.row_factors
+    spatial_factors = observability._spatial_factors
 
     def counted(self):
         calls.append(id(self))
-        if self._row_grams is None:
-            builds.append(id(self))
-        return row_grams(self)
+        return row_factors(self)
 
-    monkeypatch.setattr(ObsSetup, "row_grams", counted)
+    def counted_factors(F, W):
+        builds.append(W.shape)
+        return spatial_factors(F, W)
+
+    monkeypatch.setattr(ObsSetup, "row_factors", counted)
+    monkeypatch.setattr(observability, "_spatial_factors", counted_factors)
     assert run([command, "--config", p, "--out", tmp_path / "o"]) == 0
     assert len(spatial) == 1
     if workload == "constants":
         assert len(builds) == 1 and len(calls) > 1
     else:
-        assert not builds
+        assert not builds and not calls
+
+
+@pytest.mark.parametrize("command, overrides, builds", [
+    ("obsconst", {"kernel": "exp(-1*t)", "obsconst": {"J_list": [4, 6]}}, 2),
+    ("duality", None, 1),
+], ids=["obsconst", "duality-defaults"])
+def test_one_surrogate_gram_per_setup(command, overrides, builds, tmp_path, monkeypatch):
+    """The surrogate pair (G, D) is built once per setup and shared by the
+    pencil, the null constant and the duality instance: obsconst builds one
+    Gram per J, and duality on the all-defaults config builds one."""
+    p = tmp_path / "c.json"
+    if overrides is None:
+        p.write_text("{}")
+    else:
+        write_cfg(p, **overrides)
+    calls = []
+    gram = ObsSetup.gram
+
+    def counted(self, coef):
+        calls.append(id(self))
+        return gram(self, coef)
+
+    monkeypatch.setattr(ObsSetup, "gram", counted)
+    run([command, "--config", p, "--out", tmp_path / "o"])
+    assert len(calls) == builds
 
 
 def test_obsconst_json_carries_the_null_witness(tmp_path):

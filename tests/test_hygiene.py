@@ -1,7 +1,8 @@
 """Static hygiene of the library modules: no unused module-level import
 (in the tests and demos too), every name in ``__all__`` defined in the
-module, the package re-exporting exactly the modules' ``__all__``, and the
-README's config table naming exactly the keys of ``cli.CONFIG``."""
+module, the package re-exporting exactly the modules' ``__all__``, every
+private module-level function or class read somewhere in the library, and
+the README's config table naming exactly the keys of ``cli.CONFIG``."""
 
 import ast
 import re
@@ -74,6 +75,38 @@ def test_package_reexports_exactly_the_module_exports():
               for n in _exported(ast.parse((SRC / name).read_text(), filename=name))}
     assert sorted(reexported - public) == []
     assert sorted(public - reexported) == []
+
+
+def _read_names(node):
+    """Identifiers that a statement reads: names, attributes and imports."""
+    names = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+        elif isinstance(n, ast.alias):
+            names.add(n.name)
+    return names
+
+
+def test_private_helpers_have_a_reader():
+    """Each module-level ``_name`` function or class in the library is read
+    by some other top-level statement of the library: a helper whose last
+    caller went is deleted with it."""
+    helpers, reads = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=path.name).body:
+            own = getattr(node, "name", None)
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and own.startswith("_") and not own.startswith("__")):
+                helpers.append((path.name, own))
+            reads.append((path.name, own, _read_names(node)))
+    assert helpers
+    stranded = [(mod, name) for mod, name in helpers
+                if not any(name in names for m, own, names in reads
+                           if (m, own) != (mod, name))]
+    assert stranded == []
 
 
 def test_readme_config_table_names_the_config_keys():

@@ -113,6 +113,20 @@ def test_reconstruction_reports_the_pencil_it_inverts():
     assert rep["rank"] == np.sum(lam > 1e-12 * lam[-1]) == 8
 
 
+def test_reconstruction_sigma_min_matches_the_dense_svd():
+    """sigma_min is the smallest singular value of the observation map
+    whitened by the reference mass, O D^{-1/2}, to roundoff: the norm of O on
+    the pencil's bottom eigenvector keeps the digits that the square root of
+    the smallest eigenvalue loses (4.4e-10 off here)."""
+    basis = interval_basis(32, 128)
+    table = build_flow_table(parse_kernel("exp(-0.8*t)"), basis, 1.0, 250)
+    setup = ObsSetup(table, cylinder_mask(1.0, 250, 128, 0.2, 0.8), alpha=None)
+    _, rep = reconstruct_y0(setup, synthesize_observation(setup, np.ones(32)))
+    O, _ = observation_operator(setup)
+    want = np.linalg.svd(O / setup.mass_matrix() ** 0.5, compute_uv=False)[-1]
+    assert abs(rep["sigma_min"] - want) <= 1e-12 * want
+
+
 # ---------------------------------------------------------------------------
 # control
 # ---------------------------------------------------------------------------

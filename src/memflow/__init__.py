@@ -37,7 +37,6 @@ from .geometry import (
     mask_to_text,
     moc_functional,
     random_rects_mask,
-    save_mask,
     slice_measure,
     weighted_slice,
     zigzag_mask,
@@ -47,10 +46,7 @@ from .inverse_control import (
     SingularSystemError,
     discrepancy_lambda,
     duality_range_test,
-    forced_solution,
     min_norm_control,
-    observation_operator,
-    reachability_matrix,
     reachable_difference_check,
     reconstruct_y0,
     synthesize_observation,

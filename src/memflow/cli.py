@@ -32,6 +32,7 @@ from .flow import (
     volterra_modes,
 )
 from .inverse_control import (
+    RouteMismatchError,
     SingularSystemError,
     discrepancy_lambda,
     duality_range_test,
@@ -41,6 +42,7 @@ from .inverse_control import (
 )
 from .observability import (
     REF_EXPONENT,
+    ObsInvariantError,
     ObsSetup,
     alpha_probe,
     gram_matrix,
@@ -64,7 +66,8 @@ class ConfigError(ValueError):
 
 
 # library errors a command ends on with exit 1 and a ``failed`` manifest
-_RUN_ERRORS = (QuadratureError, geometry.RootIsolationError, SingularSystemError)
+_RUN_ERRORS = (QuadratureError, geometry.RootIsolationError, SingularSystemError,
+               ObsInvariantError, RouteMismatchError)
 
 
 # ---------------------------------------------------------------------------

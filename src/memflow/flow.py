@@ -32,7 +32,7 @@ representation, N for the remainder R_N).  Single-mode values
 (``kernel_rep_profile``, ``remainder_profile`` and the flow tables built on
 them) are not checked: a table build would pay the check's second kernel
 pass at 16 nodes, and its cut panels, at every grid time (measured in
-ROADMAP item 3).
+ROADMAP item 2).
 """
 
 from __future__ import annotations

@@ -24,7 +24,6 @@ __all__ = [
     "cusp_mask",
     "random_rects_mask",
     "ball_complement_mask",
-    "save_mask",
     "load_mask",
     "mask_to_text",
     "mask_from_text",
@@ -218,11 +217,6 @@ def mask_from_text(text):
             raise ValueError(f"bad column line {ix}")
         cells[:, ix] = np.frombuffer(line.encode(), dtype=np.uint8) == ord("1")
     return Mask(T=T, n_t=n_t, n_x=n_x, cells=cells, provenance="file")
-
-
-def save_mask(mask, path):
-    with open(path, "w") as fh:
-        fh.write(mask_to_text(mask))
 
 
 def load_mask(path):

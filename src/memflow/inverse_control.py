@@ -5,16 +5,18 @@ observation map (justified by the two-sided observability estimate: the
 reference norm of the initial state is equivalent to the masked observation
 norm).  Control solves the discretized moment problem G u = target for the
 forced flow, with G built from exact influence coefficients of the time
-stepper, so a forced replay (``forced_solution``) reproduces the target to
-roundoff.  Controls live on the mask raster (piecewise constant per cell) and
-vanish outside the mask by construction; one raster (``_raster``) serves the
+stepper, so a forced replay (``_replay``) reproduces the target to roundoff.
+Controls live on the mask raster (piecewise constant per cell) and vanish
+outside the mask by construction; one raster (``_raster``) serves the
 influence rows, the replay's forcing and the moment residual.
 
-Control through the mask is the adjoint of observation on the mask (HUM
-duality), so the reachability Gram G diag(c) G^T has the row structure of the
-observation Grams: a sum over mask rows t of c_t R_t, R_t = (k_t k_t^T) o S_t,
-with S_t from the masked spatial Gram helper that ``ObsSetup`` uses.  The
-control normal matrices are contractions of the R_t (``min_norm_control``).
+Control through the mask is observation of the adjoint (HUM duality): G is
+the transpose of the masked-row operator ``observability._MaskedRows`` with
+the influence rows k_t as time profiles, the cell indicators' mode
+coefficients B as spatial functions and the mask cells as weights.  So the
+reachability Gram G diag(c) G^T is that operator's ``gram(c)``, the control
+is read on the raster through its ``fields``, and the moment residual G u
+through its ``adjoint`` (``min_norm_control``).
 """
 
 from __future__ import annotations
@@ -24,21 +26,14 @@ import math
 import numpy as np
 
 from .flow import _fine_steps, volterra_influence, volterra_modes
-from .observability import (
-    _pencil_eigh,
-    _row_gram_stack,
-    _spatial_grams,
-)
+from .observability import _MaskedRows, _pencil_eigh
 
 __all__ = [
     "SingularSystemError",
-    "observation_operator",
     "synthesize_observation",
     "reconstruct_y0",
     "discrepancy_lambda",
     "RouteMismatchError",
-    "forced_solution",
-    "reachability_matrix",
     "min_norm_control",
     "reachable_difference_check",
     "duality_range_test",
@@ -51,20 +46,6 @@ class SingularSystemError(np.linalg.LinAlgError):
     def __init__(self, msg, null_direction=None):
         super().__init__(msg)
         self.null_direction = null_direction
-
-
-def observation_operator(setup):
-    """Rows O[(i,k), j] of the weighted masked observation map, materialized.
-
-    The row weights make ||O a - d_w||_2 the L2(time x space) distance, with
-    the same trapezoid-in-time and masked spatial quadrature the seminorm
-    uses (no t^alpha weight: reconstruction fits plain squared misfit).  Only
-    tests form O: it is the dense reference for the methods of ObsSetup.
-    """
-    J = setup.basis.J
-    sq = np.sqrt(setup.quad_weights)[:, None] * np.sqrt(setup.masked_weights)
-    # O[i, k, j] = sqrt(wt_i w_k chi) phi_j(t_i) e_j(x_k)
-    return (setup.fields(np.eye(J)) * sq).reshape(J, -1).T, sq
 
 
 def synthesize_observation(setup, y0, noise=0.0, rng=None):
@@ -189,53 +170,17 @@ def _replay(M, etas, a0, f, T, phi):
     return fine, disc
 
 
-def forced_solution(M, basis, y0, control, mask, T, n_steps):
-    """Controlled trajectory of a raster control (zero outside the mask),
-    computed twice and cross-checked.
-
-    Route (a) is the forced time stepper on the substepped grid; route (b) is
-    the superposition sum of ``_replay`` on the propagator table.  Returns the
-    route-(a) coefficient trajectory on the requested grid together with the
-    max coefficient-space distance between the routes.
-
-    Returns
-    -------
-    traj : array (n_steps+1, J)
-    discrepancy : float
-    """
-    etas = basis.eigenvalues
-    rows, B = _raster(basis, mask, T, n_steps)
-    nf = len(rows) - 1
-    f = (np.where(mask.cells, control, 0.0) @ B.T)[rows]
-    fine, disc = _replay(M, etas, np.asarray(y0, dtype=float), f, T,
-                         volterra_modes(M, etas, T, nf))
-    return fine[::nf // n_steps], disc
-
-
 def _influence_rows(kernel, basis, mask, T_hat, n_steps):
-    """(K, B, rows): K[t, j] the exact stepper influence on mode j summed over
-    the fine steps that fall in mask row t, with the raster (rows, B) of
-    ``_raster``, built once for the whole solve."""
+    """(op, rows): the control operator ``_MaskedRows(K, B, cells)``, with
+    K[t, j] the exact stepper influence on mode j summed over the fine steps
+    that fall in mask row t, and the raster (rows, B) of ``_raster``, built
+    once for the whole solve.  op.fields(e_j)[t, x] = K[t, j] B[j, x] is the
+    final coefficient j reached from a unit control on cell (t, x)."""
     rows, B = _raster(basis, mask, T_hat, n_steps)
     g = volterra_influence(kernel, basis.eigenvalues, T_hat, len(rows) - 1)  # (nf+1, J)
     K = np.stack([np.bincount(rows, weights=g_j, minlength=mask.n_t) for g_j in g.T],
                  axis=1)
-    return K, B, rows
-
-
-def reachability_matrix(kernel, basis, mask, T_hat, n_steps):
-    """Columns map in-mask raster cell values to final-state coefficients.
-
-    Built from the exact influence coefficients of the discrete stepper, so
-    G @ u equals the forced replay's final coefficients to roundoff:
-    G[:, d] = K[t_d] * B[:, x_d] for the mask cell (t_d, x_d).  The dense
-    reference of the raster solve in ``min_norm_control``.
-
-    Returns (G, dof_index) with dof_index the (i_t, i_x) pairs of mask cells.
-    """
-    K, B, _ = _influence_rows(kernel, basis, mask, T_hat, n_steps)
-    it, ix = np.nonzero(mask.cells)
-    return (K[it] * B.T[ix]).T, np.stack([it, ix], axis=1)
+    return _MaskedRows(K, B, mask.cells.astype(float)), rows
 
 
 def min_norm_control(kernel, basis, mask, T_hat, y0, y1, regime="l2", alpha=2.0,
@@ -249,16 +194,16 @@ def min_norm_control(kernel, basis, mask, T_hat, y0, y1, regime="l2", alpha=2.0,
     which minimizes the worst (T_hat - t)^{-alpha}-weighted spatial norm
     (alpha > 1 required).  Both solve the normal matrix
     G diag(c) G^T + jitter I with c constant on each mask row t (c = 1 for
-    "l2").  It is the contraction sum_t c_t R_t of the per-row reachability
-    Grams R_t = (k_t k_t^T) o S_t, with k_t the influence summed over row t
-    and S_t = B diag(cells_t) B^T, built once per call.  G itself is never
-    formed: the control is read on the raster, u_t = c_t ((k_t o mu)^T B) on
-    the mask cells of row t, and so are the row norms that drive the
-    reweighting (cond(G G^T) reaches 1e19, and the quadratic forms
-    mu^T R_t mu would cancel).  An IRLS iteration costs O(n_t J^2) plus two
-    raster products.  The result is verified by a forced replay through the
-    time stepper, whose row forcing F_t = B u_t also gives the moment
-    residual G u = sum_t k_t o F_t.
+    "l2"): the ``gram(c)`` of the control operator of ``_influence_rows``,
+    contracted per run of equal mask rows.  G itself is never formed: the
+    control is read on the raster, u = c o fields(mu), that is
+    u_t = c_t ((k_t o mu)^T B), on the mask cells (+0.0 elsewhere), and so
+    are the row norms that drive the reweighting (cond(G G^T) reaches 1e19,
+    and the row quadratic forms of the Gram would cancel).  An IRLS
+    iteration costs O(n_t J^2 + n_runs J^2) plus two raster products.  The
+    result is verified by a forced replay through the time stepper, whose
+    row forcing F_t = B u_t also gives the moment residual
+    G u = adjoint(u) = sum_t k_t o F_t.
 
     Returns (u, report): the raster control values (zero outside the mask)
     and a dict of the replayed final error, the route (a) vs (b) replay
@@ -268,9 +213,8 @@ def min_norm_control(kernel, basis, mask, T_hat, y0, y1, regime="l2", alpha=2.0,
         raise ValueError(f"unknown regime {regime!r}")
     if regime == "weighted_linf" and alpha <= 1.0:
         raise ValueError("weighted regime requires alpha > 1")
-    K, B, rows = _influence_rows(kernel, basis, mask, T_hat, n_steps)
+    op, rows = _influence_rows(kernel, basis, mask, T_hat, n_steps)
     nf = len(rows) - 1
-    R = _row_gram_stack(K, *_spatial_grams(B, mask.cells.astype(float)))
     # one unforced sweep: phi(T_hat) for the target, the table for the replay
     phi = volterra_modes(kernel, basis.eigenvalues, T_hat, nf)
     a0 = np.zeros(basis.J)
@@ -279,12 +223,12 @@ def min_norm_control(kernel, basis, mask, T_hat, y0, y1, regime="l2", alpha=2.0,
     a1[: len(y1)] = y1
     target = a1 - phi[-1] * a0
 
-    shift = 1e-14 * np.einsum("tjj->", R) * np.eye(basis.J)  # jitter of G G^T
+    # jitter of G G^T
+    shift = 1e-14 * np.trace(op.gram(np.ones(mask.n_t))) * np.eye(basis.J)
 
     def solve(c):
-        gram = np.tensordot(c, R, axes=1)
-        mu = _cholesky_solve(0.5 * (gram + gram.T) + shift, target)
-        return np.where(mask.cells, c[:, None] * ((K * mu) @ B), 0.0)
+        mu = _cholesky_solve(op.gram(c) + shift, target)
+        return np.where(mask.cells, c[:, None] * op.fields(mu), 0.0)
 
     if regime == "l2":
         u = solve(np.ones(mask.n_t))
@@ -316,12 +260,12 @@ def min_norm_control(kernel, basis, mask, T_hat, y0, y1, regime="l2", alpha=2.0,
             converged = False  # stopped at the iteration cap
         objective = float(np.max(gamma))
 
-    F = u @ B.T  # the mode forcing of each mask row
+    F = u @ op.F.T  # the mode forcing of each mask row
     fine, disc = _replay(kernel, basis.eigenvalues, a0, F[rows], T_hat, phi)
     final_error = float(np.linalg.norm(fine[-1] - a1))
     # the replay must land on the moment-solve prediction to roundoff;
     # anything larger signals a broken discretization pairing
-    predicted = float(np.linalg.norm((K * F).sum(axis=0) - target))
+    predicted = float(np.linalg.norm(op.adjoint(u) - target))
     if abs(final_error - predicted) > 1e-8 * max(1.0, float(np.linalg.norm(a1))):
         raise RouteMismatchError(
             f"forced replay misses the moment-solve prediction: "

@@ -5,19 +5,20 @@ The central object is the masked, time-weighted observation seminorm
     obs(y0) = int_S^T' || chi_Q(t, .) y(t, .; y0) ||_{L2}  w(t) dt,
 
 with w(t) = t^alpha on windows starting at 0 and w = 1 otherwise.  Every
-functional here is built on one discrete operator, the masked observation map
-of ``ObsSetup``: ``fields`` takes mode coefficients to the window x grid
-field, ``adjoint`` is its transpose and ``masked`` applies the masked spatial
-quadrature.  Each run r of window rows with equal mask weights (a cylinder has
-one past its start) has one masked spatial Gram S_r = E diag(w_r) E^T
-(``_spatial_grams``) and one triangular factor R_r with R_r^T R_r = S_r
-(``_spatial_factors``).  The row factors L_i = R_r(i) diag(phi_i) give the
-masked spatial norm of time row i as r_i(a) = ||L_i a||, so that
-obs(y0) = sum_i cw_i ||L_i a||; ``time_profiles`` evaluates it, for the
-reported seminorm and the constant optimizers alike.  A time-weighted Gram
-(``gram``) is contracted run by run, sum_r S_r o (P_r^T diag(coef_r) P_r), in
-O(n_times J^2) without a per-row stack.  The control Grams of
-``inverse_control`` come from the same Gram helpers.
+functional here is built on one discrete operator, the masked-row operator
+``_MaskedRows`` that ``ObsSetup`` is: ``fields`` takes mode coefficients to
+the window x grid field, ``adjoint`` is its transpose and ``masked`` applies
+the masked spatial quadrature.  Each run r of window rows with equal mask
+weights (a cylinder has one past its start) has one masked spatial Gram
+S_r = E diag(w_r) E^T (``_spatial_grams``) and one triangular factor R_r with
+R_r^T R_r = S_r (``_spatial_factors``).  The row factors L_i = R_r(i)
+diag(phi_i) give the masked spatial norm of time row i as r_i(a) = ||L_i a||,
+so that obs(y0) = sum_i cw_i ||L_i a||; ``time_profiles`` evaluates it, for
+the reported seminorm and the constant optimizers alike.  A time-weighted
+Gram (``gram``) is contracted run by run, sum_r S_r o (P_r^T diag(coef_r)
+P_r), in O(n_times J^2) without a per-row stack.  Control through the mask is
+observation of the adjoint (HUM duality): ``inverse_control`` builds the same
+operator from the influence rows and the raster, and solves on its ``gram``.
 
 Constants over the unit reference-norm sphere start from an exact eigensolve of
 an L2-in-time surrogate and refine the true L1-in-time objective with one
@@ -75,18 +76,87 @@ class ObsInvariantError(RuntimeError):
     """An estimated constant breaks a relation it must satisfy."""
 
 
-class ObsSetup:
+class _MaskedRows:
+    """The masked-row operator X[i, x] = W[i, x] sum_j a_j P[i, j] F[j, x]:
+    time profiles P (n, J), spatial functions F (J, n_x) and weight rows W
+    (n, n_x).  Observation is this operator with P the window's propagators,
+    F the eigenfunctions and W the masked grid weights (``ObsSetup``);
+    control through the mask is the same operator with P the influence rows,
+    F the cell indicators' mode coefficients and W the mask cells
+    (``inverse_control.min_norm_control``).  The masked spatial Grams (one per
+    run of rows with equal weights) and the row-factor stack are built once,
+    on first use; ``gram`` contracts by runs and needs no stack.
+    """
+
+    def __init__(self, P, F, W):
+        self.P, self.F, self.W = P, F, W
+        self._spatial = None
+        self._row_factors = None
+
+    def fields(self, A):
+        """Fields of coefficients A: (J,) -> (n, n_x), or a batch
+        (n_vec, J) -> (n_vec, n, n_x)."""
+        A = np.asarray(A, dtype=float)
+        return (A[..., None, :] * self.P) @ self.F
+
+    def adjoint(self, X):
+        """Transpose of ``fields``: sum(fields(a) * X) = a @ adjoint(X)."""
+        return np.einsum("ij,ij->j", X @ self.F.T, self.P)
+
+    def masked(self, X):
+        """X times the weight rows (sum over x of masked(X) * Y is the masked
+        L2 product per row)."""
+        return X * self.W
+
+    def spatial_grams(self):
+        """(starts, S) of ``_spatial_grams``: one masked spatial Gram per run
+        of rows with equal weights.  Built once, read-only."""
+        if self._spatial is None:
+            starts, S = _spatial_grams(self.F, self.W)
+            S.setflags(write=False)
+            self._spatial = starts, S
+        return self._spatial
+
+    def row_factors(self):
+        """Stack L (n, J, J) of row factors L_i = R_r(i) diag(p_i), R_r the
+        factor of ``_spatial_factors`` of the run that row i is in: ||L_i a||
+        is the masked spatial norm of row i of fields(a), and
+        L_i^T L_i = (p_i p_i^T) o S_r(i) is its row Gram.  Built once,
+        read-only."""
+        if self._row_factors is None:
+            starts, R = _spatial_factors(self.F, self.W)
+            counts = np.diff([*starts.tolist(), len(self.P)])
+            L = np.repeat(R, counts, axis=0) * self.P[:, None, :]
+            L.setflags(write=False)
+            self._row_factors = L
+        return self._row_factors
+
+    def gram(self, coef):
+        """Gram sum_i coef_i L_i^T L_i of the operator under row weights coef
+        (n,), contracted per run r of rows with one spatial Gram S_r:
+        sum_r S_r o (P_r^T diag(coef_r) P_r), P_r the run's rows of P.
+        O(n J^2 + n_runs J^2), symmetrized."""
+        starts, S = self.spatial_grams()
+        P = self.P
+        Pc = P * coef[:, None]
+        G = np.zeros(S.shape[1:])
+        for lo, hi, S_r in zip(starts.tolist(), [*starts[1:].tolist(), len(P)], S):
+            G += S_r * (Pc[lo:hi].T @ P[lo:hi])
+        return 0.5 * (G + G.T)
+
+
+class ObsSetup(_MaskedRows):
     """Flow table, mask, window and weighting, and the masked observation
-    operator on (window rows of the time grid) x (basis grid).
+    operator on (window rows of the time grid) x (basis grid): the
+    ``_MaskedRows`` of the window's propagators phi_win^T, the eigenfunctions
+    and the masked grid weights.
 
     The weight t^alpha is applied only when the window starts at 0 (the
     weighted-estimate regime); windows with S > 0 are unweighted.
     ``quad_weights`` is the trapezoid rule in time, ``masked_weights`` the
     grid rule restricted to the mask.  Only the operator methods combine
-    propagators, eigenfunctions and mask.  The masked spatial Grams (one per
-    run of rows with equal weights), the surrogate Gram pair and its pencil's
-    eigenpairs, and the row-factor stack of the seminorm are built once per
-    setup, on first use; ``gram`` contracts by runs and needs no stack.
+    propagators, eigenfunctions and mask.  The surrogate Gram pair and its
+    pencil's eigenpairs are built once per setup, on first use.
     """
 
     ref_exponent = REF_EXPONENT  # read off a setup by perfbench/checks.py
@@ -124,8 +194,7 @@ class ObsSetup:
         self.masked_weights = np.where(mask.cells[np.ix_(rows, mask.columns_at(basis.x))],
                                        basis.weights[None, :], 0.0)
         self.phi_win = table.phi[:, i0:i1 + 1]
-        self._spatial = None
-        self._row_factors = None
+        super().__init__(self.phi_win.T, basis.funcs, self.masked_weights)
         self._surrogate = None
         self._pencil = None
 
@@ -147,60 +216,6 @@ class ObsSetup:
             V.setflags(write=False)
             self._pencil = lam, V
         return self._pencil
-
-    # -- the masked observation operator -------------------------------------
-
-    def fields(self, A):
-        """Fields of coefficients A: (J,) -> (n_times, n_x), or a batch
-        (n_vec, J) -> (n_vec, n_times, n_x)."""
-        A = np.asarray(A, dtype=float)
-        return (A[..., None, :] * self.phi_win.T) @ self.basis.funcs
-
-    def adjoint(self, W):
-        """Transpose of ``fields``: sum(fields(a) * W) = a @ adjoint(W)."""
-        return np.einsum("ij,ij->j", W @ self.basis.funcs.T, self.phi_win.T)
-
-    def masked(self, F):
-        """F times the masked grid weights (sum over x of masked(F) * G is the
-        masked L2 product per time row)."""
-        return F * self.masked_weights
-
-    def spatial_grams(self):
-        """(starts, S) of ``_spatial_grams`` for the masked weights: one
-        masked spatial Gram per run of window rows with equal weights.  Built
-        once, read-only."""
-        if self._spatial is None:
-            starts, S = _spatial_grams(self.basis.funcs, self.masked_weights)
-            S.setflags(write=False)
-            self._spatial = starts, S
-        return self._spatial
-
-    def row_factors(self):
-        """Stack L (n_times, J, J) of row factors L_i = R_r(i) diag(phi_i),
-        R_r the factor of ``_spatial_factors`` of the run that row i is in:
-        ||L_i a|| is the masked spatial norm of row i of fields(a), and
-        L_i^T L_i = (phi_i phi_i^T) o S_r(i) is its row Gram.  Built once,
-        read-only."""
-        if self._row_factors is None:
-            starts, R = _spatial_factors(self.basis.funcs, self.masked_weights)
-            counts = np.diff([*starts.tolist(), len(self.times)])
-            L = np.repeat(R, counts, axis=0) * self.phi_win.T[:, None, :]
-            L.setflags(write=False)
-            self._row_factors = L
-        return self._row_factors
-
-    def gram(self, coef):
-        """Gram sum_i coef_i L_i^T L_i of the masked map under time weights
-        coef (n_times,), contracted per run r of rows with one spatial Gram
-        S_r: sum_r S_r o (P_r^T diag(coef_r) P_r), P_r the run's rows of
-        phi_win^T.  O(n_times J^2 + n_runs J^2), symmetrized."""
-        starts, S = self.spatial_grams()
-        P = self.phi_win.T
-        Pc = P * coef[:, None]
-        G = np.zeros(S.shape[1:])
-        for lo, hi, S_r in zip(starts.tolist(), [*starts[1:].tolist(), len(P)], S):
-            G += S_r * (Pc[lo:hi].T @ P[lo:hi])
-        return 0.5 * (G + G.T)
 
     def l2_norm(self, F):
         """L2 norm over the observed part of the window of a field F
@@ -253,16 +268,6 @@ def _spatial_factors(F, W):
     starts = _run_starts(W)
     Y = np.sqrt(W[starts])[:, :, None] * F.T
     return starts, np.linalg.qr(Y, mode="r")
-
-
-def _row_gram_stack(P, starts, S):
-    """Stack (n, J, J) of the row Grams (p_i p_i^T) o S_r of the rows p_i of
-    P (n, J), S_r the Gram of the run of ``_spatial_grams`` that row i is in;
-    each is exactly symmetric."""
-    K = P[:, :, None] * P[:, None, :]
-    for run, S_r in zip(np.split(K, starts[1:]), S):
-        run *= S_r
-    return K
 
 
 def obs_seminorm_many(setup, A):

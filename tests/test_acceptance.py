@@ -39,8 +39,6 @@ from memflow.inverse_control import (
     discrepancy_lambda,
     duality_range_test,
     min_norm_control,
-    observation_operator,
-    reachability_matrix,
     reconstruct_y0,
     synthesize_observation,
 )
@@ -55,6 +53,8 @@ from memflow.observability import (
     two_sided_constants,
 )
 from memflow.spectral import hs_norm, interval_basis
+
+from dense_refs import observation_operator, reachability_matrix
 
 KERNELS = ["1", "exp(-1*t)", "sin(1*t)", "t*exp(-0.5*t)"]
 

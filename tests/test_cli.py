@@ -14,7 +14,7 @@ import pytest
 
 import memflow
 from memflow import cli, inverse_control, observability
-from memflow.geometry import save_mask, zigzag_mask
+from memflow.geometry import mask_to_text, zigzag_mask
 from memflow.observability import ObsSetup
 
 
@@ -201,7 +201,7 @@ def test_moc_command_prints_value(tmp_path, capsys):
 def test_mask_file_round_trip_through_cli(tmp_path):
     mask = zigzag_mask(0.2, 1.0, 40, 20)
     mp = tmp_path / "m.mask"
-    save_mask(mask, mp)
+    mp.write_text(mask_to_text(mask))
     p = tmp_path / "c.json"
     write_cfg(p, mask={"kind": "file", "path": str(mp)})
     assert run(["moc", "--config", p, "--out", tmp_path / "o"]) == 0
@@ -487,6 +487,46 @@ def test_report_finalizes_a_failing_sub_command(tmp_path, capsys):
         assert json.loads((d / "manifest.json").read_text())["status"] == "failed"
 
 
+def _break_witness(monkeypatch):
+    # a seminorm that no longer reproduces the optimizers' constants
+    seminorm = observability.obs_seminorm
+    monkeypatch.setattr(observability, "obs_seminorm",
+                        lambda setup, v: 2.0 * seminorm(setup, v))
+
+
+def _break_replay(monkeypatch):
+    # a forced replay that lands off the moment-solve prediction
+    replay = inverse_control._replay
+
+    def shifted(*args):
+        fine, disc = replay(*args)
+        return fine + 1.0, disc
+
+    monkeypatch.setattr(inverse_control, "_replay", shifted)
+
+
+@pytest.mark.parametrize("via_report", [False, True], ids=["alone", "report"])
+@pytest.mark.parametrize("error, breaker, command", [
+    ("ObsInvariantError", _break_witness, "obsconst"),
+    ("RouteMismatchError", _break_replay, "control"),
+])
+def test_invariant_errors_exit_one(tmp_path, capsys, monkeypatch, error, breaker,
+                                   command, via_report):
+    """A broken invariant check in the library ends the command, alone or
+    under report, with exit 1, failed manifests and the error's class name
+    on stderr."""
+    p = tmp_path / "c.json"
+    write_cfg(p)
+    breaker(monkeypatch)
+    out = tmp_path / "o"
+    ran = "report" if via_report else command
+    assert run([ran, "--config", p, "--out", out]) == 1
+    assert error in capsys.readouterr().err
+    for name in {ran, command}:
+        d = next((out / name).iterdir())
+        assert json.loads((d / "manifest.json").read_text())["status"] == "failed"
+
+
 def test_report_aggregates(tmp_path):
     p = tmp_path / "c.json"
     write_cfg(p)
@@ -511,9 +551,10 @@ def _benchmark_workloads():
                                              ("steer", 1)],
                          ids=["steer", "constants", "steer-control"])
 def test_one_gram_build_per_job(workload, index, tmp_path, monkeypatch):
-    """Each job builds its masked spatial Grams once.  reconstruct asks for
-    Grams several times and contracts them by runs of rows, so it never
-    builds the row factors of the seminorm, and neither does control;
+    """Each job builds its masked spatial Grams once, through the one
+    masked-row operator that observation and control share.  reconstruct
+    asks for Grams several times and contracts them by runs of rows, so it
+    never builds the row factors of the seminorm, and neither does control;
     obsconst's seminorm reads the factors many times and builds them once."""
     command, _, cfg = _benchmark_workloads().make_job(workload, 701, index)
     p = tmp_path / "c.json"
@@ -526,9 +567,8 @@ def test_one_gram_build_per_job(workload, index, tmp_path, monkeypatch):
         return spatial_grams(F, W)
 
     monkeypatch.setattr(observability, "_spatial_grams", counted_spatial)
-    monkeypatch.setattr(inverse_control, "_spatial_grams", counted_spatial)
     calls, builds = [], []
-    row_factors = ObsSetup.row_factors
+    row_factors = observability._MaskedRows.row_factors
     spatial_factors = observability._spatial_factors
 
     def counted(self):
@@ -539,7 +579,7 @@ def test_one_gram_build_per_job(workload, index, tmp_path, monkeypatch):
         builds.append(W.shape)
         return spatial_factors(F, W)
 
-    monkeypatch.setattr(ObsSetup, "row_factors", counted)
+    monkeypatch.setattr(observability._MaskedRows, "row_factors", counted)
     monkeypatch.setattr(observability, "_spatial_factors", counted_factors)
     assert run([command, "--config", p, "--out", tmp_path / "o"]) == 0
     assert len(spatial) == 1
@@ -547,6 +587,29 @@ def test_one_gram_build_per_job(workload, index, tmp_path, monkeypatch):
         assert len(builds) == 1 and len(calls) > 1
     else:
         assert not builds and not calls
+
+
+@pytest.mark.parametrize("workload, index", [("steer", 1), ("steer", 3),
+                                             ("constants", 0)],
+                         ids=["control-l2", "control-weighted", "obsconst"])
+def test_artifacts_do_not_depend_on_the_blas_thread_count(workload, index, tmp_path):
+    """A benchmark-sized job run under one and under two BLAS threads writes
+    the same bytes to every artifact but the manifest."""
+    command, _, cfg = _benchmark_workloads().make_job(workload, 801, index)
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(cfg))
+    src = str(Path(memflow.__file__).resolve().parents[1])
+    artifacts = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+        subprocess.run([sys.executable, "-m", "memflow.cli", command, "--config", str(p),
+                        "--out", str(out)], env=env, check=True, capture_output=True,
+                       timeout=300)
+        (d,) = (out / command).iterdir()
+        artifacts.append({f.name: f.read_bytes() for f in d.iterdir()
+                          if f.name != "manifest.json"})
+    assert artifacts[0] and artifacts[0] == artifacts[1]
 
 
 @pytest.mark.parametrize("command, overrides, builds", [

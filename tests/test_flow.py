@@ -23,9 +23,10 @@ from memflow.flow import (
     volterra_modes,
 )
 from memflow.geometry import cylinder_mask, zigzag_mask
-from memflow.inverse_control import forced_solution
 from memflow.kernels import ExpPolyFn, h_coeff, parse_kernel
 from memflow.spectral import interval_basis
+
+from dense_refs import forced_solution
 
 ETA1 = math.pi**2
 

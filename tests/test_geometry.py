@@ -314,9 +314,9 @@ def test_degenerate_sizes_rejected(make):
 
 
 def test_save_load(tmp_path, zig):
-    from memflow.geometry import load_mask, save_mask
+    from memflow.geometry import load_mask, mask_to_text
     p = tmp_path / "m.mask"
-    save_mask(zig, p)
+    p.write_text(mask_to_text(zig))
     again = load_mask(p)
     assert np.array_equal(again.cells, zig.cells)
 

@@ -1,8 +1,9 @@
 """Static hygiene of the library modules: no unused module-level import
 (in the tests and demos too), every name in ``__all__`` defined in the
 module, the package re-exporting exactly the modules' ``__all__``, every
-private module-level function or class read somewhere in the library, and
-the README's config table naming exactly the keys of ``cli.CONFIG``."""
+private module-level function or class read somewhere in the library,
+every exported name read outside the tests, and the README's config table
+naming exactly the keys of ``cli.CONFIG``."""
 
 import ast
 import re
@@ -107,6 +108,24 @@ def test_private_helpers_have_a_reader():
                 if not any(name in names for m, own, names in reads
                            if (m, own) != (mod, name))]
     assert stranded == []
+
+
+def test_exports_have_a_reader_outside_the_tests():
+    """Each name in a module's ``__all__`` is read by another top-level
+    statement of the library (the package's re-exports aside), or by the
+    demos or the benchmark: a public name that only the tests read belongs
+    in the tests."""
+    reads = [(path.name, getattr(node, "name", None), _read_names(node))
+             for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"
+             for node in ast.parse(path.read_text(), filename=path.name).body]
+    outside = set()
+    for path in [*(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]:
+        outside |= _read_names(ast.parse(path.read_text(), filename=path.name))
+    unread = [(mod, name) for mod in MODULES
+              for name in _exported(ast.parse((SRC / mod).read_text(), filename=mod))
+              if name not in outside
+              and not any(name in names for m, own, names in reads if (m, own) != (mod, name))]
+    assert unread == []
 
 
 def test_readme_config_table_names_the_config_keys():

@@ -22,7 +22,6 @@ from memflow.geometry import (
     random_rects_mask,
     zigzag_mask,
 )
-from memflow.inverse_control import observation_operator
 from memflow.kernels import ExpPolyFn, h_coeff, parse_kernel
 from memflow.observability import (
     ObsInvariantError,
@@ -40,6 +39,8 @@ from memflow.observability import (
     unique_continuation_rank,
 )
 from memflow.spectral import hs_norm, interval_basis
+
+from dense_refs import observation_operator
 
 ETA1 = math.pi**2
 

@@ -28,8 +28,8 @@ from memflow import (
 
 M = parse_kernel("exp(-1*t)")
 basis = interval_basis(64, 1024)
-print("building a 64-mode propagator table by the decomposition route ...")
-table = build_flow_table(M, basis, 1.0, 2000, method="decomposition")
+print("building a 64-mode propagator table by the exact route ...")
+table = build_flow_table(M, basis, 1.0, 2000, method="exact")
 full = cylinder_mask(1.0, 200, 256)
 
 print("\nweight-exponent probe (concentrating bumps, quotient vs scale):")

@@ -1,14 +1,16 @@
 """memflow: spectral toolkit for heat flows with a real-analytic memory kernel.
 
-Simulates the flow per eigenmode by three independent methods, measures the
-geometry of space-time observation sets, estimates two-sided and null
-observability constants at spectral truncation, and uses them to reconstruct
-initial data from masked observations and to steer to smooth targets with
-minimal-norm controls.
+Simulates the flow per eigenmode by four routes (the exponential of the
+kernel's state-space realization, exact, and three independent
+approximations), measures the geometry of space-time observation sets,
+estimates two-sided and null observability constants at spectral
+truncation, and uses them to reconstruct initial data from masked
+observations and to steer to smooth targets with minimal-norm controls.
 """
 
 from .flow import (
     FlowTable,
+    MultiplierIndexError,
     QuadratureError,
     StepSizeError,
     build_flow_table,
@@ -62,6 +64,7 @@ from .kernels import (
     km_partial,
     p_coeff,
     parse_kernel,
+    realization,
 )
 from .observability import (
     ObsInvariantError,

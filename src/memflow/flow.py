@@ -1,4 +1,4 @@
-"""Per-mode propagators of the memory heat flow, by three independent routes.
+"""Per-mode propagators of the memory heat flow, by four routes.
 
 In the eigenbasis the evolution decouples: each mode solves the scalar
 integro-differential equation
@@ -7,24 +7,40 @@ integro-differential equation
 
 where * is convolution on [0, t].  Routes implemented:
 
+  * exact: M is an exponential polynomial, so it is the impulse response
+    c^T e^{A t} b of a finite linear system (``kernels.realization``), and
+    the mode with its memory states Z (M * y = c . Z, Z' = A Z + b y) is the
+    linear ODE of the generator G = [[-eta, -c^T], [b, A]] (``_generator``).
+    One step is E = e^{dt G} (``_expm``, Padé-13 with scaling and squaring)
+    and phi(t_i) = e_0^T E^i e_0, exact at every step size,
   * time stepping (trapezoidal convolution quadrature, implicit in the stiff
     -eta y term; the update equation is linear in the new value and solved
-    exactly).  M is an exponential polynomial, so the quadrature's history
-    sum follows an exact recurrence (the exact case of fast convolution
-    quadrature): K = sum_z (m_z + 1) states per mode, one block per distinct
-    complex rate z of top power m_z (conjugate rates share a block, so K = 1
-    for exp(-a t) and for exp(-a t) cos(b t)).  One step is then a constant
+    exactly).  The quadrature's history sum follows an exact recurrence on
+    the same memory states (the exact case of fast convolution quadrature):
+    K = sum_z (m_z + 1) states per mode, one block per distinct complex
+    rate z of top power m_z (conjugate rates share a block, so K = 1 for
+    exp(-a t) and for exp(-a t) cos(b t)).  One step is then a constant
     linear map A per mode on K + 2 real states (2K + 2 for complex rates),
-    and the forward, forced and adjoint runs are one blocked scan of it
-    (``_scan``): in blocks of L ~ sqrt(n) steps, about sqrt(n) batched
-    (J, K+2, K+2) products and a few batched products over the table,
-    instead of n Python-level steps or the O(n^2 J) direct sum,
   * the integral representation  phi(t) = e^{-eta t} + int_0^t K(t,u) e^{-eta u} du
     with the series kernel K,
   * the order-N decomposition into a smoothing part, an instantaneous
     multiplier part, and a quadrature remainder.
 
-The last two routes share one quadrature, ``_panel_integral`` of
+The exact route and the forward, forced and adjoint runs of the stepper are
+one blocked scan of their constant map (``_scan``): in blocks of
+L ~ sqrt(n) steps, about sqrt(n) batched (J, P, P) products and a few
+batched products over the table, instead of n Python-level steps or the
+O(n^2 J) direct sum.
+
+Consumers read the tables as follows (``build_flow_table``): ``probe-alpha``
+and ``probe-ball`` read the exact table, and ``flow-check`` takes its order
+study's reference from it; ``obsconst``, ``reconstruct`` and ``duality``
+read the substepped stepper table, and ``control`` the stepper itself.  The
+two series routes are independent cross-checks: ``flow-check`` compares
+their single-mode values with the stepper, and the three-way tests and the
+benchmark's closed-form check compare their tables.
+
+The two series routes share one quadrature, ``_panel_integral`` of
 e^{-eta s} d^N/ds^N K(t, s) on geometric Gauss panels (N = 0 for the kernel
 representation, N for the remainder R_N).  Single-mode values
 (``kernel_rep_mode``, ``decomposition_mode``) carry one convergence check,
@@ -44,12 +60,21 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .kernels import SERIES_TERMS, h_coeff, kernel_c_norm, km_partial, p_coeff
+from .kernels import (
+    SERIES_TERMS,
+    _memory_states,
+    h_coeff,
+    kernel_c_norm,
+    km_partial,
+    p_coeff,
+    realization,
+)
 from .spectral import gauss_legendre
 
 __all__ = [
     "StepSizeError",
     "QuadratureError",
+    "MultiplierIndexError",
     "volterra_mode",
     "volterra_modes",
     "volterra_influence",
@@ -74,6 +99,10 @@ class QuadratureError(RuntimeError):
     """Quadrature failed to converge; carries the achieved error estimate."""
 
 
+class MultiplierIndexError(RuntimeError):
+    """No multiplier coefficient h_l(T), l <= 10, is nonzero."""
+
+
 # ---------------------------------------------------------------------------
 # trapezoidal convolution-quadrature time stepping
 # ---------------------------------------------------------------------------
@@ -89,30 +118,24 @@ def _memory_recurrence(M, dt):
         sum_{d>=1} M(d dt) v_{i-d} = Re(c @ Z_i).
 
     Each distinct rate z with top power m carries m+1 states: the blocks are
-    the rows of M's stored form, in which conjugate rates of a real kernel
+    the memory states of ``kernels._memory_states`` (the realization's
+    blocks, W = e^{dt (zI + N)}), in which conjugate rates of a real kernel
     already share one row (Im z >= 0, coefficient doubled).  The states are
     real when every rate is.
 
     Returns (c, W, w), where w = W e is the column that injects v_i.
     """
-    rates, C = M.rates, M.C
-    tops = [int(np.flatnonzero(row)[-1]) for row in C]
-    K = sum(tops) + len(tops)
-    c = np.zeros(K, dtype=complex)
-    W = np.zeros((K, K), dtype=complex)
-    w = np.zeros(K, dtype=complex)
-    k = 0
-    for z, row, top in zip(rates, C, tops):
+    z, p, c = _memory_states(M)
+    W = np.zeros((len(p), len(p)), dtype=complex)
+    for k, (zk, pk) in enumerate(zip(z, p)):
         # a complex exp also for real z: numpy's real exp may differ by an ulp
-        ez = np.exp(complex(z) * dt)
-        for p in range(top + 1):
-            c[k + p] = row[p]
-            for q in range(p + 1):
-                W[k + p, k + q] = math.comb(p, q) * dt ** (p - q) * ez
-            w[k + p] = W[k + p, k]
-        k += top + 1
-    if C.dtype.kind == "f":
-        return c.real.copy(), W.real.copy(), w.real.copy()
+        ez = np.exp(complex(zk) * dt)
+        for q in range(pk + 1):
+            W[k, k - pk + q] = math.comb(pk, q) * dt ** (pk - q) * ez
+    k = np.arange(len(p))
+    w = W[k, k - np.array(p, dtype=int)]
+    if c.dtype.kind == "f":
+        return c, W.real.copy(), w.real.copy()
     return c, W, w
 
 
@@ -286,6 +309,55 @@ def volterra_influence(M, etas, T, n_steps):
 
 
 # ---------------------------------------------------------------------------
+# the exact route: the generator of (y, memory states) and its exponential
+# ---------------------------------------------------------------------------
+
+# Padé-13 numerator coefficients and the 1-norm up to which the [13/13]
+# approximant is accurate to double precision (Higham, SIAM J. Matrix Anal.
+# Appl. 26, 2005)
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+           16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+
+def _expm(X):
+    """e^X for a stack X (..., n, n) of real matrices: the [13/13] Padé
+    approximant with scaling and squaring (Higham 2005), each matrix scaled
+    by its own power of two 2^s, ||X / 2^s||_1 <= theta_13, and squared back
+    s times."""
+    norm = np.abs(X).sum(axis=-2).max(axis=-1)
+    s = np.ceil(np.log2(np.maximum(norm, _THETA13) / _THETA13)).astype(int)
+    X = X / (2.0 ** s)[..., None, None]
+    b, eye = _PADE13, np.eye(X.shape[-1])
+    X2 = X @ X
+    X4 = X2 @ X2
+    X6 = X4 @ X2
+    U = X @ (X6 @ (b[13] * X6 + b[11] * X4 + b[9] * X2)
+             + b[7] * X6 + b[5] * X4 + b[3] * X2 + b[1] * eye)
+    V = (X6 @ (b[12] * X6 + b[10] * X4 + b[8] * X2)
+         + b[6] * X6 + b[4] * X4 + b[2] * X2 + b[0] * eye)
+    E = np.linalg.solve(V - U, V + U)
+    for k in range(int(s.max(initial=0))):
+        E[s > k] = E[s > k] @ E[s > k]
+    return E
+
+
+def _generator(M, etas):
+    """G (J, P, P) of the mode ODE on (y, Z): y' = -eta y - c . Z and
+    Z' = A Z + b y, with (A, b, c) the kernel's ``realization``; P = K + 1
+    (2K + 1 for complex rates)."""
+    A, b, c = realization(M)
+    G = np.zeros((len(etas), len(b) + 1, len(b) + 1))
+    G[:, 0, 0] = -etas
+    G[:, 0, 1:] = -c
+    G[:, 1:, 0] = b
+    G[:, 1:, 1:] = A
+    return G
+
+
+# ---------------------------------------------------------------------------
 # the series-kernel quadrature and the integral representation
 # ---------------------------------------------------------------------------
 
@@ -443,14 +515,14 @@ def decomposition_mode(M, eta, t, N=DEFAULT_DECOMP_ORDER):
 def first_nonzero_h_index(M, T):
     """Smallest l in [1, 10] with h_l(T) != 0, zeros judged against a
     derivative-scale threshold so exact zeros (e.g. M(T) = 0 makes h_1(T) = 0)
-    are not confused with roundoff."""
+    are not confused with roundoff; MultiplierIndexError when there is none."""
     if M.is_zero():
         raise ValueError("kernel is identically zero")
     for l in range(1, 11):
         scale = kernel_c_norm(M, l, T)
         if abs(h_coeff(M, l).eval(T)) > 1e-12 * max(scale, 1e-300):
             return l
-    raise RuntimeError("no nonzero h_l(T) found for l <= 10")
+    raise MultiplierIndexError("no nonzero h_l(T) found for l <= 10")
 
 
 # ---------------------------------------------------------------------------
@@ -487,15 +559,35 @@ def _fine_steps(etas, T, n_steps):
 def build_flow_table(M, basis, T, n_steps, method="volterra"):
     """Tabulate all mode propagators on the uniform grid over [0, T].
 
-    The time-stepping route automatically substeps so that eta*dt stays under
-    the stability guard for every mode, then keeps the requested grid.  The
-    kernel route sums SERIES_TERMS series terms; the decomposition
-    route has order DEFAULT_DECOMP_ORDER and evaluates each p_l and h_l once
-    on the whole grid.
+    Four routes, chosen by ``method``:
+
+      * "exact": phi(t_i) = e_0^T E^i e_0 with E = e^{dt G} the exponential of
+        the mode generator on (y, memory states) (``_generator``, from the
+        kernel's ``realization``), run by ``_scan``; exact up to roundoff at
+        every step size, with no substeps and no StepSizeError.  Read by
+        ``probe-alpha`` and ``probe-ball`` and by the order study of
+        ``flow-check`` (one step to T);
+      * "volterra": the trapezoid stepper, substepped so that eta*dt stays
+        under the stability guard for every mode, then kept on the requested
+        grid.  Read by ``obsconst``, ``reconstruct`` and ``duality``, and
+        compared in ``flow-check``;
+      * "kernel_rep": the kernel representation on SERIES_TERMS series terms;
+      * "decomposition": the order-DEFAULT_DECOMP_ORDER decomposition, each
+        p_l and h_l evaluated once on the whole grid.
+
+    The two series routes are unchecked tables, kept as independent
+    cross-checks of the others (the three-way tests and the benchmark's
+    closed-form check); ``flow-check`` compares their checked single-mode
+    values.
     """
     etas = basis.eigenvalues
     tgrid = np.linspace(0.0, T, n_steps + 1)
-    if method == "volterra":
+    if method == "exact":
+        E = _expm((T / n_steps) * _generator(M, etas))
+        x0 = np.zeros(E.shape[:2])
+        x0[:, 0] = 1.0
+        phi = _scan(E, x0, n_steps + 1).T.copy()
+    elif method == "volterra":
         nf = _fine_steps(etas, T, n_steps)
         phi = volterra_modes(M, etas, T, nf)[::nf // n_steps].T.copy()
     elif method == "kernel_rep":

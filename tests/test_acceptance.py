@@ -240,8 +240,7 @@ def test_criterion_06_two_sided_brute_force():
 @pytest.fixture(scope="module")
 def probe_table():
     return build_flow_table(parse_kernel("exp(-1*t)"),
-                            interval_basis(64, 1024), 1.0, 2000,
-                            method="decomposition")
+                            interval_basis(64, 1024), 1.0, 2000, method="exact")
 
 
 @pytest.mark.xfail(

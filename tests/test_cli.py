@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import memflow
-from memflow import cli, inverse_control, observability
+from memflow import cli, flow, inverse_control, observability
 from memflow.geometry import mask_to_text, zigzag_mask
 from memflow.observability import ObsSetup
 
@@ -527,6 +527,35 @@ def test_invariant_errors_exit_one(tmp_path, capsys, monkeypatch, error, breaker
         assert json.loads((d / "manifest.json").read_text())["status"] == "failed"
 
 
+def test_probe_ball_without_a_multiplier_index_exits_one(tmp_path, capsys, monkeypatch):
+    """A multiplier coefficient that vanishes at every order ends probe-ball
+    with exit 1, a failed manifest and the error's class name on stderr."""
+    p = tmp_path / "c.json"
+    write_cfg(p)
+    monkeypatch.setattr(flow, "h_coeff", lambda M, l: memflow.ExpPolyFn.zero())
+    out = tmp_path / "o"
+    assert run(["probe-ball", "--config", p, "--out", out]) == 1
+    assert "MultiplierIndexError" in capsys.readouterr().err
+    d = next((out / "probe-ball").iterdir())
+    assert json.loads((d / "manifest.json").read_text())["status"] == "failed"
+
+
+@pytest.mark.parametrize("command", ["probe-alpha", "probe-ball"])
+def test_probes_read_the_exact_table(tmp_path, monkeypatch, command):
+    p = tmp_path / "c.json"
+    write_cfg(p, mask={"kind": "cylinder", "n_t": 60, "n_x": 30})
+    methods = []
+    build = cli.build_flow_table
+
+    def recorded(*args, method="volterra"):
+        methods.append(method)
+        return build(*args, method=method)
+
+    monkeypatch.setattr(cli, "build_flow_table", recorded)
+    assert run([command, "--config", p, "--out", tmp_path / "o"]) == 0
+    assert methods == ["exact"]
+
+
 def test_report_aggregates(tmp_path):
     p = tmp_path / "c.json"
     write_cfg(p)
@@ -695,6 +724,22 @@ def test_flow_check_two_rate_kernel_at_T_two(tmp_path):
                              "flow_check": {"modes": [1, 2, 3, 8], "n_t_values": 8,
                                             "remainder_t_values": 3}}))
     assert run(["flow-check", "--config", p, "--out", tmp_path / "o"]) == 0
+
+
+def test_flow_check_order_study_reads_the_exact_propagator(tmp_path):
+    """On the two-rate kernel at T = 2 the kernel-representation value at T
+    is 8.5e-3 relative off; the order study's exact reference still shows
+    the stepper's second order at mode 1."""
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({"kernel": "exp(-1*t) + t^4*exp(-2*t)",
+                             "time": {"T": 2.0, "n_t": 1000},
+                             "flow_check": {"modes": [1], "n_t_values": 1, "orders": [2],
+                                            "remainder_t_values": 1}}))
+    out = tmp_path / "o"
+    run(["flow-check", "--config", p, "--out", out])
+    report = json.loads((next((out / "flow-check").iterdir()) / "flow_check.json").read_text())
+    assert [r["method_pair"] for r in report["records"]] == ["volterra/exact"]
+    assert abs(report["min_order"] - 2.0) < 1e-3
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from memflow.flow import (
     QuadratureError,
     StepSizeError,
+    _expm,
+    _generator,
     _memory_recurrence,
     _scan,
     _state_space,
@@ -304,10 +306,95 @@ def test_table_methods_agree():
     tv = build_flow_table(M, b, 1.0, 200, method="volterra")
     tk = build_flow_table(M, b, 1.0, 200, method="kernel_rep")
     td = build_flow_table(M, b, 1.0, 200, method="decomposition")
+    te = build_flow_table(M, b, 1.0, 200, method="exact")
     dt = 1.0 / 200
     tol = np.maximum(1e-6, (b.eigenvalues[:, None] * dt) ** 2 / 20.0)
     assert np.all(np.abs(tv.phi - tk.phi) <= tol)
+    assert np.all(np.abs(tv.phi - te.phi) <= tol)
     assert np.abs(tk.phi - td.phi).max() < 1e-8
+    assert np.abs(tk.phi - te.phi).max() < 1e-12
+    assert np.all(te.phi[:, 0] == 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the exact route
+# ---------------------------------------------------------------------------
+
+def _scipy_expm(X):
+    from scipy.linalg import expm
+    return np.array([expm(x) for x in X])
+
+
+def _expm_errors(X):
+    """Deviation of ``_expm`` from scipy's per matrix, relative to max |e^X|."""
+    got, want = _expm(X), _scipy_expm(X)
+    return np.abs(got - want).max(axis=(1, 2)) / np.abs(want).max(axis=(1, 2))
+
+
+def test_expm_matches_scipy_on_random_matrices():
+    # 1-norms up to about 25, so up to three squarings.  Against 50-digit
+    # values ``_expm`` is within 1e-15 on this batch, and scipy within 5e-13
+    rng = np.random.default_rng(7)
+    X = rng.standard_normal((24, 5, 5)) * np.geomspace(1e-3, 5.0, 24)[:, None, None]
+    assert _expm_errors(X).max() < 1e-12
+    assert np.abs(_expm(np.zeros((2, 3, 3))) - np.eye(3)).max() <= np.finfo(float).eps
+
+
+@pytest.mark.parametrize("text", ["exp(-1*t)", "t^2*exp(-2*t) + cos(3*t)"])
+def test_expm_matches_scipy_on_stiff_generators(text):
+    # the mode generator at dt = 1, ||G||_1 from about 10 up to 1e4
+    etas = interval_basis(8, 32).eigenvalues
+    G = np.concatenate([_generator(parse_kernel(text), etas * scale) for scale in (1.0, 16.0)])
+    norms = np.abs(G).sum(axis=1).max(axis=1)
+    assert norms.min() < 20.0 and norms.max() > 1e4
+    # both sides carry roundoff of about eps times the norm
+    assert np.all(_expm_errors(G) < 1e-15 * norms)
+
+
+def test_expm_matches_scipy_on_nilpotent_matrices():
+    # strictly triangular: the series ends, e^X = sum_k X^k / k!
+    X = np.triu(np.random.default_rng(8).standard_normal((6, 5, 5)) * 4.0, k=1)
+    assert _expm_errors(X).max() < 1e-13
+    terms = [np.broadcast_to(np.eye(5), X.shape)]
+    for k in range(1, 5):
+        terms.append(terms[-1] @ X / k)
+    assert np.allclose(_expm(X), sum(terms), rtol=1e-13, atol=1e-13)
+
+
+def _exp_kernel_propagator(a, etas, t):
+    """phi(t) for M = exp(-a t): phi'' + (eta + a) phi' + (eta a + 1) phi = 0
+    with phi(0) = 1, phi'(0) = -eta, over the roots r of its characteristic
+    polynomial."""
+    out = np.empty((len(etas), len(t)))
+    for j, eta in enumerate(etas):
+        r1, r2 = np.roots([1.0, eta + a, eta * a + 1.0]).astype(complex)
+        out[j] = ((r1 + a) / (r1 - r2) * np.exp(r1 * t)
+                  + (r2 + a) / (r2 - r1) * np.exp(r2 * t)).real
+    return out
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 1.37])
+def test_exact_table_matches_the_closed_form_of_exp(a):
+    b = interval_basis(6, 24)
+    table = build_flow_table(parse_kernel(f"exp(-{a!r}*t)"), b, 1.0, 40, method="exact")
+    want = _exp_kernel_propagator(a, b.eigenvalues, table.tgrid)
+    assert np.all(np.abs(table.phi - want) <= 1e-12 * np.maximum(np.abs(want), 1e-3))
+
+
+@pytest.mark.parametrize("text, J, T, n_steps", [
+    ("cos(60*t)", 4, 1.0, 4),  # the decomposition table is 3x off at mode 1, t = 1
+    ("2 + t^3*exp(-1*t) + -0.5*t*exp(-1*t) + exp(0.3*t)", 8, 2.0, 8),
+    ("0", 8, 1.0, 5),
+    ("1", 8, 1.0, 5),
+], ids=["cos60", "several-rates", "zero", "one"])
+def test_exact_table_matches_the_checked_kernel_rep(text, J, T, n_steps):
+    """No substeps at any step size: each entry matches the checked
+    single-mode value to 1e-12 relative."""
+    M, b = parse_kernel(text), interval_basis(J, 4 * J)
+    table = build_flow_table(M, b, T, n_steps, method="exact")
+    want = np.array([[kernel_rep_mode(M, float(eta), float(t)) for t in table.tgrid]
+                     for eta in b.eigenvalues])
+    assert np.all(np.abs(table.phi - want) <= 1e-12 * np.abs(want))
 
 
 def test_table_substeps_high_modes():

@@ -21,6 +21,7 @@ from memflow.kernels import (
     km_partial,
     p_coeff,
     parse_kernel,
+    realization,
 )
 
 
@@ -779,3 +780,39 @@ def test_conv_power_matches_trapezoid_quadrature(text):
         # the two-rate kernel drifts to 1.1e-9, because the 1e-15 cancellation
         # rule drops the top powers of its convolution powers
         assert err <= 2e-9
+
+
+# ---------------------------------------------------------------------------
+# the state-space realization
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("text, size", [
+    ("exp(-1*t)", 1),
+    ("1", 1),
+    ("2 + t^3*exp(-1*t) + -0.5*t*exp(-1*t) + exp(0.3*t)", 6),
+    ("cos(60*t)", 2),
+    ("t^2*exp(0.5*t)*cos(2*t) + exp(-2*t)*sin(3*t) + t", 12),
+    ("0", 0),
+])
+def test_realization_impulse_response_is_the_kernel(text, size):
+    """c^T e^{A t} b reproduces M; complex rates double the state count."""
+    from scipy.linalg import expm
+    M = parse_kernel(text)
+    A, b, c = realization(M)
+    assert A.shape == (size, size) and b.shape == c.shape == (size,)
+    assert realization(M)[0] is A and not A.flags.writeable
+    for t in (0.0, 0.3, 1.7):
+        want = M.eval(t)
+        assert c @ expm(A * t) @ b == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def test_realization_blocks_follow_the_stored_rows():
+    # rows at rates -1 (top power 3) and 0.3 (top power 0), and 0 (the constant)
+    M = parse_kernel("2 + t^3*exp(-1*t) + -0.5*t*exp(-1*t) + exp(0.3*t)")
+    A, b, c = realization(M)
+    assert list(M.rates) == [-1.0, 0.0, 0.3]
+    assert np.array_equal(np.diag(A), [-1.0] * 4 + [0.0, 0.3])
+    assert np.array_equal(np.diag(A, -1), [1.0, 2.0, 3.0, 0.0, 0.0])
+    assert np.array_equal(A, np.diag(np.diag(A)) + np.diag(np.diag(A, -1), -1))
+    assert np.array_equal(b, [1.0, 0.0, 0.0, 0.0, 1.0, 1.0])
+    assert np.array_equal(c, [0.0, -0.5, 0.0, 1.0, 2.0, 1.0])

@@ -417,7 +417,7 @@ def test_alpha_probe_bounded_at_weight_two(mem_table, full_mask):
 def ball_setup():
     M = parse_kernel("exp(-1*t)")
     basis = interval_basis(48, 512)
-    table = build_flow_table(M, basis, 1.0, 1000, method="decomposition")
+    table = build_flow_table(M, basis, 1.0, 1000, method="exact")
     mask = ball_complement_mask(1.0, 100, 128, 0.5, 0.3)
     return ObsSetup(table, mask, alpha=None, window=(0.0, 1.0))
 

@@ -12,7 +12,6 @@ import numpy as np
 from memflow import (
     ObsSetup,
     build_flow_table,
-    discrepancy_lambda,
     hs_norm,
     interval_basis,
     parse_kernel,
@@ -45,11 +44,10 @@ print(f"  observation map rank {diag['rank']}, smallest singular value "
 noisy = synthesize_observation(setup, truth, noise=0.01,
                                rng=np.random.default_rng(7))
 noise_norm = setup.l2_norm(noisy - data)
-lam = discrepancy_lambda(setup, noisy, noise_norm)
-rec2, _ = reconstruct_y0(setup, noisy, lam=lam)
+rec2, diag2 = reconstruct_y0(setup, noisy, noise_norm=noise_norm)
 rel2 = hs_norm(basis, rec2 - truth, -4.0) / hs_norm(basis, truth, -4.0)
 print(f"\n1% noise, discrepancy-principle regularization "
-      f"(lambda = {lam:.2e}):")
+      f"(lambda = {diag2['lambda']:.2e}):")
 print(f"  relative reference-norm error {rel2:.2%}")
 print(f"\n{'mode':>5} {'truth':>9} {'noiseless':>10} {'noisy':>9}")
 for j in range(12):

@@ -46,7 +46,6 @@ from .geometry import (
 from .inverse_control import (
     RouteMismatchError,
     SingularSystemError,
-    discrepancy_lambda,
     duality_range_test,
     min_norm_control,
     reachable_difference_check,

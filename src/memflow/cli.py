@@ -35,7 +35,6 @@ from .flow import (
 from .inverse_control import (
     RouteMismatchError,
     SingularSystemError,
-    discrepancy_lambda,
     duality_range_test,
     min_norm_control,
     reconstruct_y0,
@@ -559,9 +558,8 @@ def cmd_reconstruct(cfg, sink, rng):
     truth /= np.linalg.norm(truth)
     clean = synthesize_observation(setup, truth)
     data = synthesize_observation(setup, truth, noise=noise, rng=rng) if noise else clean
-    if lam is None:
-        lam = discrepancy_lambda(setup, data, setup.l2_norm(data - clean)) if noise else 0.0
-    rec, rep = reconstruct_y0(setup, data, lam=lam)
+    rec, rep = reconstruct_y0(setup, data, lam=lam,
+                              noise_norm=setup.l2_norm(data - clean) if noise else None)
     rel = (hs_norm(setup.basis, rec - truth, REF_EXPONENT)
            / hs_norm(setup.basis, truth, REF_EXPONENT))
     sink.write_csv("coefficients.csv", "j, truth, reconstructed",

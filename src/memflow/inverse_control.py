@@ -3,10 +3,10 @@
 Reconstruction solves the regularized normal equations of the discrete
 observation map (justified by the two-sided observability estimate: the
 reference norm of the initial state is equivalent to the masked observation
-norm).  Control solves the discretized moment problem G u = target for the
-forced flow, with G built from exact influence coefficients of the time
-stepper, so a forced replay (``_replay``) reproduces the target to roundoff.
-Controls live on the mask raster (piecewise constant per cell) and vanish
+norm), on which the discrepancy principle also picks lambda.  Control
+solves the discretized moment problem G u = target for the forced flow, with
+G built from exact influence coefficients of the time stepper, so a forced
+replay (``_replay``) reproduces the target to roundoff.  Controls live on the mask raster (piecewise constant per cell) and vanish
 outside the mask by construction; one raster (``_raster``) serves the
 influence rows, the replay's forcing and the moment residual.
 
@@ -32,7 +32,6 @@ __all__ = [
     "SingularSystemError",
     "synthesize_observation",
     "reconstruct_y0",
-    "discrepancy_lambda",
     "RouteMismatchError",
     "min_norm_control",
     "reachable_difference_check",
@@ -64,15 +63,6 @@ def synthesize_observation(setup, y0, noise=0.0, rng=None):
     return data
 
 
-def _normal_equations(setup, data):
-    """(A, rhs, Dm): A = O^T O and rhs = O^T d without forming O, and the
-    reference mass Dm, so that ||O a - d||^2 + lam ||a||_ref^2 is least at
-    (A + lam Dm) a = rhs."""
-    A = setup.gram(setup.quad_weights)
-    rhs = setup.adjoint(setup.quad_weights[:, None] * setup.masked(data))
-    return A, rhs, np.diag(setup.mass_matrix())
-
-
 def _cholesky_solve(A, b):
     """Solution of A x = b by the Cholesky factor of A; LinAlgError unless A
     is positive definite."""
@@ -80,14 +70,18 @@ def _cholesky_solve(A, b):
     return np.linalg.solve(L.T, np.linalg.solve(L, b))
 
 
-def reconstruct_y0(setup, data, lam=0.0):
+def reconstruct_y0(setup, data, lam=None, noise_norm=None):
     """Regularized least squares for the initial coefficients.
 
     ``data`` holds samples d[i, k] on the setup's (window time grid) x (basis
     spatial grid), zero outside the mask; it is read, never written.
-    Minimizes ||O a - d||^2 + lam ||a||_ref^2 by direct normal equations.
-    With lam = 0 a rank-deficient system raises SingularSystemError naming
-    the invisible direction.
+    Minimizes ||O a - d||^2 + lam ||a||_ref^2 by Cholesky on the normal
+    equations, built once.  lam = None means the discrepancy principle when
+    ``noise_norm`` (the L2 norm of the noise in ``data``) is given, else 0:
+    lam grows from 1e-14 max(trace(O^T O), 1) by factors of 10 until the
+    residual reaches 0.9 noise_norm (after 60 misses, the solve at
+    lam_0 10^60 is returned).  With lam = 0 a rank-deficient system raises
+    SingularSystemError naming the invisible direction.
 
     Returns (coefficients, report): the length-J coefficient array and a
     dict of lambda, the data residual, and sigma_min and rank of the map
@@ -100,35 +94,34 @@ def reconstruct_y0(setup, data, lam=0.0):
     expected = (len(setup.times), len(setup.basis.x))
     if data.shape != expected:
         raise ValueError(f"data must have shape {expected}")
-    A, rhs, Dm = _normal_equations(setup, data)
+    A = setup.gram(setup.quad_weights)
+    rhs = setup.adjoint(setup.quad_weights[:, None] * setup.masked(data))
+    Dm = np.diag(setup.mass_matrix())
     lam_ev, V = _pencil_eigh(A, Dm)
     top = max(lam_ev[-1], 0.0)
+    if lam is None and noise_norm is None:
+        lam = 0.0
     if lam == 0.0 and lam_ev[0] <= 1e-14 * max(top, 1e-300):
         raise SingularSystemError(
             "observation map is rank deficient with lam = 0; "
             f"null direction coefficients {np.round(V[:, 0], 6)}",
             null_direction=V[:, 0],
         )
-    a = _cholesky_solve(A + lam * Dm, rhs)
+    last = 60 if lam is None else 0  # the sweep's last step is not tested
+    if lam is None:
+        lam = 1e-14 * max(float(np.trace(A)), 1.0)
+    for step in range(last + 1):
+        a = _cholesky_solve(A + lam * Dm, rhs)
+        residual = setup.l2_norm(setup.fields(a) - data)
+        if step == last or residual >= 0.9 * noise_norm:
+            break
+        lam *= 10.0
     return a, {
         "lambda": lam,
-        "residual": setup.l2_norm(setup.fields(a) - data),
+        "residual": residual,
         "sigma_min": setup.l2_norm(setup.fields(V[:, 0])),
         "rank": int(np.sum(lam_ev > 1e-12 * max(top, 1e-300))),
     }
-
-
-def discrepancy_lambda(setup, data, noise_norm):
-    """Grow lam from 1e-14 trace(O^T O) by factors of 10 until the residual
-    reaches 0.9 x noise."""
-    A, rhs, Dm = _normal_equations(setup, data)
-    lam = 1e-14 * max(float(np.trace(A)), 1.0)
-    for _ in range(60):
-        a = _cholesky_solve(A + lam * Dm, rhs)
-        if setup.l2_norm(setup.fields(a) - data) >= 0.9 * noise_norm:
-            return lam
-        lam *= 10.0
-    return lam
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,6 @@ from memflow.geometry import (
     zigzag_mask,
 )
 from memflow.inverse_control import (
-    discrepancy_lambda,
     duality_range_test,
     min_norm_control,
     reconstruct_y0,
@@ -381,8 +380,7 @@ def test_criterion_09_reconstruction():
                                    rng=np.random.default_rng(7))
     _, sq = observation_operator(setup)
     noise_norm = float(np.linalg.norm(((noisy - data) * sq).ravel()))
-    lam = discrepancy_lambda(setup, noisy, noise_norm)
-    rec2, _ = reconstruct_y0(setup, noisy, lam=lam)
+    rec2, _ = reconstruct_y0(setup, noisy, noise_norm=noise_norm)
     rel1 = hs_norm(basis, rec2 - truth, -4.0) / hs_norm(basis, truth, -4.0)
     elapsed = time.perf_counter() - t0
     ok = rel0 <= 1e-6 and rel1 <= 0.10 and elapsed < 30.0

@@ -9,7 +9,6 @@ from memflow.inverse_control import (
     _cholesky_solve,
     _influence_rows,
     SingularSystemError,
-    discrepancy_lambda,
     duality_range_test,
     min_norm_control,
     reachable_difference_check,
@@ -62,10 +61,60 @@ def test_noisy_round_trip_discrepancy(setup12, rng):
                                    rng=np.random.default_rng(5))
     _, sq = observation_operator(setup12)
     noise_norm = float(np.linalg.norm(((noisy - clean) * sq).ravel()))
-    lam = discrepancy_lambda(setup12, noisy, noise_norm)
-    rec, diag = reconstruct_y0(setup12, noisy, lam=lam)
+    rec, diag = reconstruct_y0(setup12, noisy, noise_norm=noise_norm)
     rel = hs_norm(setup12.basis, rec - truth, -4.0) / hs_norm(setup12.basis, truth, -4.0)
     assert rel <= 0.10
+
+
+def _dense_sweep(setup, noisy, noise_norm):
+    """The discrepancy sweep on the dense normal equations of
+    ``observation_operator``: (lam, a) at the first lam of the x10 grid from
+    1e-14 max(trace, 1) whose residual reaches 0.9 noise_norm, with the
+    number of steps taken; after 60 misses, the solve at the 61st grid lam."""
+    O, sq = observation_operator(setup)
+    d = (noisy * sq).ravel()
+    A, rhs, Dm = O.T @ O, O.T @ d, np.diag(setup.mass_matrix())
+    lam = 1e-14 * max(float(np.trace(A)), 1.0)
+    for k in range(61):
+        a = np.linalg.solve(A + lam * Dm, rhs)
+        if k == 60 or np.linalg.norm(O @ a - d) >= 0.9 * noise_norm:
+            return lam, a, k
+        lam *= 10.0
+
+
+def _noisy_zigzag(setup):
+    truth = np.random.default_rng(3).standard_normal(12)
+    truth /= np.linalg.norm(truth)
+    clean = synthesize_observation(setup, truth)
+    noisy = synthesize_observation(setup, truth, noise=0.01, rng=np.random.default_rng(5))
+    return noisy, setup.l2_norm(noisy - clean)
+
+
+@pytest.mark.parametrize("inflation", [2.0, None], ids=["steps", "cap"])
+def test_discrepancy_sweep_matches_the_dense_grid(setup12, inflation):
+    """An inflated noise level moves the sweep past its first step (the
+    residual at lam_0 is about ||noise|| sqrt(1 - J/N), already above
+    0.9 ||noise||); one out of reach runs it to its cap, the solve at
+    lam_0 10^60.  Both agree with the dense normal equations on the same grid."""
+    noisy, noise = _noisy_zigzag(setup12)
+    # the residual never exceeds ||data||, so 10 ||data|| is out of reach
+    noise_norm = inflation * noise if inflation else 10.0 * setup12.l2_norm(noisy)
+    lam_ref, a_ref, steps = _dense_sweep(setup12, noisy, noise_norm)
+    assert steps >= 2 if inflation else steps == 60
+    rec, diag = reconstruct_y0(setup12, noisy, noise_norm=noise_norm)
+    assert diag["lambda"] == pytest.approx(lam_ref, rel=1e-12)
+    assert np.max(np.abs(rec - a_ref)) <= 1e-9 * np.max(np.abs(a_ref))
+    assert diag["residual"] == pytest.approx(setup12.l2_norm(setup12.fields(rec) - noisy),
+                                             rel=1e-12)
+
+
+@pytest.mark.parametrize("lam, noise_norm, want", [(None, None, 0.0), (1e-6, 1.0, 1e-6)],
+                         ids=["no-noise", "explicit"])
+def test_lambda_rule(setup12, lam, noise_norm, want):
+    """lam = None means 0 without a noise level, and a given lam is used as
+    it is: the noise level is read only by the discrepancy principle."""
+    noisy, _ = _noisy_zigzag(setup12)
+    assert reconstruct_y0(setup12, noisy, lam=lam, noise_norm=noise_norm)[1]["lambda"] == want
 
 
 def test_singular_system_names_direction():

@@ -1,9 +1,10 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -599,7 +600,10 @@ def test_p_coeff_forms_no_convolution_power():
 # ---------------------------------------------------------------------------
 
 def ref_canonical(terms):
-    """Merge duplicate (power, rate, freq, phase) keys, fold freq < 0, drop noise."""
+    """Merge duplicate (power, rate, freq, phase) keys, fold freq < 0, drop
+    noise.  Coefficients are summed as given (mpmath numbers in the
+    convolution and product references) and rounded to floats once, after
+    the merge."""
     acc = {}
     for c, m, a, b, ph in terms:
         if c == 0.0:
@@ -614,11 +618,11 @@ def ref_canonical(terms):
         if b == 0.0:
             ph = "cos"
         key = (int(m), float(a), float(b), ph)
-        acc[key] = acc.get(key, 0.0) + float(c)
+        acc[key] = acc.get(key, 0.0) + c
     if not acc:
         return []
     tol = 1e-15 * max(abs(c) for c in acc.values())
-    return sorted((c, m, a, b, ph) for (m, a, b, ph), c in acc.items() if abs(c) > tol)
+    return sorted((float(c), m, a, b, ph) for (m, a, b, ph), c in acc.items() if abs(c) > tol)
 
 
 def ref_complex_terms(terms):
@@ -645,12 +649,13 @@ def ref_complex_to_real(c, m, z):
 
 
 def ref_conv_pair(p, z1, q, z2):
-    """Convolution of t^p e^{z1 t} with t^q e^{z2 t} as complex term tuples."""
+    """Convolution of t^p e^{z1 t} with t^q e^{z2 t} as complex term tuples,
+    coefficients in mpmath: the partial fractions of distinct rates cancel
+    when merged, and in floats they leave residues of 1e-13 relative."""
     fact = math.factorial
     if abs(z2 - z1) <= 1e-12 * max(1.0, abs(z1), abs(z2)):
-        c = fact(p) * fact(q) / fact(p + q + 1)
-        return [(complex(c), p + q + 1, z1)]
-    w = z2 - z1
+        return [(mpmath.mpc(fact(p) * fact(q)) / fact(p + q + 1), p + q + 1, z1)]
+    w = mpmath.mpc(z2) - z1
     out = []
     for i in range(p + 1):
         pref = math.comb(p, i) * (-1) ** i
@@ -664,16 +669,18 @@ def ref_conv_pair(p, z1, q, z2):
 
 
 def ref_convolve(f, g):
-    return ref_canonical(
-        term for c1, m1, z1 in ref_complex_terms(f) for c2, m2, z2 in ref_complex_terms(g)
-        for c, m, z in ref_conv_pair(m1, z1, m2, z2)
-        for term in ref_complex_to_real(c1 * c2 * c, m, z))
+    with mpmath.workdps(40):
+        return ref_canonical(
+            term for c1, m1, z1 in ref_complex_terms(f) for c2, m2, z2 in ref_complex_terms(g)
+            for c, m, z in ref_conv_pair(m1, z1, m2, z2)
+            for term in ref_complex_to_real(mpmath.mpc(c1) * c2 * c, m, z))
 
 
 def ref_mul(f, g):
-    return ref_canonical(
-        term for c1, m1, z1 in ref_complex_terms(f) for c2, m2, z2 in ref_complex_terms(g)
-        for term in ref_complex_to_real(c1 * c2, m1 + m2, z1 + z2))
+    with mpmath.workdps(40):
+        return ref_canonical(
+            term for c1, m1, z1 in ref_complex_terms(f) for c2, m2, z2 in ref_complex_terms(g)
+            for term in ref_complex_to_real(mpmath.mpc(c1) * c2, m1 + m2, z1 + z2))
 
 
 # rates and frequencies on grids of step 0.25: two rates coincide or differ
@@ -683,12 +690,32 @@ _SOME_TERMS = _TERMS.filter(bool).map(lambda terms: terms[:3])
 
 @settings(max_examples=40, deadline=None)
 @given(f=_SOME_TERMS, g=_SOME_TERMS)
+# t^3 e^{-0.75t} sin(0.25t) against its cos twin: summed in floats, the
+# reference's partial fractions (rate gap 0.5i) left a 2e-13 residue here
+@example(f=[(1.451171875, 3, -0.75, 0.25, "sin")],
+         g=[(1.4515404747835419, 3, -0.75, 0.25, "cos")])
 def test_convolve_and_product_match_tuple_reference(f, g):
+    _check_convolve_and_product(f, g)
+
+
+def _check_convolve_and_product(f, g):
     ts = np.linspace(0.0, 3.0, 31)
     F, G = ExpPolyFn(f), ExpPolyFn(g)
     for got, want in ((F.convolve(G), ref_convolve(f, g)), (F * G, ref_mul(f, g))):
         assert np.all(np.abs(got.eval(ts) - per_term_eval(want, ts))
                       <= 1e-12 * per_term_scale(want, ts))
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 3: the closed-form convolution keeps a cancellation residue "
+    "of 1.25e-12 of the per-term scale at t = 0, where the exact value is 0"))
+def test_convolve_of_a_close_conjugate_pair_matches_the_exact_reference():
+    # t^3 e^{-1.25t} sin(0.25t) against e^{-1.5t} cos(1.5t) plus its cos
+    # twin: the closed form misses the exact reference at t = 0 ... 0.3 by
+    # up to 1.25e-12 of the per-term scale, where neither term of g alone
+    # misses it
+    _check_convolve_and_product([(1.0, 3, -1.25, 0.25, "sin")],
+                                [(1.0, 0, -1.5, 1.5, "cos"), (1.0, 3, -1.25, 0.25, "cos")])
 
 
 @settings(max_examples=40, deadline=None)

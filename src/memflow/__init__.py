@@ -20,7 +20,6 @@ from .flow import (
     kernel_rep_profile,
     remainder_bound,
     remainder_profile,
-    volterra_influence,
     volterra_mode,
     volterra_modes,
 )

@@ -581,7 +581,7 @@ def cmd_control(cfg, sink, rng):
     y0 = np.random.default_rng(cfg["seed"]).standard_normal(basis.J)
     y1 = basis.eigenvalues**-3.0 if cc["target"] == "eta^-3" else np.zeros(basis.J)
     u, rep = min_norm_control(M, basis, mask, cc["T_hat"], y0, y1, regime=cc["regime"],
-                              alpha=cc["alpha"], n_steps=cfg["time"]["n_t"])
+                              alpha=cc["alpha"])
     it, ix = np.nonzero(mask.cells)
     sink.write_csv("control.csv", "t_i, x_cell, u_value",
                    zip(it.tolist(), ix.tolist(), u[it, ix].tolist()))

@@ -26,7 +26,12 @@ where * is convolution on [0, t].  Routes implemented:
   * the order-N decomposition into a smoothing part, an instantaneous
     multiplier part, and a quadrature remainder.
 
-The exact route and the forward, forced and adjoint runs of the stepper are
+A forcing that is constant on a row of length h steps the exact mode state
+by x <- E x + F u, with [E F] the top block row of one exponential of the
+augmented generator h [[G, e_0], [0, 0]] (``_row_step``; Van Loan, IEEE TAC
+23, 1978).  The control reads only these row steps.
+
+The exact route, the stepper and the control's influence rows and replay are
 one blocked scan of their constant map (``_scan``): in blocks of
 L ~ sqrt(n) steps, about sqrt(n) batched (J, P, P) products and a few
 batched products over the table, instead of n Python-level steps or the
@@ -35,7 +40,7 @@ O(n^2 J) direct sum.
 Consumers read the tables as follows (``build_flow_table``): ``probe-alpha``
 and ``probe-ball`` read the exact table, and ``flow-check`` takes its order
 study's reference from it; ``obsconst``, ``reconstruct`` and ``duality``
-read the substepped stepper table, and ``control`` the stepper itself.  The
+read the substepped stepper table, and ``control`` the exact row steps.  The
 two series routes are independent cross-checks: ``flow-check`` compares
 their single-mode values with the stepper, and the three-way tests and the
 benchmark's closed-form check compare their tables.
@@ -77,7 +82,6 @@ __all__ = [
     "MultiplierIndexError",
     "volterra_mode",
     "volterra_modes",
-    "volterra_influence",
     "kernel_rep_mode",
     "kernel_rep_profile",
     "remainder_profile",
@@ -145,12 +149,9 @@ def _state_space(M, etas, T, n_steps):
     On the real state x_i = (y_i, s_i, Z_{i+1}) of size P = K + 2 (a complex
     recurrence is split into real and imaginary parts, since s = Re(c @ Z)
     is not C-linear, and then P = 2K + 2) one step of the scheme is
-
-        x_i = A x_{i-1} + e u_{i-1},   u_{i-1} = dt (f_{i-1} + f_i) / 2,
-
-    with y_i = (b y_{i-1} - s_{i-1} - s_i + u_{i-1}) / a, s_i = c . Z_i and
-    Z_{i+1} = W Z_i + w y_i.  Returns dt, q0 = dt^2 M(0) / 4, A (J, P, P),
-    e (J, P) and the injection column w of the states.
+    x_i = A x_{i-1}, with y_i = (b y_{i-1} - s_{i-1} - s_i) / a,
+    s_i = c . Z_i and Z_{i+1} = W Z_i + w y_i.  Returns q0 = dt^2 M(0) / 4,
+    A (J, P, P) and the injection column w of the states.
 
     Raises StepSizeError when eta*dt > 2 for some mode.
     """
@@ -176,10 +177,7 @@ def _state_space(M, etas, T, n_steps):
     A[:, 1, 2:] = c
     A[:, 2:, 2:] = W
     A[:, 2:, :] += w[:, None] * A[:, None, 0, :]  # + w y_i, y_i from row 0
-    e = np.zeros((J, K + 2))
-    e[:, 0] = inv_a
-    e[:, 2:] = w * inv_a[:, None]
-    return dt, q0, A, e, w
+    return q0, A, w
 
 
 def _scan(A, x0, n_out, e=None, u=None):
@@ -231,12 +229,12 @@ def _scan(A, x0, n_out, e=None, u=None):
     return y.reshape(J, nb * L)[:, :n_out].T
 
 
-def volterra_modes(M, etas, T, n_steps, y0=None, forcing=None):
-    """March all modes at once on the uniform grid t_i = i*T/n_steps.
+def volterra_modes(M, etas, T, n_steps):
+    """March all modes at once from y_0 = 1 on the uniform grid t_i = i*T/n_steps.
 
     Trapezoid rule in the memory integral, implicit in the -eta y term:
 
-        a y_i = b y_{i-1} - s_{i-1} - s_i + dt (f_{i-1} + f_i) / 2,
+        a y_i = b y_{i-1} - s_{i-1} - s_i,
 
     with a = 1 + eta dt/2 + dt^2 M(0)/4, b = 1 - eta dt/2 - dt^2 M(0)/4 and
     s_i = (dt^2/2) sum_{d>=1} M(d dt) v_{i-d} (v_0 = y_0/2, v_k = y_k; at
@@ -248,29 +246,13 @@ def volterra_modes(M, etas, T, n_steps, y0=None, forcing=None):
     batched (J, K+2, K+2) products and a few batched products over the
     table, instead of n steps or the O(n^2 J) direct sum.
 
-    Parameters
-    ----------
-    M : ExpPolyFn
-        Memory kernel.
-    etas : array (J,)
-        Mode eigenvalues of the positive operator.
-    y0 : array (J,), optional
-        Initial coefficients; defaults to all ones (propagator columns).
-    forcing : array (n_steps+1, J), optional
-        Forcing samples on the grid.
-
-    Returns
-    -------
-    array (n_steps+1, J) of mode values.
+    Returns the propagator samples (n_steps+1, J) of the modes of
+    eigenvalues ``etas`` under the memory kernel M.
     """
     etas = np.atleast_1d(np.asarray(etas, dtype=float))
-    dt, q0, A, e, w = _state_space(M, etas, T, n_steps)
-    y0 = np.ones(len(etas)) if y0 is None else np.asarray(y0, dtype=float)
-    x0 = np.outer(y0, np.concatenate([[1.0, -q0], 0.5 * w]))
-    if forcing is None:
-        return _scan(A, x0, n_steps + 1)
-    f = np.asarray(forcing, dtype=float)
-    return _scan(A, x0, n_steps + 1, e, 0.5 * dt * (f[:-1] + f[1:]))
+    q0, A, w = _state_space(M, etas, T, n_steps)
+    x0 = np.tile(np.concatenate([[1.0, -q0], 0.5 * w]), (len(etas), 1))
+    return _scan(A, x0, n_steps + 1)
 
 
 def volterra_mode(M, eta, tgrid):
@@ -283,29 +265,6 @@ def volterra_mode(M, eta, tgrid):
     if tgrid[0] != 0.0 or not np.allclose(np.diff(tgrid), dt):
         raise ValueError("tgrid must be uniform and start at 0")
     return volterra_modes(M, [eta], tgrid[-1], len(tgrid) - 1)[:, 0]
-
-
-def volterra_influence(M, etas, T, n_steps):
-    """Exact sensitivities g[i, j] = d y_j(T) / d f_j(t_i) of the discrete scheme.
-
-    Computed by back-substitution on the transposed stepping system, so a
-    forced run reproduces  y(T) = phi(T) y0 + sum_i g[i] * f[i]  to roundoff.
-    The transposed system mirrors the forward one,
-
-        a lam_i = b lam_{i+1} - u_{i+1} - u_i,   lam_n = 1 / a,
-
-    with u_i = (dt^2/2) sum_{k>i} M((k-i) dt) lam_k.  Run backward in time it
-    is the forward map of ``_state_space`` started from the forcing column e,
-    so lam_{n-k} = e_0^T A^k e is the scheme's impulse response and comes
-    from the same blocked scan as the forward run.
-    """
-    etas = np.atleast_1d(np.asarray(etas, dtype=float))
-    dt, _, A, e, _ = _state_space(M, etas, T, n_steps)
-    lam = _scan(A, e, n_steps)[::-1]  # lam_1, ..., lam_n
-    g = np.zeros((n_steps + 1, len(etas)))
-    g[:-1] += lam
-    g[1:] += lam
-    return 0.5 * dt * g
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +314,21 @@ def _generator(M, etas):
     G[:, 1:, 0] = b
     G[:, 1:, 1:] = A
     return G
+
+
+def _row_step(M, etas, lengths):
+    """Exact steps across rows of the given lengths h under a forcing u that
+    is constant on the row: the mode state x = (y, Z) of ``_generator``
+    moves by x <- E x + F u, with [E F] the top block row of
+    e^{h [[G, e_0], [0, 0]]} (Van Loan, IEEE TAC 23, 1978), all lengths in
+    one batched ``_expm``.  Returns E (n, J, P, P) and F (n, J, P)."""
+    G = _generator(M, etas)
+    J, P, _ = G.shape
+    X = np.zeros((J, P + 1, P + 1))
+    X[:, :P, :P] = G
+    X[:, 0, P] = 1.0
+    V = _expm(np.asarray(lengths, dtype=float)[:, None, None, None] * X)
+    return V[..., :P, :P], V[..., :P, P]
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +552,8 @@ def build_flow_table(M, basis, T, n_steps, method="volterra"):
     The two series routes are unchecked tables, kept as independent
     cross-checks of the others (the three-way tests and the benchmark's
     closed-form check); ``flow-check`` compares their checked single-mode
-    values.
+    values.  ``control`` reads no table: it steps the exact row map of
+    ``_row_step`` once per mask row.
     """
     etas = basis.eigenvalues
     tgrid = np.linspace(0.0, T, n_steps + 1)

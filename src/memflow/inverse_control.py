@@ -4,15 +4,16 @@ Reconstruction solves the regularized normal equations of the discrete
 observation map (justified by the two-sided observability estimate: the
 reference norm of the initial state is equivalent to the masked observation
 norm), on which the discrepancy principle also picks lambda.  Control
-solves the discretized moment problem G u = target for the forced flow, with
-G built from exact influence coefficients of the time stepper, so a forced
-replay (``_replay``) reproduces the target to roundoff.  Controls live on the mask raster (piecewise constant per cell) and vanish
-outside the mask by construction; one raster (``_raster``) serves the
-influence rows, the replay's forcing and the moment residual.
+solves the moment problem G u = target of the continuous flow of the
+truncated modes: a control lives on the mask raster (constant per cell,
+zero outside the mask by construction), so the flow crosses each mask row
+by one exact step of ``flow._row_step``, and the influence rows, phi(T_hat)
+and the forced replay (``_replay``) are scans of that step.  The replay
+must land on the moment solve's prediction to roundoff.
 
 Control through the mask is observation of the adjoint (HUM duality): G is
 the transpose of the masked-row operator ``observability._MaskedRows`` with
-the influence rows k_t as time profiles, the cell indicators' mode
+the influence rows k_r as time profiles, the cell indicators' mode
 coefficients B as spatial functions and the mask cells as weights.  So the
 reachability Gram G diag(c) G^T is that operator's ``gram(c)``, the control
 is read on the raster through its ``fields``, and the moment residual G u
@@ -25,7 +26,7 @@ import math
 
 import numpy as np
 
-from .flow import _fine_steps, volterra_influence, volterra_modes
+from .flow import _row_step, _scan
 from .observability import _MaskedRows, _pencil_eigh
 
 __all__ = [
@@ -132,104 +133,112 @@ class RouteMismatchError(RuntimeError):
     """A forced replay misses the final state its moment solve predicts."""
 
 
-def _raster(basis, mask, T, n_steps):
-    """(rows, B) of raster controls on the substepped grid (``_fine_steps``)
-    over [0, T]: rows[i] the mask row of fine time t_i, and B[j, ix] the mode
-    coefficients of the indicator of mask column ix (a control is piecewise
-    constant per cell, so its mode forcing on row t is F_t = B u_t)."""
-    nf = _fine_steps(basis.eigenvalues, T, n_steps)
+def _cell_modes(basis, mask):
+    """B[j, ix]: the mode coefficients of the indicator of mask column ix (a
+    control is piecewise constant per cell, so its mode forcing on row r is
+    B u_r)."""
     B = np.zeros((basis.J, mask.n_x))
     np.add.at(B.T, mask.columns_at(basis.x), (basis.funcs * basis.weights).T)
-    return mask.rows_at(np.linspace(0.0, T, nf + 1)), B
+    return B
 
 
-def _replay(M, etas, a0, f, T, phi):
-    """The forced stepper from coefficients a0 under the fine-grid forcing f
-    (nf+1, J), and the largest coefficient-space distance, over 16 evenly
-    spaced checkpoints, from the superposition sum
-    y(t) = phi(t) a0 + sum_k w_k phi(t - s_k) f(s_k) (trapezoid weights) on
-    the unforced table phi (nf+1, J).  Returns (trajectory (nf+1, J), distance)."""
-    nf = len(f) - 1
-    fine = volterra_modes(M, etas, T, nf, y0=a0, forcing=f)
-    phi, f = phi.T.copy(), f.T.copy()  # (J, nf+1)
-    dt = T / nf
-    idxs = np.unique(np.linspace(0, nf, 17).astype(int))
-    disc = 0.0
-    for i in idxs[1:]:  # idxs[0] = 0
-        w = np.full(i + 1, dt)
-        w[0] = w[-1] = 0.5 * dt
-        duh = phi[:, i] * a0 + np.einsum("k,jk,jk->j", w, phi[:, i::-1], f[:, : i + 1])
-        disc = max(disc, float(np.linalg.norm(fine[i] - duh)))
-    return fine, disc
+def _row_lengths(mask, T_hat):
+    """Lengths (R,) of the mask rows that start before T_hat: mask.dt each,
+    the last one cut at T_hat, or stretched to it when T_hat > mask.T.  A
+    T_hat within rounding of a row edge ends that row."""
+    R = min(mask.n_t, max(1, math.ceil(T_hat / mask.dt - 1e-9)))
+    h = np.full(R, mask.dt)
+    if not math.isclose(T_hat - (R - 1) * mask.dt, mask.dt, rel_tol=1e-9):
+        h[-1] = T_hat - (R - 1) * mask.dt
+    return h
 
 
-def _influence_rows(kernel, basis, mask, T_hat, n_steps):
-    """(op, rows): the control operator ``_MaskedRows(K, B, cells)``, with
-    K[t, j] the exact stepper influence on mode j summed over the fine steps
-    that fall in mask row t, and the raster (rows, B) of ``_raster``, built
-    once for the whole solve.  op.fields(e_j)[t, x] = K[t, j] B[j, x] is the
-    final coefficient j reached from a unit control on cell (t, x)."""
-    rows, B = _raster(basis, mask, T_hat, n_steps)
-    g = volterra_influence(kernel, basis.eigenvalues, T_hat, len(rows) - 1)  # (nf+1, J)
-    K = np.stack([np.bincount(rows, weights=g_j, minlength=mask.n_t) for g_j in g.T],
-                 axis=1)
-    return _MaskedRows(K, B, mask.cells.astype(float)), rows
+def _replay(steps, a0, f):
+    """y(T_hat) from coefficients a0 under the row forcing f (R, J), by the
+    row steps ((E, E_l), (F, F_l)) of ``flow._row_step`` across a full row
+    and across the last one.  E and E_l are functions of one generator, so
+    they commute, and the forced scan of E from E_l x0 with column E_l F over
+    the first R - 1 rows ends at E_l x_{R-1}; the last row adds F_l f."""
+    (E, E_l), (F, F_l) = steps
+    E_lF = (E_l @ F[..., None])[..., 0]
+    y = _scan(E, a0[:, None] * E_l[:, :, 0], len(f), E_lF, f[:-1])[-1]
+    return y + F_l[:, 0] * f[-1]
 
 
-def min_norm_control(kernel, basis, mask, T_hat, y0, y1, regime="l2", alpha=2.0,
-                     n_steps=1000):
-    """Least-norm discrete control steering y0 to y1 at T_hat through the mask.
+def _influence_rows(kernel, basis, mask, T_hat):
+    """(op, steps, lengths): the control operator ``_MaskedRows(K, B, cells)``
+    on the R mask rows before T_hat, the row steps of ``_replay`` and the
+    row lengths of ``_row_lengths``, built once for the whole solve.
+    K[r, j] = e_0^T E^{R-2-r} E_l F (K[R-1] = e_0^T F_l) is the final
+    coefficient j reached from a unit constant forcing on row r, so
+    op.fields(e_j)[r, x] = K[r, j] B[j, x] is that of a unit control on
+    cell (r, x)."""
+    lengths = _row_lengths(mask, T_hat)
+    steps = _row_step(kernel, basis.eigenvalues, lengths[[0, -1]])
+    (E, E_l), (F, F_l) = steps
+    K = np.empty((len(lengths), basis.J))
+    # the scan's last entry e_0^T E^{R-1} E_l F is not read
+    K[:-1] = _scan(E, (E_l @ F[..., None])[..., 0], len(lengths))[-2::-1]
+    K[-1] = F_l[:, 0]
+    cells = mask.cells[: len(lengths)].astype(float)
+    return _MaskedRows(K, _cell_modes(basis, mask), cells), steps, lengths
+
+
+def min_norm_control(kernel, basis, mask, T_hat, y0, y1, regime="l2", alpha=2.0):
+    """Least-norm control steering y0 to y1 at T_hat through the mask.
 
     y0 and y1 are coefficient arrays; one shorter than basis.J is padded
-    with zeros.  The moment system G u = y1 - phi(T_hat) y0 is solved in the
-    requested norm: plain least-norm for "l2" (the L2(raster) norm);
+    with zeros.  A control is constant on each mask cell, so the flow is
+    stepped exactly once per mask row (``flow._row_step``), and only the R
+    rows that start before T_hat carry a control (the last one cut at T_hat,
+    or stretched to it past mask.T).  The moment system G u = y1 - phi(T_hat) y0
+    is solved in the requested norm: least norm in L2(raster) for "l2";
     Lawson-style iteratively reweighted least squares for "weighted_linf",
     which minimizes the worst (T_hat - t)^{-alpha}-weighted spatial norm
-    (alpha > 1 required).  Both solve the normal matrix
-    G diag(c) G^T + jitter I with c constant on each mask row t (c = 1 for
-    "l2"): the ``gram(c)`` of the control operator of ``_influence_rows``,
+    (alpha > 1 required), t the midpoint of a row's part before T_hat.  Both
+    solve the normal matrix G diag(c) G^T + jitter I with c constant on
+    each mask row r (c_r = mask.dt / h_r for "l2", 1 on rows of full
+    length): the ``gram(c)`` of the control operator of ``_influence_rows``,
     contracted per run of equal mask rows.  G itself is never formed: the
     control is read on the raster, u = c o fields(mu), that is
-    u_t = c_t ((k_t o mu)^T B), on the mask cells (+0.0 elsewhere), and so
+    u_r = c_r ((k_r o mu)^T B), on the mask cells (+0.0 elsewhere), and so
     are the row norms that drive the reweighting (cond(G G^T) reaches 1e19,
     and the row quadratic forms of the Gram would cancel).  An IRLS
     iteration costs O(n_t J^2 + n_runs J^2) plus two raster products.  The
-    result is verified by a forced replay through the time stepper, whose
-    row forcing F_t = B u_t also gives the moment residual
-    G u = adjoint(u) = sum_t k_t o F_t.
+    result is verified by a forced replay by the row steps, whose row
+    forcing f_r = B u_r also gives the moment residual
+    G u = adjoint(u) = sum_r k_r o f_r.
 
-    Returns (u, report): the raster control values (zero outside the mask)
-    and a dict of the replayed final error, the route (a) vs (b) replay
-    discrepancy, the discrete L2(Q) control norm and the solver diagnostics.
+    Returns (u, report): the raster control values (zero outside the mask
+    and on rows past T_hat) and a dict of the replayed final error, the
+    L2(Q) control norm and the solver diagnostics.
     """
     if regime not in ("l2", "weighted_linf"):
         raise ValueError(f"unknown regime {regime!r}")
     if regime == "weighted_linf" and alpha <= 1.0:
         raise ValueError("weighted regime requires alpha > 1")
-    op, rows = _influence_rows(kernel, basis, mask, T_hat, n_steps)
-    nf = len(rows) - 1
-    # one unforced sweep: phi(T_hat) for the target, the table for the replay
-    phi = volterra_modes(kernel, basis.eigenvalues, T_hat, nf)
+    op, steps, lengths = _influence_rows(kernel, basis, mask, T_hat)
+    R = len(lengths)
     a0 = np.zeros(basis.J)
     a0[: len(y0)] = y0
     a1 = np.zeros(basis.J)
     a1[: len(y1)] = y1
-    target = a1 - phi[-1] * a0
+    (E, E_l), _ = steps
+    target = a1 - _scan(E, E_l[:, :, 0], R)[-1] * a0  # phi(T_hat) a0
 
     # jitter of G G^T
-    shift = 1e-14 * np.trace(op.gram(np.ones(mask.n_t))) * np.eye(basis.J)
+    shift = 1e-14 * np.trace(op.gram(np.ones(R))) * np.eye(basis.J)
 
     def solve(c):
         mu = _cholesky_solve(op.gram(c) + shift, target)
-        return np.where(mask.cells, c[:, None] * op.fields(mu), 0.0)
+        return np.where(op.W > 0, c[:, None] * op.fields(mu), 0.0)
 
     if regime == "l2":
-        u = solve(np.ones(mask.n_t))
-        objective = float(np.linalg.norm(u))
+        u = solve(mask.dt / lengths)
         n_irls, converged = 0, True
     else:
-        rho = (T_hat - (np.arange(mask.n_t) + 0.5) * mask.dt) ** (-alpha)
-        omega = np.ones(mask.n_t)
+        rho = (0.5 * lengths + T_hat - np.cumsum(lengths)) ** (-alpha)
+        omega = np.ones(R)
         converged = True
         for n_irls in range(1, 41):
             # weight 1 / (rho^2 omega) per row; a row with omega = 0 carries none
@@ -253,47 +262,47 @@ def min_norm_control(kernel, basis, mask, T_hat, y0, y1, regime="l2", alpha=2.0,
             converged = False  # stopped at the iteration cap
         objective = float(np.max(gamma))
 
-    F = u @ op.F.T  # the mode forcing of each mask row
-    fine, disc = _replay(kernel, basis.eigenvalues, a0, F[rows], T_hat, phi)
-    final_error = float(np.linalg.norm(fine[-1] - a1))
+    control_norm = math.sqrt(float(lengths @ (u**2).sum(axis=1)) * mask.dx)
+    if regime == "l2":
+        objective = control_norm / math.sqrt(mask.dt * mask.dx)
+    final_error = float(np.linalg.norm(_replay(steps, a0, u @ op.F.T) - a1))
     # the replay must land on the moment-solve prediction to roundoff;
-    # anything larger signals a broken discretization pairing
+    # anything larger signals a broken pairing of the two runs
     predicted = float(np.linalg.norm(op.adjoint(u) - target))
     if abs(final_error - predicted) > 1e-8 * max(1.0, float(np.linalg.norm(a1))):
         raise RouteMismatchError(
             f"forced replay misses the moment-solve prediction: "
             f"replay error {final_error:.3e} vs residual {predicted:.3e}")
-    return u, {
+    u_raster = np.zeros((mask.n_t, mask.n_x))
+    u_raster[:R] = u
+    return u_raster, {
         "final_error": final_error,
-        "replay_discrepancy": disc,
-        "control_norm": float(np.linalg.norm(u) * math.sqrt(mask.dt * mask.dx)),
+        "control_norm": control_norm,
         "regime": regime,
         "objective": objective,
         "moment_residual": predicted,
         "irls_iterations": n_irls,
         "irls_converged": converged,
         "n_dof": int(np.count_nonzero(mask.cells)),
-        "n_steps_fine": nf,
     }
 
 
-def reachable_difference_check(kernel, basis, y0, u, mask, T_hat, n_steps=1000):
+def reachable_difference_check(kernel, basis, y0, u, mask, T_hat):
     """Smoothness audit of the memory-vs-pure-heat endpoint gap.
 
-    Runs the forced flow with and without the memory kernel, forms the gap
-    f = y(T_hat) - z(T_hat), and reports the flattening of the partial sums
-    of a_j^2 eta_j^4 (the gap should look like a smooth state: the tail
-    quartile of modes must contribute only marginally).
+    Runs the forced flow with and without the memory kernel by the exact row
+    steps, forms the gap f = y(T_hat) - z(T_hat), and reports the flattening
+    of the partial sums of a_j^2 eta_j^4 (the gap should look like a smooth
+    state: the tail quartile of modes must contribute only marginally).
     """
     from .kernels import ExpPolyFn
 
-    a0, etas = np.asarray(y0, dtype=float), basis.eigenvalues
-    rows, B = _raster(basis, mask, T_hat, n_steps)
-    nf = len(rows) - 1
-    f = (np.where(mask.cells, u, 0.0) @ B.T)[rows]
-    # the forced runs alone: the gap needs no superposition cross-check
-    gap = (volterra_modes(kernel, etas, T_hat, nf, y0=a0, forcing=f)[-1]
-           - volterra_modes(ExpPolyFn.zero(), etas, T_hat, nf, y0=a0, forcing=f)[-1])
+    a0 = np.asarray(y0, dtype=float)
+    lengths = _row_lengths(mask, T_hat)
+    R = len(lengths)
+    f = np.where(mask.cells, u, 0.0)[:R] @ _cell_modes(basis, mask).T
+    gap = (_replay(_row_step(kernel, basis.eigenvalues, lengths[[0, -1]]), a0, f)
+           - _replay(_row_step(ExpPolyFn.zero(), basis.eigenvalues, lengths[[0, -1]]), a0, f))
     terms = gap**2 * basis.eigenvalues**4
     partial = np.cumsum(terms)
     J = basis.J

@@ -68,6 +68,8 @@ __all__ = [
 
 # coefficient rows per batch of ``time_profiles``; bounds its product scratch
 _PROFILE_CHUNK = 16
+# rows per product of ``_MaskedRows.gram``; fixes its summation order
+_GRAM_BLOCK = 64
 # H^s exponent of the reference norm: weights eta_j^REF_EXPONENT
 REF_EXPONENT = -4.0
 
@@ -134,14 +136,18 @@ class _MaskedRows:
     def gram(self, coef):
         """Gram sum_i coef_i L_i^T L_i of the operator under row weights coef
         (n,), contracted per run r of rows with one spatial Gram S_r:
-        sum_r S_r o (P_r^T diag(coef_r) P_r), P_r the run's rows of P.
+        sum_r S_r o (P_r^T diag(coef_r) P_r), P_r the run's rows of P, each
+        run in blocks of _GRAM_BLOCK rows summed in order, so that no product
+        reduces over a length whose split follows the BLAS thread count.
         O(n J^2 + n_runs J^2), symmetrized."""
         starts, S = self.spatial_grams()
         P = self.P
         Pc = P * coef[:, None]
         G = np.zeros(S.shape[1:])
         for lo, hi, S_r in zip(starts.tolist(), [*starts[1:].tolist(), len(P)], S):
-            G += S_r * (Pc[lo:hi].T @ P[lo:hi])
+            for b in range(lo, hi, _GRAM_BLOCK):
+                e = min(b + _GRAM_BLOCK, hi)
+                G += S_r * (Pc[b:e].T @ P[b:e])
         return 0.5 * (G + G.T)
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from memflow.flow import _fine_steps, build_flow_table, volterra_modes
+from memflow.flow import build_flow_table
 from memflow.geometry import Mask, cylinder_mask, random_rects_mask, zigzag_mask
 from memflow.inverse_control import (
     _cholesky_solve,
@@ -19,7 +19,12 @@ from memflow.kernels import ExpPolyFn, parse_kernel
 from memflow.observability import ObsSetup, two_sided_constants
 from memflow.spectral import hs_norm, interval_basis
 
-from dense_refs import forced_solution, observation_operator, reachability_matrix
+from dense_refs import (
+    forced_solution,
+    observation_operator,
+    reachability_matrix,
+    row_lengths,
+)
 
 KERNEL = parse_kernel("exp(-1*t)")
 
@@ -182,8 +187,7 @@ def test_reconstruction_sigma_min_matches_the_dense_svd():
 def test_zero_to_zero_control():
     basis = interval_basis(6, 32)
     mask = cylinder_mask(1.0, 50, 32)
-    u, rep = min_norm_control(KERNEL, basis, mask, 1.0, np.zeros(6), np.zeros(6),
-                              n_steps=500)
+    u, rep = min_norm_control(KERNEL, basis, mask, 1.0, np.zeros(6), np.zeros(6))
     assert np.allclose(u, 0.0)
     assert rep["final_error"] < 1e-12
 
@@ -199,9 +203,9 @@ def test_control_round_trip(mask_kind, n_y0, rng):
             else zigzag_mask(0.1, 1.0, 100, 64))
     y0 = rng.standard_normal(n_y0)
     y1 = basis.eigenvalues**-3.0
-    u, rep = min_norm_control(KERNEL, basis, mask, 1.0, y0, y1, n_steps=1000)
+    u, rep = min_norm_control(KERNEL, basis, mask, 1.0, y0, y1)
     assert rep["final_error"] <= 1e-6
-    traj, _ = forced_solution(KERNEL, basis, np.pad(y0, (0, 12 - n_y0)), u, mask, 1.0, 1000)
+    traj = forced_solution(KERNEL, basis, np.pad(y0, (0, 12 - n_y0)), u, mask, 1.0)
     assert np.abs(traj[-1] - y1).max() <= 1e-6
     # support honoured bit-exactly: +0.0 outside the mask
     assert np.all(u[~mask.cells] == 0.0) and not np.signbit(u[~mask.cells]).any()
@@ -212,8 +216,8 @@ def test_control_first_order_optimality(rng):
     mask = zigzag_mask(0.15, 1.0, 80, 48)
     y0 = rng.standard_normal(8)
     y1 = basis.eigenvalues**-3.0
-    u, _ = min_norm_control(KERNEL, basis, mask, 1.0, y0, y1, n_steps=800)
-    G, dof = reachability_matrix(KERNEL, basis, mask, 1.0, 800)
+    u, _ = min_norm_control(KERNEL, basis, mask, 1.0, y0, y1)
+    G, dof = reachability_matrix(KERNEL, basis, mask, 1.0)
     u_dof = u[dof[:, 0], dof[:, 1]]
     _, _, Vt = np.linalg.svd(G, full_matrices=True)
     null = Vt[8:]
@@ -232,7 +236,7 @@ def test_weighted_regime(rng):
     y0 = rng.standard_normal(8)
     y1 = basis.eigenvalues**-3.0
     u, rep = min_norm_control(KERNEL, basis, mask, 1.0, y0, y1,
-                              regime="weighted_linf", alpha=2.0, n_steps=800)
+                              regime="weighted_linf", alpha=2.0)
     assert rep["final_error"] <= 1e-6
     tm = (np.arange(mask.n_t) + 0.5) * mask.dt
     prof = np.sqrt((u**2).sum(axis=1) * mask.dx) * (1.0 - tm) ** -2.0
@@ -248,34 +252,9 @@ def test_weighted_regime_reports_convergence():
     _, rep = min_norm_control(
         KERNEL, basis, cylinder_mask(1.0, 80, 48), 1.0, y0,
         basis.eigenvalues**-3.0,
-        regime="weighted_linf", alpha=2.0, n_steps=800)
+        regime="weighted_linf", alpha=2.0)
     assert rep["irls_converged"] is True
     assert rep["irls_iterations"] < 40
-
-
-def test_control_job_sweeps_the_unforced_grid_once(rng, monkeypatch):
-    """phi(T_hat) for the moment target and the replay's superposition check
-    share one unforced stepper sweep; the replay adds one forced run."""
-    import memflow.flow as flow
-    import memflow.inverse_control as ic
-
-    runs = []
-    stepper = flow.volterra_modes
-
-    def counted(M, etas, T, n_steps, y0=None, forcing=None):
-        runs.append((n_steps, forcing is None))
-        return stepper(M, etas, T, n_steps, y0=y0, forcing=forcing)
-
-    monkeypatch.setattr(flow, "volterra_modes", counted)
-    monkeypatch.setattr(ic, "volterra_modes", counted)
-    basis = interval_basis(16, 64)  # substeps: eta_16 dt = 2.5 at n_steps = 1000
-    mask = zigzag_mask(0.15, 1.0, 80, 64)
-    _, rep = min_norm_control(
-        KERNEL, basis, mask, 1.0, rng.standard_normal(16),
-        basis.eigenvalues**-3.0, n_steps=1000)
-    nf = rep["n_steps_fine"]
-    assert nf == 2000
-    assert sorted(runs) == [(nf, False), (nf, True)]
 
 
 CONTROL_MASKS = {
@@ -293,8 +272,8 @@ def test_per_row_reachability_grams_match_the_dense_gram(mask_kind):
     contracted per run of equal mask rows."""
     basis = interval_basis(8, 48)
     mask = CONTROL_MASKS[mask_kind]()
-    op, _ = _influence_rows(KERNEL, basis, mask, 1.0, 800)
-    G, dof = reachability_matrix(KERNEL, basis, mask, 1.0, 800)
+    op, _, _ = _influence_rows(KERNEL, basis, mask, 1.0)
+    G, dof = reachability_matrix(KERNEL, basis, mask, 1.0)
     t_mid = (np.arange(mask.n_t) + 0.5) * mask.dt
     omega = np.random.default_rng(4).random(mask.n_t) + 0.01
     for c in (np.ones(mask.n_t), (1.0 - t_mid) ** 4 / omega):
@@ -304,28 +283,32 @@ def test_per_row_reachability_grams_match_the_dense_gram(mask_kind):
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
-def _dense_control(kernel, basis, mask, T_hat, y0, y1, regime, alpha, n_steps):
-    """Reference moment solve on the dof columns: (u_dof, irls_iterations,
-    converged), with the normal matrices formed as G diag(1/w) G^T."""
-    nf = _fine_steps(basis.eigenvalues, T_hat, n_steps)
-    G, dof = reachability_matrix(kernel, basis, mask, T_hat, n_steps)
-    phi = volterra_modes(kernel, basis.eigenvalues, T_hat, nf)
-    target = y1 - phi[-1] * y0
+def _dense_control(kernel, basis, mask, T_hat, y0, y1, regime, alpha):
+    """Reference moment solve on the dof columns of the rows before T_hat:
+    (u_dof, irls_iterations, converged), with the normal matrices formed as
+    G diag(1/w) G^T, G from the scipy row maps of ``reachability_matrix``
+    and phi(T_hat) from a one-step exact table.  The l2 weight of a row is
+    mask.dt over its length; the weighted regime's t is the midpoint of a
+    row's part before T_hat."""
+    G, dof = reachability_matrix(kernel, basis, mask, T_hat)
+    phi = build_flow_table(kernel, basis, T_hat, 1, method="exact").phi[:, 1]
+    target = y1 - phi * y0
+    lengths = row_lengths(mask, T_hat)
+    cells = dof[:, 0]
     gram = G @ G.T
     jitter = 1e-14 * np.trace(gram) * np.eye(len(gram))
     if regime == "l2":
-        return G.T @ _cholesky_solve(gram + jitter, target), 0, True
-    cells = dof[:, 0]
-    t_mid = (cells + 0.5) * mask.dt
-    wfac = (T_hat - t_mid) ** (-2.0 * alpha)
-    omega = np.ones(mask.n_t)
+        c = (mask.dt / lengths)[cells]
+        return c * (G.T @ _cholesky_solve((G * c) @ G.T + jitter, target)), 0, True
+    t_mid = np.arange(len(lengths)) * mask.dt + 0.5 * lengths
+    rho = (T_hat - t_mid) ** (-alpha)
+    omega = np.ones(len(lengths))
     for n_irls in range(1, 41):
-        Gw = G / (wfac * omega[cells])[None, :]
+        Gw = G / (rho[cells] ** 2 * omega[cells])[None, :]
         u_dof = Gw.T @ _cholesky_solve(G @ Gw.T + jitter, target)
-        gamma = np.zeros(mask.n_t)
+        gamma = np.zeros(len(lengths))
         np.add.at(gamma, cells, u_dof**2 * mask.dx)
-        gamma = np.sqrt(gamma) * (T_hat - (np.arange(mask.n_t) + 0.5)
-                                  * mask.dt) ** (-alpha)
+        gamma = np.sqrt(gamma) * rho
         new = np.where(gamma > 0, omega * gamma, 0.0)
         new /= new.sum()
         done = np.abs(new - omega / omega.sum()).max() < 1e-12
@@ -341,7 +324,7 @@ def test_control_matches_the_dense_moment_solve(regime, mask_kind):
     basis = interval_basis(8, 48)
     mask = CONTROL_MASKS[mask_kind]()
     y0 = np.random.default_rng(12).standard_normal(8)
-    args = (KERNEL, basis, mask, 1.0, y0, basis.eigenvalues**-3.0, regime, 2.0, 800)
+    args = (KERNEL, basis, mask, 1.0, y0, basis.eigenvalues**-3.0, regime, 2.0)
     u, rep = min_norm_control(*args)
     want, n_irls, converged = _dense_control(*args)
     it, ix = np.nonzero(mask.cells)
@@ -351,17 +334,31 @@ def test_control_matches_the_dense_moment_solve(regime, mask_kind):
     assert rep["irls_converged"] is converged
 
 
-def test_control_builds_its_raster_once(monkeypatch):
-    """One min_norm_control indexes the fine grid by mask row once: the
-    influence rows, the replay's forcing and the moment residual share it."""
-    calls = []
-    rows_at = Mask.rows_at
-    monkeypatch.setattr(Mask, "rows_at", lambda self, t: calls.append(1) or rows_at(self, t))
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("regime", ["l2", "weighted_linf"])
+@pytest.mark.parametrize("T_hat", [0.93, 1.1], ids=["cut", "stretched"])
+def test_control_with_T_hat_off_the_raster(T_hat, regime):
+    """T_hat inside a mask row cuts that row and drops the rows after it;
+    past mask.T it stretches the last row.  Both regimes match the dense
+    moment solve on those rows (at alpha = 2.5 the weight of a row past
+    T_hat would be a negative number to a fractional power), leave the
+    dropped rows at +0.0, and land where the scipy row maps replay them."""
     basis = interval_basis(8, 48)
-    mask = CONTROL_MASKS["zigzag"]()
-    min_norm_control(KERNEL, basis, mask, 1.0, np.ones(8), basis.eigenvalues**-3.0,
-                     n_steps=800)
-    assert len(calls) == 1
+    mask = zigzag_mask(0.15, 1.0, 80, 48)
+    y0 = np.random.default_rng(13).standard_normal(8)
+    y1 = basis.eigenvalues**-3.0
+    args = (KERNEL, basis, mask, T_hat, y0, y1, regime, 2.5)
+    u, rep = min_norm_control(*args)
+    want, n_irls, converged = _dense_control(*args)
+    R = len(row_lengths(mask, T_hat))
+    assert R == (75 if T_hat < 1.0 else 80)
+    it, ix = np.nonzero(mask.cells[:R])
+    assert np.abs(u[it, ix] - want).max() <= 1e-9 * np.abs(want).max()
+    assert (rep["irls_iterations"], rep["irls_converged"]) == (n_irls, converged)
+    assert np.all(u[R:] == 0.0) and not np.signbit(u[R:]).any()
+    final = forced_solution(KERNEL, basis, y0, u, mask, T_hat)[-1]
+    assert abs(np.linalg.norm(final - y1) - rep["final_error"]) <= 1e-12
+    assert rep["final_error"] <= 1e-6
 
 
 def test_weighted_regime_rejects_small_alpha(rng):
@@ -382,10 +379,10 @@ def test_reachable_set_shift_identity(rng):
     mask = cylinder_mask(1.0, 80, 48)
     y0 = rng.standard_normal(8)
     y1 = basis.eigenvalues**-3.0
-    u0, rep0 = min_norm_control(ExpPolyFn.zero(), basis, mask, 1.0, y0, y1, n_steps=800)
+    u0, rep0 = min_norm_control(ExpPolyFn.zero(), basis, mask, 1.0, y0, y1)
     assert rep0["final_error"] <= 1e-9
-    traj_m, _ = forced_solution(KERNEL, basis, y0, u0, mask, 1.0, 800)
-    traj_0, _ = forced_solution(ExpPolyFn.zero(), basis, y0, u0, mask, 1.0, 800)
+    traj_m = forced_solution(KERNEL, basis, y0, u0, mask, 1.0)
+    traj_0 = forced_solution(ExpPolyFn.zero(), basis, y0, u0, mask, 1.0)
     gap = traj_m[-1] - traj_0[-1]
     assert np.abs(traj_m[-1] - (y1 + gap)).max() <= 1e-9
 
@@ -399,7 +396,7 @@ def test_gap_single_mode(rng):
     mask = cylinder_mask(1.0, 40, 48)
     y0 = np.array([1.0] + [0.0] * 7)
     out = reachable_difference_check(KERNEL, basis, y0,
-                                     np.zeros((40, 48)), mask, 1.0, n_steps=400)
+                                     np.zeros((40, 48)), mask, 1.0)
     assert np.abs(out["gap_coeffs"][1:]).max() < 1e-12
     assert out["smooth_norm"] > 0
 
@@ -410,7 +407,7 @@ def test_gap_vanishes_without_memory(rng):
     u = rng.standard_normal((40, 32))
     out = reachable_difference_check(ExpPolyFn.zero(), basis,
                                      rng.standard_normal(6), u,
-                                     mask, 1.0, n_steps=400)
+                                     mask, 1.0)
     assert out["smooth_norm"] == 0.0
 
 
@@ -419,8 +416,7 @@ def test_gap_partial_sums_flatten(rng):
     mask = cylinder_mask(1.0, 80, 64)
     u = rng.standard_normal((80, 64))
     y0 = 1.0 / np.arange(1, 33)
-    out = reachable_difference_check(KERNEL, basis, y0, u, mask, 1.0,
-                                     n_steps=1000)
+    out = reachable_difference_check(KERNEL, basis, y0, u, mask, 1.0)
     assert out["tail_quartile_growth"] < 0.05
 
 

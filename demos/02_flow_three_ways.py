@@ -10,20 +10,17 @@ the remainder obey its a priori bound.
 
 import math
 
-import numpy as np
-
 from memflow import (
     decomposition_mode,
     kernel_rep_mode,
     parse_kernel,
     remainder_bound,
-    volterra_mode,
+    volterra_modes,
 )
 
 M = parse_kernel("exp(-1*t)")
 eta = (2 * math.pi) ** 2  # second interval mode
-tgrid = np.linspace(0.0, 1.0, 1001)
-y = volterra_mode(M, eta, tgrid)
+y = volterra_modes(M, [eta], 1.0, 1000)[:, 0]  # on t_i = i / 1000
 
 print(f"kernel exp(-t), mode eigenvalue {eta:.3f}")
 print(f"{'t':>6} {'stepper':>14} {'integral rep':>14} {'decomposition':>14}")

@@ -12,7 +12,6 @@ from .flow import (
     FlowTable,
     MultiplierIndexError,
     QuadratureError,
-    StepSizeError,
     build_flow_table,
     decomposition_mode,
     first_nonzero_h_index,
@@ -20,7 +19,6 @@ from .flow import (
     kernel_rep_profile,
     remainder_bound,
     remainder_profile,
-    volterra_mode,
     volterra_modes,
 )
 from .geometry import (

@@ -15,8 +15,10 @@ where * is convolution on [0, t].  Routes implemented:
     and phi(t_i) = e_0^T E^i e_0, exact at every step size,
   * time stepping (trapezoidal convolution quadrature, implicit in the stiff
     -eta y term; the update equation is linear in the new value and solved
-    exactly).  The quadrature's history sum follows an exact recurrence on
-    the same memory states (the exact case of fast convolution quadrature):
+    exactly), kept as the cross-check whose second order ``flow-check``
+    verifies; it substeps itself where eta dt would leave its stable range.
+    The quadrature's history sum follows an exact recurrence on the same
+    memory states (the exact case of fast convolution quadrature):
     K = sum_z (m_z + 1) states per mode, one block per distinct complex
     rate z of top power m_z (conjugate rates share a block, so K = 1 for
     exp(-a t) and for exp(-a t) cos(b t)).  One step is then a constant
@@ -31,8 +33,8 @@ by x <- E x + F u, with [E F] the top block row of one exponential of the
 augmented generator h [[G, e_0], [0, 0]] (``_row_step``; Van Loan, IEEE TAC
 23, 1978).  The control reads only these row steps.
 
-The exact route, the stepper and the control's influence rows and replay are
-one blocked scan of their constant map (``_scan``): in blocks of
+The exact route, the stepper, the control's influence rows and phi(T_hat)
+are one blocked scan of their constant map (``_scan``): in blocks of
 L ~ sqrt(n) steps, about sqrt(n) batched (J, P, P) products and a few
 batched products over the table, instead of n Python-level steps or the
 O(n^2 J) direct sum.
@@ -40,9 +42,9 @@ O(n^2 J) direct sum.
 Consumers read the tables as follows (``build_flow_table``): ``probe-alpha``
 and ``probe-ball`` read the exact table, and ``flow-check`` takes its order
 study's reference from it; ``obsconst``, ``reconstruct`` and ``duality``
-read the substepped stepper table, and ``control`` the exact row steps.  The
-two series routes are independent cross-checks: ``flow-check`` compares
-their single-mode values with the stepper, and the three-way tests and the
+read the stepper table, and ``control`` the exact row steps.  The two
+series routes are independent cross-checks: ``flow-check`` compares their
+single-mode values with the stepper, and the three-way tests and the
 benchmark's closed-form check compare their tables.
 
 The two series routes share one quadrature, ``_panel_integral`` of
@@ -63,7 +65,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .kernels import (
     SERIES_TERMS,
@@ -77,10 +78,8 @@ from .kernels import (
 from .spectral import gauss_legendre
 
 __all__ = [
-    "StepSizeError",
     "QuadratureError",
     "MultiplierIndexError",
-    "volterra_mode",
     "volterra_modes",
     "kernel_rep_mode",
     "kernel_rep_profile",
@@ -93,10 +92,6 @@ __all__ = [
 ]
 
 DEFAULT_DECOMP_ORDER = 4
-
-
-class StepSizeError(ValueError):
-    """Explicit predictor would be unstable: eta * dt exceeds 2."""
 
 
 class QuadratureError(RuntimeError):
@@ -151,16 +146,10 @@ def _state_space(M, etas, T, n_steps):
     is not C-linear, and then P = 2K + 2) one step of the scheme is
     x_i = A x_{i-1}, with y_i = (b y_{i-1} - s_{i-1} - s_i) / a,
     s_i = c . Z_i and Z_{i+1} = W Z_i + w y_i.  Returns q0 = dt^2 M(0) / 4,
-    A (J, P, P) and the injection column w of the states.
-
-    Raises StepSizeError when eta*dt > 2 for some mode.
+    A (J, P, P) and the injection column w of the states.  The map is
+    stable for eta dt <= 2; ``volterra_modes`` substeps to keep it so.
     """
     dt = T / n_steps
-    if np.max(etas) * dt > 2.0:
-        raise StepSizeError(
-            f"eta*dt = {np.max(etas) * dt:.3g} > 2; refine the grid "
-            f"(n_steps >= {int(math.ceil(np.max(etas) * T / 2.0)) + 1})"
-        )
     c, W, w = _memory_recurrence(M, dt)
     if np.iscomplexobj(W):
         c = np.concatenate([c.real, -c.imag])
@@ -180,52 +169,34 @@ def _state_space(M, etas, T, n_steps):
     return q0, A, w
 
 
-def _scan(A, x0, n_out, e=None, u=None):
-    """First components y_i of x_i = A x_{i-1} (+ e u_{i-1}), 0 <= i < n_out.
+def _scan(A, x0, n_out):
+    """First components y_i of x_i = A x_{i-1}, 0 <= i < n_out.
 
     A two-level prefix scan (Blelloch 1990) of the constant map.  Within a
-    block of L ~ sqrt(n_out) positions, y_{bL+k} = (e_0^T A^k) X_b plus the
-    lower-triangular Toeplitz product of the impulse response h_k = e_0^T A^k e
-    with the block's forcing; from block to block the state X_b = x_{bL} is
-    carried by A^L, plus the forcing that the columns A^k e carry out of the
-    block.  L is a power of two, so the rows e_0^T A^k and columns A^k e are
-    built by doubling, which leaves A^L, and a run costs about
-    2 log2(L) + n_out/L batched (J, P, P) products and a few batched matrix
-    products over the table; no (n_out, J, P) array is formed.
+    block of L ~ sqrt(n_out) positions, y_{bL+k} = (e_0^T A^k) X_b; from
+    block to block the state X_b = x_{bL} is carried by A^L.  L is a power
+    of two, so the rows e_0^T A^k are built by doubling, which leaves A^L,
+    and a run costs about log2(L) + n_out/L batched (J, P, P) products and
+    one batched matrix product over the table; no (n_out, J, P) array is
+    formed.
 
-    A (J, P, P), x0 (J, P), e (J, P), u (n_out - 1, J); returns (n_out, J).
+    A (J, P, P), x0 (J, P); returns (n_out, J).
     """
     J, P, _ = A.shape
     L = 1 << (int(n_out).bit_length() // 2)
     nb = -(-n_out // L)
     rows = np.zeros((J, L, P))
     rows[:, 0, 0] = 1.0
-    if u is not None:
-        cols = np.zeros((J, L, P))
-        cols[:, 0] = e
     Ap, m = A, 1  # Ap = A^m
     while m < L:
         k = min(m, L - m)
         rows[:, m:m + k] = rows[:, :k] @ Ap
-        if u is not None:
-            cols[:, m:m + k] = cols[:, :k] @ Ap.transpose(0, 2, 1)
         Ap, m = Ap @ Ap, 2 * m
-    F = np.zeros((J, nb, P))  # the forcing each block carries out
-    if u is not None:
-        U = np.zeros((J, nb * L))
-        U[:, : n_out - 1] = u.T
-        U = U.reshape(J, nb, L)
-        F = U @ cols[:, ::-1]
     X = np.empty((J, nb, P))
     X[:, 0] = x0
     for b in range(1, nb):
-        X[:, b] = np.einsum("jpq,jq->jp", Ap, X[:, b - 1]) + F[:, b - 1]
+        X[:, b] = np.einsum("jpq,jq->jp", Ap, X[:, b - 1])
     y = X @ rows.transpose(0, 2, 1)
-    if u is not None:
-        # transposed Toeplitz: toeplitz[j, m, k] = h_{k-1-m} (zero for m >= k)
-        h = np.zeros((J, 2 * L - 1))
-        h[:, L:] = (rows[:, :L - 1] @ e[:, :, None])[:, :, 0]
-        y += U @ sliding_window_view(h, L, axis=1)[:, ::-1].copy()
     return y.reshape(J, nb * L)[:, :n_out].T
 
 
@@ -242,29 +213,20 @@ def volterra_modes(M, etas, T, n_steps):
     plain 1 - eta dt/2 decay).  The history sum follows the exact recurrence
     of ``_memory_recurrence`` (K = sum_z (m_z + 1) states per mode), so one
     step is a constant linear map on K + 2 states (``_state_space``), and the
-    n steps run as a blocked scan of that map (``_scan``): about sqrt(n)
+    steps run as a blocked scan of that map (``_scan``): about sqrt(n)
     batched (J, K+2, K+2) products and a few batched products over the
     table, instead of n steps or the O(n^2 J) direct sum.
 
-    Returns the propagator samples (n_steps+1, J) of the modes of
-    eigenvalues ``etas`` under the memory kernel M.
+    The scheme is stable for eta dt <= 2, so the run steps at dt / k with
+    k the least factor that brings max(eta) dt / k to 1.9 or below, and
+    keeps every k-th sample.  Returns the propagator samples (n_steps+1, J)
+    of the modes of eigenvalues ``etas`` under the memory kernel M.
     """
     etas = np.atleast_1d(np.asarray(etas, dtype=float))
-    q0, A, w = _state_space(M, etas, T, n_steps)
+    k = max(1, math.ceil(float(np.max(etas)) * (T / n_steps) / 1.9))
+    q0, A, w = _state_space(M, etas, T, n_steps * k)
     x0 = np.tile(np.concatenate([[1.0, -q0], 0.5 * w]), (len(etas), 1))
-    return _scan(A, x0, n_steps + 1)
-
-
-def volterra_mode(M, eta, tgrid):
-    """Single-mode propagator samples on a uniform grid starting at 0.
-
-    ``tgrid`` must be uniform with t_0 = 0; rejects eta*dt > 2.
-    """
-    tgrid = np.asarray(tgrid, dtype=float)
-    dt = tgrid[1] - tgrid[0]
-    if tgrid[0] != 0.0 or not np.allclose(np.diff(tgrid), dt):
-        raise ValueError("tgrid must be uniform and start at 0")
-    return volterra_modes(M, [eta], tgrid[-1], len(tgrid) - 1)[:, 0]
+    return _scan(A, x0, n_steps * k + 1)[::k]
 
 
 # ---------------------------------------------------------------------------
@@ -524,12 +486,6 @@ class FlowTable:
         return float(self.tgrid[-1])
 
 
-def _fine_steps(etas, T, n_steps):
-    """Step count of the substepped grid that keeps every mode stable: n_steps
-    times the least factor that brings eta_max dt to 1.9 or below."""
-    return n_steps * max(1, math.ceil(float(etas[-1]) * (T / n_steps) / 1.9))
-
-
 def build_flow_table(M, basis, T, n_steps, method="volterra"):
     """Tabulate all mode propagators on the uniform grid over [0, T].
 
@@ -538,13 +494,11 @@ def build_flow_table(M, basis, T, n_steps, method="volterra"):
       * "exact": phi(t_i) = e_0^T E^i e_0 with E = e^{dt G} the exponential of
         the mode generator on (y, memory states) (``_generator``, from the
         kernel's ``realization``), run by ``_scan``; exact up to roundoff at
-        every step size, with no substeps and no StepSizeError.  Read by
+        every step size, with no substeps.  Read by
         ``probe-alpha`` and ``probe-ball`` and by the order study of
         ``flow-check`` (one step to T);
-      * "volterra": the trapezoid stepper, substepped so that eta*dt stays
-        under the stability guard for every mode, then kept on the requested
-        grid.  Read by ``obsconst``, ``reconstruct`` and ``duality``, and
-        compared in ``flow-check``;
+      * "volterra": the trapezoid stepper of ``volterra_modes``.  Read by
+        ``obsconst``, ``reconstruct`` and ``duality``;
       * "kernel_rep": the kernel representation on SERIES_TERMS series terms;
       * "decomposition": the order-DEFAULT_DECOMP_ORDER decomposition, each
         p_l and h_l evaluated once on the whole grid.
@@ -563,8 +517,7 @@ def build_flow_table(M, basis, T, n_steps, method="volterra"):
         x0[:, 0] = 1.0
         phi = _scan(E, x0, n_steps + 1).T.copy()
     elif method == "volterra":
-        nf = _fine_steps(etas, T, n_steps)
-        phi = volterra_modes(M, etas, T, nf)[::nf // n_steps].T.copy()
+        phi = volterra_modes(M, etas, T, n_steps).T.copy()
     elif method == "kernel_rep":
         phi = np.ones((basis.J, n_steps + 1))
         for i, t in enumerate(tgrid[1:], start=1):

@@ -7,9 +7,11 @@ norm), on which the discrepancy principle also picks lambda.  Control
 solves the moment problem G u = target of the continuous flow of the
 truncated modes: a control lives on the mask raster (constant per cell,
 zero outside the mask by construction), so the flow crosses each mask row
-by one exact step of ``flow._row_step``, and the influence rows, phi(T_hat)
-and the forced replay (``_replay``) are scans of that step.  The replay
-must land on the moment solve's prediction to roundoff.
+by one exact step of ``flow._row_step``.  The influence rows and phi(T_hat)
+are scans of that step (``flow._scan``); the forced replay (``_replay``)
+folds the rows into the final state by powers of the step, sharing no code
+with the influence rows it checks, and must land on the moment solve's
+prediction to roundoff.
 
 Control through the mask is observation of the adjoint (HUM duality): G is
 the transpose of the masked-row operator ``observability._MaskedRows`` with
@@ -27,6 +29,7 @@ import math
 import numpy as np
 
 from .flow import _row_step, _scan
+from .kernels import ExpPolyFn
 from .observability import _MaskedRows, _pencil_eigh
 
 __all__ = [
@@ -157,12 +160,21 @@ def _replay(steps, a0, f):
     """y(T_hat) from coefficients a0 under the row forcing f (R, J), by the
     row steps ((E, E_l), (F, F_l)) of ``flow._row_step`` across a full row
     and across the last one.  E and E_l are functions of one generator, so
-    they commute, and the forced scan of E from E_l x0 with column E_l F over
-    the first R - 1 rows ends at E_l x_{R-1}; the last row adds F_l f."""
+    they commute, and the state after the first R - 1 rows, taken on by E_l,
+    is sum_i E^{R-1-i} w_i with w_0 = E_l a0 e_0 and w_{r+1} = E_l F f_r.
+    That sum is folded pairwise: with w padded by leading zeros to a power
+    of two, each level replaces w by the pairs E w_{2k} + w_{2k+1} and E by
+    E^2, about 2 log2(R) batched products in all.  The last row adds F_l f."""
     (E, E_l), (F, F_l) = steps
-    E_lF = (E_l @ F[..., None])[..., 0]
-    y = _scan(E, a0[:, None] * E_l[:, :, 0], len(f), E_lF, f[:-1])[-1]
-    return y + F_l[:, 0] * f[-1]
+    R = len(f)
+    n = 1 << (R - 1).bit_length()
+    w = np.zeros((*E.shape[:2], n))
+    w[..., n - R] = a0[:, None] * E_l[:, :, 0]
+    w[..., n - R + 1:] = (E_l @ F[..., None]) * f[:-1].T[:, None]
+    while n > 1:
+        w, n = E @ w[..., 0::2] + w[..., 1::2], n // 2
+        E = E @ E
+    return w[:, 0, 0] + F_l[:, 0] * f[-1]
 
 
 def _influence_rows(kernel, basis, mask, T_hat):
@@ -295,8 +307,6 @@ def reachable_difference_check(kernel, basis, y0, u, mask, T_hat):
     of the partial sums of a_j^2 eta_j^4 (the gap should look like a smooth
     state: the tail quartile of modes must contribute only marginally).
     """
-    from .kernels import ExpPolyFn
-
     a0 = np.asarray(y0, dtype=float)
     lengths = _row_lengths(mask, T_hat)
     R = len(lengths)

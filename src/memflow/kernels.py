@@ -636,7 +636,9 @@ def _split_top(s, sep):
             depth += 1
         elif ch == ")":
             depth -= 1
-        if ch == sep and depth == 0:
+        # a '+' right after the e of a number is its exponent's sign
+        sign = ch == "+" and len(cur) > 1 and cur[-1] in "eE" and cur[-2] in "0123456789."
+        if ch == sep and depth == 0 and not sign:
             parts.append("".join(cur))
             cur = []
         else:

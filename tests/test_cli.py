@@ -14,7 +14,7 @@ import pytest
 
 import memflow
 from memflow import cli, flow, inverse_control, observability
-from memflow.geometry import mask_to_text, zigzag_mask
+from memflow.geometry import cylinder_mask, mask_to_text, zigzag_mask
 from memflow.observability import ObsSetup
 from memflow.spectral import interval_basis
 
@@ -208,6 +208,17 @@ def test_mask_file_round_trip_through_cli(tmp_path):
     assert run(["moc", "--config", p, "--out", tmp_path / "o"]) == 0
     write_cfg(p, mask={"kind": "file", "path": str(mp), "eps": 0.2})
     assert run(["moc", "--config", p, "--out", tmp_path / "o"]) == 2
+
+
+def test_moc_window_past_a_short_file_mask(tmp_path, capsys):
+    """A window that starts after the mask file's horizon is a config error
+    (exit 2), not a traceback."""
+    mp = tmp_path / "m.mask"
+    mp.write_text(mask_to_text(cylinder_mask(0.5, 16, 16)))
+    p = tmp_path / "c.json"
+    write_cfg(p, mask={"kind": "file", "path": str(mp)}, window={"S": 0.6, "T": 1.0})
+    assert run(["moc", "--config", p, "--out", tmp_path / "o"]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
 
 
 def test_missing_mask_file(tmp_path):
@@ -791,6 +802,30 @@ def test_flow_check_order_study_reads_the_exact_propagator(tmp_path):
     report = json.loads((next((out / "flow-check").iterdir()) / "flow_check.json").read_text())
     assert [r["method_pair"] for r in report["records"]] == ["volterra/exact"]
     assert abs(report["min_order"] - 2.0) < 1e-3
+
+
+def _csv_rows(path):
+    """The data rows of a CSV artifact, split into fields."""
+    return [line.split(", ") for line in path.read_text().splitlines()[2:]]
+
+
+def test_flow_check_reads_one_stepper_run_per_level(tmp_path):
+    """The three-way column at T and the order study's err_dt come from one
+    run: at mode 4, eta dt = 3.95, so the run substeps, and mode 1 shares
+    its substeps."""
+    p = tmp_path / "c.json"
+    write_cfg(p, kernel="exp(-1*t)", time={"T": 1.0, "n_t": 40},
+              flow_check={"modes": [1, 4], "n_t_values": 2, "remainder_t_values": 1})
+    out = tmp_path / "o"
+    run(["flow-check", "--config", p, "--out", out])
+    d = next((out / "flow-check").iterdir())
+    exact = flow.build_flow_table(memflow.parse_kernel("exp(-1*t)"), interval_basis(4, 32),
+                                  1.0, 1, method="exact").phi[:, 1]
+    at_T = {int(r[0]): float(r[3]) for r in _csv_rows(d / "three_way.csv") if float(r[2]) == 1.0}
+    err_dt = {int(r[0]): float(r[1]) for r in _csv_rows(d / "order_study.csv")}
+    assert sorted(at_T) == sorted(err_dt) == [1, 4]
+    for j in (1, 4):
+        assert abs(at_T[j] - exact[j - 1]) == err_dt[j]
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,

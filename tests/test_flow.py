@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from memflow.flow import (
     QuadratureError,
-    StepSizeError,
     _expm,
     _generator,
     _memory_recurrence,
@@ -21,7 +20,6 @@ from memflow.flow import (
     kernel_rep_profile,
     remainder_bound,
     remainder_profile,
-    volterra_mode,
     volterra_modes,
 )
 from memflow.geometry import cylinder_mask, zigzag_mask
@@ -35,33 +33,27 @@ from dense_refs import forced_solution, influence_rows
 ETA1 = math.pi**2
 
 
-def tgrid(T=1.0, n=1000):
-    return np.linspace(0.0, T, n + 1)
-
-
 # ---------------------------------------------------------------------------
 # time stepping
 # ---------------------------------------------------------------------------
 
 def test_pure_heat_mode():
-    y = volterra_mode(ExpPolyFn.zero(), ETA1, tgrid())
+    y = volterra_modes(ExpPolyFn.zero(), [ETA1], 1.0, 1000)[:, 0]
     assert y[100] == pytest.approx(math.exp(-0.1 * ETA1), abs=5e-6)
 
 
 def test_initial_condition(kernels4):
     for M in kernels4.values():
-        y = volterra_mode(M, ETA1, tgrid(n=100))
+        y = volterra_modes(M, [ETA1], 1.0, 100)[:, 0]
         assert y[0] == 1.0
 
 
-def test_step_size_rejection():
-    with pytest.raises(StepSizeError):
-        volterra_mode(ExpPolyFn.zero(), 1e4, tgrid(n=100))
-
-
-def test_tgrid_validation():
-    with pytest.raises(ValueError):
-        volterra_mode(ExpPolyFn.zero(), 1.0, np.array([0.1, 0.2, 0.3]))
+def test_coarse_grid_returns_the_substepped_run():
+    """eta dt = 100 on the requested grid: the stepper runs at dt / 53, where
+    eta dt <= 1.9, and returns every 53rd sample of that run."""
+    for M in (ExpPolyFn.zero(), parse_kernel("exp(-1*t)")):
+        y = volterra_modes(M, [1e4], 1.0, 100)
+        assert np.array_equal(y, volterra_modes(M, [1e4], 1.0, 5300)[::53])
 
 
 def test_entries_bounded(kernels4):
@@ -150,14 +142,14 @@ def test_nonfinite_series_integral_raises():
 
 def test_volterra_vs_kernel_rep():
     M = parse_kernel("1")
-    y = volterra_mode(M, ETA1, tgrid())
+    y = volterra_modes(M, [ETA1], 1.0, 1000)[:, 0]
     v = kernel_rep_mode(M, ETA1, 0.5)
     assert abs(y[500] - v) <= max(1e-6, ETA1**2 * 1e-6 / 20.0)
 
 
 def test_volterra_vs_kernel_rep_memory_exp():
     M = parse_kernel("exp(-1*t)")
-    y = volterra_mode(M, ETA1, tgrid())
+    y = volterra_modes(M, [ETA1], 1.0, 1000)[:, 0]
     v = kernel_rep_mode(M, ETA1, 1.0)
     assert abs(y[-1] - v) <= max(1e-6, ETA1**2 * 1e-6 / 20.0)
 
@@ -190,8 +182,8 @@ def test_decomposition_small_time_limit(kernels4):
 def test_decomposition_vs_volterra_sin():
     M = parse_kernel("sin(1*t)")
     eta = (2 * math.pi) ** 2
-    n = 4000  # eta*dt stability
-    y = volterra_mode(M, eta, tgrid(n=n))
+    n = 4000
+    y = volterra_modes(M, [eta], 1.0, n)[:, 0]
     d = decomposition_mode(M, eta, 0.75, N=4)
     i = int(round(0.75 * n))
     assert abs(y[i] - d["total"]) <= max(1e-6, eta**2 * (1.0 / n) ** 2 / 20.0)
@@ -529,7 +521,7 @@ def test_volterra_second_order_convergence():
     ref = kernel_rep_mode(M, ETA1, 1.0)
     errs = []
     for n in (250, 500, 1000):
-        y = volterra_mode(M, ETA1, tgrid(n=n))
+        y = volterra_modes(M, [ETA1], 1.0, n)[:, 0]
         errs.append(abs(y[-1] - ref))
     order1 = math.log2(errs[0] / errs[1])
     order2 = math.log2(errs[1] / errs[2])
@@ -609,29 +601,25 @@ def test_recurrence_matches_direct_sum(text):
 @pytest.mark.parametrize("text", RECURRENCE_KERNELS)
 def test_scan_edge_grids(text, n):
     """Grids with fewer points than a block, and around exactly filled
-    blocks (n + 1 = L^2 at n = 15, 63).  Also the scan of a generic state,
-    unforced and under a generic forcing column, against the plain state
-    recursion."""
+    blocks (n + 1 = L^2 at n = 15, 63), on the raw grid of the stepper map
+    (at n = 15 the top eta dt rounds just past 1.9, so ``volterra_modes``
+    would substep).  Also the scan of a generic state against the plain
+    state recursion."""
     M = parse_kernel(text)
     T = 1.5
     etas = np.linspace(0.3, 1.9 * n / T, 5)
-    y = volterra_modes(M, etas, T, n)
+    q0, A, w = _state_space(M, etas, T, n)
+    y = _scan(A, np.tile(np.concatenate([[1.0, -q0], 0.5 * w]), (5, 1)), n + 1)
     ref = loop_modes(M, etas, T, n)
     assert y.shape == ref.shape
     assert _max_rel(y, ref) <= 1e-13
 
-    _, A, _ = _state_space(M, etas, T, n)
-    rng = np.random.default_rng(n)
-    x0, e = rng.standard_normal((2, 5, A.shape[1]))
-    u = rng.standard_normal((n, 5))
-    x, xf, ref_free, ref_forced = x0, x0, [x0[:, 0]], [x0[:, 0]]
+    x0 = np.random.default_rng(n).standard_normal((5, A.shape[1]))
+    x, ref_free = x0, [x0[:, 0]]
     for i in range(n):
         x = np.einsum("jpq,jq->jp", A, x)
-        xf = np.einsum("jpq,jq->jp", A, xf) + e * u[i][:, None]
         ref_free.append(x[:, 0])
-        ref_forced.append(xf[:, 0])
     assert _max_rel(_scan(A, x0, n + 1), np.array(ref_free)) <= 1e-13
-    assert _max_rel(_scan(A, x0, n + 1, e, u), np.array(ref_forced)) <= 1e-13
 
 
 def test_stepper_takes_numpy_integer_steps():

@@ -2,8 +2,9 @@
 (in the tests and demos too), every name in ``__all__`` defined in the
 module, the package re-exporting exactly the modules' ``__all__``, every
 private module-level function or class read somewhere in the library,
-every exported name read outside the tests, and the README's config table
-naming exactly the keys of ``cli.CONFIG``."""
+every exported name read outside the tests, the README's config table
+naming exactly the keys of ``cli.CONFIG``, and no ``assert`` statement in
+the library."""
 
 import ast
 import re
@@ -136,3 +137,11 @@ def test_readme_config_table_names_the_config_keys():
             for key in (spec if isinstance(spec, dict) else [None])]
     assert len(documented) == len(set(documented))
     assert sorted(documented) == sorted(keys)
+
+
+@pytest.mark.parametrize("name", MODULES + ["__init__.py"])
+def test_library_holds_no_assert(name):
+    """``python -O`` strips asserts, so a library invariant raises a typed
+    error instead."""
+    tree = ast.parse((SRC / name).read_text())
+    assert [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)] == []

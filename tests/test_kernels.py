@@ -295,6 +295,9 @@ def test_max_abs_to_roundoff_with_array_evaluations(text, lo, hi, sup, monkeypat
     "3*sin(2*t) + -1*t",
     "-t + 2.5e-1*exp(1*t)",
     "t*exp(-0.5*t)",
+    # '+' exponent signs, as the printer writes coefficients of 1e16 and up
+    "2e+16*t*exp(-1.0*t)",
+    "1e+3*exp(-1*t)",
 ])
 def test_parse_format_round_trip(text):
     f = parse_kernel(text)

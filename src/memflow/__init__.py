@@ -11,6 +11,7 @@ observations and to steer to smooth targets with minimal-norm controls.
 from .flow import (
     FlowTable,
     MultiplierIndexError,
+    NonFinitePropagatorError,
     QuadratureError,
     build_flow_table,
     decomposition_mode,

@@ -22,6 +22,7 @@ import numpy as np
 from . import __version__, geometry, kernels
 from .flow import (
     MultiplierIndexError,
+    NonFinitePropagatorError,
     QuadratureError,
     build_flow_table,
     decomposition_mode,
@@ -66,7 +67,8 @@ class ConfigError(ValueError):
 
 # library errors a command ends on with exit 1 and a ``failed`` manifest
 _RUN_ERRORS = (QuadratureError, geometry.RootIsolationError, SingularSystemError,
-               ObsInvariantError, RouteMismatchError, MultiplierIndexError)
+               ObsInvariantError, RouteMismatchError, MultiplierIndexError,
+               NonFinitePropagatorError)
 
 
 # ---------------------------------------------------------------------------

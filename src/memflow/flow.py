@@ -17,12 +17,10 @@ where * is convolution on [0, t].  Routes implemented:
     -eta y term; the update equation is linear in the new value and solved
     exactly), kept as the cross-check whose second order ``flow-check``
     verifies; it substeps itself where eta dt would leave its stable range.
-    The quadrature's history sum follows an exact recurrence on the same
-    memory states (the exact case of fast convolution quadrature):
-    K = sum_z (m_z + 1) states per mode, one block per distinct complex
-    rate z of top power m_z (conjugate rates share a block, so K = 1 for
-    exp(-a t) and for exp(-a t) cos(b t)).  One step is then a constant
-    linear map A per mode on K + 2 real states (2K + 2 for complex rates),
+    The quadrature's history sum runs on the same memory states by the
+    exact recurrence Z <- W (Z + b v), W = e^{dt A} (``_expm``) of the
+    kernel's realization (Lubich, Numer. Math. 52, 1988), so one step is a
+    constant linear map per mode on K + 2 real states, K the size of A,
   * the integral representation  phi(t) = e^{-eta t} + int_0^t K(t,u) e^{-eta u} du
     with the series kernel K,
   * the order-N decomposition into a smoothing part, an instantaneous
@@ -37,7 +35,9 @@ The exact route, the stepper, the control's influence rows and phi(T_hat)
 are one blocked scan of their constant map (``_scan``): in blocks of
 L ~ sqrt(n) steps, about sqrt(n) batched (J, P, P) products and a few
 batched products over the table, instead of n Python-level steps or the
-O(n^2 J) direct sum.
+O(n^2 J) direct sum.  Every run is checked on its way out: a scan whose
+values are not finite (the flow outgrew the float range) raises
+NonFinitePropagatorError rather than hand on inf or NaN.
 
 Consumers read the tables as follows (``build_flow_table``): ``probe-alpha``
 and ``probe-ball`` read the exact table, and ``flow-check`` takes its order
@@ -68,7 +68,6 @@ import numpy as np
 
 from .kernels import (
     SERIES_TERMS,
-    _memory_states,
     h_coeff,
     kernel_c_norm,
     km_partial,
@@ -80,6 +79,7 @@ from .spectral import gauss_legendre
 __all__ = [
     "QuadratureError",
     "MultiplierIndexError",
+    "NonFinitePropagatorError",
     "volterra_modes",
     "kernel_rep_mode",
     "kernel_rep_profile",
@@ -102,59 +102,32 @@ class MultiplierIndexError(RuntimeError):
     """No multiplier coefficient h_l(T), l <= 10, is nonzero."""
 
 
+class NonFinitePropagatorError(RuntimeError):
+    """A propagator run holds inf or NaN: the flow outgrew the float range."""
+
+
 # ---------------------------------------------------------------------------
 # trapezoidal convolution-quadrature time stepping
 # ---------------------------------------------------------------------------
 
-def _memory_recurrence(M, dt):
-    """Compile M for the step dt into the exact recurrence of its history sums.
-
-    Writing M(t) = sum_k c_k t^{m_k} e^{z_k t}, the states
-    Z[z, p]_i = sum_{d>=1} (d dt)^p e^{z d dt} v_{i-d} obey
-    Z_{i+1} = W (Z_i + e v_i) with W[p, q] = binom(p, q) dt^(p-q) e^{z dt}
-    (q <= p) on the block of rate z, so that
-
-        sum_{d>=1} M(d dt) v_{i-d} = Re(c @ Z_i).
-
-    Each distinct rate z with top power m carries m+1 states: the blocks are
-    the memory states of ``kernels._memory_states`` (the realization's
-    blocks, W = e^{dt (zI + N)}), in which conjugate rates of a real kernel
-    already share one row (Im z >= 0, coefficient doubled).  The states are
-    real when every rate is.
-
-    Returns (c, W, w), where w = W e is the column that injects v_i.
-    """
-    z, p, c = _memory_states(M)
-    W = np.zeros((len(p), len(p)), dtype=complex)
-    for k, (zk, pk) in enumerate(zip(z, p)):
-        # a complex exp also for real z: numpy's real exp may differ by an ulp
-        ez = np.exp(complex(zk) * dt)
-        for q in range(pk + 1):
-            W[k, k - pk + q] = math.comb(pk, q) * dt ** (pk - q) * ez
-    k = np.arange(len(p))
-    w = W[k, k - np.array(p, dtype=int)]
-    if c.dtype.kind == "f":
-        return c, W.real.copy(), w.real.copy()
-    return c, W, w
-
-
 def _state_space(M, etas, T, n_steps):
     """The trapezoid step with its memory recurrence as one linear map per mode.
 
-    On the real state x_i = (y_i, s_i, Z_{i+1}) of size P = K + 2 (a complex
-    recurrence is split into real and imaginary parts, since s = Re(c @ Z)
-    is not C-linear, and then P = 2K + 2) one step of the scheme is
-    x_i = A x_{i-1}, with y_i = (b y_{i-1} - s_{i-1} - s_i) / a,
-    s_i = c . Z_i and Z_{i+1} = W Z_i + w y_i.  Returns q0 = dt^2 M(0) / 4,
-    A (J, P, P) and the injection column w of the states.  The map is
-    stable for eta dt <= 2; ``volterra_modes`` substeps to keep it so.
+    With the kernel's ``realization`` M(t) = c_M^T e^{A_M t} b_M, the history
+    sums Z_i = sum_{d>=1} e^{d dt A_M} b_M v_{i-d} obey the exact recurrence
+    Z_{i+1} = W (Z_i + b_M v_i), W = e^{dt A_M} (``_expm``), and
+    sum_{d>=1} M(d dt) v_{i-d} = c_M . Z_i.  On the real state
+    x_i = (y_i, s_i, Z_{i+1}) of size P = K + 2 (K the realization's size)
+    one step of the scheme is x_i = A x_{i-1}, with
+    a y_i = b y_{i-1} - s_{i-1} - s_i, s_i = (dt^2 / 2) c_M . Z_i and
+    Z_{i+1} = W Z_i + w y_i, w = W b_M.  Returns q0 = dt^2 M(0) / 4,
+    A (J, P, P) and w.  The map is stable for eta dt <= 2;
+    ``volterra_modes`` substeps to keep it so.
     """
     dt = T / n_steps
-    c, W, w = _memory_recurrence(M, dt)
-    if np.iscomplexobj(W):
-        c = np.concatenate([c.real, -c.imag])
-        W = np.block([[W.real, -W.imag], [W.imag, W.real]])
-        w = np.concatenate([w.real, w.imag])
+    A_M, b_M, c = realization(M)
+    W = _expm(dt * A_M)
+    w = W @ b_M
     c = 0.5 * dt * dt * c
     q0 = 0.25 * dt * dt * float(M.eval(0.0))
     inv_a = 1.0 / (1.0 + 0.5 * dt * etas + q0)
@@ -180,7 +153,8 @@ def _scan(A, x0, n_out):
     one batched matrix product over the table; no (n_out, J, P) array is
     formed.
 
-    A (J, P, P), x0 (J, P); returns (n_out, J).
+    A (J, P, P), x0 (J, P); returns (n_out, J), or raises
+    NonFinitePropagatorError when an entry is not finite.
     """
     J, P, _ = A.shape
     L = 1 << (int(n_out).bit_length() // 2)
@@ -196,8 +170,12 @@ def _scan(A, x0, n_out):
     X[:, 0] = x0
     for b in range(1, nb):
         X[:, b] = np.einsum("jpq,jq->jp", Ap, X[:, b - 1])
-    y = X @ rows.transpose(0, 2, 1)
-    return y.reshape(J, nb * L)[:, :n_out].T
+    y = (X @ rows.transpose(0, 2, 1)).reshape(J, nb * L)[:, :n_out].T
+    if not np.isfinite(y).all():
+        raise NonFinitePropagatorError(
+            f"propagator run is not finite ({np.isnan(y).sum()} NaN and "
+            f"{np.isinf(y).sum()} infinite of {y.size} entries)")
+    return y
 
 
 def volterra_modes(M, etas, T, n_steps):
@@ -211,11 +189,12 @@ def volterra_modes(M, etas, T, n_steps):
     s_i = (dt^2/2) sum_{d>=1} M(d dt) v_{i-d} (v_0 = y_0/2, v_k = y_k; at
     i = 1 the s_0 term is -dt^2 M(0) y_0/4, which makes b y_0 - s_0 the
     plain 1 - eta dt/2 decay).  The history sum follows the exact recurrence
-    of ``_memory_recurrence`` (K = sum_z (m_z + 1) states per mode), so one
-    step is a constant linear map on K + 2 states (``_state_space``), and the
-    steps run as a blocked scan of that map (``_scan``): about sqrt(n)
-    batched (J, K+2, K+2) products and a few batched products over the
-    table, instead of n steps or the O(n^2 J) direct sum.
+    Z <- e^{dt A} (Z + b v) on the K memory states of the kernel's
+    ``realization`` (A, b, c), so one step is a constant linear map on K + 2
+    states (``_state_space``), and the steps run as a blocked scan of that
+    map (``_scan``): about sqrt(n) batched (J, K+2, K+2) products and a few
+    batched products over the table, instead of n steps or the O(n^2 J)
+    direct sum.
 
     The scheme is stable for eta dt <= 2, so the run steps at dt / k with
     k the least factor that brings max(eta) dt / k to 1.9 or below, and
@@ -248,7 +227,7 @@ def _expm(X):
     approximant with scaling and squaring (Higham 2005), each matrix scaled
     by its own power of two 2^s, ||X / 2^s||_1 <= theta_13, and squared back
     s times."""
-    norm = np.abs(X).sum(axis=-2).max(axis=-1)
+    norm = np.abs(X).sum(axis=-2).max(axis=-1, initial=0.0)
     s = np.ceil(np.log2(np.maximum(norm, _THETA13) / _THETA13)).astype(int)
     X = X / (2.0 ** s)[..., None, None]
     b, eye = _PADE13, np.eye(X.shape[-1])
@@ -267,8 +246,8 @@ def _expm(X):
 
 def _generator(M, etas):
     """G (J, P, P) of the mode ODE on (y, Z): y' = -eta y - c . Z and
-    Z' = A Z + b y, with (A, b, c) the kernel's ``realization``; P = K + 1
-    (2K + 1 for complex rates)."""
+    Z' = A Z + b y, with (A, b, c) the kernel's ``realization`` of size K;
+    P = K + 1."""
     A, b, c = realization(M)
     G = np.zeros((len(etas), len(b) + 1, len(b) + 1))
     G[:, 0, 0] = -etas

@@ -31,15 +31,15 @@ exact.  The flow decomposition is integration by parts in s:
 h_l(t) = d^l/ds^l K(t, 0), p_l(t) = -d^l/ds^l K(t, t), and R_N integrates
 d^N/ds^N K.  h_l and R_N are read off that array; p_l is a polynomial
 whose coefficients are power-series products of the Taylor data of M at
-0.  The rows expand into memory states in one place (``_memory_states``),
-read by the stepper's memory recurrence and by the state-space realization
-M(t) = c^T e^{A t} b (``realization``) of the exact flow.  One evaluator,
-``_eval_compiled``, serves every value of a kernel and of the series
-kernel: it forms the powers of t-s and of s by running products and meets
-them with Re C and Im C in real matrix products, so e^{z(t-s)} is its only
-complex arithmetic.  The objects derived from a kernel (the power table,
-convolution powers, h_l, p_l, ``km_partial``, the sups behind the C^N
-norms) are kept in a memo on the kernel and live as long as it does.
+0.  The rows are also the memory states of the state-space realization
+M(t) = c^T e^{A t} b (``realization``), from which every propagator of
+the flow starts.  One evaluator, ``_eval_compiled``, serves every value
+of a kernel and of the series kernel: it forms the powers of t-s and of
+s by running products and meets them with Re C and Im C in real matrix
+products, so e^{z(t-s)} is its only complex arithmetic.  The objects
+derived from a kernel (the power table, convolution powers, h_l, p_l,
+``km_partial``, the sups behind the C^N norms) are kept in a memo on the
+kernel and live as long as it does.
 """
 
 from __future__ import annotations
@@ -389,32 +389,23 @@ def _eval_compiled(rates, C, u, s=0.0):
 # the state-space realization
 # ---------------------------------------------------------------------------
 
-def _memory_states(M):
-    """The memory states of M, one per stored row and power up to the row's
-    top power m: the state (z, p) is Z(t) = int_0^t (t-u)^p e^{z(t-u)} y(u) du.
-    Returns the rate z and power p of each state (p as Python ints, rows in
-    stored order) and the coefficients c with (M * y)(t) = Re(c . Z(t)); c
-    is real when every rate is."""
-    rows = [(z, row[:np.flatnonzero(row)[-1] + 1]) for z, row in zip(M.rates, M.C)]
-    z = np.array([z for z, row in rows for _ in row], dtype=M.rates.dtype)
-    p = [q for _, row in rows for q in range(len(row))]
-    c = np.concatenate([row for _, row in rows] or [np.zeros(0, M.C.dtype)])
-    return z, p, c
-
-
 @_kept_on_kernel
 def realization(M):
     """A real (A, b, c) with M(t) = c^T e^{A t} b, a view of the stored rows.
 
-    A is block diagonal, one block zI + N per row (N[p, p-1] = p) on the
-    states of ``_memory_states``, so that Z' = A Z + b y and
-    (M * y) = c . Z; b picks the first state of each block.  When a rate is
-    complex the states split into their real and imaginary parts, all real
-    parts first: A becomes [[Re A, -Im A], [Im A, Re A]], b (b, 0) and
-    c (Re c, -Im c).  Read-only arrays, kept on M.
+    One memory state per stored row and power p up to the row's top power:
+    Z_{z,p}(t) = int_0^t (t-u)^p e^{z(t-u)} y(u) du, so that Z' = A Z + b y
+    and (M * y) = Re(c . Z).  A is block diagonal, one block zI + N per row
+    (N[p, p-1] = p), b picks the first state of each block, and c holds the
+    row's coefficients.  When a rate is complex the states split into their
+    real and imaginary parts, all real parts first: A becomes
+    [[Re A, -Im A], [Im A, Re A]], b (b, 0) and c (Re c, -Im c).  Read-only
+    arrays, kept on M.
     """
-    z, p, c = _memory_states(M)
-    p = np.array(p, dtype=float)
+    rows = [(z, row[:np.flatnonzero(row)[-1] + 1]) for z, row in zip(M.rates, M.C)]
+    z = np.array([z for z, row in rows for _ in row], dtype=M.rates.dtype)
+    p = np.array([q for _, row in rows for q in range(len(row))], dtype=float)
+    c = np.concatenate([row for _, row in rows] or [np.zeros(0, M.C.dtype)])
     A = np.diag(z) + np.diag(p[1:], -1)  # p is 0 where a block starts
     b = (p == 0.0).astype(float)
     if np.iscomplexobj(A):

@@ -435,6 +435,27 @@ def test_nonfinite_series_integral_exits_one(tmp_path, capsys):
     assert json.loads((d / "manifest.json").read_text())["status"] == "failed"
 
 
+@pytest.mark.parametrize("command", ["obsconst", "reconstruct", "duality", "probe-alpha",
+                                     "control"])
+def test_overflowing_propagator_exits_one(tmp_path, capsys, command):
+    """exp(800 t) grows the flow past the float range by t = 1: each command
+    that reads a propagator run exits 1 on the typed error with a ``failed``
+    manifest, and writes no NaN."""
+    p = tmp_path / "c.json"
+    cfg = write_cfg(p, kernel="exp(800*t)", time={"T": 1.0, "n_t": 200})
+    if command == "probe-alpha":
+        del cfg["mask"]
+        p.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    with pytest.warns(RuntimeWarning):  # numpy's overflow in the scan
+        assert run([command, "--config", p, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert "NonFinitePropagatorError" in err and "not finite" in err
+    d = next((out / command).iterdir())
+    assert json.loads((d / "manifest.json").read_text())["status"] == "failed"
+    assert not any("NaN" in f.read_text() for f in d.glob("*.json"))
+
+
 def test_singular_reconstruction_exits_one(tmp_path, capsys):
     # a band observed only over t in (0.99, 1) hides most of the 32 modes
     p = tmp_path / "c.json"

@@ -9,7 +9,6 @@ from memflow.flow import (
     QuadratureError,
     _expm,
     _generator,
-    _memory_recurrence,
     _row_step,
     _scan,
     _state_space,
@@ -23,7 +22,7 @@ from memflow.flow import (
     volterra_modes,
 )
 from memflow.geometry import cylinder_mask, zigzag_mask
-from memflow.kernels import ExpPolyFn, h_coeff, parse_kernel
+from memflow.kernels import ExpPolyFn, h_coeff, parse_kernel, realization
 from memflow.spectral import interval_basis
 
 from memflow.inverse_control import _influence_rows, _replay
@@ -552,12 +551,32 @@ def dense_modes(M, etas, T, n_steps):
     return y
 
 
+def closed_form_recurrence(M, dt):
+    """(c, W, w) expanded from the stored rows of M(t) = Re sum_z e^{z t}
+    sum_p C[z, p] t^p, each row cut after its top power: the history sums
+    Z[z, p]_i = sum_{d>=1} (d dt)^p e^{z d dt} v_{i-d} obey
+    Z_{i+1} = W (Z_i + e v_i) with W[p, q] = C(p, q) dt^(p-q) e^{z dt}
+    (q <= p) on the block of rate z, e the first state of each block, so
+    that sum_{d>=1} M(d dt) v_{i-d} = Re(c . Z_i) and w = W e (reference)."""
+    rows = [(z, row[:np.flatnonzero(row)[-1] + 1]) for z, row in zip(M.rates, M.C)]
+    blocks = [np.exp(complex(z) * dt) * np.array(
+        [[math.comb(p, q) * dt ** (p - q) if q <= p else 0.0 for q in range(len(row))]
+         for p in range(len(row))]) for z, row in rows]
+    K = sum(len(row) for _, row in rows)
+    W, e, k = np.zeros((K, K), dtype=complex), np.zeros(K), 0
+    for block in blocks:
+        W[k:k + len(block), k:k + len(block)] = block
+        e[k], k = 1.0, k + len(block)
+    c = np.concatenate([row for _, row in rows] or [np.zeros(0)])
+    return c, W, W @ e
+
+
 def loop_modes(M, etas, T, n_steps):
-    """Forward stepper from y_0 = 1, one memory-recurrence step at a time
-    (reference)."""
+    """Forward stepper from y_0 = 1, one step of the closed-form memory
+    recurrence at a time, on complex states (reference)."""
     etas = np.atleast_1d(np.asarray(etas, dtype=float))
     dt = T / n_steps
-    c, W, w = _memory_recurrence(M, dt)
+    c, W, w = closed_form_recurrence(M, dt)
     q0 = 0.25 * dt * dt * float(M.eval(0.0))
     a_diag = 1.0 + 0.5 * dt * etas + q0
     b_diag = 1.0 - 0.5 * dt * etas - q0
@@ -579,6 +598,8 @@ RECURRENCE_KERNELS = [
     "exp(-0.5*t)*sin(2*t)",
     "exp(-2*t) + t*exp(-2*t)",   # one rate, two powers
     "t^2*exp(0.5*t)*cos(2*t)",
+    "exp(-1*t) + t^4*exp(-2*t)",  # two rates, a size-5 block
+    "2 + t^3*exp(-1*t) + -0.5*t*exp(-1*t) + exp(0.3*t)",
     "1",
     "0",
 ]
@@ -586,6 +607,23 @@ RECURRENCE_KERNELS = [
 
 def _max_rel(x, ref):
     return np.abs(x - ref).max() / max(np.abs(ref).max(), 1e-300)
+
+
+@pytest.mark.parametrize("n", [600, 4])
+@pytest.mark.parametrize("text", RECURRENCE_KERNELS)
+def test_stepper_memory_step_is_the_exponential_of_the_realization(text, n):
+    """The memory block W of the stepper map at dt = 1/n is e^{dt A} of the
+    kernel's realization: the closed form C(p, q) dt^(p-q) e^{z dt}, split
+    into real and imaginary parts as the realization is, and scipy's expm."""
+    from scipy.linalg import expm
+    M, dt = parse_kernel(text), 1.0 / n
+    _, A, w = _state_space(M, np.array([1.0, 50.0]), 1.0, n)
+    W = A[:, 2:, 2:] - w[:, None] * A[:, 0, None, 2:]  # the step's y_i term taken out
+    _, ref, _ = closed_form_recurrence(M, dt)
+    if M.rates.dtype.kind == "c":
+        ref = np.block([[ref.real, -ref.imag], [ref.imag, ref.real]])
+    for want in (ref.real, expm(dt * realization(M)[0])):
+        assert np.abs(W - want).max(initial=0.0) <= 1e-14 * max(np.abs(want).max(initial=0.0), 1.0)
 
 
 @pytest.mark.parametrize("text", RECURRENCE_KERNELS)

@@ -3,16 +3,18 @@
 module, the package re-exporting exactly the modules' ``__all__``, every
 private module-level function or class read somewhere in the library,
 every exported name read outside the tests, the README's config table
-naming exactly the keys of ``cli.CONFIG``, and no ``assert`` statement in
-the library."""
+naming exactly the keys of ``cli.CONFIG``, no ``assert`` statement in the
+library, and every library error reaching the user as a typed exit."""
 
 import ast
+import importlib
+import inspect
 import re
 from pathlib import Path
 
 import pytest
 
-from memflow import cli
+from memflow import cli, kernels
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "memflow"
@@ -145,3 +147,23 @@ def test_library_holds_no_assert(name):
     error instead."""
     tree = ast.parse((SRC / name).read_text())
     assert [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)] == []
+
+
+def test_every_library_error_exits_typed():
+    """Each exception class of the library ends a command in exit 1 with a
+    ``failed`` manifest (``cli._RUN_ERRORS``) or in exit 2 as a
+    ``cli.ConfigError``: a typed error that is neither ends in a traceback.
+    The errors that become a ConfigError are listed with an input that
+    raises one."""
+    as_config_error = {kernels.KernelParseError: lambda: cli.parse_kernel_checked("exp(")}
+    errors = {cls for name in MODULES
+              for cls in vars(importlib.import_module(f"memflow.{name[:-3]}")).values()
+              if inspect.isclass(cls) and issubclass(cls, BaseException)
+              and cls.__module__ == f"memflow.{name[:-3]}"}
+    assert cli.ConfigError in errors and len(errors) > len(cli._RUN_ERRORS)
+    untyped = [cls.__name__ for cls in errors - {cli.ConfigError}
+               if not issubclass(cls, cli._RUN_ERRORS) and cls not in as_config_error]
+    assert untyped == []
+    for raise_it in as_config_error.values():
+        with pytest.raises(cli.ConfigError):
+            raise_it()

@@ -4,6 +4,9 @@ One JSON config plus a subcommand produce machine-readable artifacts under
 <out>/<command>/<config-hash>/ with a manifest; identical config and seed give
 byte-identical CSVs.  Commands: flow-check, kernel, moc, obsconst,
 probe-alpha, probe-ball, probe-heat, reconstruct, control, duality, report.
+Each command is a function of (cfg, sink) that writes its artifacts to the
+sink and returns whether its checks passed; ``_run`` finalizes its manifest.
+A command that draws random numbers seeds its own generator from the config.
 """
 
 from __future__ import annotations
@@ -54,12 +57,6 @@ from .observability import (
     unique_continuation_rank,
 )
 from .spectral import hs_norm, interval_basis
-
-COMMANDS = (
-    "flow-check", "kernel", "moc", "obsconst", "probe-alpha", "probe-ball",
-    "probe-heat", "reconstruct", "control", "duality", "report",
-)
-
 
 class ConfigError(ValueError):
     pass
@@ -262,6 +259,7 @@ class Sink:
     it writes leaves no directory."""
 
     def __init__(self, out_dir, command, cfg):
+        self.out_dir = out_dir
         self.hash = config_hash(cfg)
         self.dir = os.path.join(out_dir, command, self.hash)
         self.artifacts = []
@@ -335,7 +333,7 @@ def _json_default(v):
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_flow_check(cfg, sink, rng):
+def cmd_flow_check(cfg, sink):
     M = parse_kernel_checked(cfg["kernel"])
     fc = cfg["flow_check"]
     modes, n_tv = fc["modes"], fc["n_t_values"]
@@ -401,7 +399,7 @@ def cmd_flow_check(cfg, sink, rng):
     return failures == 0
 
 
-def cmd_kernel(cfg, sink, rng):
+def cmd_kernel(cfg, sink):
     M = parse_kernel_checked(cfg["kernel"])
     kc = cfg["kernel_cmd"]
     ts = np.linspace(0.0, cfg["time"]["T"], kc["grid_points"])
@@ -429,7 +427,7 @@ def _window(cfg):
     return (win["S"], win["T"]) if win else (0.0, cfg["time"]["T"])
 
 
-def cmd_moc(cfg, sink, rng):
+def cmd_moc(cfg, sink):
     M = parse_kernel_checked(cfg["kernel"])
     if M.is_zero():
         raise ConfigError("kernel: moc needs a kernel that is not identically zero")
@@ -472,7 +470,7 @@ def _setup_from_cfg(cfg, M, J=None, method="volterra"):
     return setup
 
 
-def cmd_obsconst(cfg, sink, rng):
+def cmd_obsconst(cfg, sink):
     n_restarts = cfg["obsconst"]["n_restarts"]
     M = parse_kernel_checked(cfg["kernel"])
 
@@ -500,7 +498,7 @@ def cmd_obsconst(cfg, sink, rng):
     return True
 
 
-def cmd_probe_alpha(cfg, sink, rng):
+def cmd_probe_alpha(cfg, sink):
     pa = cfg["probe_alpha"]
     setup = _setup_from_cfg(cfg, parse_kernel_checked(cfg["kernel"]), method="exact")
     try:
@@ -517,7 +515,7 @@ def cmd_probe_alpha(cfg, sink, rng):
     return True
 
 
-def cmd_probe_ball(cfg, sink, rng):
+def cmd_probe_ball(cfg, sink):
     pb = cfg["probe_ball"]
     k_list, x_star, r = pb["k_list"], pb["x_star"], pb["r"]
     M = parse_kernel_checked(cfg["kernel"])
@@ -539,7 +537,7 @@ def cmd_probe_ball(cfg, sink, rng):
     return True
 
 
-def cmd_probe_heat(cfg, sink, rng):
+def cmd_probe_heat(cfg, sink):
     ph = cfg["probe_heat"]
     basis = interval_basis(cfg["basis"]["J"], cfg["basis"]["n_x"])
     out = heat_local_probe(basis, ph["x0"], ph["r"], s_exponents=tuple(ph["s_list"]),
@@ -552,13 +550,14 @@ def cmd_probe_heat(cfg, sink, rng):
     return True
 
 
-def cmd_reconstruct(cfg, sink, rng):
+def cmd_reconstruct(cfg, sink):
     noise, lam = cfg["reconstruct"]["noise"], cfg["reconstruct"]["lambda"]
     setup = _setup_from_cfg(cfg, parse_kernel_checked(cfg["kernel"]))
     truth = np.random.default_rng(cfg["seed"]).standard_normal(setup.basis.J)
     truth /= np.linalg.norm(truth)
     clean = synthesize_observation(setup, truth)
-    data = synthesize_observation(setup, truth, noise=noise, rng=rng) if noise else clean
+    noise_rng = np.random.default_rng(cfg["seed"])  # restarts the truth's seed stream
+    data = synthesize_observation(setup, truth, noise=noise, rng=noise_rng) if noise else clean
     rec, rep = reconstruct_y0(setup, data, lam=lam,
                               noise_norm=setup.l2_norm(data - clean) if noise else None)
     rel = (hs_norm(setup.basis, rec - truth, REF_EXPONENT)
@@ -572,7 +571,7 @@ def cmd_reconstruct(cfg, sink, rng):
     return True
 
 
-def cmd_control(cfg, sink, rng):
+def cmd_control(cfg, sink):
     cc = cfg["control"]
     M = parse_kernel_checked(cfg["kernel"])
     basis = interval_basis(cfg["basis"]["J"], cfg["basis"]["n_x"])
@@ -590,7 +589,8 @@ def cmd_control(cfg, sink, rng):
     return rep["final_error"] <= 1e-6
 
 
-def cmd_duality(cfg, sink, rng):
+def cmd_duality(cfg, sink):
+    rng = np.random.default_rng(cfg["seed"])
     # closed-form pair
     C2a, _, C1a = duality_range_test(
         np.eye(2), np.diag([1.0, 0.5]),
@@ -614,18 +614,12 @@ def cmd_duality(cfg, sink, rng):
     return ok
 
 
-def cmd_report(cfg, sink, rng, out_dir):
+def cmd_report(cfg, sink):
     summary = {}
     ok_all = True
     for name in ("flow-check", "kernel", "moc", "obsconst", "reconstruct",
                  "control", "duality"):
-        sub_sink = Sink(out_dir, name, cfg)
-        try:
-            ok = COMMAND_IMPL[name](cfg, sub_sink, np.random.default_rng(cfg["seed"]))
-        except _RUN_ERRORS:
-            sub_sink.finalize("failed")
-            raise
-        sub_sink.finalize("ok" if ok else "failed")
+        ok, sub_sink = _run(name, cfg, sink.out_dir)
         summary[name] = {"ok": ok, "dir": f"{name}/{sub_sink.hash}",
                          "artifacts": sorted(sub_sink.artifacts)}
         ok_all &= ok
@@ -644,7 +638,23 @@ COMMAND_IMPL = {
     "reconstruct": cmd_reconstruct,
     "control": cmd_control,
     "duality": cmd_duality,
+    "report": cmd_report,
 }
+COMMANDS = tuple(COMMAND_IMPL)
+
+
+def _run(command, cfg, out_dir):
+    """Run ``command`` into its sink under ``out_dir`` and finalize the
+    manifest ``ok`` or ``failed``; a run error finalizes it ``failed`` and is
+    re-raised.  Returns (ok, sink)."""
+    sink = Sink(out_dir, command, cfg)
+    try:
+        ok = COMMAND_IMPL[command](cfg, sink)
+    except _RUN_ERRORS:
+        sink.finalize("failed")
+        raise
+    sink.finalize("ok" if ok else "failed")
+    return ok, sink
 
 
 def main(argv=None):
@@ -660,19 +670,13 @@ def main(argv=None):
 
     try:
         cfg = load_config(args.config, seed=args.seed)
-        rng = np.random.default_rng(cfg["seed"])
-        sink = Sink(args.out, args.command, cfg)
-        if args.command == "report":
-            ok = cmd_report(cfg, sink, rng, args.out)
-        else:
-            ok = COMMAND_IMPL[args.command](cfg, sink, rng)
-        sink.finalize("ok" if ok else "failed")
+        ok, sink = _run(args.command, cfg, args.out)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except _RUN_ERRORS as e:
-        sink.finalize("failed")
-        print(f"{args.command}: {type(e).__name__}: {e}; see {sink.dir}", file=sys.stderr)
+        where = os.path.join(args.out, args.command, config_hash(cfg))
+        print(f"{args.command}: {type(e).__name__}: {e}; see {where}", file=sys.stderr)
         return 1
     if not ok:
         print(f"{args.command}: assertion failures; see {sink.dir}",

@@ -341,8 +341,6 @@ def kernel_rep_profile(M, t, etas):
     Unchecked, for tables; ``kernel_rep_mode`` is the checked value.
     """
     etas = np.atleast_1d(np.asarray(etas, dtype=float))
-    if t == 0.0:
-        return np.ones_like(etas)
     return np.exp(-etas * t) + _panel_integral(km_partial(M, 0, SERIES_TERMS), t, etas)
 
 
@@ -352,8 +350,6 @@ def kernel_rep_mode(M, eta, t):
     cut panels do not converge)."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    if t == 0.0:
-        return 1.0
     return math.exp(-eta * t) + _checked_integral(km_partial(M, 0, SERIES_TERMS), t, eta)
 
 
@@ -370,8 +366,6 @@ def remainder_profile(M, t, N, etas):
     the checked value.
     """
     etas = np.atleast_1d(np.asarray(etas, dtype=float))
-    if t == 0.0:
-        return np.zeros_like(etas)
     return etas * _panel_integral(km_partial(M, N, SERIES_TERMS), t, etas)
 
 
@@ -497,18 +491,18 @@ def build_flow_table(M, basis, T, n_steps, method="volterra"):
         phi = _scan(E, x0, n_steps + 1).T.copy()
     elif method == "volterra":
         phi = volterra_modes(M, etas, T, n_steps).T.copy()
-    elif method == "kernel_rep":
-        phi = np.ones((basis.J, n_steps + 1))
-        for i, t in enumerate(tgrid[1:], start=1):
-            phi[:, i] = kernel_rep_profile(M, t, etas)
-    elif method == "decomposition":
-        phi = np.ones((basis.J, n_steps + 1))
-        pl, hl = _coefficients(M, DEFAULT_DECOMP_ORDER, tgrid)
-        for i, t in enumerate(tgrid[1:], start=1):
-            R = remainder_profile(M, t, DEFAULT_DECOMP_ORDER, etas)
-            heat, wave, scaled = _decomposition(t, etas, pl[:, i], hl[:, i], R)
-            phi[:, i] = heat + wave + scaled
     else:
-        raise ValueError(f"unknown method {method!r}")
+        phi = np.ones((basis.J, n_steps + 1))
+        if method == "decomposition":
+            pl, hl = _coefficients(M, DEFAULT_DECOMP_ORDER, tgrid)
+        elif method != "kernel_rep":
+            raise ValueError(f"unknown method {method!r}")
+        for i, t in enumerate(tgrid[1:], start=1):
+            if method == "kernel_rep":
+                phi[:, i] = kernel_rep_profile(M, t, etas)
+            else:
+                R = remainder_profile(M, t, DEFAULT_DECOMP_ORDER, etas)
+                heat, wave, scaled = _decomposition(t, etas, pl[:, i], hl[:, i], R)
+                phi[:, i] = heat + wave + scaled
     return FlowTable(basis=basis, tgrid=tgrid, phi=phi)
 

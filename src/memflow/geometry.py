@@ -94,14 +94,10 @@ def _check_sizes(T, n_t, n_x):
         raise ValueError(f"need T > 0, n_t >= 1 and n_x >= 1 (got {T}, {n_t}, {n_x})")
 
 
-def _midpoints(T, n_t, n_x):
-    """Cell midpoints in t and in x of the raster."""
-    _check_sizes(T, n_t, n_x)
-    return (np.arange(n_t) + 0.5) * (T / n_t), (np.arange(n_x) + 0.5) / n_x
-
-
 def _from_predicate(T, n_t, n_x, pred, provenance):
-    tm, xm = _midpoints(T, n_t, n_x)
+    """The raster whose cells are those with pred(t, x) at their midpoint."""
+    _check_sizes(T, n_t, n_x)
+    tm, xm = (np.arange(n_t) + 0.5) * (T / n_t), (np.arange(n_x) + 0.5) / n_x
     cells = np.broadcast_to(pred(tm[:, None], xm[None, :]), (n_t, n_x)).copy()
     return Mask(T=T, n_t=n_t, n_x=n_x, cells=cells, provenance=provenance)
 
@@ -167,16 +163,15 @@ def random_rects_mask(seed, count, T, n_t, n_x):
     """Union of `count` axis-aligned random rectangles (seeded, reproducible)."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    tm, xm = _midpoints(T, n_t, n_x)
     rng = np.random.default_rng(seed)
-    cells = np.zeros((n_t, n_x), dtype=bool)
-    for _ in range(count):
-        t0, t1 = np.sort(rng.uniform(0.0, T, size=2))
-        x0, x1 = np.sort(rng.uniform(0.0, 1.0, size=2))
-        cells |= ((tm[:, None] > t0) & (tm[:, None] < t1)
-                  & (xm[None, :] > x0) & (xm[None, :] < x1))
-    return Mask(T=T, n_t=n_t, n_x=n_x, cells=cells,
-                provenance=f"random_rects(seed={seed},count={count})")
+    rects = [(np.sort(rng.uniform(0.0, T, size=2)), np.sort(rng.uniform(0.0, 1.0, size=2)))
+             for _ in range(count)]
+    return _from_predicate(
+        T, n_t, n_x,
+        lambda t, x: np.any([(t > t0) & (t < t1) & (x > x0) & (x < x1)
+                             for (t0, t1), (x0, x1) in rects], axis=0),
+        f"random_rects(seed={seed},count={count})",
+    )
 
 
 MASK_KINDS = ("cylinder", "zigzag", "cusp", "random_rects", "ball_complement", "file")

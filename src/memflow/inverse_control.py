@@ -258,12 +258,9 @@ def min_norm_control(kernel, basis, mask, T_hat, y0, y1, regime="l2", alpha=2.0)
             u = solve(np.divide(1.0, w, out=np.zeros_like(w), where=w > 0))
             # per-row weighted spatial norms drive the Lawson reweighting
             gamma = np.sqrt((u**2 * mask.dx).sum(axis=1)) * rho
-            live = gamma > 0
-            if not live.any():
-                break
-            new = np.where(live, omega * gamma, 0.0)
+            new = omega * gamma  # 0 on the rows that carry no control
             s = new.sum()
-            if s == 0:
+            if s == 0:  # no row carries control
                 break
             new /= s
             if np.abs(new - omega / omega.sum()).max() < 1e-12:

@@ -523,8 +523,6 @@ def _max_abs(f, lo, hi):
     bracket around the best sample as densely (each pass narrows it by a
     factor samples/2 = 512, so four passes place the maximum to ~1e-11 of the
     interval, and its value, a quadratic there, to roundoff)."""
-    if hi <= lo:
-        return abs(f.eval(lo))
     samples, best = 1024, 0.0
     for _ in range(4):
         xs = np.linspace(lo, hi, samples + 1)

@@ -9,14 +9,17 @@ functional here is built on one discrete operator, the masked-row operator
 ``_MaskedRows`` that ``ObsSetup`` is: ``fields`` takes mode coefficients to
 the window x grid field, ``adjoint`` is its transpose and ``masked`` applies
 the masked spatial quadrature.  Each run r of window rows with equal mask
-weights (a cylinder has one past its start) has one masked spatial Gram
+weights (a cylinder has one past its start; one scan of the weights finds
+the runs when the operator is built) has one masked spatial Gram
 S_r = E diag(w_r) E^T (``_spatial_grams``) and one triangular factor R_r with
 R_r^T R_r = S_r (``_spatial_factors``).  The row factors L_i = R_r(i)
 diag(phi_i) give the masked spatial norm of time row i as r_i(a) = ||L_i a||,
 so that obs(y0) = sum_i cw_i ||L_i a||; ``time_profiles`` evaluates it, for
 the reported seminorm and the constant optimizers alike.  A time-weighted
 Gram (``gram``) is contracted run by run, sum_r S_r o (P_r^T diag(coef_r)
-P_r), in O(n_times J^2) without a per-row stack.  Control through the mask is
+P_r), in O(n_times J^2) without a per-row stack.  A Gram or a reported
+seminorm that overflows (a propagator that stays finite while its square
+does not) raises ``flow.NonFinitePropagatorError``.  Control through the mask is
 observation of the adjoint (HUM duality): ``inverse_control`` builds the same
 operator from the influence rows and the raster, and solves on its ``gram``.
 
@@ -47,6 +50,7 @@ import math
 
 import numpy as np
 
+from .flow import NonFinitePropagatorError
 from .spectral import gauss_legendre, hs_norm
 
 __all__ = [
@@ -85,13 +89,17 @@ class _MaskedRows:
     F the eigenfunctions and W the masked grid weights (``ObsSetup``);
     control through the mask is the same operator with P the influence rows,
     F the cell indicators' mode coefficients and W the mask cells
-    (``inverse_control.min_norm_control``).  The masked spatial Grams (one per
-    run of rows with equal weights) and the row-factor stack are built once,
-    on first use; ``gram`` contracts by runs and needs no stack.
+    (``inverse_control.min_norm_control``).  The runs of rows with equal
+    weights are found once, by one scan of W; the masked spatial Grams (one
+    per run) and the row-factor stack are built once, on first use; ``gram``
+    contracts by runs and needs no stack.
     """
 
     def __init__(self, P, F, W):
         self.P, self.F, self.W = P, F, W
+        new = np.ones(len(W), dtype=bool)
+        new[1:] = np.any(W[1:] != W[:-1], axis=1)
+        self._starts = np.flatnonzero(new)  # first row of each run
         self._spatial = None
         self._row_factors = None
 
@@ -111,12 +119,12 @@ class _MaskedRows:
         return X * self.W
 
     def spatial_grams(self):
-        """(starts, S) of ``_spatial_grams``: one masked spatial Gram per run
-        of rows with equal weights.  Built once, read-only."""
+        """Stack S of ``_spatial_grams``: one masked spatial Gram per run of
+        rows with equal weights.  Built once, read-only."""
         if self._spatial is None:
-            starts, S = _spatial_grams(self.F, self.W)
+            S = _spatial_grams(self.F, self.W[self._starts])
             S.setflags(write=False)
-            self._spatial = starts, S
+            self._spatial = S
         return self._spatial
 
     def row_factors(self):
@@ -126,8 +134,8 @@ class _MaskedRows:
         L_i^T L_i = (p_i p_i^T) o S_r(i) is its row Gram.  Built once,
         read-only."""
         if self._row_factors is None:
-            starts, R = _spatial_factors(self.F, self.W)
-            counts = np.diff([*starts.tolist(), len(self.P)])
+            R = _spatial_factors(self.F, self.W[self._starts])
+            counts = np.diff([*self._starts.tolist(), len(self.P)])
             L = np.repeat(R, counts, axis=0) * self.P[:, None, :]
             L.setflags(write=False)
             self._row_factors = L
@@ -140,7 +148,7 @@ class _MaskedRows:
         run in blocks of _GRAM_BLOCK rows summed in order, so that no product
         reduces over a length whose split follows the BLAS thread count.
         O(n J^2 + n_runs J^2), symmetrized."""
-        starts, S = self.spatial_grams()
+        starts, S = self._starts, self.spatial_grams()
         P = self.P
         Pc = P * coef[:, None]
         G = np.zeros(S.shape[1:])
@@ -148,7 +156,7 @@ class _MaskedRows:
             for b in range(lo, hi, _GRAM_BLOCK):
                 e = min(b + _GRAM_BLOCK, hi)
                 G += S_r * (Pc[b:e].T @ P[b:e])
-        return 0.5 * (G + G.T)
+        return _finite(0.5 * (G + G.T), "masked-row Gram")
 
 
 class ObsSetup(_MaskedRows):
@@ -184,7 +192,6 @@ class ObsSetup(_MaskedRows):
         i1 = int(np.searchsorted(tg, T_hi + 1e-12, side="right")) - 1
         if i1 <= i0:
             raise ValueError("window too narrow for the table grid")
-        self.i0, self.i1 = i0, i1
         self.times = tg[i0:i1 + 1]
         n_used = i1 - i0 + 1
         wt = np.full(n_used, table.dt)
@@ -243,43 +250,39 @@ class ObsSetup(_MaskedRows):
         return out
 
 
-def _run_starts(W):
-    """First row of each run of equal consecutive rows of W (n, n_x)."""
-    new = np.ones(len(W), dtype=bool)
-    new[1:] = np.any(W[1:] != W[:-1], axis=1)
-    return np.flatnonzero(new)
+def _finite(X, what):
+    """X, or NonFinitePropagatorError when an entry is inf or NaN: a
+    propagator that stays finite can still overflow in its square.  The
+    optimizers read ``time_profiles``, which is unchecked, and score such a
+    candidate as q = inf."""
+    if not np.isfinite(X).all():
+        raise NonFinitePropagatorError(f"{what} is not finite: the propagator "
+                                       f"overflows the float range in its square")
+    return X
 
 
 def _spatial_grams(F, W):
-    """Masked spatial Grams S = F diag(w) F^T of the functions F (J, n_x)
-    under the weight rows w of W (n, n_x), one per run of equal consecutive
-    rows: a cylinder mask needs one past its start.
-
-    Returns (starts, S): the first row of each run and the stack
-    (n_runs, J, J), symmetrized so that every S is exactly symmetric.
+    """Masked spatial Grams S_r = F diag(w_r) F^T of the functions F (J, n_x)
+    under the weight rows w_r of W (n_runs, n_x), one per run of equal
+    consecutive rows (a cylinder mask needs one past its start): the stack
+    (n_runs, J, J), symmetrized so that every S_r is exactly symmetric.
     """
-    starts = _run_starts(W)
-    S = (W[starts][:, None, :] * F) @ F.T
-    return starts, 0.5 * (S + S.transpose(0, 2, 1))
+    S = (W[:, None, :] * F) @ F.T
+    return 0.5 * (S + S.transpose(0, 2, 1))
 
 
 def _spatial_factors(F, W):
-    """Triangular factors of the Grams of ``_spatial_grams``, one per run of
-    equal consecutive rows of the nonnegative weights W (n, n_x): R_r (J, J)
-    with R_r^T R_r = F diag(w_r) F^T, the R of the QR of sqrt(w_r) F^T.
-
-    Returns (starts, R): the first row of each run and the stack
-    (n_runs, J, J).
+    """Triangular factors of the Grams of ``_spatial_grams`` under the
+    nonnegative run weights W (n_runs, n_x): the stack of R_r (J, J) with
+    R_r^T R_r = F diag(w_r) F^T, the R of the QR of sqrt(w_r) F^T.
     """
-    starts = _run_starts(W)
-    Y = np.sqrt(W[starts])[:, :, None] * F.T
-    return starts, np.linalg.qr(Y, mode="r")
+    return np.linalg.qr(np.sqrt(W)[:, :, None] * F.T, mode="r")
 
 
 def obs_seminorm_many(setup, A):
     """Seminorm of every coefficient row of A (n_vec, J) at once."""
     r = setup.time_profiles(A)
-    return r @ (setup.quad_weights * setup.time_weight)
+    return _finite(r @ (setup.quad_weights * setup.time_weight), "observation seminorm")
 
 
 def obs_seminorm(setup, v):
@@ -674,16 +677,6 @@ def bump_vector(basis, center, half_width, n_modes=None, laplacian_power=0,
     return a
 
 
-def _early_cylinder_depth(setup, x_lo, x_hi):
-    """Largest eps0 with (0, eps0) x (x_lo, x_hi) inside the mask."""
-    mask = setup.mask
-    cols = (mask.x_mid > x_lo) & (mask.x_mid < x_hi)
-    if not cols.any():
-        return 0.0
-    full = np.all(mask.cells[:, cols], axis=1)
-    return (mask.n_t if full.all() else int(np.argmin(full))) * mask.dt
-
-
 def alpha_probe(setup, k_list, omega=(0.25, 0.75)):
     """Quotient trajectory of concentrating bumps under the time weight.
 
@@ -697,8 +690,11 @@ def alpha_probe(setup, k_list, omega=(0.25, 0.75)):
     """
     basis = setup.basis
     x_lo, x_hi = omega
-    eps0 = _early_cylinder_depth(setup, x_lo, x_hi)
-    if eps0 <= 0.0:
+    mask = setup.mask
+    cols = (mask.x_mid > x_lo) & (mask.x_mid < x_hi)
+    # some (0, eps0) x omega lies in the mask: the first raster row observes
+    # every column inside omega
+    if not (cols.any() and mask.cells[0, cols].all()):
         raise ValueError("mask contains no early cylinder over omega")
     center = 0.5 * (x_lo + x_hi)
     n_cap = len(basis.x) // 4
@@ -733,17 +729,16 @@ def missing_ball_probe(setup, x_star, r, J_index, k_list):
     Returns list of records (k, width, quotient, final_norm, obs, aliased).
     """
     basis = setup.basis
-    table = setup.table
     S, T_hi = setup.window
     t_cut = max(S, 25.0 / float(basis.eigenvalues[-1]))
-    win = ObsSetup(table, setup.mask, alpha=setup.alpha, window=(t_cut, T_hi))
+    win = ObsSetup(setup.table, setup.mask, alpha=setup.alpha, window=(t_cut, T_hi))
     records = []
     dx = basis.x[1] - basis.x[0]
     for k in k_list:
         width = min(0.5 * r * (4.0 / (k + 2.0)) ** 0.6, 0.5 * r)
         v = bump_vector(basis, x_star, width, laplacian_power=J_index + 1,
                         profile_power=8, zero_mean=True)
-        fn = float(np.linalg.norm(table.phi[:, win.i1] * v))
+        fn = float(np.linalg.norm(win.phi_win[:, -1] * v))
         obs = obs_seminorm(win, v)
         records.append({
             "k": int(k),

@@ -435,20 +435,46 @@ def test_nonfinite_series_integral_exits_one(tmp_path, capsys):
     assert json.loads((d / "manifest.json").read_text())["status"] == "failed"
 
 
-@pytest.mark.parametrize("command", ["obsconst", "reconstruct", "duality", "probe-alpha",
-                                     "control"])
+OVERFLOW_COMMANDS = ["obsconst", "reconstruct", "duality", "probe-alpha", "control"]
+
+
+@pytest.mark.parametrize("command", OVERFLOW_COMMANDS)
 def test_overflowing_propagator_exits_one(tmp_path, capsys, command):
     """exp(800 t) grows the flow past the float range by t = 1: each command
     that reads a propagator run exits 1 on the typed error with a ``failed``
     manifest, and writes no NaN."""
+    with pytest.warns(RuntimeWarning):  # numpy's overflow in the scan
+        _exits_one_typed(tmp_path, capsys, command, "exp(800*t)")
+
+
+@pytest.mark.parametrize("command", OVERFLOW_COMMANDS)
+def test_overflowing_square_exits_one(tmp_path, capsys, command):
+    """exp(400 t) keeps the flow finite (about e^400 at t = 1), but its
+    square overflows: the Gram or the reported seminorm is refused with the
+    same typed error, where a LinAlgError traceback, a NaN final error or
+    infinite quotients came out before."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        _exits_one_typed(tmp_path, capsys, command, "exp(400*t)")
+
+
+def test_a_square_in_range_still_runs(tmp_path):
+    """exp(300 t) squares to about e^600, inside the float range: obsconst's
+    optimizers score candidates that overflow as q = inf and go on."""
     p = tmp_path / "c.json"
-    cfg = write_cfg(p, kernel="exp(800*t)", time={"T": 1.0, "n_t": 200})
+    write_cfg(p, kernel="exp(300*t)", time={"T": 1.0, "n_t": 200},
+              obsconst={"n_restarts": 4})
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run(["obsconst", "--config", p, "--out", tmp_path / "o"]) == 0
+
+
+def _exits_one_typed(tmp_path, capsys, command, kernel):
+    p = tmp_path / "c.json"
+    cfg = write_cfg(p, kernel=kernel, time={"T": 1.0, "n_t": 200})
     if command == "probe-alpha":
         del cfg["mask"]
         p.write_text(json.dumps(cfg))
     out = tmp_path / "o"
-    with pytest.warns(RuntimeWarning):  # numpy's overflow in the scan
-        assert run([command, "--config", p, "--out", out]) == 1
+    assert run([command, "--config", p, "--out", out]) == 1
     err = capsys.readouterr().err
     assert "NonFinitePropagatorError" in err and "not finite" in err
     d = next((out / command).iterdir())
@@ -594,6 +620,28 @@ def test_report_aggregates(tmp_path):
     assert rep["all_ok"]
     assert set(rep["commands"]) == {"flow-check", "kernel", "moc", "obsconst",
                                     "reconstruct", "control", "duality"}
+
+
+def test_report_writes_what_each_command_writes_alone(tmp_path):
+    """Every artifact and manifest of report's sub-commands is byte for
+    byte what the command writes when run alone: the noise of reconstruct
+    and the directions of duality come from the config's seed either way."""
+    p = tmp_path / "c.json"
+    write_cfg(p, reconstruct={"noise": 0.01},
+              control={"T_hat": 1.0, "regime": "weighted_linf"})
+    together, alone = tmp_path / "together", tmp_path / "alone"
+    run(["report", "--config", p, "--out", together])
+    names = sorted(json.loads(next((together / "report").iterdir())
+                              .joinpath("report.json").read_text())["commands"])
+    assert len(names) == 7
+    for name in names:
+        run([name, "--config", p, "--out", alone])
+    files = sorted(f.relative_to(alone) for f in alone.rglob("*") if f.is_file())
+    assert {f.parts[0] for f in files} == set(names)
+    assert files == sorted(f.relative_to(together) for f in together.rglob("*")
+                           if f.is_file() and f.parts[-3] != "report")
+    for f in files:
+        assert (alone / f).read_bytes() == (together / f).read_bytes(), f
 
 
 def _benchmark_workloads():

@@ -5,6 +5,7 @@ import pytest
 
 from memflow.geometry import (
     Mask,
+    _locate_zeros,
     analytic_lower_bound_check,
     ball_average,
     ball_complement_mask,
@@ -259,6 +260,28 @@ def test_analytic_bound_all_test_kernels(kernels4, zig, rects):
         for m in (zig, rects):
             C, beta, ok, _ = analytic_lower_bound_check(m, M, 0.0, m.T)
             assert ok, (C, beta)
+
+
+@pytest.mark.parametrize("text, T, root, order", [
+    ("exp(-1*t) + -0.5", 1.0, math.log(2.0), 1),  # bisection moves the lower end
+    ("t^2 + -0.5*t + 0.0625", 1.1, 0.25, 2),       # even order: f' changes sign
+    ("cos(6*t) + 1", 1.0, math.pi / 6.0, 2),
+], ids=["simple", "double-polynomial", "double-cosine"])
+def test_zero_located_off_the_sample_grid(text, T, root, order):
+    """A zero between the 4096 samples of [0, T] is refined to roundoff and
+    gets its order."""
+    (t0, d), = _locate_zeros(parse_kernel(text), 0.0, T)
+    assert d == order and abs(t0 - root) <= 1e-15
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "(t - 1/4)^3 off the sample grid is located 7.6e-7 off with order 2: "
+    "bisection stops inside the band where the cubic evaluates to 0, and f'' "
+    "there clears its threshold; on [0, 1], where 1/4 is a sample, the order "
+    "is 3.  analytic_lower_bound_check then reports beta = 2 as verified"))
+def test_triple_zero_off_the_sample_grid():
+    (t0, d), = _locate_zeros(parse_kernel("t^3 + -0.75*t^2 + 0.1875*t + -0.015625"), 0.0, 1.1)
+    assert d == 3 and abs(t0 - 0.25) <= 1e-12
 
 
 def test_analytic_bound_rejects_zero_function(zig):

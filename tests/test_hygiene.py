@@ -3,8 +3,9 @@
 module, the package re-exporting exactly the modules' ``__all__``, every
 private module-level function or class read somewhere in the library,
 every exported name read outside the tests, the README's config table
-naming exactly the keys of ``cli.CONFIG``, no ``assert`` statement in the
-library, and every library error reaching the user as a typed exit."""
+naming exactly the keys of ``cli.CONFIG``, the README's command block and
+``cli``'s docstring naming exactly ``cli.COMMANDS``, no ``assert`` statement
+in the library, and every library error reaching the user as a typed exit."""
 
 import ast
 import importlib
@@ -139,6 +140,17 @@ def test_readme_config_table_names_the_config_keys():
             for key in (spec if isinstance(spec, dict) else [None])]
     assert len(documented) == len(set(documented))
     assert sorted(documented) == sorted(keys)
+
+
+def test_command_lists_name_the_commands():
+    """README's command block and ``cli``'s module docstring list exactly
+    ``cli.COMMANDS``, in its order."""
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"^## Command line\n.*?^```\n(.*?)^```", readme,
+                      flags=re.MULTILINE | re.DOTALL).group(1)
+    assert [line.split()[0] for line in block.splitlines()] == list(cli.COMMANDS)
+    listed = re.search(r"Commands: ([^.]*)\.", cli.__doc__).group(1)
+    assert re.split(r",\s+", listed) == list(cli.COMMANDS)
 
 
 @pytest.mark.parametrize("name", MODULES + ["__init__.py"])

@@ -257,6 +257,17 @@ def test_weighted_regime_reports_convergence():
     assert rep["irls_iterations"] < 40
 
 
+def test_weighted_regime_stops_when_no_row_carries_control():
+    """y0 = y1 = 0 needs no control: the first solve gives u = 0, so every
+    row weight vanishes and the reweighting stops after one iteration."""
+    basis = interval_basis(6, 48)
+    u, rep = min_norm_control(KERNEL, basis, cylinder_mask(1.0, 80, 48, 0.2, 0.8), 1.0,
+                              np.zeros(6), np.zeros(6), regime="weighted_linf", alpha=2.0)
+    assert not u.any()
+    assert rep["irls_iterations"] == 1 and rep["irls_converged"] is True
+    assert rep["objective"] == 0.0 and rep["final_error"] == 0.0
+
+
 CONTROL_MASKS = {
     # mask rows 0-9 empty, then one band: two runs of equal rows
     "cylinder-late": lambda: cylinder_mask(1.0, 80, 48, 0.2, 0.7, S=0.125),

@@ -384,13 +384,13 @@ def cmd_flow_check(cfg, sink):
     # remainder bound table
     n_rt = fc["remainder_t_values"]
     bound_rows = []
+    ts = np.linspace(T / n_rt, T, n_rt)
     for N in fc["orders"]:
-        for t in np.linspace(T / n_rt, T, n_rt):
-            R = remainder_profile(M, float(t), N, etas)
-            bnd = remainder_bound(M, N, float(t))
+        for t, bnd in zip(ts.tolist(), remainder_bound(M, N, ts).tolist()):
+            R = remainder_profile(M, t, N, etas)
             ok = bool(np.all(np.abs(R) <= bnd))
             failures += not ok
-            bound_rows.append((N, float(t), float(np.abs(R).max()), bnd, ok))
+            bound_rows.append((N, t, float(np.abs(R).max()), bnd, ok))
     sink.write_csv("remainder_bound.csv", "N, t, max_abs_R, bound, ok", bound_rows)
     sink.write_json("flow_check.json", {
         "records": records, "failures": failures,
@@ -553,11 +553,12 @@ def cmd_probe_heat(cfg, sink):
 def cmd_reconstruct(cfg, sink):
     noise, lam = cfg["reconstruct"]["noise"], cfg["reconstruct"]["lambda"]
     setup = _setup_from_cfg(cfg, parse_kernel_checked(cfg["kernel"]))
-    truth = np.random.default_rng(cfg["seed"]).standard_normal(setup.basis.J)
+    rng = np.random.default_rng(cfg["seed"])
+    truth = rng.standard_normal(setup.basis.J)
     truth /= np.linalg.norm(truth)
     clean = synthesize_observation(setup, truth)
-    noise_rng = np.random.default_rng(cfg["seed"])  # restarts the truth's seed stream
-    data = synthesize_observation(setup, truth, noise=noise, rng=noise_rng) if noise else clean
+    # the noise continues the truth's stream, so it does not repeat the truth
+    data = synthesize_observation(setup, truth, noise=noise, rng=rng) if noise else clean
     rec, rep = reconstruct_y0(setup, data, lam=lam,
                               noise_norm=setup.l2_norm(data - clean) if noise else None)
     rel = (hs_norm(setup.basis, rec - truth, REF_EXPONENT)

@@ -370,13 +370,15 @@ def remainder_profile(M, t, N, etas):
 
 
 def remainder_bound(M, N, t):
-    """A priori bound  e^t {exp[N (1+t) sum_{k<=N} sup|M^(k)|] - 1}  on |R_N(t, .)|."""
-    cn = kernel_c_norm(M, N, t)
-    try:
-        growth = math.exp(N * (1.0 + t) * cn)
-    except OverflowError:
-        return math.inf  # past the float range: valid, but vacuous
-    return math.exp(t) * (growth - 1.0)
+    """A priori bound  e^t {exp[N (1+t) sum_{k<=N} sup_{[0,t]}|M^(k)|] - 1}
+    on |R_N(t, .)|, for a scalar t (a float) or for each t of an array (an
+    array of its shape); the sups come from one ``kernel_c_norm`` call over
+    every t.  exp(x) - 1 is taken by expm1, so a small x keeps its digits;
+    past the float range the bound is inf: valid, but vacuous."""
+    ts = np.asarray(t, dtype=float)
+    with np.errstate(over="ignore"):
+        bound = np.exp(ts) * np.expm1(N * (1.0 + ts) * kernel_c_norm(M, N, ts))
+    return float(bound) if ts.ndim == 0 else bound
 
 
 def _coefficients(M, N, t):

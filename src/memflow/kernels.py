@@ -519,32 +519,50 @@ def p_coeff(M, l):
 # ---------------------------------------------------------------------------
 
 def _max_abs(f, lo, hi):
-    """sup |f| on [lo, hi] by dense sampling, refined by resampling the
-    bracket around the best sample as densely (each pass narrows it by a
-    factor samples/2 = 512, so four passes place the maximum to ~1e-11 of the
-    interval, and its value, a quadratic there, to roundoff)."""
-    samples, best = 1024, 0.0
-    for _ in range(4):
-        xs = np.linspace(lo, hi, samples + 1)
-        vals = np.abs(f.eval(xs))
-        i = int(np.argmax(vals))
-        best = max(best, float(vals[i]))
-        lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, samples)]
-    return best
+    """sup |f| on [lo, h], a float for a scalar hi = h and an array for a 1-D
+    array hi of right ends h > lo (any order, repeats allowed).
+
+    The sup is taken at the ends or at a critical point of f.  Those points
+    are found once for every h: brackets of 1024 equal cells on [lo, max hi]
+    where the sign of f' changes or f' meets 0 exactly, each placed by
+    linear interpolation of f' and one Newton step on f' (kept only when it
+    stays in its bracket, so a step with f'' = 0 keeps the interpolated
+    point).  Each h then takes every point at or below it (lo, the ends,
+    the critical points): four array evaluations of f, f' and f'' in all,
+    whatever the number of h.
+    """
+    h = np.ravel(hi).astype(float)
+    xs = np.linspace(lo, h.max(), 1025)
+    fp = f.derivative(1)
+    d = fp.eval(xs)
+    i = np.flatnonzero(np.sign(d[:-1]) != np.sign(d[1:]))
+    a, b = xs[i], xs[i + 1]
+    x = a + (b - a) * (d[i] / (d[i] - d[i + 1]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        newton = x - fp.eval(x) / f.derivative(2).eval(x)
+    x = np.where((a <= newton) & (newton <= b), newton, x)
+    points = np.concatenate([[lo], h, x])
+    vals = np.abs(f.eval(points))
+    sup = np.where(points <= h[:, None], vals, 0.0).max(axis=1)
+    return float(sup[0]) if np.ndim(hi) == 0 else sup
 
 
 @_kept_on_kernel
-def _sup_abs(M, k, t):
-    """sup_{[0,t]} |M^(k)|, kept on M per (k, t)."""
-    return _max_abs(M.derivative(k), 0.0, t)
+def _sup_abs(M, k, ts):
+    """sup_{[0,t]} |M^(k)| for each t of the tuple ts, kept on M per (k, ts)."""
+    return _max_abs(M.derivative(k), 0.0, ts)
 
 
-@_kept_on_kernel
 def kernel_c_norm(M, N, t):
-    """sum_{k<=N} sup_{[0,t]} |M^(k)|, each sup found numerically."""
-    if t <= 0:
+    """sum_{k<=N} sup_{[0,t]} |M^(k)| for a scalar t > 0 (a float) or for each
+    t of an array (an array of its shape).  Each sup is exact up to the
+    location of the critical points of M^(k) (``_max_abs``), and one scan
+    per order k serves every t."""
+    ts = np.asarray(t, dtype=float)
+    if np.any(ts <= 0):
         raise ValueError("t must be > 0")
-    return float(sum(_sup_abs(M, k, t) for k in range(N + 1)))
+    norm = sum(_sup_abs(M, k, tuple(ts.ravel().tolist())) for k in range(N + 1))
+    return float(norm[0]) if ts.ndim == 0 else norm.reshape(ts.shape)
 
 
 # ---------------------------------------------------------------------------

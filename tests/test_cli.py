@@ -1,3 +1,4 @@
+import copy
 import filecmp
 import importlib.util
 import json
@@ -142,6 +143,25 @@ def test_explicit_zero_lambda_is_honoured(tmp_path):
     lams = [json.loads((d / "reconstruct.json").read_text())["lambda"]
             for d in (out / "reconstruct").iterdir()]
     assert sorted(lams)[0] == 0 and sorted(lams)[1] > 0
+
+
+def test_reconstruct_noise_does_not_repeat_the_truth(tmp_path, monkeypatch):
+    """The noise continues the generator that drew the truth: its first
+    draws are not the unnormalized truth again."""
+    seen = []
+    synthesize = cli.synthesize_observation
+
+    def spy(setup, y0, noise=0.0, rng=None):
+        if noise:
+            seen.append((np.array(y0), copy.deepcopy(rng).standard_normal(len(y0))))
+        return synthesize(setup, y0, noise=noise, rng=rng)
+
+    monkeypatch.setattr(cli, "synthesize_observation", spy)
+    p = tmp_path / "c.json"
+    write_cfg(p, basis={"J": 8, "n_x": 32}, reconstruct={"noise": 0.01})
+    assert run(["reconstruct", "--config", p, "--out", tmp_path / "o"]) == 0
+    (truth, first), = seen
+    assert abs(truth @ first) / np.linalg.norm(first) < 0.9
 
 
 def test_kernel_command_artifacts(tmp_path):

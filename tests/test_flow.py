@@ -219,6 +219,34 @@ def test_remainder_bound_past_float_range_is_infinite():
     assert remainder_bound(M, 4, 1.0) == math.inf
 
 
+def test_remainder_bound_keeps_the_digits_of_a_small_exponent():
+    # sup|M| = sup|M'| = 1e-12 on [0, 1], so x = N (1 + t) c = 4e-12 and
+    # exp(x) - 1 would lose 5 digits to cancellation
+    M = parse_kernel("1e-12*exp(-1*t)")
+    assert remainder_bound(M, 1, 1.0) == pytest.approx(math.e * math.expm1(4e-12),
+                                                       rel=1e-14, abs=0.0)
+
+
+def test_remainder_bound_over_an_array_of_t(kernels4):
+    ts = np.array([2.0, 0.1, 0.7, 0.1])
+    for M in kernels4.values():
+        bounds = remainder_bound(M, 3, ts)
+        assert bounds.shape == ts.shape
+        for t, b in zip(ts, bounds):
+            assert b == pytest.approx(remainder_bound(M, 3, float(t)), rel=1e-12)
+
+
+def test_remainder_bound_table_evaluates_each_order_four_times(monkeypatch):
+    """The sups behind the bound at ten t take at most four array
+    evaluations per derivative order k <= N, whatever the number of t."""
+    calls = []
+    evaluate = ExpPolyFn.eval
+    monkeypatch.setattr(ExpPolyFn, "eval", lambda f, t: calls.append(1) or evaluate(f, t))
+    M = parse_kernel("exp(-1*t)*cos(3*t) + t^2*exp(-0.5*t)")
+    remainder_bound(M, 4, np.linspace(0.1, 1.0, 10))
+    assert len(calls) <= 4 * (4 + 1)
+
+
 def test_remainder_mode_convergence_check():
     val = decomposition_mode(parse_kernel("1"), ETA1, 0.5, N=2)["remainder_value"]
     assert np.isfinite(val)

@@ -13,6 +13,7 @@ from memflow.kernels import (
     ExpPolyFn,
     KernelParseError,
     _eval_compiled,
+    _max_abs,
     _pascal,
     _s_derivative,
     conv_power,
@@ -270,7 +271,6 @@ def test_c_norm_sine():
      2.0 / math.sqrt(5.0) * math.exp(-(math.pi - math.atan(0.5)) / 2.0)),
 ])
 def test_max_abs_to_roundoff_with_array_evaluations(text, lo, hi, sup, monkeypatch):
-    from memflow.kernels import _max_abs
     sizes = []
     evaluate = ExpPolyFn.eval
 
@@ -280,7 +280,64 @@ def test_max_abs_to_roundoff_with_array_evaluations(text, lo, hi, sup, monkeypat
 
     monkeypatch.setattr(ExpPolyFn, "eval", counted)
     assert _max_abs(parse_kernel(text), lo, hi) == pytest.approx(sup, rel=4e-16)
-    assert min(sizes) > 1000 and len(sizes) <= 4
+    assert len(sizes) <= 4 and sum(n > 1000 for n in sizes) == 1
+
+
+@pytest.mark.parametrize("text, hi, sup", [
+    ("t^2 + -1*t", 1.0, 0.25),  # f' = 0 exactly on the sample t = 0.5
+    # 1 - (t - 0.4)^4: f'' = 0 at the zero of f', which is the sample 0.4 on
+    # [0, 0.8]; the Newton step leaves its bracket and is not taken
+    ("-1*t^4 + 1.6*t^3 + -0.96*t^2 + 0.256*t + 0.9744", 0.8, 1.0),
+    ("-1*t^4 + 1.6*t^3 + -0.96*t^2 + 0.256*t + 0.9744", 1.0, 1.0),
+    # 1 - (t - 0.5)^4: f' = f'' = 0 exactly at 0.5, a Newton step of 0/0
+    ("-1*t^4 + 2*t^3 + -1.5*t^2 + 0.5*t + 0.9375", 1.0, 1.0),
+    ("0", 1.0, 0.0),
+    ("1", 1.0, 1.0),
+])
+def test_max_abs_at_degenerate_critical_points(text, hi, sup):
+    assert _max_abs(parse_kernel(text), 0.0, hi) == pytest.approx(sup, rel=1e-12, abs=0.0)
+
+
+def _resampled_max_abs(f, lo, hi):
+    """Reference sup |f| on [lo, hi]: 1024 samples, then three passes that
+    resample the bracket around the best sample as densely."""
+    best = 0.0
+    for _ in range(4):
+        xs = np.linspace(lo, hi, 1025)
+        vals = np.abs(f.eval(xs))
+        i = int(np.argmax(vals))
+        best = max(best, float(vals[i]))
+        lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, 1024)]
+    return best
+
+
+@pytest.mark.parametrize("text", [
+    "t*exp(-1*t)", "exp(-1*t)*cos(3*t)", "t^2*exp(0.5*t)*cos(2*t)",
+    "exp(-1*t) + t^4*exp(-2*t)", "1 + -0.5*t + 0.3*t^2*sin(7*t)",
+])
+def test_max_abs_over_many_right_ends(text):
+    """One call over right ends given unsorted and with a repeat gives, at
+    every end and every derivative order, the sup of a separate resampling
+    of [0, h]."""
+    hs = np.array([1.5, 0.3, 2.0, 0.3, 0.77, 1.0])
+    for k in range(4):
+        f = parse_kernel(text).derivative(k)
+        got = _max_abs(f, 0.0, hs)
+        assert got.shape == hs.shape and got[1] == got[3]
+        for h, g in zip(hs, got):
+            assert g == pytest.approx(_resampled_max_abs(f, 0.0, h), rel=1e-12)
+
+
+def test_c_norm_over_an_array_of_t_matches_each_t():
+    hs = np.array([[0.5, 2.0], [0.1, 0.5]])
+    norms = kernel_c_norm(parse_kernel("exp(-1*t)*sin(4*t)"), 3, hs)
+    assert norms.shape == hs.shape
+    for h, n in zip(hs.ravel(), norms.ravel()):
+        assert n == pytest.approx(kernel_c_norm(parse_kernel("exp(-1*t)*sin(4*t)"), 3, h),
+                                  rel=1e-12)
+    assert type(kernel_c_norm(parse_kernel("1"), 2, 1.0)) is float
+    with pytest.raises(ValueError):
+        kernel_c_norm(parse_kernel("1"), 2, [1.0, 0.0])
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ the remainder obey its a priori bound.
 
 import math
 
+import numpy as np
+
 from memflow import (
     decomposition_mode,
     kernel_rep_mode,
@@ -45,8 +47,10 @@ print(f"  residual identity: (flow - smoothing - multiplier) * eta^3 = "
       f"{resid:.6f} vs R = {d['remainder_value']:.6f}")
 
 print("\nwave-like leading term across modes (t = 0.5):")
-for j in (4, 8, 16, 32):
-    e = (j * math.pi) ** 2
-    resid = abs(kernel_rep_mode(M, e, 0.5) + M.eval(0.5) / e**2)
+js = np.array([4, 8, 16, 32])
+es = (js * math.pi) ** 2
+flows = kernel_rep_mode(M, es, 0.5)  # an array of modes shares the kernel samples
+for j, e, f in zip(js, es, flows):
+    resid = abs(f + M.eval(0.5) / e**2)
     print(f"  mode {j:3d}: |flow + M(t)/eta^2| * eta^3 = {resid * e**3:.4f}")
 print("(flat product = the residual decays at the cubic inverse-eigenvalue rate)")

@@ -44,6 +44,7 @@ from .geometry import (
 from .inverse_control import (
     RouteMismatchError,
     SingularSystemError,
+    add_noise,
     duality_range_test,
     min_norm_control,
     reachable_difference_check,

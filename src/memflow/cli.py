@@ -38,6 +38,7 @@ from .flow import (
 from .inverse_control import (
     RouteMismatchError,
     SingularSystemError,
+    add_noise,
     duality_range_test,
     min_norm_control,
     reconstruct_y0,
@@ -350,13 +351,16 @@ def cmd_flow_check(cfg, sink):
     runs = [volterra_modes(M, mode_etas, T, n_t * 2**lvl) for lvl in range(2)]
     # check times snapped onto the stepping grid
     idx_checks = np.unique(np.linspace(n_t / n_tv, n_t, n_tv).round().astype(int))
+    # both series routes once per check time, on all modes at once
+    series = [(kernel_rep_mode(M, mode_etas, float(i * dt)).tolist(),
+               decomposition_mode(M, mode_etas, float(i * dt), N=4)["total"].tolist())
+              for i in idx_checks]
     rows = []
     for col, (j, eta) in enumerate(zip(modes, mode_etas.tolist())):
-        for i in idx_checks:
+        for i, (krs, decs) in zip(idx_checks, series):
             t = i * dt
             v = float(runs[0][i, col])
-            kr = kernel_rep_mode(M, eta, float(t))
-            dec = decomposition_mode(M, eta, float(t), N=4)["total"]
+            kr, dec = krs[col], decs[col]
             tol = max(1e-6, eta**2 * dt**2 / 20.0)
             ok = abs(v - kr) <= tol and abs(v - dec) <= tol
             failures += not ok
@@ -558,7 +562,7 @@ def cmd_reconstruct(cfg, sink):
     truth /= np.linalg.norm(truth)
     clean = synthesize_observation(setup, truth)
     # the noise continues the truth's stream, so it does not repeat the truth
-    data = synthesize_observation(setup, truth, noise=noise, rng=rng) if noise else clean
+    data = add_noise(setup, clean, noise, rng)
     rec, rep = reconstruct_y0(setup, data, lam=lam,
                               noise_norm=setup.l2_norm(data - clean) if noise else None)
     rel = (hs_norm(setup.basis, rec - truth, REF_EXPONENT)

@@ -44,14 +44,17 @@ and ``probe-ball`` read the exact table, and ``flow-check`` takes its order
 study's reference from it; ``obsconst``, ``reconstruct`` and ``duality``
 read the stepper table, and ``control`` the exact row steps.  The two
 series routes are independent cross-checks: ``flow-check`` compares their
-single-mode values with the stepper, and the three-way tests and the
-benchmark's closed-form check compare their tables.
+checked values with the stepper, one call per route and check time for all
+its modes, and the three-way tests and the benchmark's closed-form check
+compare their tables.
 
 The two series routes share one quadrature, ``_panel_integral`` of
 e^{-eta s} d^N/ds^N K(t, s) on geometric Gauss panels (N = 0 for the kernel
-representation, N for the remainder R_N).  Single-mode values
-(``kernel_rep_mode``, ``decomposition_mode``) carry one convergence check,
-``_checked_integral``, and raise QuadratureError when it fails.  Tables
+representation, N for the remainder R_N).  Checked values
+(``kernel_rep_mode``, ``decomposition_mode``, for one mode or an array of
+modes) carry one convergence check per mode, ``_checked_integral``, which
+samples the kernel once per node set for all the modes, and raise
+QuadratureError when a mode fails it.  Tables
 (``kernel_rep_profile``, ``remainder_profile`` and the flow tables built on
 them) are not checked: a table build would pay the check's second kernel
 pass at 16 nodes, and its cut panels, at every grid time (measured in
@@ -306,30 +309,52 @@ def _panel_integral(K, t, etas, n_gauss=12, split=1):
     return np.exp(-np.outer(etas, s)) @ (w * K.eval(t, s))
 
 
-def _checked_integral(K, t, eta):
-    """``_panel_integral`` for one mode, with a convergence check.
+def _checked_integral(K, t, etas):
+    """``_panel_integral`` for a 1-D array of modes, each with its own
+    convergence check.
 
-    Integrates at 12 and at 16 nodes per panel, cutting every panel in
-    2, 4, ..., 64 until the two integrals agree to max(1e-12, 1e-11 |integral|)
-    plus the rounding the series kernel itself carries (machine epsilon times
-    the integral of ``K.eval_abs``; no node count removes it).  Past 64 raise
-    QuadratureError carrying the achieved error estimate, and at once when
-    either integral is not finite.
+    Each mode integrates at 12 and at 16 nodes per panel, cutting every panel
+    in 2, 4, ..., 64 until its two integrals agree to
+    max(1e-12, 1e-11 |integral|) plus the rounding the series kernel itself
+    carries (machine epsilon times the mode's integral of ``K.eval_abs``; no
+    node count removes it).  The kernel is sampled once per node set and cut,
+    for every mode not yet converged, and ``K.eval_abs`` once, for every
+    mode's allowance, the first time any mode misses; each mode's integral on
+    those samples is its own (1, n) @ (n,) product, so its value does not
+    depend on the other modes.  Returns the array of integrals.  Raises
+    QuadratureError when a mode is still apart past 64 cuts, carrying its
+    achieved error estimate, and at once when either integral of a mode is
+    not finite.
     """
-    rounding = None
+    values, rounding, pending = np.empty(len(etas)), None, range(len(etas))
     for split in (1, 2, 4, 8, 16, 32, 64):
-        coarse, fine = (float(_panel_integral(K, t, [eta], n, split)[0]) for n in (12, 16))
-        if not (math.isfinite(coarse) and math.isfinite(fine)):
-            raise QuadratureError(f"series-kernel integral is not finite: {coarse!r} at 12 "
-                                  f"nodes, {fine!r} at 16 nodes per panel")
-        err, tol = abs(fine - coarse), max(1e-12, 1e-11 * abs(fine))
-        if err > tol and rounding is None:  # one more kernel pass, only here
-            s, w = _gauss_panels(t, 16)
-            rounding = np.finfo(float).eps * float(w @ (K.eval_abs(t, s) * np.exp(-eta * s)))
-        if err <= tol + (rounding or 0.0):
-            return fine
+        integrals = []
+        for n in (12, 16):
+            s, w = _gauss_panels(t, n, split)
+            v = w * K.eval(t, s)
+            integrals.append([float((np.exp(-np.outer(etas[m:m + 1], s)) @ v)[0])
+                              for m in pending])
+        missed = []
+        for m, coarse, fine in zip(pending, *integrals):
+            if not (math.isfinite(coarse) and math.isfinite(fine)):
+                raise QuadratureError(f"series-kernel integral is not finite: {coarse!r} at 12 "
+                                      f"nodes, {fine!r} at 16 nodes per panel")
+            err, tol = abs(fine - coarse), max(1e-12, 1e-11 * abs(fine))
+            if err > tol and rounding is None:  # one more kernel pass, only here
+                s, w = _gauss_panels(t, 16)
+                a = K.eval_abs(t, s)
+                rounding = np.finfo(float).eps * np.array(
+                    [float(w @ (a * np.exp(-eta * s))) for eta in etas.tolist()])
+            if err <= tol or err <= tol + rounding[m]:
+                values[m] = fine
+            else:
+                missed.append((m, err, tol + rounding[m]))
+        if not missed:
+            return values
+        pending = [m for m, _, _ in missed]
+    _, err, bound = missed[0]
     raise QuadratureError(f"series-kernel quadrature error estimate "
-                          f"{err:.3e} exceeds {tol + rounding:.3e}")
+                          f"{err:.3e} exceeds {bound:.3e}")
 
 
 def kernel_rep_profile(M, t, etas):
@@ -345,12 +370,18 @@ def kernel_rep_profile(M, t, etas):
 
 
 def kernel_rep_mode(M, eta, t):
-    """Single-mode propagator value via the kernel representation, with the
+    """Propagator value via the kernel representation for a mode eta (a
+    float) or for each mode of an array (an array of its shape), with the
     convergence check of ``_checked_integral`` (QuadratureError when 64-fold
-    cut panels do not converge)."""
+    cut panels do not converge for some mode).  All modes share the kernel
+    samples, and each value equals that of the mode's scalar call."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    return math.exp(-eta * t) + _checked_integral(km_partial(M, 0, SERIES_TERMS), t, eta)
+    etas = np.asarray(eta, dtype=float)
+    flat = etas.ravel()
+    phi = (np.array([math.exp(-e * t) for e in flat.tolist()])
+           + _checked_integral(km_partial(M, 0, SERIES_TERMS), t, flat))
+    return float(phi[0]) if etas.ndim == 0 else phi.reshape(etas.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -398,29 +429,38 @@ def _decomposition(t, etas, pl, hl, R):
 
 
 def decomposition_mode(M, eta, t, N=DEFAULT_DECOMP_ORDER):
-    """Order-N decomposition of the mode propagator at time t > 0.
+    """Order-N decomposition of the mode propagator at time t > 0, for a mode
+    eta (a dict of floats) or for each mode of an array (a dict of arrays of
+    its shape).
 
-    Returns a dict of its five parts: "heat", the smoothing part
+    The dict holds its five parts: "heat", the smoothing part
     e^{-eta t} (1 + sum_l p_l(t) eta^{-l-1}); "wave", the multiplier part
     sum_l h_l(t) eta^{-l-1}; "remainder_value", R_N(t, eta);
     "remainder_scaled", R_N(t, eta) eta^{-N-1}; and "total",
     heat + wave + remainder_scaled.
 
-    The remainder R_N(t, eta) is checked by ``_checked_integral``
-    (QuadratureError when 64-fold cut panels do not converge); the
-    decomposition table reads the unchecked ``remainder_profile``.  Refuses
-    t = 0 (the remainder quadrature degenerates there); callers probe the
-    t -> 0 limit instead.
+    p_l(t) and h_l(t) are evaluated once for all modes.  The remainder
+    R_N(t, eta) is checked by ``_checked_integral`` (QuadratureError when
+    64-fold cut panels do not converge for some mode); the decomposition
+    table reads the unchecked ``remainder_profile``.  Each mode's parts equal
+    those of its scalar call.  Refuses t = 0 (the remainder quadrature
+    degenerates there); callers probe the t -> 0 limit instead.
     """
     if t <= 0:
         raise ValueError("decomposition_mode requires t > 0")
     if N < 2:
         raise ValueError("N must be >= 2")
-    R = float(eta) * _checked_integral(km_partial(M, N, SERIES_TERMS), t, eta)
-    heat, wave, scaled = (float(v[0]) for v in
-                          _decomposition(t, np.array([float(eta)]), *_coefficients(M, N, t), R))
-    return {"heat": heat, "wave": wave, "remainder_scaled": scaled,
-            "remainder_value": R, "total": heat + wave + scaled}
+    etas = np.asarray(eta, dtype=float)
+    flat = etas.ravel()
+    R = flat * _checked_integral(km_partial(M, N, SERIES_TERMS), t, flat)
+    pl, hl = _coefficients(M, N, t)
+    heat, wave, scaled = np.array([_decomposition(t, flat[m:m + 1], pl, hl, R[m])
+                                   for m in range(len(flat))]).reshape(-1, 3).T
+    parts = {"heat": heat, "wave": wave, "remainder_scaled": scaled,
+             "remainder_value": R, "total": heat + wave + scaled}
+    if etas.ndim == 0:
+        return {k: float(v[0]) for k, v in parts.items()}
+    return {k: v.reshape(etas.shape) for k, v in parts.items()}
 
 
 def first_nonzero_h_index(M, T):

@@ -331,7 +331,7 @@ def _locate_zeros(f, S, T):
     samples = 4096
     ts = np.linspace(S, T, samples + 1)
     vals = f.eval(ts)
-    scale0 = kernel_c_norm(f, 0, max(T, 1e-12))
+    floor = 1e-11 * max(kernel_c_norm(f, 0, max(T, 1e-12)), 1e-300)
     roots = []
     sgn = np.sign(vals)
     for i in range(samples):
@@ -341,7 +341,7 @@ def _locate_zeros(f, S, T):
             roots.append(_refine_root(f, ts[i], ts[i + 1]))
     # endpoint roots need no sign change inside the interval
     for t_end in (ts[0], ts[-1]):
-        if abs(f.eval(t_end)) <= 1e-11 * max(scale0, 1e-300):
+        if abs(f.eval(t_end)) <= floor:
             roots.append(t_end)
     # even-order roots: stationary points of f where f nearly vanishes
     fp = f.derivative(1)
@@ -350,7 +350,7 @@ def _locate_zeros(f, S, T):
     for i in range(samples):
         if dsgn[i] * dsgn[i + 1] < 0:
             t0 = _refine_root(fp, ts[i], ts[i + 1])
-            if abs(f.eval(t0)) <= 1e-11 * max(scale0, 1e-300):
+            if abs(f.eval(t0)) <= floor:
                 roots.append(t0)
     # dedupe
     roots = sorted(roots)
@@ -358,14 +358,26 @@ def _locate_zeros(f, S, T):
     for t0 in roots:
         if not merged or t0 - merged[-1] > 1e-9 * max(1.0, T):
             merged.append(t0)
+    # a zero refined where f evaluates to 0 may sit off a higher-order zero
+    # (the band of a triple zero where the cubic rounds to 0): when f^(d)
+    # changes sign within a sample cell, the zero moves to f^(d)'s root if f
+    # is at its noise floor there and the order rises
+    cell = (T - S) / samples
     out = []
     for t0 in merged:
-        order = None
-        for k in range(1, 13):
-            thresh = 1e-9 * max(kernel_c_norm(f, k, max(T, 1e-12)), 1e-300)
-            if abs(f.derivative(k).eval(t0)) > thresh:
-                order = k
+        order = _zero_order(f, t0, T)
+        lo, hi = max(S, t0 - cell), min(T, t0 + cell)
+        while order is not None:
+            g = f.derivative(order)
+            if np.sign(g.eval(lo)) * np.sign(g.eval(hi)) >= 0:
                 break
+            t1 = _refine_root(g, lo, hi)
+            if abs(f.eval(t1)) > floor:
+                break
+            d1 = _zero_order(f, t1, T)
+            if d1 is None or d1 <= order:
+                break
+            t0, order = t1, d1
         if order is None:
             raise RootIsolationError(
                 f"cannot determine root order near t = {t0} on "
@@ -373,6 +385,16 @@ def _locate_zeros(f, S, T):
             )
         out.append((float(t0), order))
     return out
+
+
+def _zero_order(f, t0, T):
+    """The first k <= 12 with |f^(k)(t0)| above 1e-9 of the C^k norm of f on
+    [0, T], or None."""
+    for k in range(1, 13):
+        thresh = 1e-9 * max(kernel_c_norm(f, k, max(T, 1e-12)), 1e-300)
+        if abs(f.derivative(k).eval(t0)) > thresh:
+            return k
+    return None
 
 
 def analytic_lower_bound_check(mask, f, S, T_hi):

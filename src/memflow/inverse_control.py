@@ -35,6 +35,7 @@ from .observability import _MaskedRows, _pencil_eigh
 __all__ = [
     "SingularSystemError",
     "synthesize_observation",
+    "add_noise",
     "reconstruct_y0",
     "RouteMismatchError",
     "min_norm_control",
@@ -52,19 +53,23 @@ class SingularSystemError(np.linalg.LinAlgError):
 
 
 def synthesize_observation(setup, y0, noise=0.0, rng=None):
-    """Forward masked data of a known initial state, optionally noisy.
-
-    Noise is relative: gaussian with std = noise * rms(signal) added on the
-    in-mask samples.
-    """
-    a = np.asarray(y0, dtype=float)
+    """Forward masked data of a known initial state, optionally noisy
+    (``add_noise``)."""
     live = setup.masked_weights > 0
-    data = np.where(live, setup.fields(a), 0.0)
-    if noise > 0.0:
-        rng = np.random.default_rng(0) if rng is None else rng
-        scale = noise * math.sqrt(float(np.mean(data[live] ** 2)))
-        data = data + np.where(live, rng.standard_normal(data.shape) * scale, 0.0)
-    return data
+    data = np.where(live, setup.fields(np.asarray(y0, dtype=float)), 0.0)
+    return add_noise(setup, data, noise, rng)
+
+
+def add_noise(setup, data, noise, rng=None):
+    """``data`` plus relative noise: gaussian with std = noise * rms(signal)
+    on the in-mask samples, drawn from ``rng`` (default_rng(0) when None);
+    ``data`` itself when noise is 0."""
+    if noise <= 0.0:
+        return data
+    live = setup.masked_weights > 0
+    rng = np.random.default_rng(0) if rng is None else rng
+    scale = noise * math.sqrt(float(np.mean(data[live] ** 2)))
+    return data + np.where(live, rng.standard_normal(data.shape) * scale, 0.0)
 
 
 def _cholesky_solve(A, b):

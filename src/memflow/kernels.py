@@ -523,16 +523,20 @@ def _max_abs(f, lo, hi):
     array hi of right ends h > lo (any order, repeats allowed).
 
     The sup is taken at the ends or at a critical point of f.  Those points
-    are found once for every h: brackets of 1024 equal cells on [lo, max hi]
+    are found once for every h: brackets of equal cells on [lo, max hi]
     where the sign of f' changes or f' meets 0 exactly, each placed by
     linear interpolation of f' and one Newton step on f' (kept only when it
     stays in its bracket, so a step with f'' = 0 keeps the interpolated
-    point).  Each h then takes every point at or below it (lo, the ends,
-    the critical points): four array evaluations of f, f' and f'' in all,
-    whatever the number of h.
+    point).  There are max(1024, 8 w (max hi - lo) / 2 pi) cells, w the
+    largest |Im z| of f's rates, so at least 8 per period of f's fastest
+    oscillation.  Each h then takes every point at or below it (lo, the
+    ends, the critical points): four array evaluations of f, f' and f'' in
+    all, whatever the number of h.
     """
     h = np.ravel(hi).astype(float)
-    xs = np.linspace(lo, h.max(), 1025)
+    freq = np.abs(np.imag(f.rates)).max(initial=0.0)
+    cells = max(1024, math.ceil(8.0 * freq * (h.max() - lo) / (2.0 * math.pi)))
+    xs = np.linspace(lo, h.max(), cells + 1)
     fp = f.derivative(1)
     d = fp.eval(xs)
     i = np.flatnonzero(np.sign(d[:-1]) != np.sign(d[1:]))

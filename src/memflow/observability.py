@@ -663,10 +663,14 @@ def bump_vector(basis, center, half_width, n_modes=None, laplacian_power=0,
     if zero_mean:
         c = np.sum(wq * prof) / np.sum(wq * prof * u**2)
         prof = prof * (1.0 - c * u**2)
-    j = np.arange(1, basis.J + 1)
-    a = np.sqrt(2.0) * np.sin(np.pi * np.outer(j, nodes)) @ (wq * prof)
-    if n_modes is not None:
-        a[n_modes:] = 0.0
+    # sines only for the kept modes, built in place; the zero rows keep the
+    # product's shape
+    sines = np.zeros((basis.J, len(nodes)))
+    kept = sines[:n_modes]
+    np.outer(np.arange(1, len(kept) + 1), nodes, out=kept)
+    kept *= np.pi
+    np.sin(kept, out=kept)
+    a = np.sqrt(2.0) * sines @ (wq * prof)
     a[np.abs(a) <= 1e-13 * np.abs(a).max()] = 0.0
     nrm = np.linalg.norm(a)
     if nrm == 0.0:

@@ -148,19 +148,23 @@ def test_explicit_zero_lambda_is_honoured(tmp_path):
 def test_reconstruct_noise_does_not_repeat_the_truth(tmp_path, monkeypatch):
     """The noise continues the generator that drew the truth: its first
     draws are not the unnormalized truth again."""
-    seen = []
-    synthesize = cli.synthesize_observation
+    truths, draws = [], []
+    synthesize, add_noise = cli.synthesize_observation, cli.add_noise
 
-    def spy(setup, y0, noise=0.0, rng=None):
-        if noise:
-            seen.append((np.array(y0), copy.deepcopy(rng).standard_normal(len(y0))))
+    def spy_synthesize(setup, y0, noise=0.0, rng=None):
+        truths.append(np.array(y0))
         return synthesize(setup, y0, noise=noise, rng=rng)
 
-    monkeypatch.setattr(cli, "synthesize_observation", spy)
+    def spy_noise(setup, data, noise, rng=None):
+        draws.append(copy.deepcopy(rng).standard_normal(setup.basis.J))
+        return add_noise(setup, data, noise, rng)
+
+    monkeypatch.setattr(cli, "synthesize_observation", spy_synthesize)
+    monkeypatch.setattr(cli, "add_noise", spy_noise)
     p = tmp_path / "c.json"
     write_cfg(p, basis={"J": 8, "n_x": 32}, reconstruct={"noise": 0.01})
     assert run(["reconstruct", "--config", p, "--out", tmp_path / "o"]) == 0
-    (truth, first), = seen
+    (truth,), (first,) = truths, draws
     assert abs(truth @ first) / np.linalg.norm(first) < 0.9
 
 
@@ -430,6 +434,41 @@ def test_flow_check_passes_on_oscillating_kernel(tmp_path):
     assert run(["flow-check", "--config", p, "--out", out]) == 0
     d = next((out / "flow-check").iterdir())
     assert json.loads((d / "flow_check.json").read_text())["failures"] == 0
+
+
+def test_flow_check_rows_do_not_depend_on_mode_order(tmp_path):
+    """The series routes run on all modes at once; each mode's rows are
+    what it gets in any order of the modes."""
+    written = []
+    for modes in ([8, 1, 3, 2], [1, 2, 3, 8]):
+        p = tmp_path / "c.json"
+        write_cfg(p, kernel="exp(-0.6*t) + 0.5*t*exp(-2*t)",
+                  flow_check={"modes": modes, "n_t_values": 4, "remainder_t_values": 2})
+        out = tmp_path / "-".join(map(str, modes))
+        assert run(["flow-check", "--config", p, "--out", out]) == 0
+        d = next((out / "flow-check").iterdir())
+        written.append({name: sorted(line for line in (d / name).read_text().splitlines()
+                                     if not line.startswith("# config"))
+                        for name in ("three_way.csv", "order_study.csv", "remainder_bound.csv")})
+    assert written[0] == written[1]
+
+
+def test_flow_check_samples_each_series_kernel_once_per_check(tmp_path, monkeypatch):
+    """On the default config the series kernels are sampled once per node set
+    for all four modes: 62 evaluations (one per mode made 158)."""
+    from memflow.kernels import BivariateKernel
+    calls = []
+    evaluate = BivariateKernel.eval
+
+    def spy(self, t, s):
+        calls.append(len(s))
+        return evaluate(self, t, s)
+
+    monkeypatch.setattr(BivariateKernel, "eval", spy)
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({"kernel": "exp(-0.6*t) + 0.5*t*exp(-2*t)"}))
+    assert run(["flow-check", "--config", p, "--out", tmp_path / "o"]) == 0
+    assert len(calls) <= 62
 
 
 def test_library_numerical_error_exits_one(tmp_path, capsys):

@@ -133,6 +133,72 @@ def test_kernel_rep_mode_unconverged_quadrature_raises():
         kernel_rep_mode(parse_kernel("cos(20000*t)"), 10.0, 1.0)
 
 
+def _eval_counts(monkeypatch):
+    """Counts of ``BivariateKernel.eval`` and ``eval_abs`` calls from now on."""
+    from memflow.kernels import BivariateKernel
+    counts = {"eval": 0, "eval_abs": 0}
+    for name in counts:
+        def spy(self, t, s, _name=name, _fn=getattr(BivariateKernel, name)):
+            counts[_name] += 1
+            return _fn(self, t, s)
+        monkeypatch.setattr(BivariateKernel, name, spy)
+    return counts
+
+
+@pytest.mark.filterwarnings("ignore:The occurrence of roundoff error")
+@pytest.mark.parametrize("text, ts", [
+    ("cos(45*t)", (1.0, 2.0)),
+    ("cos(60*t)", (1.0, 2.0)),
+    ("exp(-1*t) + t^4*exp(-2*t)", (1.0, 1.25)),
+], ids=["cos45", "cos60", "series-rounding"])
+def test_series_modes_of_an_array_equal_each_scalar_call(text, ts, monkeypatch):
+    """On an array of modes both series routes return, bit for bit, each
+    mode's scalar value, while the kernel is sampled only as often as the
+    slowest mode needs.  On the cosines the low modes stop at later splits
+    than the high ones; on the last kernel the rounding allowance decides
+    at t = 1.25 (``test_kernel_rep_mode_check_allows_series_rounding``)."""
+    M = parse_kernel(text)
+    etas = np.array([ETA1, 10.0, 40.0, 300.0, 3000.0])
+    counts = _eval_counts(monkeypatch)
+    for t in ts:
+        single = []
+        for eta in etas.tolist():
+            counts["eval"] = counts["eval_abs"] = 0
+            single.append((kernel_rep_mode(M, eta, t), counts["eval"], counts["eval_abs"]))
+        counts["eval"] = counts["eval_abs"] = 0
+        batch = kernel_rep_mode(M, etas, t)
+        assert batch.tobytes() == np.array([v for v, _, _ in single]).tobytes()
+        assert counts["eval"] == max(n for _, n, _ in single)
+        assert counts["eval_abs"] == max(n for _, _, n in single)
+        dec = decomposition_mode(M, etas[::-1].reshape(1, 5), t)
+        for key, values in dec.items():
+            assert values.shape == (1, 5)
+            assert values.tobytes() == np.array(
+                [decomposition_mode(M, eta, t)[key] for eta in etas[::-1].tolist()]).tobytes()
+    if text == "cos(60*t)":
+        assert len({n for _, n, _ in single}) > 1  # the modes stop at different splits
+    if text.startswith("exp"):
+        assert single[0][2] == 1  # eta = pi^2 needed its rounding allowance
+
+
+def test_series_modes_keep_their_scalar_types():
+    M = parse_kernel("exp(-1*t)")
+    assert type(kernel_rep_mode(M, ETA1, 0.5)) is float
+    assert all(type(v) is float for v in decomposition_mode(M, ETA1, 0.5).values())
+    assert kernel_rep_mode(M, [ETA1], 0.5).shape == (1,)
+
+
+@pytest.mark.parametrize("etas", [[1e3, 10.0], [10.0, 1e3]])
+def test_one_unconverged_mode_of_an_array_raises(etas):
+    # eta = 1e3 converges on cos(20000 t) at t = 1, eta = 10 does not
+    M = parse_kernel("cos(20000*t)")
+    assert math.isfinite(kernel_rep_mode(M, 1e3, 1.0))
+    with pytest.raises(QuadratureError, match="exceeds"):
+        kernel_rep_mode(M, np.array(etas), 1.0)
+    with pytest.raises(QuadratureError, match="exceeds"):
+        decomposition_mode(M, np.array(etas), 1.0)
+
+
 def test_nonfinite_series_integral_raises():
     # the series kernel of exp(800 t) overflows: both integrals read NaN
     with pytest.raises(QuadratureError, match="not finite"):

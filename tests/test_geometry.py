@@ -274,14 +274,26 @@ def test_zero_located_off_the_sample_grid(text, T, root, order):
     assert d == order and abs(t0 - root) <= 1e-15
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "(t - 1/4)^3 off the sample grid is located 7.6e-7 off with order 2: "
-    "bisection stops inside the band where the cubic evaluates to 0, and f'' "
-    "there clears its threshold; on [0, 1], where 1/4 is a sample, the order "
-    "is 3.  analytic_lower_bound_check then reports beta = 2 as verified"))
 def test_triple_zero_off_the_sample_grid():
-    (t0, d), = _locate_zeros(parse_kernel("t^3 + -0.75*t^2 + 0.1875*t + -0.015625"), 0.0, 1.1)
-    assert d == 3 and abs(t0 - 0.25) <= 1e-12
+    """Bisection on (t - 1/4)^3 stops inside the band where the cubic rounds
+    to 0, 7.6e-7 off, where f'' clears its threshold; f'' changes sign within
+    the sample cell, so the zero moves to its root and gets order 3, and the
+    slice lower bound takes beta = 3."""
+    f = parse_kernel("t^3 + -0.75*t^2 + 0.1875*t + -0.015625")
+    for T in (1.0, 1.1):  # 1/4 is a sample of [0, 1], not of [0, 1.1]
+        (t0, d), = _locate_zeros(f, 0.0, T)
+        assert d == 3 and abs(t0 - 0.25) <= 1e-12
+    _, beta, ok, _ = analytic_lower_bound_check(zigzag_mask(0.2, 1.1, 60, 30), f, 0.0, 1.1)
+    assert beta == 3 and ok
+
+
+def test_close_simple_zeros_keep_their_order():
+    """(t - 1/4)^2 - 1e-8 has simple zeros 1e-4 either side of 1/4, both
+    within one sample cell of the root of f'; f is -1e-8 there, no zero, so
+    neither moves to it."""
+    zeros = _locate_zeros(parse_kernel("t^2 + -0.5*t + 0.06249999"), 0.0, 1.1)
+    assert [d for _, d in zeros] == [1, 1]
+    assert np.allclose([t0 for t0, _ in zeros], [0.2499, 0.2501], rtol=0, atol=1e-13)
 
 
 def test_analytic_bound_rejects_zero_function(zig):

@@ -11,6 +11,7 @@ import numpy as np
 
 from memflow import (
     ObsSetup,
+    add_noise,
     build_flow_table,
     hs_norm,
     interval_basis,
@@ -41,8 +42,7 @@ print(f"\nnoiseless data: relative reference-norm error {rel:.2e}")
 print(f"  observation map rank {diag['rank']}, smallest singular value "
       f"{diag['sigma_min']:.3e}")
 
-noisy = synthesize_observation(setup, truth, noise=0.01,
-                               rng=np.random.default_rng(7))
+noisy = add_noise(setup, data, 0.01, np.random.default_rng(7))
 noise_norm = setup.l2_norm(noisy - data)
 rec2, diag2 = reconstruct_y0(setup, noisy, noise_norm=noise_norm)
 rel2 = hs_norm(basis, rec2 - truth, -4.0) / hs_norm(basis, truth, -4.0)

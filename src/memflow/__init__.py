@@ -17,7 +17,6 @@ from .flow import (
     decomposition_mode,
     first_nonzero_h_index,
     kernel_rep_mode,
-    kernel_rep_profile,
     remainder_bound,
     remainder_profile,
     volterra_modes,

@@ -44,21 +44,19 @@ and ``probe-ball`` read the exact table, and ``flow-check`` takes its order
 study's reference from it; ``obsconst``, ``reconstruct`` and ``duality``
 read the stepper table, and ``control`` the exact row steps.  The two
 series routes are independent cross-checks: ``flow-check`` compares their
-checked values with the stepper, one call per route and check time for all
-its modes, and the three-way tests and the benchmark's closed-form check
+values with the stepper, one call per route and check time for all its
+modes, and the three-way tests and the benchmark's closed-form check
 compare their tables.
 
-The two series routes share one quadrature, ``_panel_integral`` of
-e^{-eta s} d^N/ds^N K(t, s) on geometric Gauss panels (N = 0 for the kernel
-representation, N for the remainder R_N).  Checked values
-(``kernel_rep_mode``, ``decomposition_mode``, for one mode or an array of
-modes) carry one convergence check per mode, ``_checked_integral``, which
-samples the kernel once per node set for all the modes, and raise
-QuadratureError when a mode fails it.  Tables
-(``kernel_rep_profile``, ``remainder_profile`` and the flow tables built on
-them) are not checked: a table build would pay the check's second kernel
-pass at 16 nodes, and its cut panels, at every grid time (measured in
-ROADMAP item 2).
+The two series routes integrate e^{-eta s} d^N/ds^N K(t, s) on geometric
+Gauss panels (N = 0 for the kernel representation, N for the remainder
+R_N).  Their values (``kernel_rep_mode``, ``decomposition_mode``, for one
+mode or an array of modes) carry one convergence check per mode,
+``_checked_integral``, which samples the kernel once per node set for all
+the modes, and raise QuadratureError when a mode fails it.  A series table
+is these checked values, one call per grid time, so it raises too.  The one
+unchecked value is ``remainder_profile``, behind ``flow-check``'s
+remainder-bound table.
 """
 
 from __future__ import annotations
@@ -85,7 +83,6 @@ __all__ = [
     "NonFinitePropagatorError",
     "volterra_modes",
     "kernel_rep_mode",
-    "kernel_rep_profile",
     "remainder_profile",
     "remainder_bound",
     "decomposition_mode",
@@ -302,15 +299,9 @@ def _gauss_panels(t, n_gauss, split=1):
     return t * nodes, t * weights
 
 
-def _panel_integral(K, t, etas, n_gauss=12, split=1):
-    """int_0^t e^{-eta s} K(t, s) ds for every mode, on the geometric Gauss
-    panels of ``_gauss_panels`` (one set of kernel samples for all modes)."""
-    s, w = _gauss_panels(t, n_gauss, split)
-    return np.exp(-np.outer(etas, s)) @ (w * K.eval(t, s))
-
-
 def _checked_integral(K, t, etas):
-    """``_panel_integral`` for a 1-D array of modes, each with its own
+    """int_0^t e^{-eta s} K(t, s) ds on the geometric Gauss panels of
+    ``_gauss_panels``, for a 1-D array of modes, each with its own
     convergence check.
 
     Each mode integrates at 12 and at 16 nodes per panel, cutting every panel
@@ -357,18 +348,6 @@ def _checked_integral(K, t, etas):
                           f"{err:.3e} exceeds {bound:.3e}")
 
 
-def kernel_rep_profile(M, t, etas):
-    """phi(t) for an array of modes via the integral representation.
-
-    Shares one set of kernel samples (SERIES_TERMS series terms)
-    across all modes; the quadrature grid is geometrically refined toward
-    u = 0 so the exponential boundary layer of every mode is resolved.
-    Unchecked, for tables; ``kernel_rep_mode`` is the checked value.
-    """
-    etas = np.atleast_1d(np.asarray(etas, dtype=float))
-    return np.exp(-etas * t) + _panel_integral(km_partial(M, 0, SERIES_TERMS), t, etas)
-
-
 def kernel_rep_mode(M, eta, t):
     """Propagator value via the kernel representation for a mode eta (a
     float) or for each mode of an array (an array of its shape), with the
@@ -392,12 +371,19 @@ def remainder_profile(M, t, N, etas):
     """Remainder multiplier values R_N(t, eta) for an array of modes.
 
     R_N(t, eta) = int_0^t eta e^{-eta s} (d/ds)^N K(t, s) ds on the series
-    kernel of SERIES_TERMS terms, by the kernel representation's
-    ``_panel_integral``.  Unchecked, for tables; ``decomposition_mode`` is
-    the checked value.
+    kernel of SERIES_TERMS terms, at 12 nodes on each geometric Gauss panel
+    of ``_gauss_panels``, one set of kernel samples for all modes.
+
+    The one unchecked series value: it feeds only ``flow-check``'s
+    remainder-bound table, where ``_checked_integral`` in its place (its
+    16-node pass and cut panels) made the flow-check jobs of the routes
+    benchmark about 16% slower in process.  ``decomposition_mode`` carries
+    the checked R_N.
     """
     etas = np.atleast_1d(np.asarray(etas, dtype=float))
-    return etas * _panel_integral(km_partial(M, N, SERIES_TERMS), t, etas)
+    s, w = _gauss_panels(t, 12)
+    K = km_partial(M, N, SERIES_TERMS)
+    return etas * (np.exp(-np.outer(etas, s)) @ (w * K.eval(t, s)))
 
 
 def remainder_bound(M, N, t):
@@ -410,12 +396,6 @@ def remainder_bound(M, N, t):
     with np.errstate(over="ignore"):
         bound = np.exp(ts) * np.expm1(N * (1.0 + ts) * kernel_c_norm(M, N, ts))
     return float(bound) if ts.ndim == 0 else bound
-
-
-def _coefficients(M, N, t):
-    """p_l(t) and h_l(t), l < N, each an array of shape (N, *shape of t)."""
-    return (np.array([p_coeff(M, l).eval(t) for l in range(N)]),
-            np.array([h_coeff(M, l).eval(t) for l in range(N)]))
 
 
 def _decomposition(t, etas, pl, hl, R):
@@ -441,9 +421,8 @@ def decomposition_mode(M, eta, t, N=DEFAULT_DECOMP_ORDER):
 
     p_l(t) and h_l(t) are evaluated once for all modes.  The remainder
     R_N(t, eta) is checked by ``_checked_integral`` (QuadratureError when
-    64-fold cut panels do not converge for some mode); the decomposition
-    table reads the unchecked ``remainder_profile``.  Each mode's parts equal
-    those of its scalar call.  Refuses t = 0 (the remainder quadrature
+    64-fold cut panels do not converge for some mode).  Each mode's parts
+    equal those of its scalar call.  Refuses t = 0 (the remainder quadrature
     degenerates there); callers probe the t -> 0 limit instead.
     """
     if t <= 0:
@@ -453,7 +432,8 @@ def decomposition_mode(M, eta, t, N=DEFAULT_DECOMP_ORDER):
     etas = np.asarray(eta, dtype=float)
     flat = etas.ravel()
     R = flat * _checked_integral(km_partial(M, N, SERIES_TERMS), t, flat)
-    pl, hl = _coefficients(M, N, t)
+    pl = np.array([p_coeff(M, l).eval(t) for l in range(N)])
+    hl = np.array([h_coeff(M, l).eval(t) for l in range(N)])
     heat, wave, scaled = np.array([_decomposition(t, flat[m:m + 1], pl, hl, R[m])
                                    for m in range(len(flat))]).reshape(-1, 3).T
     parts = {"heat": heat, "wave": wave, "remainder_scaled": scaled,
@@ -514,15 +494,16 @@ def build_flow_table(M, basis, T, n_steps, method="volterra"):
         ``flow-check`` (one step to T);
       * "volterra": the trapezoid stepper of ``volterra_modes``.  Read by
         ``obsconst``, ``reconstruct`` and ``duality``;
-      * "kernel_rep": the kernel representation on SERIES_TERMS series terms;
-      * "decomposition": the order-DEFAULT_DECOMP_ORDER decomposition, each
-        p_l and h_l evaluated once on the whole grid.
+      * "kernel_rep": ``kernel_rep_mode`` at each grid time t_i > 0;
+      * "decomposition": the "total" of ``decomposition_mode`` (order
+        DEFAULT_DECOMP_ORDER) at each grid time t_i > 0.
 
-    The two series routes are unchecked tables, kept as independent
-    cross-checks of the others (the three-way tests and the benchmark's
-    closed-form check); ``flow-check`` compares their checked single-mode
-    values.  ``control`` reads no table: it steps the exact row map of
-    ``_row_step`` once per mask row.
+    The two series routes are independent cross-checks of the others (the
+    three-way tests and the benchmark's closed-form check).  Each of their
+    entries passes its route's convergence check, one call for all modes
+    per grid time, so a build on a kernel they do not resolve raises
+    QuadratureError.  ``control`` reads no table: it steps the exact row map
+    of ``_row_step`` once per mask row.
     """
     etas = basis.eigenvalues
     tgrid = np.linspace(0.0, T, n_steps + 1)
@@ -533,18 +514,11 @@ def build_flow_table(M, basis, T, n_steps, method="volterra"):
         phi = _scan(E, x0, n_steps + 1).T.copy()
     elif method == "volterra":
         phi = volterra_modes(M, etas, T, n_steps).T.copy()
-    else:
+    elif method in ("kernel_rep", "decomposition"):
         phi = np.ones((basis.J, n_steps + 1))
-        if method == "decomposition":
-            pl, hl = _coefficients(M, DEFAULT_DECOMP_ORDER, tgrid)
-        elif method != "kernel_rep":
-            raise ValueError(f"unknown method {method!r}")
-        for i, t in enumerate(tgrid[1:], start=1):
-            if method == "kernel_rep":
-                phi[:, i] = kernel_rep_profile(M, t, etas)
-            else:
-                R = remainder_profile(M, t, DEFAULT_DECOMP_ORDER, etas)
-                heat, wave, scaled = _decomposition(t, etas, pl[:, i], hl[:, i], R)
-                phi[:, i] = heat + wave + scaled
+        for i, t in enumerate(tgrid[1:].tolist(), start=1):
+            phi[:, i] = (kernel_rep_mode(M, etas, t) if method == "kernel_rep"
+                         else decomposition_mode(M, etas, t)["total"])
+    else:
+        raise ValueError(f"unknown method {method!r}")
     return FlowTable(basis=basis, tgrid=tgrid, phi=phi)
-

@@ -66,10 +66,6 @@ class Mask:
         return 1.0 / self.n_x
 
     @property
-    def t_mid(self):
-        return (np.arange(self.n_t) + 0.5) * self.dt
-
-    @property
     def x_mid(self):
         return (np.arange(self.n_x) + 0.5) * self.dx
 

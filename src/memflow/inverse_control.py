@@ -52,24 +52,25 @@ class SingularSystemError(np.linalg.LinAlgError):
         self.null_direction = null_direction
 
 
-def synthesize_observation(setup, y0, noise=0.0, rng=None):
-    """Forward masked data of a known initial state, optionally noisy
-    (``add_noise``)."""
+def synthesize_observation(setup, y0):
+    """Forward masked data of a known initial state, zero outside the mask;
+    ``add_noise`` makes it noisy."""
     live = setup.masked_weights > 0
-    data = np.where(live, setup.fields(np.asarray(y0, dtype=float)), 0.0)
-    return add_noise(setup, data, noise, rng)
+    return np.where(live, setup.fields(np.asarray(y0, dtype=float)), 0.0)
 
 
 def add_noise(setup, data, noise, rng=None):
     """``data`` plus relative noise: gaussian with std = noise * rms(signal)
-    on the in-mask samples, drawn from ``rng`` (default_rng(0) when None);
-    ``data`` itself when noise is 0."""
+    on the in-mask samples, one draw from ``rng`` (default_rng(0) when None)
+    per in-mask sample, in row-major order; ``data`` itself when noise is 0."""
     if noise <= 0.0:
         return data
     live = setup.masked_weights > 0
     rng = np.random.default_rng(0) if rng is None else rng
     scale = noise * math.sqrt(float(np.mean(data[live] ** 2)))
-    return data + np.where(live, rng.standard_normal(data.shape) * scale, 0.0)
+    noisy = data.copy()
+    noisy[live] += rng.standard_normal(np.count_nonzero(live)) * scale
+    return noisy
 
 
 def _cholesky_solve(A, b):

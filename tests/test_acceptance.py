@@ -20,7 +20,6 @@ from memflow.flow import (
     decomposition_mode,
     first_nonzero_h_index,
     kernel_rep_mode,
-    kernel_rep_profile,
     remainder_bound,
     remainder_profile,
     volterra_modes,
@@ -36,6 +35,7 @@ from memflow.geometry import (
     zigzag_mask,
 )
 from memflow.inverse_control import (
+    add_noise,
     duality_range_test,
     min_norm_control,
     reconstruct_y0,
@@ -107,7 +107,7 @@ def test_criterion_02_three_way_agreement():
         y = volterra_modes(M, etas, 1.0, n)
         for t in np.linspace(0.1, 1.0, 10):
             i = int(round(t / dt))
-            kr = kernel_rep_profile(M, float(t), etas)
+            kr = kernel_rep_mode(M, etas, float(t))
             for j in modes:
                 eta = float(etas[j - 1])
                 tol = max(1e-6, eta**2 * dt**2 / 20.0)
@@ -376,8 +376,7 @@ def test_criterion_09_reconstruction():
     rec, _ = reconstruct_y0(setup, data)
     rel0 = hs_norm(basis, rec - truth, -4.0) / hs_norm(basis, truth, -4.0)
 
-    noisy = synthesize_observation(setup, truth, noise=0.01,
-                                   rng=np.random.default_rng(7))
+    noisy = add_noise(setup, data, 0.01, np.random.default_rng(7))
     _, sq = observation_operator(setup)
     noise_norm = float(np.linalg.norm(((noisy - data) * sq).ravel()))
     rec2, _ = reconstruct_y0(setup, noisy, noise_norm=noise_norm)

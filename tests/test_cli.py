@@ -151,9 +151,9 @@ def test_reconstruct_noise_does_not_repeat_the_truth(tmp_path, monkeypatch):
     truths, draws = [], []
     synthesize, add_noise = cli.synthesize_observation, cli.add_noise
 
-    def spy_synthesize(setup, y0, noise=0.0, rng=None):
+    def spy_synthesize(setup, y0):
         truths.append(np.array(y0))
-        return synthesize(setup, y0, noise=noise, rng=rng)
+        return synthesize(setup, y0)
 
     def spy_noise(setup, data, noise, rng=None):
         draws.append(copy.deepcopy(rng).standard_normal(setup.basis.J))

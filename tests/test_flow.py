@@ -16,7 +16,6 @@ from memflow.flow import (
     decomposition_mode,
     first_nonzero_h_index,
     kernel_rep_mode,
-    kernel_rep_profile,
     remainder_bound,
     remainder_profile,
     volterra_modes,
@@ -74,15 +73,6 @@ def test_kernel_rep_t_zero(kernels4):
 def test_kernel_rep_no_memory():
     assert kernel_rep_mode(ExpPolyFn.zero(), ETA1, 0.5) == pytest.approx(
         math.exp(-0.5 * ETA1), rel=1e-12)
-
-
-def test_kernel_rep_profile_matches_scalar(kernels4):
-    etas = interval_basis(4, 16).eigenvalues
-    for M in kernels4.values():
-        prof = kernel_rep_profile(M, 0.8, etas)
-        for j, eta in enumerate(etas):
-            assert prof[j] == pytest.approx(kernel_rep_mode(M, float(eta), 0.8),
-                                            abs=1e-10)
 
 
 def _kernel_rep_quad(M, eta, t):
@@ -353,7 +343,7 @@ def test_wave_leading_term_envelope():
     M = parse_kernel("exp(-1*t)")
     t = 0.5
     etas = interval_basis(32, 128).eigenvalues[3:]
-    flow = kernel_rep_profile(M, t, etas)
+    flow = kernel_rep_mode(M, etas, t)
     resid = np.abs(flow + M.eval(t) / etas**2) * etas**3
     assert resid.max() / resid.min() < 25.0  # flat eta^3-normalized envelope
 
@@ -401,6 +391,34 @@ def test_table_methods_agree():
     assert np.abs(tk.phi - td.phi).max() < 1e-8
     assert np.abs(tk.phi - te.phi).max() < 1e-12
     assert np.all(te.phi[:, 0] == 1.0)
+
+
+@pytest.mark.parametrize("text", ["exp(-1*t)", "cos(60*t)",
+                                  "exp(-1.3*t)*cos(2.4*t) + 0.7*t*exp(-2.1*t)"],
+                         ids=["exp", "cos60", "two-rate"])
+def test_series_table_columns_are_the_checked_values(text):
+    """Each column of a series table is, bit for bit, the route's checked
+    call at that grid time on all the modes."""
+    M, b = parse_kernel(text), interval_basis(5, 20)
+    tk = build_flow_table(M, b, 1.0, 6, method="kernel_rep")
+    td = build_flow_table(M, b, 1.0, 6, method="decomposition")
+    assert np.all(tk.phi[:, 0] == 1.0) and np.all(td.phi[:, 0] == 1.0)
+    for i, t in enumerate(tk.tgrid[1:].tolist(), start=1):
+        assert tk.phi[:, i].tobytes() == kernel_rep_mode(M, b.eigenvalues, t).tobytes()
+        assert td.phi[:, i].tobytes() == decomposition_mode(M, b.eigenvalues, t)["total"].tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("method", ["kernel_rep", "decomposition"])
+@pytest.mark.parametrize("text, match", [("cos(20000*t)", "exceeds"),
+                                         ("exp(800*t)", "not finite")],
+                         ids=["unresolved", "overflow"])
+def test_series_table_on_an_unresolved_kernel_raises(text, match, method):
+    """A series table holds only values that pass the route's check: on a
+    kernel the panels do not resolve, or whose series kernel overflows, the
+    build raises instead of returning wrong or non-finite entries."""
+    with pytest.raises(QuadratureError, match=match):
+        build_flow_table(parse_kernel(text), interval_basis(2, 8), 1.0, 4, method=method)
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +487,7 @@ def test_exact_table_matches_the_closed_form_of_exp(a):
 
 
 @pytest.mark.parametrize("text, J, T, n_steps", [
-    ("cos(60*t)", 4, 1.0, 4),  # the decomposition table is 3x off at mode 1, t = 1
+    ("cos(60*t)", 4, 1.0, 4),
     ("2 + t^3*exp(-1*t) + -0.5*t*exp(-1*t) + exp(0.3*t)", 8, 2.0, 8),
     ("0", 8, 1.0, 5),
     ("1", 8, 1.0, 5),

@@ -9,6 +9,7 @@ from memflow.inverse_control import (
     _cholesky_solve,
     _influence_rows,
     SingularSystemError,
+    add_noise,
     duality_range_test,
     min_norm_control,
     reachable_difference_check,
@@ -62,8 +63,7 @@ def test_noisy_round_trip_discrepancy(setup12, rng):
     truth = rng.standard_normal(12)
     truth /= np.linalg.norm(truth)
     clean = synthesize_observation(setup12, truth)
-    noisy = synthesize_observation(setup12, truth, noise=0.01,
-                                   rng=np.random.default_rng(5))
+    noisy = add_noise(setup12, clean, 0.01, np.random.default_rng(5))
     _, sq = observation_operator(setup12)
     noise_norm = float(np.linalg.norm(((noisy - clean) * sq).ravel()))
     rec, diag = reconstruct_y0(setup12, noisy, noise_norm=noise_norm)
@@ -91,7 +91,7 @@ def _noisy_zigzag(setup):
     truth = np.random.default_rng(3).standard_normal(12)
     truth /= np.linalg.norm(truth)
     clean = synthesize_observation(setup, truth)
-    noisy = synthesize_observation(setup, truth, noise=0.01, rng=np.random.default_rng(5))
+    noisy = add_noise(setup, clean, 0.01, np.random.default_rng(5))
     return noisy, setup.l2_norm(noisy - clean)
 
 

@@ -269,8 +269,9 @@ def test_window_reduction_sandwich(mem_table):
     mask = zigzag_mask(0.2, 1.0, 80, 40)
     S, T = 0.4, 1.0
     win = ObsSetup(mem_table, mask, alpha=None, window=(S, T))
+    t_mid = (np.arange(mask.n_t) + 0.5) * mask.dt
     restricted = Mask(T=mask.T, n_t=mask.n_t, n_x=mask.n_x,
-                      cells=mask.cells & (mask.t_mid >= S)[:, None])
+                      cells=mask.cells & (t_mid >= S)[:, None])
     wtd = ObsSetup(mem_table, restricted, alpha=2.0, window=(0.0, T))
     rng_ = np.random.default_rng(1)
     for _ in range(6):

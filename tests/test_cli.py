@@ -968,17 +968,47 @@ def test_duality_on_the_default_config(tmp_path):
 def test_write_csv_matches_the_per_value_formatter(tmp_path):
     # the column writer must give the bytes of ``_fmt`` applied value by value
     specials = [math.nan, math.inf, -math.inf, -0.0, 1e-310, 0.1, 1 / 3, 2.0**60]
-    typed = [(bool(i % 2), np.bool_(i % 3 == 0), i - 3, np.int64(-i), np.int32(i),
-              float(v), np.float64(v), np.float32(v), f"s{i}")
-             for i, v in enumerate(specials)]
-    mixed = [(v, w) for v, w in zip([True, np.bool_(False), 7, np.int16(-2), 0.5,
-                                     np.float64(-0.0), np.float32(1e-3), "x"],
-                                    specials)]
+    ints = [5, -3, 5, 2**31 - 1, -2**31, 0, -3, 5]  # repeats for the distinct-value lookup
+    typed = [[bool(i % 2) for i in range(8)], [np.bool_(i % 3 == 0) for i in range(8)],
+             [i - 3 for i in range(8)], [np.int64(-i) for i in range(8)],
+             [np.int32(i) for i in range(8)], [float(v) for v in specials],
+             [np.float64(v) for v in specials], [np.float32(v) for v in specials],
+             [f"s{i}" for i in range(8)],
+             np.array(ints, dtype=np.int64) * 2**20, np.array(ints, dtype=np.int32),
+             np.array(ints) > 0, np.array(specials, dtype=np.float32),
+             np.array(specials, dtype=np.float64)]
+    mixed = [[True, np.bool_(False), 7, np.int16(-2), 0.5, np.float64(-0.0),
+              np.float32(1e-3), "x"], specials]
+    empty = [[], np.array([], dtype=np.int64), np.array([])]
     sink = cli.Sink(str(tmp_path), "test", {"seed": 1})
-    for name, rows in (("typed.csv", typed), ("mixed.csv", mixed), ("empty.csv", [])):
-        sink.write_csv(name, "a, b", iter(rows))
-        reference = (f"# config {sink.hash}\na, b\n"
-                     + "".join(", ".join(cli._fmt(v) for v in row) + "\n" for row in rows))
+    for name, columns in (("typed.csv", typed), ("mixed.csv", mixed), ("empty.csv", empty)):
+        header = ", ".join(f"c{k}" for k in range(len(columns)))
+        sink.write_csv(name, header, iter(columns))
+        reference = (f"# config {sink.hash}\n{header}\n"
+                     + "".join(", ".join(cli._fmt(v) for v in row) + "\n"
+                               for row in zip(*columns)))
         assert Path(sink.path(name)).read_bytes() == reference.encode()
-    with pytest.raises(ValueError):
-        sink.write_csv("ragged.csv", "a, b", [(1, 2), (3,)])
+    for ragged in ([[1, 2], [3]], [np.arange(2), np.arange(3.0)]):
+        with pytest.raises(ValueError):
+            sink.write_csv("ragged.csv", "a, b", ragged)
+
+
+def test_control_csv_holds_the_control_on_the_mask_cells(tmp_path):
+    """control.csv lists the mask cells in row-major order, and each value
+    parses back, bit for bit, to the raster ``min_norm_control`` returns."""
+    p = tmp_path / "c.json"
+    write_cfg(p)
+    run(["control", "--config", p, "--out", tmp_path / "o"])
+    cfg = cli.load_config(p)
+    mask = cli.build_mask(cfg)
+    basis = interval_basis(cfg["basis"]["J"], cfg["basis"]["n_x"])
+    y0 = np.random.default_rng(cfg["seed"]).standard_normal(basis.J)
+    u, _ = inverse_control.min_norm_control(
+        memflow.parse_kernel(cfg["kernel"]), basis, mask, cfg["control"]["T_hat"], y0,
+        basis.eigenvalues**-3.0)
+    rows = _csv_rows(tmp_path / "o" / "control" / cli.config_hash(cfg) / "control.csv")
+    it, ix = np.nonzero(mask.cells)
+    assert len(it) > 0
+    assert [(int(a), int(b)) for a, b, _ in rows] == list(zip(it.tolist(), ix.tolist()))
+    values = np.array([float(v) for _, _, v in rows])
+    assert values.tobytes() == u[it, ix].tobytes()

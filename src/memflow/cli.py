@@ -343,8 +343,7 @@ def cmd_flow_check(cfg, sink):
     fc = cfg["flow_check"]
     modes, n_tv = fc["modes"], fc["n_t_values"]
     T, n_t = cfg["time"]["T"], cfg["time"]["n_t"]
-    Jmax = max(modes)
-    basis = interval_basis(Jmax, max(cfg["basis"]["n_x"], 4 * Jmax))
+    basis = _basis(cfg, max(modes))
     etas = basis.eigenvalues
     dt = T / n_t
     failures = 0
@@ -359,7 +358,7 @@ def cmd_flow_check(cfg, sink):
     # both series routes once per check time, on all modes at once; each
     # table below is (mode, check time)
     kr = np.array([kernel_rep_mode(M, mode_etas, t) for t in t_checks.tolist()]).T
-    dec = np.array([decomposition_mode(M, mode_etas, t, N=4)["total"]
+    dec = np.array([decomposition_mode(M, mode_etas, t)["total"]
                     for t in t_checks.tolist()]).T
     v = runs[0][idx_checks].T
     tol = np.array([max(1e-6, eta**2 * dt**2 / 20.0) for eta in mode_etas.tolist()])
@@ -458,11 +457,15 @@ def cmd_moc(cfg, sink):
     return verified
 
 
+def _basis(cfg, J=None):
+    """The first J (default basis.J) modes on a grid of at least 4 J points."""
+    J = cfg["basis"]["J"] if J is None else J
+    return interval_basis(J, max(cfg["basis"]["n_x"], 4 * J))
+
+
 def _setup_from_cfg(cfg, M, J=None, method="volterra"):
     """The observation setup of the config for the parsed kernel M."""
-    J = cfg["basis"]["J"] if J is None else J
-    basis = interval_basis(J, max(cfg["basis"]["n_x"], 4 * J))
-    table = build_flow_table(M, basis, cfg["time"]["T"], cfg["time"]["n_t"],
+    table = build_flow_table(M, _basis(cfg, J), cfg["time"]["T"], cfg["time"]["n_t"],
                              method=method)
     mask = build_mask(cfg)
     S, T_hi = _window(cfg)
@@ -544,8 +547,7 @@ def cmd_probe_ball(cfg, sink):
 
 def cmd_probe_heat(cfg, sink):
     ph = cfg["probe_heat"]
-    basis = interval_basis(cfg["basis"]["J"], cfg["basis"]["n_x"])
-    out = heat_local_probe(basis, ph["x0"], ph["r"], s_exponents=tuple(ph["s_list"]),
+    out = heat_local_probe(_basis(cfg), ph["x0"], ph["r"], s_exponents=tuple(ph["s_list"]),
                            t_list=tuple(ph["t_list"]), half_widths=tuple(ph["half_widths"]))
     rows = [(s, r) for s, tbl in out.items() for r in tbl["rows"]]
     sink.write_csv("ratios.csv", "s, half_width, ratio",
@@ -581,7 +583,7 @@ def cmd_reconstruct(cfg, sink):
 def cmd_control(cfg, sink):
     cc = cfg["control"]
     M = parse_kernel_checked(cfg["kernel"])
-    basis = interval_basis(cfg["basis"]["J"], cfg["basis"]["n_x"])
+    basis = _basis(cfg)
     mask = build_mask(cfg)
     if mask.is_empty():
         raise ConfigError("observation set is empty: the mask has no cell")

@@ -69,6 +69,7 @@ import numpy as np
 
 from .kernels import (
     SERIES_TERMS,
+    _vanishes,
     h_coeff,
     kernel_c_norm,
     km_partial,
@@ -444,14 +445,13 @@ def decomposition_mode(M, eta, t, N=DEFAULT_DECOMP_ORDER):
 
 
 def first_nonzero_h_index(M, T):
-    """Smallest l in [1, 10] with h_l(T) != 0, zeros judged against a
-    derivative-scale threshold so exact zeros (e.g. M(T) = 0 makes h_1(T) = 0)
-    are not confused with roundoff; MultiplierIndexError when there is none."""
+    """Smallest l in [1, 10] with h_l(T) != 0 by ``kernels._vanishes`` at
+    1e-12, so exact zeros (e.g. M(T) = 0 makes h_1(T) = 0) are not confused
+    with roundoff; MultiplierIndexError when there is none."""
     if M.is_zero():
         raise ValueError("kernel is identically zero")
     for l in range(1, 11):
-        scale = kernel_c_norm(M, l, T)
-        if abs(h_coeff(M, l).eval(T)) > 1e-12 * max(scale, 1e-300):
+        if not _vanishes(h_coeff(M, l), T, 1e-12):
             return l
     raise MultiplierIndexError("no nonzero h_l(T) found for l <= 10")
 

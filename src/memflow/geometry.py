@@ -4,6 +4,8 @@ A cell belongs to the set iff its midpoint does; the essential infimum over
 space of slice time-measures becomes a minimum over raster columns.  Cells cut
 by a time window [S, T'] contribute fractional measure by linear overlap.
 Masks are immutable after generation and every functional here is pure.
+The slice lower bound finds the zeros of the kernel with one array scan;
+whether it vanishes at a point is decided by ``kernels._vanishes`` alone.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import kernel_c_norm
+from .kernels import _cells, _vanishes
 from .spectral import gauss_legendre
 
 __all__ = [
@@ -303,133 +305,117 @@ class RootIsolationError(RuntimeError):
     """Root isolation failed on the reported interval."""
 
 
-def _refine_root(f, lo, hi):
-    flo = f.eval(lo)
-    for _ in range(200):
+def _bisect(f, lo, hi):
+    """Roots of f in the brackets [lo, hi] (arrays; f changes sign across
+    each), bisected all at once.  A bracket stops at a midpoint where f is
+    exactly 0, or at its midpoint once narrower than 1e-15 max(1, |hi|)."""
+    out, idx, flo = np.empty(len(lo)), np.arange(len(lo)), f.eval(lo)
+    while idx.size:
         mid = 0.5 * (lo + hi)
         fm = f.eval(mid)
-        if fm == 0.0 or hi - lo < 1e-15 * max(1.0, abs(hi)):
-            return mid
-        if (flo < 0) != (fm < 0):
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
-
-
-def _locate_zeros(f, S, T):
-    """Zeros of an exponential polynomial on [S, T] with multiplicities.
-
-    Sign changes of f give odd-order roots; sign changes of f' where |f| dips
-    to the noise floor give even-order roots.  Orders come from the first
-    derivative that clears a scale-relative threshold.
-    """
-    samples = 4096
-    ts = np.linspace(S, T, samples + 1)
-    vals = f.eval(ts)
-    floor = 1e-11 * max(kernel_c_norm(f, 0, max(T, 1e-12)), 1e-300)
-    roots = []
-    sgn = np.sign(vals)
-    for i in range(samples):
-        if sgn[i] == 0.0:
-            roots.append(ts[i])
-        elif sgn[i] * sgn[i + 1] < 0:
-            roots.append(_refine_root(f, ts[i], ts[i + 1]))
-    # endpoint roots need no sign change inside the interval
-    for t_end in (ts[0], ts[-1]):
-        if abs(f.eval(t_end)) <= floor:
-            roots.append(t_end)
-    # even-order roots: stationary points of f where f nearly vanishes
-    fp = f.derivative(1)
-    dvals = fp.eval(ts)
-    dsgn = np.sign(dvals)
-    for i in range(samples):
-        if dsgn[i] * dsgn[i + 1] < 0:
-            t0 = _refine_root(fp, ts[i], ts[i + 1])
-            if abs(f.eval(t0)) <= floor:
-                roots.append(t0)
-    # dedupe
-    roots = sorted(roots)
-    merged = []
-    for t0 in roots:
-        if not merged or t0 - merged[-1] > 1e-9 * max(1.0, T):
-            merged.append(t0)
-    # a zero refined where f evaluates to 0 may sit off a higher-order zero
-    # (the band of a triple zero where the cubic rounds to 0): when f^(d)
-    # changes sign within a sample cell, the zero moves to f^(d)'s root if f
-    # is at its noise floor there and the order rises
-    cell = (T - S) / samples
-    out = []
-    for t0 in merged:
-        order = _zero_order(f, t0, T)
-        lo, hi = max(S, t0 - cell), min(T, t0 + cell)
-        while order is not None:
-            g = f.derivative(order)
-            if np.sign(g.eval(lo)) * np.sign(g.eval(hi)) >= 0:
-                break
-            t1 = _refine_root(g, lo, hi)
-            if abs(f.eval(t1)) > floor:
-                break
-            d1 = _zero_order(f, t1, T)
-            if d1 is None or d1 <= order:
-                break
-            t0, order = t1, d1
-        if order is None:
-            raise RootIsolationError(
-                f"cannot determine root order near t = {t0} on "
-                f"[{max(S, t0 - 1e-3)}, {min(T, t0 + 1e-3)}]"
-            )
-        out.append((float(t0), order))
+        stop = (fm == 0.0) | (hi - lo < 1e-15 * np.maximum(1.0, np.abs(hi)))
+        out[idx[stop]] = mid[stop]
+        left = (flo < 0) != (fm < 0)  # the root is in [lo, mid]
+        lo, hi, flo = np.where(left, lo, mid), np.where(left, mid, hi), np.where(left, flo, fm)
+        idx, lo, hi, flo = idx[~stop], lo[~stop], hi[~stop], flo[~stop]
     return out
 
 
-def _zero_order(f, t0, T):
-    """The first k <= 12 with |f^(k)(t0)| above 1e-9 of the C^k norm of f on
-    [0, T], or None."""
+def _locate_zeros(f, S, T):
+    """Zeros of an exponential polynomial on [S, T], a sorted list of (t, order).
+
+    One array scan on ``kernels._cells(f, T - S, 4096)`` equal cells finds
+    the samples where f is exactly 0, the roots across which f changes sign,
+    and the roots of f' (where f' changes sign) and ends of [S, T] at which f
+    vanishes (``kernels._vanishes`` at 1e-11).  All brackets are bisected at
+    once; a zero within 1e-9 max(1, T) of a smaller one is dropped.
+    """
+    cells = _cells(f, T - S, 4096)
+    ts = np.linspace(S, T, cells + 1)
+    fp = f.derivative(1)
+    sgn, dsgn = np.sign(f.eval(ts)), np.sign(fp.eval(ts))
+    odd, crit = (np.flatnonzero(s[:-1] * s[1:] < 0) for s in (sgn, dsgn))
+    stat, ends = _bisect(fp, ts[crit], ts[crit + 1]), ts[[0, -1]]
+    t0 = np.sort(np.concatenate([ts[:-1][sgn[:-1] == 0.0], _bisect(f, ts[odd], ts[odd + 1]),
+                                 ends[_vanishes(f, ends, 1e-11)],
+                                 stat[_vanishes(f, stat, 1e-11)]]))
+    t0 = t0[np.diff(t0, prepend=-np.inf) > 1e-9 * max(1.0, T)]
+    order = _zero_order(f, t0)
+    # a zero refined where f evaluates to 0 may sit off a higher-order zero
+    # (the band of a triple zero where the cubic rounds to 0): when f^(d)
+    # changes sign within a sample cell, the zero moves to f^(d)'s root if f
+    # vanishes there and the order rises
+    cell = (T - S) / cells
+    lo, hi = np.maximum(S, t0 - cell), np.minimum(T, t0 + cell)
+    moves = np.zeros(len(t0), dtype=bool)
+    for d in np.unique(order[order > 0]).tolist():
+        g, at = f.derivative(d), order == d
+        moves[at] = np.sign(g.eval(lo[at])) * np.sign(g.eval(hi[at])) < 0
+    for i in np.flatnonzero(moves).tolist():
+        g = f.derivative(int(order[i]))
+        while np.sign(g.eval(lo[i])) * np.sign(g.eval(hi[i])) < 0:
+            t1 = _bisect(g, lo[i:i + 1], hi[i:i + 1])
+            d1 = _zero_order(f, t1)[0] if _vanishes(f, t1[0], 1e-11) else 0
+            if d1 <= order[i]:
+                break
+            t0[i], order[i], g = t1[0], d1, f.derivative(int(d1))
+    if not order.all():
+        t_bad = float(t0[np.argmin(order)])
+        raise RootIsolationError(f"cannot determine root order near t = {t_bad} on "
+                                 f"[{max(S, t_bad - 1e-3)}, {min(T, t_bad + 1e-3)}]")
+    return list(zip(t0.tolist(), order.tolist()))
+
+
+def _zero_order(f, t0):
+    """For each t of the array t0, the first k <= 12 at which f^(k) does not
+    vanish (``kernels._vanishes`` at 1e-9), or 0 when there is none."""
+    order = np.zeros(len(t0), dtype=int)
     for k in range(1, 13):
-        thresh = 1e-9 * max(kernel_c_norm(f, k, max(T, 1e-12)), 1e-300)
-        if abs(f.derivative(k).eval(t0)) > thresh:
-            return k
-    return None
+        if order.all():
+            break
+        order[(order == 0) & ~_vanishes(f.derivative(k), t0, 1e-9)] = k
+    return order
 
 
 def analytic_lower_bound_check(mask, f, S, T_hi):
     """Constant and exponent for the slice lower bound through zeros of f.
 
-    Finds the zeros of f on [S, T'] with orders, sets beta to the largest
-    order (0 when f has no zero there), builds a constant C such that
+    Finds the zeros t_j of f on [S, T'] with orders d_j, sets beta to the
+    largest order (0 when f has no zero there), builds a constant C such that
 
         int chi(t,x) |f(t)| dt  >=  C * (int chi(t,x) dt)^(beta+1)
 
     holds for every column (C is 0.9 times the derived constant), then
-    verifies the inequality column by column.
+    verifies the inequality column by column.  It rests on C1 with
+    |f(t)| >= C1 min_j |t - t_j|^{d_j}: the least ratio on
+    ``kernels._cells(f, T' - S, 8192)`` equal cells (each order's nearest
+    zero by ``searchsorted``) or exact limit |f^(d)(t_j)| / d! at a zero.
 
     Returns (C, beta, verified, per-column margins).
     """
     if f.is_zero():
         raise ValueError("f must not vanish identically")
     zeros = _locate_zeros(f, S, T_hi)
-    ts = np.linspace(S, T_hi, 8193)
+    ts = np.linspace(S, T_hi, _cells(f, T_hi - S, 8192) + 1)
     absf = np.abs(f.eval(ts))
-    Tscale = max(T_hi, 1e-12)
     if not zeros:
         beta = 0
         C = 0.9 * float(np.min(absf))
     else:
-        beta = max(d for _, d in zeros)
-        # |f(t)| >= C1 * min_j |t - t_j|^{d_j}: take the sampled minimum of the
-        # ratio, with the exact limit value |f^(d)}(t_j)| / d_j! at each zero.
-        dmin = np.full_like(ts, np.inf)
-        for t0, d in zeros:
-            dmin = np.minimum(dmin, np.abs(ts - t0) ** d)
+        t0, d = (np.array(v) for v in zip(*zeros))
+        orders = np.unique(d).tolist()
+        beta = orders[-1]
+        dmin, C1 = np.full_like(ts, np.inf), math.inf
+        for k in orders:
+            tk = np.concatenate([[-np.inf], t0[d == k], [np.inf]])
+            j = np.searchsorted(tk, ts)  # tk[j - 1] < ts <= tk[j]
+            dmin = np.minimum(dmin, np.minimum(ts - tk[j - 1], tk[j] - ts) ** k)
+            C1 = min(C1, float(np.abs(f.derivative(k).eval(tk[1:-1])).min()) / math.factorial(k))
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(dmin > 0, absf / dmin, np.inf)
-        C1 = float(np.min(ratio))
-        for t0, d in zeros:
-            C1 = min(C1, abs(f.derivative(d).eval(t0)) / math.factorial(d))
-        C2 = C1 * min(Tscale ** (d - beta) for _, d in zeros)
-        m = len(zeros)
-        C = 0.9 * 2.0 * C2 / (beta + 1.0) / (2.0 * m) ** (beta + 1.0)
+        C1 = min(float(np.min(ratio)), C1)
+        C2 = C1 * min(max(T_hi, 1e-12) ** (k - beta) for k in orders)
+        C = 0.9 * 2.0 * C2 / (beta + 1.0) / (2.0 * len(zeros)) ** (beta + 1.0)
     mu, lhs = column_integrals(mask, f, S, T_hi)
     rhs = C * mu ** (beta + 1.0)
     return C, beta, not np.any(lhs < rhs * (1.0 - 1e-9) - 1e-300), lhs - rhs

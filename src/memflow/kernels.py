@@ -515,28 +515,37 @@ def p_coeff(M, l):
 
 
 # ---------------------------------------------------------------------------
-# C^N-type norm: sum over derivative orders of sup |M^(k)| on [0, t]
+# grids, zero tests and the C^N-type norm sum_{k<=N} sup |M^(k)| on [0, t]
 # ---------------------------------------------------------------------------
+
+def _cells(f, span, least):
+    """Cells of an equal grid over a length span: at least `least`, and at
+    least 8 per period of f's fastest oscillation (its largest |Im z|)."""
+    freq = np.abs(np.imag(f.rates)).max(initial=0.0)
+    return max(least, math.ceil(8.0 * freq * span / (2.0 * math.pi)))
+
+
+def _vanishes(f, t, rel):
+    """Whether |f(t)| <= rel times the sum of the moduli of f's terms at t
+    (the scale of ``eval``'s rounding, as in ``BivariateKernel.eval_abs``)."""
+    return np.abs(f.eval(t)) <= rel * _eval_compiled(f.rates.real, np.abs(f.C)[:, None, :], t)
+
 
 def _max_abs(f, lo, hi):
     """sup |f| on [lo, h], a float for a scalar hi = h and an array for a 1-D
     array hi of right ends h > lo (any order, repeats allowed).
 
     The sup is taken at the ends or at a critical point of f.  Those points
-    are found once for every h: brackets of equal cells on [lo, max hi]
-    where the sign of f' changes or f' meets 0 exactly, each placed by
-    linear interpolation of f' and one Newton step on f' (kept only when it
-    stays in its bracket, so a step with f'' = 0 keeps the interpolated
-    point).  There are max(1024, 8 w (max hi - lo) / 2 pi) cells, w the
-    largest |Im z| of f's rates, so at least 8 per period of f's fastest
-    oscillation.  Each h then takes every point at or below it (lo, the
-    ends, the critical points): four array evaluations of f, f' and f'' in
-    all, whatever the number of h.
+    are found once for every h: cells of [lo, max hi] (``_cells(f, max hi -
+    lo, 1024)`` of them) where the sign of f' changes or f' meets 0 exactly,
+    each placed by linear interpolation of f' and one Newton step on f'
+    (kept only when it stays in its cell, so a step with f'' = 0 keeps the
+    interpolated point).  Each h then takes every point at or below it (lo,
+    the ends, the critical points): four array evaluations of f, f' and f''
+    in all, whatever the number of h.
     """
     h = np.ravel(hi).astype(float)
-    freq = np.abs(np.imag(f.rates)).max(initial=0.0)
-    cells = max(1024, math.ceil(8.0 * freq * (h.max() - lo) / (2.0 * math.pi)))
-    xs = np.linspace(lo, h.max(), cells + 1)
+    xs = np.linspace(lo, h.max(), _cells(f, h.max() - lo, 1024) + 1)
     fp = f.derivative(1)
     d = fp.eval(xs)
     i = np.flatnonzero(np.sign(d[:-1]) != np.sign(d[1:]))

@@ -585,7 +585,7 @@ def null_obs_constant(setup, n_restarts=24, rng=None):
     short of the cap.
     """
     rng = np.random.default_rng(0) if rng is None else rng
-    G, D = gram_matrix(setup)
+    G = gram_matrix(setup)[0]
     lamG, VG = np.linalg.eigh(G)
     report = {"quotient_unbounded": False, "iterations": 0, "converged": True}
     if lamG[0] <= 1e-14 * max(lamG[-1], 1e-300):

@@ -570,6 +570,14 @@ def test_unusable_kernel_exits_cleanly(tmp_path, capsys, command, kernel, code, 
         assert json.loads((d / "manifest.json").read_text())["status"] == "failed"
 
 
+@pytest.mark.parametrize("command", ["moc", "probe-ball"])
+def test_fast_decaying_kernel_without_a_zero(tmp_path, command):
+    # exp(-30 t) is e^-30 at T = 1 but has no zero: no root, h_1(T) != 0
+    p = tmp_path / "c.json"
+    write_cfg(p, kernel="exp(-30*t)")
+    assert run([command, "--config", p, "--out", tmp_path / "o"]) == 0
+
+
 def test_module_exceptions_importable_from_package():
     exported = []
     for info in pkgutil.iter_modules(memflow.__path__):

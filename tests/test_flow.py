@@ -353,6 +353,9 @@ def test_first_nonzero_h_index(kernels4):
     assert first_nonzero_h_index(kernels4["one"], 1.0) == 1
     assert first_nonzero_h_index(kernels4["exp"], 1.0) == 1
     assert first_nonzero_h_index(kernels4["texp"], 1.0) == 1
+    # h_1(1) = -e^-30 is small against the sup of M on [0, 1], not against
+    # its own term
+    assert first_nonzero_h_index(parse_kernel("exp(-30*t)"), 1.0) == 1
     # sin vanishes at pi; the next coefficient takes over
     assert first_nonzero_h_index(kernels4["sin"], math.pi) == 2
     assert abs(h_coeff(kernels4["sin"], 2).eval(math.pi)) > 1e-3

@@ -266,12 +266,33 @@ def test_analytic_bound_all_test_kernels(kernels4, zig, rects):
     ("exp(-1*t) + -0.5", 1.0, math.log(2.0), 1),  # bisection moves the lower end
     ("t^2 + -0.5*t + 0.0625", 1.1, 0.25, 2),       # even order: f' changes sign
     ("cos(6*t) + 1", 1.0, math.pi / 6.0, 2),
-], ids=["simple", "double-polynomial", "double-cosine"])
+    # f'(0.9) = e^-18 is tiny against the sup of f' on [0, 1], not against
+    # the moduli of the terms of f' at 0.9
+    ("t*exp(-20*t) + -0.9*exp(-20*t)", 1.0, 0.9, 1),
+    ("t*exp(-30*t) + -0.9*exp(-30*t)", 1.0, 0.9, 1),
+    ("exp(-40*t)*cos(3*t)", 1.0, math.pi / 6.0, 1),
+], ids=["simple", "double-polynomial", "double-cosine", "small-slope-20", "small-slope-30",
+        "damped-cosine"])
 def test_zero_located_off_the_sample_grid(text, T, root, order):
     """A zero between the 4096 samples of [0, T] is refined to roundoff and
     gets its order."""
     (t0, d), = _locate_zeros(parse_kernel(text), 0.0, T)
     assert d == order and abs(t0 - root) <= 1e-15
+
+
+def test_small_values_without_a_zero_are_not_zeros():
+    """exp(-30 t) is e^-30 at t = 1, tiny against its value at 0 but not
+    against its own term there."""
+    assert _locate_zeros(parse_kernel("exp(-30*t)"), 0.0, 1.0) == []
+
+
+def test_every_zero_of_a_fast_oscillation():
+    """cos(20000 t) has 6366 simple zeros (k + 1/2) pi / 20000 on [0, 1]; the
+    scan takes at least 8 cells per period, so it sees each one."""
+    zeros = _locate_zeros(parse_kernel("cos(20000*t)"), 0.0, 1.0)
+    t0 = np.array([t for t, _ in zeros])
+    assert len(zeros) == 6366 and all(d == 1 for _, d in zeros)
+    assert np.abs(t0 - (np.arange(6366) + 0.5) * math.pi / 20000.0).max() <= 1e-15
 
 
 def test_triple_zero_off_the_sample_grid():
